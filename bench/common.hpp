@@ -7,17 +7,17 @@
 //
 // Common CLI flags (parse_args() is the one shared parser):
 //   --fast                shrink the measurement windows (CI smoke mode)
-//   --backend=heap|ladder|wheel|both|all
+//   --backend=heap|wheel|all
 //                         which event-queue backend(s) the bench drives.
 //                         The full app stack is generic over the backend,
 //                         so the figure benches honour this flag too:
-//                         "both" is the historical heap+ladder pair, "all"
-//                         adds the timing wheel. kernel_throughput,
-//                         fig13/14 and scenario_matrix default to all
-//                         (fig13 and scenario_matrix cross-check that the
-//                         backends produce identical packet counters); the
-//                         remaining figure benches default to heap, the
-//                         traditional figure-generation path.
+//                         "all" runs the heap and the timing wheel.
+//                         kernel_throughput, fig13/14 and scenario_matrix
+//                         default to all (fig13 and scenario_matrix
+//                         cross-check that the backends produce identical
+//                         packet counters); the remaining figure benches
+//                         default to heap, the traditional
+//                         figure-generation path.
 //   --jobs=N              worker threads for benches that sweep through
 //                         scenario::SweepRunner. Results are bit-identical
 //                         for any N; only wall time changes. Benches whose
@@ -77,10 +77,9 @@
 
 namespace metro::bench {
 
-/// Event-queue backend selection. kBoth is the historical heap+ladder
-/// pair (scripts predating the wheel keep their meaning); kAll is every
-/// backend the kernel has.
-enum class BackendChoice { kHeap, kLadder, kWheel, kBoth, kAll };
+/// Event-queue backend selection; kAll is every backend the kernel has
+/// (heap and wheel).
+enum class BackendChoice { kHeap, kWheel, kAll };
 
 /// How the ipsec bench path treats per-packet crypto. kCalibrated charges
 /// calib::kIpsecPerPacketCost only (the historical behaviour; simulated
@@ -91,10 +90,7 @@ enum class BackendChoice { kHeap, kLadder, kWheel, kBoth, kAll };
 enum class CryptoMode { kCalibrated, kLive };
 
 inline bool use_heap(BackendChoice c) {
-  return c == BackendChoice::kHeap || c == BackendChoice::kBoth || c == BackendChoice::kAll;
-}
-inline bool use_ladder(BackendChoice c) {
-  return c == BackendChoice::kLadder || c == BackendChoice::kBoth || c == BackendChoice::kAll;
+  return c == BackendChoice::kHeap || c == BackendChoice::kAll;
 }
 inline bool use_wheel(BackendChoice c) {
   return c == BackendChoice::kWheel || c == BackendChoice::kAll;
@@ -104,7 +100,6 @@ inline bool use_wheel(BackendChoice c) {
 inline std::vector<scenario::BackendKind> backend_kinds(BackendChoice c) {
   std::vector<scenario::BackendKind> out;
   if (use_heap(c)) out.push_back(scenario::BackendKind::kHeap);
-  if (use_ladder(c)) out.push_back(scenario::BackendKind::kLadder);
   if (use_wheel(c)) out.push_back(scenario::BackendKind::kWheel);
   return out;
 }
@@ -123,7 +118,7 @@ inline int default_jobs() {
 /// live).
 struct Args {
   bool fast = false;
-  BackendChoice backend = BackendChoice::kBoth;
+  BackendChoice backend = BackendChoice::kHeap;
   int jobs = 1;
   std::string trace;  ///< external pcap for kTrace scenarios; empty = synthesise
   bool list = false;  ///< print registry names and exit (scenario_matrix)
@@ -138,7 +133,7 @@ struct Args {
 inline const char* usage_text() {
   return "flags:\n"
          "  --fast               shrink measurement windows (CI smoke mode)\n"
-         "  --backend=heap|ladder|wheel|both|all\n"
+         "  --backend=heap|wheel|all\n"
          "  --jobs=N             sweep worker threads (1..1024)\n"
          "  --trace=<file>       external pcap for kTrace scenarios\n"
          "  --list               print registered scenario names and exit\n"
@@ -157,7 +152,7 @@ inline const char* usage_text() {
 /// Strict single-pass parser behind parse_args(): every argv entry must
 /// be a recognised flag with a well-formed value. Returns false (with a
 /// one-line reason in `error`) on the first unknown flag or malformed
-/// numeric — a typo like --backed=ladder or --jobs=abc must never
+/// numeric — a typo like --backed=wheel or --jobs=abc must never
 /// silently run defaults, which is how a misconfigured overnight sweep
 /// produces wrong-but-plausible numbers. Split from parse_args so tests
 /// can exercise the policy without exiting.
@@ -176,16 +171,12 @@ inline bool try_parse_args(int argc, char** argv, BackendChoice def_backend, int
       const std::string v = arg.substr(10);
       if (v == "heap") {
         out.backend = BackendChoice::kHeap;
-      } else if (v == "ladder") {
-        out.backend = BackendChoice::kLadder;
       } else if (v == "wheel") {
         out.backend = BackendChoice::kWheel;
-      } else if (v == "both") {
-        out.backend = BackendChoice::kBoth;
       } else if (v == "all") {
         out.backend = BackendChoice::kAll;
       } else {
-        error = "unknown --backend value '" + v + "' (heap|ladder|wheel|both|all)";
+        error = "unknown --backend value '" + v + "' (heap|wheel|all)";
         return false;
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {

@@ -4,10 +4,9 @@
 // core per queue) is the reference line.
 //
 // The full app stack is generic over the event-queue backend, so the bench
-// takes --backend=heap|ladder|wheel|both|all (default all). With more than
-// one backend enabled every
-// configuration runs on each backend and the bench *fails* (exit 1) if any
-// run's telemetry fingerprint diverges — every registered counter and
+// takes --backend=heap|wheel|all (default all). With both backends
+// enabled every configuration runs on each and the bench *fails* (exit 1)
+// if any run's telemetry fingerprint diverges — every registered counter and
 // latency-histogram bin across every layer — because the two backends must
 // produce the same execution, only at different simulation speed (the
 // tracked wall number lives in BENCH_kernel.json's fig13_fullstack).

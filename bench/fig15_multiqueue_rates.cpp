@@ -1,7 +1,7 @@
 // Figure 15: multi-queue CPU and power under different loads (XL710,
 // 4 Rx queues, M = 5, V-bar = 15 us, performance governor).
 //
-// Backend-generic: --backend=heap|ladder|wheel|both|all selects the event-queue
+// Backend-generic: --backend=heap|wheel|all selects the event-queue
 // backend(s) the stack runs on (default heap, the traditional
 // figure-generation path; results are bit-identical across backends, only
 // the simulation speed differs). The rate x driver matrix is executed by

@@ -2,7 +2,7 @@
 // security gateway and the FloWatcher traffic monitor — static polling vs
 // Metronome, single Rx queue.
 //
-// Backend-generic: --backend=heap|ladder|wheel|both|all selects the event-queue
+// Backend-generic: --backend=heap|wheel|all selects the event-queue
 // backend(s) the stack runs on (default heap; results are bit-identical
 // across backends, only the simulation speed differs). Both apps' rate x
 // driver matrices run through scenario::SweepRunner on --jobs workers.

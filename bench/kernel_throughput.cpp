@@ -14,10 +14,9 @@
 //     scenarios, so the JSON records the speedup of the allocation-free
 //     kernel over its predecessor on the same machine, same build, same
 //     run;
-//   * heap vs. ladder vs. wheel backend — every kernel scenario runs on
-//     all three event-queue backends (src/sim/event_queue.hpp),
-//     selectable with --backend=heap|ladder|wheel|both|all (both = the
-//     legacy heap+ladder pair; the default is all).
+//   * heap vs. wheel backend — every kernel scenario runs on both
+//     event-queue backends (src/sim/event_queue.hpp), selectable with
+//     --backend=heap|wheel|all (the default is all).
 //
 // Scenarios (kernel-level):
 //   * timer_churn      — callback events rescheduling themselves,
@@ -28,8 +27,8 @@
 //   * fig13_multiqueue_kernel — the event population of the fig13
 //                        multiqueue experiment modelled at kernel level:
 //                        >10k concurrently pending flow timers plus
-//                        metronome-style timed waits. This is the regime
-//                        the ladder queue exists for.
+//                        metronome-style timed waits, where a binary heap
+//                        pays log n per operation.
 // Plus two fig13-style multiqueue Metronome scenarios on the full app
 // stack (the stack is generic over the backend since the BasicX<Sim>
 // refactor):
@@ -38,16 +37,15 @@
 //     stays comparable PR over PR;
 //   * fig13_fullstack   — the same testbed with *per-flow traffic sources*
 //     (one arrival process per flow, >24k concurrently pending flow
-//     timers: the population a per-flow-timed fig13 setup implies and the
-//     regime the ladder queue exists for), run on every enabled backend.
-//     All backends must produce identical telemetry; the JSON tracks each
-//     backend's simulated-packets-per-second and the per-backend
-//     full-stack speedups.
+//     timers: the population a per-flow-timed fig13 setup implies), run
+//     on every enabled backend. Both backends must produce identical
+//     telemetry; the JSON tracks each backend's simulated-packets-per-
+//     second and the wheel's full-stack speedup over the heap.
 //   * fig13_fullstack_1m/4m/16m — the registered scale ladder (2^20,
 //     2^22 and 2^24 per-flow sources: the wheel's home regime, the
 //     beyond-LLC regime, and the memory-bandwidth wall), repeated over
 //     several trials per backend; the JSON records median/IQR wall time
-//     and packet rate, the wheel's speedup over heap and ladder, and the
+//     and packet rate, the wheel's speedup over the heap, and the
 //     for_population-selected geometry's win over the fixed 8/10/5
 //     default. --fast drops the 16M rung; --flows=N swaps the ladder for
 //     one custom population. A slot_bits x tick_shift wheel-geometry
@@ -227,7 +225,6 @@ namespace {
 using metro::sim::BasicSignal;
 using metro::sim::BasicSimulation;
 using metro::sim::BinaryHeapBackend;
-using metro::sim::LadderQueueBackend;
 using metro::sim::TimingWheelBackend;
 using metro::sim::Task;
 using metro::sim::Time;
@@ -354,11 +351,10 @@ Run measure(Fn&& run_kernel) {
 // no useful work); events/sec is therefore normalised to the useful-event
 // count (the new kernel's, which fires no stale events) on both sides.
 struct ScenarioResult {
-  Run base;    // legacy kernel (baseline)
-  Run heap;    // BinaryHeapBackend
-  Run ladder;  // LadderQueueBackend
-  Run wheel;   // TimingWheelBackend
-  const Run& best_new() const { return heap.ran ? heap : (ladder.ran ? ladder : wheel); }
+  Run base;   // legacy kernel (baseline)
+  Run heap;   // BinaryHeapBackend
+  Run wheel;  // TimingWheelBackend
+  const Run& best_new() const { return heap.ran ? heap : wheel; }
   double speedup(const Run& next) const {
     return next.wall > 0 ? base.wall / next.wall : 0.0;
   }
@@ -387,8 +383,7 @@ metro::apps::ExperimentConfig fig13_config(bool fast) {
 }
 
 // Per-flow-source population for fig13_fullstack: >24k pending flow timers
-// (the registered "fig13_fullstack_perflow" scenario, which the geometry
-// sweep below also runs).
+// (the registered "fig13_fullstack_perflow" scenario).
 constexpr std::size_t kFullstackFlows = 24576;
 
 struct FullstackRun {
@@ -427,15 +422,13 @@ int main(int argc, char** argv) {
   const auto args = metro::bench::parse_args(argc, argv, metro::bench::BackendChoice::kAll, 1);
   const bool fast = args.fast;
   const bool heap_on = metro::bench::use_heap(args.backend);
-  const bool ladder_on = metro::bench::use_ladder(args.backend);
   const bool wheel_on = metro::bench::use_wheel(args.backend);
   const std::uint64_t scale = fast ? 1 : 4;
 
   metro::bench::header(
-      "Kernel throughput — events/sec: legacy baseline vs heap vs ladder vs wheel",
+      "Kernel throughput — events/sec: legacy baseline vs heap vs wheel",
       "allocation-free POD-event kernel should clear 2x the legacy kernel; the "
-      "ladder backend should reach parity or better at >10k pending events; the "
-      "wheel should dominate both at the 2^20-flow population");
+      "wheel should dominate the heap at the 2^20-flow population");
 
   ScenarioResult timer, sleep, signal, fig13k;
 
@@ -501,13 +494,6 @@ int main(int argc, char** argv) {
     signal.heap = r[2];
     fig13k.heap = r[3];
   }
-  if (ladder_on) {
-    const auto r = run_backend(LadderQueueBackend{});
-    timer.ladder = r[0];
-    sleep.ladder = r[1];
-    signal.ladder = r[2];
-    fig13k.ladder = r[3];
-  }
   if (wheel_on) {
     const auto r = run_backend(TimingWheelBackend{});
     timer.wheel = r[0];
@@ -525,10 +511,6 @@ int main(int argc, char** argv) {
   const double overall_heap =
       heap_on ? geomean3(timer.eps(timer.heap), sleep.eps(sleep.heap), signal.eps(signal.heap))
               : 0.0;
-  const double overall_ladder =
-      ladder_on
-          ? geomean3(timer.eps(timer.ladder), sleep.eps(sleep.ladder), signal.eps(signal.ladder))
-          : 0.0;
   const double overall_wheel =
       wheel_on
           ? geomean3(timer.eps(timer.wheel), sleep.eps(sleep.wheel), signal.eps(signal.wheel))
@@ -571,72 +553,23 @@ int main(int argc, char** argv) {
     fs_shards.push_back(metro::scenario::Shard{fs_scenario->name, backend, fs_cfg});
   }
   const auto fs_results = metro::scenario::SweepRunner(args.jobs).run(fs_shards);
-  FullstackRun fs_heap, fs_ladder, fs_wheel;
+  FullstackRun fs_heap, fs_wheel;
   for (std::size_t i = 0; i < fs_shards.size(); ++i) {
     switch (fs_shards[i].backend) {
       case metro::scenario::BackendKind::kHeap: fs_heap = from_shard(fs_results[i]); break;
-      case metro::scenario::BackendKind::kLadder: fs_ladder = from_shard(fs_results[i]); break;
       case metro::scenario::BackendKind::kWheel: fs_wheel = from_shard(fs_results[i]); break;
     }
   }
-  // Pairwise identity across every backend that ran, anchored on the
-  // first one (divergence between any two implies divergence vs. the
-  // anchor).
-  bool fullstack_diverged = false;
-  {
-    const FullstackRun* anchor = nullptr;
-    const char* anchor_name = nullptr;
-    const std::array<std::pair<const FullstackRun*, const char*>, 3> runs{
-        {{&fs_heap, "heap"}, {&fs_ladder, "ladder"}, {&fs_wheel, "wheel"}}};
-    for (const auto& [run, name] : runs) {
-      if (!run->ran) continue;
-      if (anchor == nullptr) {
-        anchor = run;
-        anchor_name = name;
-        continue;
-      }
-      if (run->fingerprint == anchor->fingerprint) continue;
-      fullstack_diverged = true;
-      const auto& a = anchor->counters;
-      const auto& b = run->counters;
-      std::cerr << "BACKEND DIVERGENCE in fig13_fullstack (telemetry fingerprint "
-                << anchor->fingerprint << " vs " << run->fingerprint << "): " << anchor_name
-                << " rx/drop/tx/processed " << a.rx << "/" << a.dropped << "/" << a.tx << "/"
-                << a.processed << " vs " << name << " " << b.rx << "/" << b.dropped << "/"
-                << b.tx << "/" << b.processed << "\n";
-    }
-  }
-
-  // Ladder rung/spill geometry sweep (the ROADMAP open item): the
-  // fig13_fullstack_perflow scenario as a SweepRunner matrix over a
-  // buckets x bottom_spill grid, same seed and windows as the fs_ runs
-  // above. Geometry is a pure speed knob, so every grid point must
-  // reproduce the default geometry's counters bit for bit; the best wall
-  // time (and the whole grid) lands in BENCH_kernel.json.
-  std::vector<metro::scenario::Shard> geo_shards;
-  std::vector<FullstackRun> geo_runs;
-  bool geometry_diverged = false;
-  std::size_t geo_best = 0;
-  if (ladder_on) {
-    for (const std::uint32_t buckets : {16u, 32u, 64u}) {
-      for (const std::size_t spill : {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
-        auto cfg = fs_cfg;
-        cfg.ladder = metro::sim::LadderConfig{buckets, 32, spill};
-        geo_shards.push_back(metro::scenario::Shard{
-            fs_scenario->name, metro::scenario::BackendKind::kLadder, cfg});
-      }
-    }
-    const auto out = metro::scenario::SweepRunner(args.jobs).run(geo_shards);
-    for (const auto& r : out) geo_runs.push_back(from_shard(r));
-    for (std::size_t i = 0; i < geo_runs.size(); ++i) {
-      if (geo_runs[i].fingerprint != fs_ladder.fingerprint) {
-        geometry_diverged = true;
-        std::cerr << "GEOMETRY DIVERGENCE at buckets=" << geo_shards[i].config.ladder.buckets
-                  << " spill=" << geo_shards[i].config.ladder.bottom_spill
-                  << ": telemetry differs from the default-geometry run\n";
-      }
-      if (geo_runs[i].wall < geo_runs[geo_best].wall) geo_best = i;
-    }
+  const bool fullstack_diverged =
+      fs_heap.ran && fs_wheel.ran && fs_heap.fingerprint != fs_wheel.fingerprint;
+  if (fullstack_diverged) {
+    const auto& a = fs_heap.counters;
+    const auto& b = fs_wheel.counters;
+    std::cerr << "BACKEND DIVERGENCE in fig13_fullstack (telemetry fingerprint "
+              << fs_heap.fingerprint << " vs " << fs_wheel.fingerprint
+              << "): heap rx/drop/tx/processed " << a.rx << "/" << a.dropped << "/" << a.tx
+              << "/" << a.processed << " vs wheel " << b.rx << "/" << b.dropped << "/" << b.tx
+              << "/" << b.processed << "\n";
   }
 
   // Full-stack scale ladder: fig13_fullstack_1m/4m/16m (2^20 / 2^22 /
@@ -669,7 +602,7 @@ int main(int argc, char** argv) {
     std::string name;                    // scenario (or synthetic --flows label)
     metro::apps::ExperimentConfig cfg;   // bench windows + --flows applied
     int trials = 0;
-    std::array<ScaleSamples, 3> backend;  // indexed by BackendKind: heap, ladder, wheel
+    std::array<ScaleSamples, 2> backend;  // indexed by BackendKind: heap, wheel
     ScaleSamples wheel_fixed;             // wheel under the fixed 8/10/5 default
     bool fixed_distinct = false;          // for_population() != default geometry
     bool diverged = false;
@@ -713,7 +646,7 @@ int main(int argc, char** argv) {
   for (auto& pr : pops) {
     for (int trial = 0; trial < pr.trials; ++trial) {
       std::vector<metro::scenario::Shard> shards;
-      std::vector<int> slot;  // 0..2 = BackendKind index, 3 = wheel_fixed
+      std::vector<int> slot;  // 0..1 = BackendKind index, 2 = wheel_fixed
       for (const auto backend : metro::bench::backend_kinds(args.backend)) {
         shards.push_back(metro::scenario::Shard{pr.name, backend, pr.cfg});
         slot.push_back(static_cast<int>(backend));
@@ -723,12 +656,12 @@ int main(int argc, char** argv) {
         cfg.wheel = metro::sim::WheelConfig{};
         shards.push_back(
             metro::scenario::Shard{pr.name, metro::scenario::BackendKind::kWheel, cfg});
-        slot.push_back(3);
+        slot.push_back(2);
       }
       const auto out = metro::scenario::SweepRunner(1).run(shards);
       for (std::size_t i = 0; i < shards.size(); ++i) {
         const auto r = from_shard(out[i]);
-        if (slot[i] == 3) {
+        if (slot[i] == 2) {
           pr.wheel_fixed.add(r);
         } else {
           pr.backend[static_cast<std::size_t>(slot[i])].add(r);
@@ -740,7 +673,7 @@ int main(int argc, char** argv) {
           pr.diverged = true;
           scale_diverged = true;
           std::cerr << "DIVERGENCE in " << pr.name << ": "
-                    << (slot[i] == 3 ? "wheel(8/10/5)"
+                    << (slot[i] == 2 ? "wheel(8/10/5)"
                                      : metro::scenario::backend_name(shards[i].backend))
                     << " trial " << trial << " fingerprint " << r.fingerprint << " != " << pr.fp
                     << "\n";
@@ -827,10 +760,6 @@ int main(int argc, char** argv) {
       std::cout << " | heap " << metro::bench::num(r.eps(r.heap) / 1e6) << " M/s (x"
                 << metro::bench::num(r.speedup(r.heap)) << ")";
     }
-    if (r.ladder.ran) {
-      std::cout << " | ladder " << metro::bench::num(r.eps(r.ladder) / 1e6) << " M/s (x"
-                << metro::bench::num(r.speedup(r.ladder)) << ")";
-    }
     if (r.wheel.ran) {
       std::cout << " | wheel " << metro::bench::num(r.eps(r.wheel) / 1e6) << " M/s (x"
                 << metro::bench::num(r.speedup(r.wheel)) << ")";
@@ -847,20 +776,11 @@ int main(int argc, char** argv) {
     std::cout << " | heap " << metro::bench::num(overall_heap / 1e6) << " M/s (x"
               << metro::bench::num(overall_heap / overall_base) << ")";
   }
-  if (ladder_on) {
-    std::cout << " | ladder " << metro::bench::num(overall_ladder / 1e6) << " M/s (x"
-              << metro::bench::num(overall_ladder / overall_base) << ")";
-  }
   if (wheel_on) {
     std::cout << " | wheel " << metro::bench::num(overall_wheel / 1e6) << " M/s (x"
               << metro::bench::num(overall_wheel / overall_base) << ")";
   }
   std::cout << "\n";
-  if (heap_on && ladder_on) {
-    std::cout << "  fig13 kernel scenario, ladder vs heap: x"
-              << metro::bench::num(fig13k.heap.wall / fig13k.ladder.wall) << " wall ("
-              << kFig13Flows << "+ pending events)\n";
-  }
   if (heap_on && wheel_on) {
     std::cout << "  fig13 kernel scenario, wheel vs heap: x"
               << metro::bench::num(fig13k.heap.wall / fig13k.wheel.wall) << " wall ("
@@ -880,37 +800,13 @@ int main(int argc, char** argv) {
               << metro::bench::num(r.wall) << " s, " << r.pending << " pending events\n";
   };
   fs_row("heap", fs_heap);
-  fs_row("ladder", fs_ladder);
   fs_row("wheel", fs_wheel);
-  if (fs_heap.ran && fs_ladder.ran) {
-    std::cout << "  fig13 fullstack, ladder vs heap: x"
-              << metro::bench::num(fs_heap.wall / fs_ladder.wall) << " wall";
-  }
   if (fs_heap.ran && fs_wheel.ran) {
-    std::cout << " | wheel vs heap: x" << metro::bench::num(fs_heap.wall / fs_wheel.wall)
-              << " wall";
-  }
-  if ((fs_heap.ran && fs_ladder.ran) || (fs_heap.ran && fs_wheel.ran)) {
-    std::cout << (fullstack_diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)")
+    std::cout << "  fig13 fullstack, wheel vs heap: x"
+              << metro::bench::num(fs_heap.wall / fs_wheel.wall) << " wall"
+              << (fullstack_diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)")
               << "\n";
   }
-  if (!geo_runs.empty()) {
-    std::cout << "\n  ladder geometry sweep (" << geo_runs.size()
-              << " grid points, buckets x bottom_spill, sort_threshold 32):\n";
-    for (std::size_t i = 0; i < geo_runs.size(); ++i) {
-      const auto& g = geo_shards[i].config.ladder;
-      std::cout << "    " << g.buckets << "/" << g.sort_threshold << "/" << g.bottom_spill
-                << ": wall " << metro::bench::num(geo_runs[i].wall) << " s, "
-                << metro::bench::num(geo_runs[i].pps / 1e6) << " M pkt/s"
-                << (i == geo_best ? "  <- best" : "") << "\n";
-    }
-    const auto& best = geo_shards[geo_best].config.ladder;
-    std::cout << "    best geometry: " << best.buckets << "/" << best.sort_threshold << "/"
-              << best.bottom_spill << " vs default-geometry wall "
-              << metro::bench::num(fs_ladder.wall) << " s"
-              << (geometry_diverged ? "  [TELEMETRY DIVERGED]" : "") << "\n";
-  }
-
   const auto scale_row = [&](const char* name, const ScaleSamples& b) {
     if (!b.ran) return;
     std::cout << "    " << name << ": wall median " << metro::bench::num(median(b.wall))
@@ -924,17 +820,12 @@ int main(int argc, char** argv) {
               << pr.trials << " trials per backend, wheel " << wc.slot_bits << "/"
               << wc.tick_shift << "/" << wc.levels << "):\n";
     scale_row("heap        ", pr.backend[0]);
-    scale_row("ladder      ", pr.backend[1]);
-    scale_row("wheel(auto) ", pr.backend[2]);
+    scale_row("wheel(auto) ", pr.backend[1]);
     scale_row("wheel(8/10/5)", pr.wheel_fixed);
-    const auto& wheel = pr.backend[2];
+    const auto& wheel = pr.backend[1];
     if (wheel.ran && pr.backend[0].ran) {
       std::cout << "    wheel vs heap: x"
                 << metro::bench::num(median(pr.backend[0].wall) / median(wheel.wall));
-      if (pr.backend[1].ran) {
-        std::cout << ", wheel vs ladder: x"
-                  << metro::bench::num(median(pr.backend[1].wall) / median(wheel.wall));
-      }
       if (pr.wheel_fixed.ran) {
         std::cout << ", auto vs fixed geometry: x"
                   << metro::bench::num(median(pr.wheel_fixed.wall) / median(wheel.wall));
@@ -1076,7 +967,6 @@ int main(int argc, char** argv) {
   w.kv("fast_mode", fast);
   w.key("backends").begin_array();
   if (heap_on) w.value("heap");
-  if (ladder_on) w.value("ladder");
   if (wheel_on) w.value("wheel");
   w.end_array();
   w.key("scenarios").begin_object();
@@ -1093,7 +983,6 @@ int main(int argc, char** argv) {
     w.kv("baseline_raw_events_per_sec", r.baseline_raw_eps());
     w.kv("baseline_wall_seconds", r.base.wall);
     if (r.heap.ran) emit_backend_run("heap", r, r.heap);
-    if (r.ladder.ran) emit_backend_run("ladder", r, r.ladder);
     if (r.wheel.ran) emit_backend_run("wheel", r, r.wheel);
     w.end_object();
   };
@@ -1108,18 +997,11 @@ int main(int argc, char** argv) {
     w.kv("heap_events_per_sec", overall_heap);
     w.kv("heap_speedup", overall_heap / overall_base);
   }
-  if (ladder_on) {
-    w.kv("ladder_events_per_sec", overall_ladder);
-    w.kv("ladder_speedup", overall_ladder / overall_base);
-  }
   if (wheel_on) {
     w.kv("wheel_events_per_sec", overall_wheel);
     w.kv("wheel_speedup", overall_wheel / overall_base);
   }
   w.end_object();
-  if (heap_on && ladder_on) {
-    w.kv("fig13_kernel_ladder_vs_heap_speedup", fig13k.heap.wall / fig13k.ladder.wall);
-  }
   if (heap_on && wheel_on) {
     w.kv("fig13_kernel_wheel_vs_heap_speedup", fig13k.heap.wall / fig13k.wheel.wall);
   }
@@ -1137,44 +1019,12 @@ int main(int argc, char** argv) {
     w.end_object();
   };
   emit_fs("heap", fs_heap);
-  emit_fs("ladder", fs_ladder);
   emit_fs("wheel", fs_wheel);
-  if (fs_heap.ran && fs_ladder.ran) {
-    w.kv("ladder_vs_heap_speedup", fs_heap.wall / fs_ladder.wall);
-  }
   if (fs_heap.ran && fs_wheel.ran) {
     w.kv("wheel_vs_heap_speedup", fs_heap.wall / fs_wheel.wall);
-  }
-  if ((fs_heap.ran && fs_ladder.ran) || (fs_heap.ran && fs_wheel.ran)) {
     w.kv("telemetry_identical", !fullstack_diverged);
   }
   w.end_object();
-  if (!geo_runs.empty()) {
-    w.key("ladder_geometry_sweep").begin_object();
-    w.kv("scenario", "fig13_fullstack_perflow");
-    w.key("grid").begin_array();
-    for (std::size_t i = 0; i < geo_runs.size(); ++i) {
-      const auto& g = geo_shards[i].config.ladder;
-      w.begin_object();
-      w.kv("buckets", static_cast<std::uint64_t>(g.buckets));
-      w.kv("sort_threshold", static_cast<std::uint64_t>(g.sort_threshold));
-      w.kv("bottom_spill", static_cast<std::uint64_t>(g.bottom_spill));
-      w.kv("wall_seconds", geo_runs[i].wall);
-      w.kv("simulated_packets_per_sec", geo_runs[i].pps);
-      w.end_object();
-    }
-    w.end_array();
-    const auto& best = geo_shards[geo_best].config.ladder;
-    w.key("best").begin_object();
-    w.kv("buckets", static_cast<std::uint64_t>(best.buckets));
-    w.kv("sort_threshold", static_cast<std::uint64_t>(best.sort_threshold));
-    w.kv("bottom_spill", static_cast<std::uint64_t>(best.bottom_spill));
-    w.kv("wall_seconds", geo_runs[geo_best].wall);
-    w.end_object();
-    w.kv("default_geometry_wall_seconds", fs_ladder.wall);
-    w.kv("telemetry_identical", !geometry_diverged);
-    w.end_object();
-  }
   const auto emit_scale_samples = [&](const char* key, const ScaleSamples& b) {
     if (!b.ran) return;
     w.key(key).begin_object();
@@ -1190,35 +1040,22 @@ int main(int argc, char** argv) {
     w.kv("per_flow_sources", true);
     w.kv("trials", static_cast<std::uint64_t>(pr.trials));
     emit_scale_samples("heap", pr.backend[0]);
-    emit_scale_samples("ladder", pr.backend[1]);
-    emit_scale_samples("wheel", pr.backend[2]);
+    emit_scale_samples("wheel", pr.backend[1]);
     emit_scale_samples("wheel_fixed", pr.wheel_fixed);
     w.key("wheel_geometry").begin_object();
     w.kv("slot_bits", static_cast<std::uint64_t>(pr.cfg.wheel.slot_bits));
     w.kv("tick_shift", static_cast<std::uint64_t>(pr.cfg.wheel.tick_shift));
     w.kv("levels", static_cast<std::uint64_t>(pr.cfg.wheel.levels));
     w.end_object();
-    const auto& wheel = pr.backend[2];
+    const auto& wheel = pr.backend[1];
     if (wheel.ran && pr.backend[0].ran) {
       w.kv("wheel_vs_heap_speedup", median(pr.backend[0].wall) / median(wheel.wall));
-    }
-    if (wheel.ran && pr.backend[1].ran) {
-      w.kv("wheel_vs_ladder_speedup", median(pr.backend[1].wall) / median(wheel.wall));
     }
     if (wheel.ran && pr.wheel_fixed.ran) {
       w.kv("wheel_auto_vs_fixed_speedup", median(pr.wheel_fixed.wall) / median(wheel.wall));
     }
     w.kv("telemetry_identical", !pr.diverged);
   };
-  // The tracked 1M block keeps its historical shape (and key) so the
-  // PR-over-PR trajectory stays comparable; the scale block below carries
-  // the full ladder including the 1M population.
-  for (const auto& pr : pops) {
-    if (pr.name != "fig13_fullstack_1m") continue;
-    w.key("fig13_fullstack_1m").begin_object();
-    emit_population(pr);
-    w.end_object();
-  }
   w.key("fig13_fullstack_scale").begin_object();
   w.key("populations").begin_object();
   for (const auto& pr : pops) {
@@ -1311,12 +1148,11 @@ int main(int argc, char** argv) {
   w.end_object();
   w.end_object();
   w.finish();
-  if (fullstack_diverged || geometry_diverged || scale_diverged || wheel_geo_diverged) {
+  if (fullstack_diverged || scale_diverged || wheel_geo_diverged) {
     std::cout << "\nwrote BENCH_kernel.json ("
-              << (fullstack_diverged   ? "BACKEND"
-                  : geometry_diverged ? "LADDER-GEOMETRY"
-                  : scale_diverged    ? "SCALE-LADDER"
-                                      : "WHEEL-GEOMETRY") << " DIVERGENCE — failing)\n";
+              << (fullstack_diverged ? "BACKEND"
+                  : scale_diverged   ? "SCALE-LADDER"
+                                     : "WHEEL-GEOMETRY") << " DIVERGENCE — failing)\n";
     return 1;
   }
   std::cout << "\nwrote BENCH_kernel.json\n";

@@ -44,9 +44,20 @@ std::unique_ptr<tgen::Generator> make_trace_generator(const WorkloadConfig& w, T
 
 template <typename Sim>
 BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
-  if constexpr (std::is_same_v<Sim, sim::LadderSimulation>) {
-    sim_ = std::make_unique<Sim>(cfg.seed, sim::LadderQueueBackend(cfg.ladder));
-  } else if constexpr (std::is_same_v<Sim, sim::WheelSimulation>) {
+  // Reject degenerate topologies before anything is built: zero queues
+  // would divide by zero in the RSS table, and a Metronome with no threads
+  // would run silently and report zero throughput.
+  if (cfg.n_queues < 1) {
+    throw std::invalid_argument("ExperimentConfig::n_queues must be >= 1");
+  }
+  if (cfg.driver == DriverKind::kMetronome && cfg.met.n_threads < 1) {
+    throw std::invalid_argument("ExperimentConfig::met.n_threads must be >= 1");
+  }
+  if (cfg.driver == DriverKind::kXdp && cfg.n_cores < cfg.n_queues) {
+    throw std::invalid_argument("XDP requires one core per Rx queue");
+  }
+
+  if constexpr (std::is_same_v<Sim, sim::WheelSimulation>) {
     sim_ = std::make_unique<Sim>(cfg.seed, sim::TimingWheelBackend(cfg.wheel));
   } else {
     sim_ = std::make_unique<Sim>(cfg.seed);
@@ -191,9 +202,6 @@ void BasicTestbed<Sim>::start() {
       break;
     }
     case DriverKind::kXdp: {
-      if (cfg_.n_cores < port_->n_rx_queues()) {
-        throw std::invalid_argument("XDP requires one core per Rx queue");
-      }
       for (int q = 0; q < port_->n_rx_queues(); ++q) {
         auto stats = std::make_unique<dpdk::XdpStats>();
         Core& core = machine_->core(q);
@@ -366,10 +374,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 }
 
 template class BasicTestbed<sim::Simulation>;
-template class BasicTestbed<sim::LadderSimulation>;
 template class BasicTestbed<sim::WheelSimulation>;
 template ExperimentResult run_experiment<sim::Simulation>(const ExperimentConfig&);
-template ExperimentResult run_experiment<sim::LadderSimulation>(const ExperimentConfig&);
 template ExperimentResult run_experiment<sim::WheelSimulation>(const ExperimentConfig&);
 
 }  // namespace metro::apps

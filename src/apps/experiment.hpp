@@ -51,7 +51,7 @@ enum class ArrivalModel {
   kStream,
   /// One arrival process per flow instead of the grouped stream feeder:
   /// n_flows concurrently pending timers — the large-population regime the
-  /// ladder backend targets (see tgen/feeder.hpp). Costs one event per
+  /// timing-wheel backend targets (see tgen/feeder.hpp). Costs one event per
   /// packet; leave off unless the pending population is the point.
   /// Honours poisson (per-flow gaps); flows are uniform by construction,
   /// so imix and heavy_share do not apply.
@@ -122,12 +122,9 @@ struct ExperimentConfig {
   int tx_batch = sim::calib::kTxBatchDefault;
 
   /// Event-queue geometry used when the testbed is instantiated over the
-  /// ladder kernel (BasicTestbed<sim::LadderSimulation>); ignored on the
-  /// heap. Geometry only changes simulation speed, never the execution —
-  /// runs stay bit-identical across geometries (and backends).
-  sim::LadderConfig ladder{};
-  /// Likewise for the timing-wheel kernel
-  /// (BasicTestbed<sim::WheelSimulation>); ignored by the other two.
+  /// timing-wheel kernel (BasicTestbed<sim::WheelSimulation>); ignored on
+  /// the heap. Geometry only changes simulation speed, never the
+  /// execution — runs stay bit-identical across geometries (and backends).
   sim::WheelConfig wheel{};
 
   WorkloadConfig workload{};

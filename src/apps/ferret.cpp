@@ -37,9 +37,6 @@ std::shared_ptr<FerretResult> spawn_ferret(Sim& sim, sim::BasicCore<Sim>& core,
 
 template std::shared_ptr<FerretResult> spawn_ferret<sim::Simulation>(
     sim::Simulation&, sim::BasicCore<sim::Simulation>&, const FerretConfig&, const std::string&);
-template std::shared_ptr<FerretResult> spawn_ferret<sim::LadderSimulation>(
-    sim::LadderSimulation&, sim::BasicCore<sim::LadderSimulation>&, const FerretConfig&,
-    const std::string&);
 template std::shared_ptr<FerretResult> spawn_ferret<sim::WheelSimulation>(
     sim::WheelSimulation&, sim::BasicCore<sim::WheelSimulation>&, const FerretConfig&,
     const std::string&);

@@ -237,7 +237,6 @@ void BasicMetronome<Sim>::reset_stats() {
 }
 
 template class BasicMetronome<sim::Simulation>;
-template class BasicMetronome<sim::LadderSimulation>;
 template class BasicMetronome<sim::WheelSimulation>;
 
 }  // namespace metro::core

@@ -103,11 +103,6 @@ typename sim::BasicCore<Sim>::EntityId spawn_freq_scaling_lcore(Sim& sim,
 template sim::BasicCore<sim::Simulation>::EntityId spawn_freq_scaling_lcore<sim::Simulation>(
     sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
     const FreqScalingConfig&, FreqScalingStats&);
-template sim::BasicCore<sim::LadderSimulation>::EntityId
-spawn_freq_scaling_lcore<sim::LadderSimulation>(sim::LadderSimulation&,
-                                                nic::BasicPort<sim::LadderSimulation>&, int,
-                                                sim::BasicCore<sim::LadderSimulation>&,
-                                                const FreqScalingConfig&, FreqScalingStats&);
 template sim::BasicCore<sim::WheelSimulation>::EntityId
 spawn_freq_scaling_lcore<sim::WheelSimulation>(sim::WheelSimulation&,
                                                nic::BasicPort<sim::WheelSimulation>&, int,

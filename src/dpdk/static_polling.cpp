@@ -71,11 +71,6 @@ typename sim::BasicCore<Sim>::EntityId spawn_static_lcore(Sim& sim, nic::BasicPo
 template sim::BasicCore<sim::Simulation>::EntityId spawn_static_lcore<sim::Simulation>(
     sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
     const StaticPollingConfig&, DriverStats&);
-template sim::BasicCore<sim::LadderSimulation>::EntityId
-spawn_static_lcore<sim::LadderSimulation>(sim::LadderSimulation&,
-                                          nic::BasicPort<sim::LadderSimulation>&, int,
-                                          sim::BasicCore<sim::LadderSimulation>&,
-                                          const StaticPollingConfig&, DriverStats&);
 template sim::BasicCore<sim::WheelSimulation>::EntityId
 spawn_static_lcore<sim::WheelSimulation>(sim::WheelSimulation&,
                                          nic::BasicPort<sim::WheelSimulation>&, int,

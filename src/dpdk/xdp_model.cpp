@@ -56,9 +56,6 @@ typename sim::BasicCore<Sim>::EntityId spawn_xdp_queue(Sim& sim, nic::BasicPort<
 template sim::BasicCore<sim::Simulation>::EntityId spawn_xdp_queue<sim::Simulation>(
     sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
     const XdpConfig&, XdpStats&);
-template sim::BasicCore<sim::LadderSimulation>::EntityId spawn_xdp_queue<sim::LadderSimulation>(
-    sim::LadderSimulation&, nic::BasicPort<sim::LadderSimulation>&, int,
-    sim::BasicCore<sim::LadderSimulation>&, const XdpConfig&, XdpStats&);
 template sim::BasicCore<sim::WheelSimulation>::EntityId spawn_xdp_queue<sim::WheelSimulation>(
     sim::WheelSimulation&, nic::BasicPort<sim::WheelSimulation>&, int,
     sim::BasicCore<sim::WheelSimulation>&, const XdpConfig&, XdpStats&);

@@ -132,7 +132,6 @@ void BasicPort<Sim>::register_metrics(stats::MetricSet& set, const std::string& 
 }
 
 template class BasicPort<sim::Simulation>;
-template class BasicPort<sim::LadderSimulation>;
 template class BasicPort<sim::WheelSimulation>;
 
 }  // namespace metro::nic

@@ -104,7 +104,7 @@ std::vector<ScenarioSpec> build_registry() {
   }
   {
     ScenarioSpec s{"fig13_fullstack_perflow",
-                   "fig13 multiqueue testbed on 24576 per-flow sources (ladder regime)",
+                   "fig13 multiqueue testbed on 24576 per-flow sources (large pending population)",
                    fig13_testbed()};
     s.config.workload.model = ArrivalModel::kPerFlow;
     s.config.workload.poisson = true;

@@ -11,8 +11,8 @@
 /// The shipped registry covers the paper's staples (CBR, Poisson, IMIX,
 /// the §V-F.4 unbalanced mix) plus the bursty/heavy-tail additions
 /// (MMPP ON-OFF, Pareto flow trains, synchronized incast, pcap trace
-/// replay) and the per-flow-source large-population regime the ladder
-/// backend targets.
+/// replay) and the per-flow-source large-population regime the
+/// timing-wheel backend targets.
 #pragma once
 
 #include <string>

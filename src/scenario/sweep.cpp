@@ -16,7 +16,6 @@ namespace metro::scenario {
 const char* backend_name(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kHeap: return "heap";
-    case BackendKind::kLadder: return "ladder";
     case BackendKind::kWheel: return "wheel";
   }
   return "unknown";
@@ -121,8 +120,6 @@ ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t t
 
 ShardResult run_shard(const Shard& shard, double deadline_s, std::size_t trace_capacity) {
   switch (shard.backend) {
-    case BackendKind::kLadder:
-      return run_shard_typed<sim::LadderSimulation>(shard, deadline_s, trace_capacity);
     case BackendKind::kWheel:
       return run_shard_typed<sim::WheelSimulation>(shard, deadline_s, trace_capacity);
     case BackendKind::kHeap: break;
@@ -142,8 +139,6 @@ std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
     }
     // Empty axes collapse to one implicit "scenario default" point.
     const std::size_t n_rates = matrix.rates_mpps.empty() ? 1 : matrix.rates_mpps.size();
-    const std::size_t n_geoms =
-        matrix.ladder_geometries.empty() ? 1 : matrix.ladder_geometries.size();
     for (std::size_t r = 0; r < n_rates; ++r) {
       apps::ExperimentConfig cfg = spec->config;
       if (!matrix.rates_mpps.empty()) cfg.workload.rate_mpps = matrix.rates_mpps[r];
@@ -151,25 +146,15 @@ std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
       if (matrix.measure >= 0) cfg.measure = matrix.measure;
       if (matrix.series_interval > 0) cfg.series_interval = matrix.series_interval;
       if (matrix.base_seed != 0) {
-        // A *point* is (scenario, rate): backends and ladder geometries of
-        // one point share the seed, because both are pure speed knobs —
-        // same point -> same execution is exactly what the divergence
-        // checks assert.
+        // A *point* is (scenario, rate): the backends of one point share
+        // the seed, because the backend is a pure speed knob — same point
+        // -> same execution is exactly what the divergence checks assert.
         cfg.seed = util::mix_seed(matrix.base_seed, point_index);
         cfg.workload.seed = util::mix_seed(cfg.seed, 1);
       }
       ++point_index;
       for (const BackendKind backend : matrix.backends) {
-        // The geometry axis only means something to the ladder backend;
-        // expanding it for heap or wheel shards would just repeat
-        // bit-identical runs, so those get exactly one shard per point.
-        const std::size_t backend_geoms = backend == BackendKind::kLadder ? n_geoms : 1;
-        for (std::size_t g = 0; g < backend_geoms; ++g) {
-          if (backend == BackendKind::kLadder && !matrix.ladder_geometries.empty()) {
-            cfg.ladder = matrix.ladder_geometries[g];
-          }
-          shards.push_back(Shard{spec->name, backend, cfg});
-        }
+        shards.push_back(Shard{spec->name, backend, cfg});
       }
     }
   }
@@ -386,13 +371,6 @@ std::string report_json(const std::vector<Shard>& shards,
     w.kv("backend", backend_name(s.backend));
     w.kv("rate_mpps", s.config.workload.rate_mpps);
     w.kv("seed", s.config.seed);
-    if (s.backend == BackendKind::kLadder) {
-      w.key("ladder").begin_object();
-      w.kv("buckets", static_cast<std::uint64_t>(s.config.ladder.buckets));
-      w.kv("sort_threshold", static_cast<std::uint64_t>(s.config.ladder.sort_threshold));
-      w.kv("bottom_spill", static_cast<std::uint64_t>(s.config.ladder.bottom_spill));
-      w.end_object();
-    }
     w.key("counters").begin_object();
     w.kv("rx", r.counters.rx);
     w.kv("dropped", r.counters.dropped);

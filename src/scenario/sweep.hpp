@@ -1,9 +1,9 @@
 /// \file sweep.hpp
 /// Parallel parameter-matrix sweep runner.
 ///
-/// The paper's evaluation is a matrix — scenarios x backends x rates x
-/// queue geometries — and every figure bench used to walk its corner of
-/// that matrix serially. SweepRunner expands a matrix into independent
+/// The paper's evaluation is a matrix — scenarios x backends x rates —
+/// and every figure bench used to walk its corner of that matrix
+/// serially. SweepRunner expands a matrix into independent
 /// *shards* (one complete Testbed run each: own BasicSimulation, own RNG,
 /// own results), executes them on a pool of std::thread workers, and
 /// merges the results in shard order.
@@ -14,8 +14,8 @@
 /// the JSON report, timing fields aside) are bit-identical for any worker
 /// count. Per-shard seeds are derived with util::mix_seed from the matrix
 /// base seed and the *point* index (backend excluded), so the same point
-/// run on different backends — or different ladder geometries — gets the
-/// same seed and must produce the same execution.
+/// run on different backends gets the same seed and must produce the same
+/// execution.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@
 namespace metro::scenario {
 
 /// Which event-queue backend a shard runs on.
-enum class BackendKind { kHeap, kLadder, kWheel };
+enum class BackendKind { kHeap, kWheel };
 
 /// Stable display/JSON name of a backend.
 const char* backend_name(BackendKind kind) noexcept;
@@ -125,7 +125,6 @@ struct SweepMatrix {
   std::vector<std::string> scenarios;   ///< registry names (see registry.hpp)
   std::vector<BackendKind> backends = {BackendKind::kHeap};
   std::vector<double> rates_mpps;       ///< offered-rate overrides
-  std::vector<sim::LadderConfig> ladder_geometries;  ///< ladder-shard geometry overrides
   sim::Time warmup = -1;   ///< window override; < 0 keeps the scenario's
   sim::Time measure = -1;  ///< window override; < 0 keeps the scenario's
   /// != 0: derive per-point seeds as mix_seed(base_seed, point_index)
@@ -144,8 +143,7 @@ class SweepRunner {
 
   /// Expand a matrix into shards, ordered scenario-major, then rate, with
   /// the shards of one point adjacent in matrix.backends order: one shard
-  /// per backend, except the ladder which gets one per geometry (the
-  /// geometry axis means nothing to heap or wheel shards).
+  /// per backend.
   /// Throws std::invalid_argument on an unknown scenario name.
   static std::vector<Shard> expand(const SweepMatrix& matrix);
 
@@ -220,7 +218,7 @@ class SweepRunner {
 /// Number of shards whose every attempt failed.
 std::size_t failed_count(const std::vector<ShardResult>& results);
 
-/// Human-readable per-shard failure lines ("shard 3 [cbr_lossy/ladder @
+/// Human-readable per-shard failure lines ("shard 3 [cbr_lossy/wheel @
 /// 10 Mpps] failed after 2 attempts: ..."), empty when nothing failed.
 /// Benches print this to stderr before exiting nonzero.
 std::string failure_summary(const std::vector<Shard>& shards,

@@ -262,13 +262,11 @@ typename BasicMachine<Sim>::WindowStats BasicMachine<Sim>::window_stats(
 }
 
 // The app stack is generic over the event-queue backend but the backend set
-// is closed (heap + ladder + wheel); instantiating all of them here keeps
+// is closed (heap + wheel); instantiating both of them here keeps
 // definitions out of the header and every other TU's compile fast.
 template class BasicCore<Simulation>;
-template class BasicCore<LadderSimulation>;
 template class BasicCore<WheelSimulation>;
 template class BasicMachine<Simulation>;
-template class BasicMachine<LadderSimulation>;
 template class BasicMachine<WheelSimulation>;
 
 }  // namespace metro::sim

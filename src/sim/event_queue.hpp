@@ -2,18 +2,13 @@
 /// Pluggable pending-event stores for the discrete-event kernel.
 ///
 /// The kernel in simulation.hpp is templated over an *event-queue backend*:
-/// the data structure that holds every future-timestamped event. Three
+/// the data structure that holds every future-timestamped event. Two
 /// backends are provided:
 ///
 ///   * BinaryHeapBackend — the default. A binary min-heap of 32-byte POD
 ///     entries with Floyd pops and positional O(log n) erase. Best up to a
-///     few thousand pending events; its pop cost grows as log n.
-///   * LadderQueueBackend — a ladder/calendar queue (Tang et al. style):
-///     far-future events sit unsorted in "top", are spilled into rungs of
-///     ever-finer buckets on demand, and only the imminent bucket is ever
-///     sorted ("bottom"). Amortised O(1) per event, independent of the
-///     pending count — built for the >10k-pending-event regime of the
-///     fig13/14 multiqueue and fig15 rate-sweep scenarios.
+///     few thousand pending events; its pop cost grows as log n. It is
+///     also the order oracle the wheel is tested against.
 ///   * TimingWheelBackend — a hierarchical timing wheel (the structure OS
 ///     timer subsystems use): fixed power-of-two slot grids per level,
 ///     each level covering its parent slot at finer granularity, with a
@@ -256,398 +251,6 @@ class BinaryHeapBackend {
 static_assert(EventQueueBackend<BinaryHeapBackend>);
 
 // ---------------------------------------------------------------------------
-// Ladder queue backend
-// ---------------------------------------------------------------------------
-
-/// Geometry/tuning knobs of the LadderQueueBackend. The defaults are the
-/// constants the queue shipped with (32 buckets per rung, 32-entry sort
-/// threshold, 64-entry bottom spill) and every existing behaviour is
-/// preserved under them; the full-stack benches can sweep these to find
-/// the best geometry for a given pending-population profile.
-struct LadderConfig {
-  /// Buckets per rung; also the spill fan-out (width shrink factor).
-  std::uint32_t buckets = 32;
-  /// A dequeued bucket with at most this many entries is sorted straight
-  /// into bottom instead of spawning a child rung.
-  std::size_t sort_threshold = 32;
-  /// Bottom size at which an insert spills bottom into a fresh rung
-  /// (keeps the sorted-insert cost bounded).
-  std::size_t bottom_spill = 64;
-};
-
-/// Ladder/calendar queue tuned for very large pending-event populations.
-///
-/// Structure (earliest at the bottom):
-///
-///     top     — unsorted vector for events at/after `top_floor_`
-///     rungs   — a stack of rungs, each LadderConfig::buckets buckets of
-///               equal width; inner rungs subdivide a parent bucket
-///     bottom  — the imminent range, kept sorted by (at, seq)
-///
-/// An insert is O(1) into top or a rung bucket, or a bounded sorted insert
-/// into bottom (bottom spills into a fresh rung past a small threshold).
-/// A dequeue pops bottom's front; when bottom drains, the next non-empty
-/// bucket of the innermost rung is either sorted into bottom (small
-/// buckets) or subdivided into a child rung (large ones), and when rungs
-/// are exhausted, top is spilled into a fresh epoch of rung 0. Each event
-/// therefore takes amortised O(1) structural moves regardless of how many
-/// are pending — compared with the heap's log n — at the price of less
-/// predictable per-operation latency.
-///
-/// Cancellation is *lazy* (kPositionalCancel == false): the owner
-/// tombstones the slot (bumping its generation) and tells the backend via
-/// on_cancelled(); dead entries are dropped whenever ctx.dead() flags them
-/// during spills, sorts or peeks. size() always reports live entries only.
-///
-/// Steady-state allocation freedom: rungs are pooled and reused, bucket /
-/// bottom / top vectors are cleared but never shrunk, so a periodic
-/// workload stops allocating once every container has seen its peak.
-class LadderQueueBackend {
- public:
-  /// Lazy tombstone cancellation (see class comment).
-  static constexpr bool kPositionalCancel = false;
-
-  /// Default geometry (LadderConfig defaults).
-  LadderQueueBackend() = default;
-  /// Custom geometry — rung/spill knobs for the bench sweeps. Degenerate
-  /// geometry (buckets < 2 would divide by zero in the width computation,
-  /// bottom_spill < 1 would spill on every insert) is rejected loudly in
-  /// every build type: sweeps run Release, where an assert would vanish.
-  explicit LadderQueueBackend(const LadderConfig& cfg) : cfg_(cfg) {
-    if (cfg.buckets < 2 || cfg.bottom_spill < 1) {
-      throw std::invalid_argument("LadderConfig: need buckets >= 2 and bottom_spill >= 1");
-    }
-  }
-
-  /// The geometry this instance runs with.
-  const LadderConfig& config() const noexcept { return cfg_; }
-
-  /// Insert an entry: O(1) into top or a rung bucket, bounded sorted
-  /// insert into bottom.
-  template <typename Ctx>
-  void push(const EventEntry& e, Ctx ctx) {
-    ++live_;
-    if (e.at >= top_floor_) {
-      if (top_.empty() || e.at < top_min_) top_min_ = e.at;
-      if (top_.empty() || e.at > top_max_) top_max_ = e.at;
-      top_.push_back(e);
-      return;
-    }
-    if (e.at < boundary()) {
-      insert_bottom(e, ctx);
-      return;
-    }
-    // Walk rungs innermost -> outermost; the first rung whose range covers
-    // e.at owns it. The rung-chaining invariant (rung k's end == the start
-    // of rung k-1's next unconsumed bucket, and exhausted rungs are popped
-    // eagerly) guarantees the bucket index is never below the rung's
-    // consumption point.
-    for (std::uint32_t r = n_rungs_; r-- > 0;) {
-      Rung& rung = rungs_[r];
-      if (e.at >= rung.end) continue;
-      const std::uint32_t idx = rung.bucket_index(e.at);
-      assert(idx >= rung.cur);
-      rung.buckets[idx].push_back(e);
-      ++rung.count;
-      return;
-    }
-    // Unreachable while the routing invariants hold: [boundary, top_floor)
-    // is exactly the union of the active rungs' unconsumed ranges.
-    assert(false && "ladder routing gap");
-    insert_bottom(e, ctx);
-  }
-
-  /// The live minimum. Precondition: !empty().
-  template <typename Ctx>
-  const EventEntry& peek(Ctx ctx) {
-    ensure_bottom(ctx);
-    return bottom_[bottom_head_];
-  }
-
-  /// Remove the live minimum. Precondition: !empty().
-  template <typename Ctx>
-  void pop_min(Ctx ctx) {
-    ensure_bottom(ctx);
-    --live_;
-    if (++bottom_head_ == bottom_.size()) {
-      bottom_.clear();  // recycle capacity, never shrink
-      bottom_head_ = 0;
-    }
-  }
-
-  /// Tombstone notification: one pending entry was cancelled by the owner
-  /// (its slot generation is already bumped, so ctx.dead() now flags it).
-  void on_cancelled() noexcept {
-    assert(live_ > 0);
-    --live_;
-  }
-
-  std::size_t size() const noexcept { return live_; }
-  bool empty() const noexcept { return live_ == 0; }
-
-  /// Visit every stored entry, tombstones included (the owner re-checks
-  /// liveness; pending-event cleanup on destruction).
-  template <typename F>
-  void for_each(F f) const {
-    for (std::size_t i = bottom_head_; i < bottom_.size(); ++i) f(bottom_[i]);
-    for (std::uint32_t r = 0; r < n_rungs_; ++r) {
-      for (const auto& bucket : rungs_[r].buckets) {
-        for (const EventEntry& e : bucket) f(e);
-      }
-    }
-    for (const EventEntry& e : top_) f(e);
-  }
-
-  void clear() {
-    bottom_.clear();
-    bottom_head_ = 0;
-    for (std::uint32_t r = 0; r < n_rungs_; ++r) rungs_[r].reset();
-    n_rungs_ = 0;
-    top_.clear();
-    top_floor_ = 0;
-    live_ = 0;
-  }
-
-  /// Active rung count (observability for tests and the bench).
-  std::uint32_t rungs_in_use() const noexcept { return n_rungs_; }
-  /// Start of the current epoch's far-future region (top threshold).
-  Time top_floor() const noexcept { return top_floor_; }
-
-  /// Attach a trace recorder for structural events (spill, epoch open).
-  void set_tracer(trace::Tracer* t) noexcept { tracer_ = t; }
-
- private:
-  /// start + n * width, saturated at the Time maximum (events may carry
-  /// arbitrary int64 timestamps; rung geometry must not overflow).
-  static Time sat_offset(Time start, std::uint64_t n, Time width) noexcept {
-    const auto off = n * static_cast<std::uint64_t>(width);
-    const auto room = static_cast<std::uint64_t>(INT64_MAX - start);
-    return off > room ? INT64_MAX : start + static_cast<Time>(off);
-  }
-
-  /// One rung: cfg.buckets buckets of `width` ns covering [start, end).
-  /// The last bucket is an *overflow* bucket absorbing [start + (n-1) *
-  /// width, end) — `end` may exceed start + n * width when a bottom-spill
-  /// rung is stretched up to the outer boundary so that no time range is
-  /// left uncovered between rungs. The bucket vector is sized once per
-  /// pooled rung (acquire_rung) and reused thereafter.
-  struct Rung {
-    Time start = 0;  ///< time of bucket 0's left edge
-    Time width = 1;  ///< bucket width, ns (>= 1)
-    Time end = 0;    ///< exclusive upper edge of the rung's range
-    std::uint32_t cur = 0;     ///< next unconsumed bucket index
-    std::size_t count = 0;     ///< stored entries (tombstones included)
-    std::vector<std::vector<EventEntry>> buckets;
-
-    std::uint32_t n_buckets() const noexcept {
-      return static_cast<std::uint32_t>(buckets.size());
-    }
-
-    std::uint32_t bucket_index(Time at) const noexcept {
-      const auto idx = static_cast<std::uint64_t>((at - start) / width);
-      return idx < n_buckets() - 1 ? static_cast<std::uint32_t>(idx) : n_buckets() - 1;
-    }
-
-    /// Exclusive right edge of bucket `idx` (the overflow bucket ends at
-    /// the rung's own end).
-    Time bucket_end(std::uint32_t idx) const noexcept {
-      if (idx == n_buckets() - 1) return end;
-      return std::min(end, sat_offset(start, idx + 1, width));
-    }
-
-    void reset() {
-      for (auto& b : buckets) b.clear();  // keep capacities
-      cur = 0;
-      count = 0;
-    }
-  };
-
-  /// Left edge of the first unconsumed region: everything strictly below
-  /// it belongs to bottom.
-  Time boundary() const noexcept {
-    if (n_rungs_ == 0) return top_floor_;
-    const Rung& r = rungs_[n_rungs_ - 1];
-    return std::min(r.end, sat_offset(r.start, r.cur, r.width));
-  }
-
-  template <typename Ctx>
-  void insert_bottom(const EventEntry& e, Ctx ctx) {
-    const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
-    const auto pos = std::upper_bound(first, bottom_.end(), e,
-                                      [](const EventEntry& a, const EventEntry& b) {
-                                        return event_precedes(a, b);
-                                      });
-    bottom_.insert(pos, e);
-    if (bottom_.size() - bottom_head_ > cfg_.bottom_spill) spill_bottom(ctx);
-  }
-
-  /// Move an oversized bottom into a fresh innermost rung. The rung is
-  /// stretched to end exactly at the current boundary, so the union of
-  /// bottom + rungs + top still tiles the whole time axis with no gap or
-  /// overlap (the overflow bucket absorbs the stretch).
-  template <typename Ctx>
-  void spill_bottom(Ctx ctx) {
-    const Time lo = bottom_[bottom_head_].at;
-    const Time hi = bottom_.back().at;
-    if (lo == hi) return;  // single timestamp: appends are already O(1)
-    const Time cap = boundary();
-    assert(cap > hi);
-    Rung& rung = acquire_rung();
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    rung.start = lo;
-    rung.width = static_cast<Time>((span + cfg_.buckets - 1) / cfg_.buckets);
-    rung.end = cap;
-    for (std::size_t i = bottom_head_; i < bottom_.size(); ++i) {
-      const EventEntry& e = bottom_[i];
-      if (ctx.dead(e)) continue;
-      rung.buckets[rung.bucket_index(e.at)].push_back(e);
-      ++rung.count;
-    }
-    bottom_.clear();
-    bottom_head_ = 0;
-  }
-
-  /// Pop every exhausted rung off the top of the stack. Keeping exhausted
-  /// rungs out of the stack is what lets push() assume the innermost
-  /// rung's consumption point is a valid routing boundary.
-  void pop_exhausted_rungs() {
-    while (n_rungs_ > 0 && rungs_[n_rungs_ - 1].count == 0) {
-      rungs_[--n_rungs_].reset();
-    }
-  }
-
-  /// Refill bottom until its front is the global live minimum, dropping
-  /// tombstones on the way. Precondition: live_ > 0.
-  template <typename Ctx>
-  void ensure_bottom(Ctx ctx) {
-    for (;;) {
-      // Drop dead entries surfacing at the front.
-      while (bottom_head_ < bottom_.size() && ctx.dead(bottom_[bottom_head_])) {
-        if (++bottom_head_ == bottom_.size()) {
-          bottom_.clear();
-          bottom_head_ = 0;
-        }
-      }
-      if (bottom_head_ < bottom_.size()) return;  // front is the live min
-      pop_exhausted_rungs();
-      if (n_rungs_ > 0) {
-        const std::uint32_t ri = n_rungs_ - 1;
-        Rung& rung = rungs_[ri];
-        while (rung.buckets[rung.cur].empty()) {
-          ++rung.cur;
-          assert(rung.cur < rung.n_buckets());
-        }
-        const std::uint32_t bi = rung.cur;
-        auto& bucket = rung.buckets[bi];
-        const Time bucket_lo = sat_offset(rung.start, bi, rung.width);
-        const Time bucket_hi = rung.bucket_end(bi);
-        ++rung.cur;  // boundary() advances past this bucket
-        rung.count -= bucket.size();
-        if (bucket.size() <= cfg_.sort_threshold || bucket_hi - bucket_lo <= 1) {
-          sort_into_bottom(bucket, ctx);
-          bucket.clear();
-        } else {
-          // Detach the bucket before acquire_rung(): growing the rung pool
-          // may reallocate and invalidate every reference into it. The
-          // swap-back afterwards pins the grown capacity to its bucket so
-          // steady-state workloads stop allocating once warm.
-          scratch_.swap(bucket);
-          spawn_child(bucket_lo, bucket_hi, ctx);
-          scratch_.clear();
-          rungs_[ri].buckets[bi].swap(scratch_);
-        }
-        pop_exhausted_rungs();
-        continue;
-      }
-      // Rungs exhausted: start a new epoch from top.
-      assert(!top_.empty() && "live_ > 0 but no entries stored");
-      spawn_from_top(ctx);
-    }
-  }
-
-  /// Move one dequeued bucket into bottom, sorted by the total (at, seq)
-  /// order, dropping tombstones.
-  template <typename Ctx>
-  void sort_into_bottom(std::vector<EventEntry>& bucket, Ctx ctx) {
-    assert(bottom_.empty() && bottom_head_ == 0);
-    for (const EventEntry& e : bucket) {
-      if (!ctx.dead(e)) bottom_.push_back(e);
-    }
-    std::sort(bottom_.begin(), bottom_.end(),
-              [](const EventEntry& a, const EventEntry& b) { return event_precedes(a, b); });
-  }
-
-  /// Subdivide one oversized bucket (detached into scratch_) into a child
-  /// rung covering exactly [bstart, bend) — no overlap with the parent's
-  /// remainder.
-  template <typename Ctx>
-  void spawn_child(Time bstart, Time bend, Ctx ctx) {
-    if (tracer_ != nullptr) [[unlikely]] {
-      tracer_->instant(trace::id::kLadderSpill, bstart, scratch_.size());
-    }
-    Rung& child = acquire_rung();
-    child.start = bstart;
-    child.width = static_cast<Time>(
-        (static_cast<std::uint64_t>(bend - bstart) + cfg_.buckets - 1) / cfg_.buckets);
-    child.end = bend;
-    for (const EventEntry& e : scratch_) {
-      if (ctx.dead(e)) continue;
-      child.buckets[child.bucket_index(e.at)].push_back(e);
-      ++child.count;
-    }
-  }
-
-  /// Spill the whole of top into a fresh rung 0, opening a new epoch: the
-  /// rung covers [top_min, top_min + kBuckets * width) and top_floor_
-  /// advances to its end (later far-future inserts start the next epoch).
-  template <typename Ctx>
-  void spawn_from_top(Ctx ctx) {
-    assert(n_rungs_ == 0);
-    if (tracer_ != nullptr) [[unlikely]] {
-      tracer_->instant(trace::id::kLadderEpoch, top_min_, top_.size());
-    }
-    Rung& rung = acquire_rung();
-    const auto span = static_cast<std::uint64_t>(top_max_ - top_min_) + 1;
-    rung.start = top_min_;
-    rung.width = static_cast<Time>((span + cfg_.buckets - 1) / cfg_.buckets);
-    rung.end = sat_offset(rung.start, cfg_.buckets, rung.width);
-    top_floor_ = rung.end;
-    for (const EventEntry& e : top_) {
-      if (ctx.dead(e)) continue;
-      rung.buckets[rung.bucket_index(e.at)].push_back(e);
-      ++rung.count;
-    }
-    top_.clear();  // recycle capacity
-    top_min_ = top_max_ = 0;
-  }
-
-  Rung& acquire_rung() {
-    if (n_rungs_ == rungs_.size()) {
-      rungs_.emplace_back();  // warm-up only
-      rungs_.back().buckets.resize(cfg_.buckets);
-    }
-    Rung& r = rungs_[n_rungs_++];
-    assert(r.count == 0 && r.cur == 0);
-    return r;
-  }
-
-  LadderConfig cfg_{};
-  std::vector<EventEntry> bottom_;  // sorted; consumed from bottom_head_
-  std::size_t bottom_head_ = 0;
-  std::vector<EventEntry> scratch_;  // detached bucket during a spawn
-  std::vector<Rung> rungs_;  // pooled; [0, n_rungs_) active, outermost first
-  std::uint32_t n_rungs_ = 0;
-  std::vector<EventEntry> top_;  // unsorted far-future pool
-  Time top_min_ = 0;
-  Time top_max_ = 0;
-  Time top_floor_ = 0;  // entries at/after this go to top
-  std::size_t live_ = 0;
-  trace::Tracer* tracer_ = nullptr;
-};
-
-static_assert(EventQueueBackend<LadderQueueBackend>);
-
-// ---------------------------------------------------------------------------
 // Hierarchical timing-wheel backend
 // ---------------------------------------------------------------------------
 
@@ -715,15 +318,15 @@ struct WheelConfig {
 /// level plus one bounded sort, independent of how many are pending.
 ///
 /// The overflow pool opens a new *epoch* when the wheels drain: cursors
-/// re-base at the overflow minimum and the pool is repartitioned, exactly
-/// like the ladder's top spill. `overflow_floor_` is latched per epoch so
+/// re-base at the overflow minimum and the pool is repartitioned.
+/// `overflow_floor_` is latched per epoch so
 /// every stored wheel entry is strictly earlier than every overflow entry
 /// — that is what makes the (at, seq) order total across the split. All
 /// horizon arithmetic saturates at the Time maximum, so timestamps near
 /// INT64_MAX roll through overflow epochs instead of overflowing.
 ///
-/// Cancellation is *lazy* (kPositionalCancel == false), identical to the
-/// ladder: the owner bumps the slot generation and calls on_cancelled();
+/// Cancellation is *lazy* (kPositionalCancel == false): the owner bumps
+/// the slot generation and calls on_cancelled();
 /// dead entries are dropped whenever ctx.dead() flags them during
 /// cascades, sorts or peeks. size() always reports live entries only.
 ///

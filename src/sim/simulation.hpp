@@ -4,8 +4,8 @@
 /// A BasicSimulation owns:
 ///   * the virtual clock (nanoseconds, see time.hpp),
 ///   * a pluggable pending-event store (see event_queue.hpp) holding
-///     timestamped events — a binary min-heap by default, or a ladder
-///     queue for very large pending populations,
+///     timestamped events — a binary min-heap by default, or a timing
+///     wheel for very large pending populations,
 ///   * the coroutine frames of all spawned processes,
 ///   * a deterministic RNG shared by models that need randomness.
 ///
@@ -49,8 +49,8 @@ namespace metro::sim {
 /// The discrete-event kernel, templated over the pending-event store.
 ///
 /// \tparam Backend an EventQueueBackend (event_queue.hpp). The default
-///   BinaryHeapBackend cancels eagerly in O(log n); LadderQueueBackend
-///   trades that for amortised O(1) scheduling at >10k pending events,
+///   BinaryHeapBackend cancels eagerly in O(log n); TimingWheelBackend
+///   trades that for O(1) scheduling at very large pending populations,
 ///   cancelling by tombstone. Both uphold the same observable contract:
 ///   identical execution order, stable EventIds, steady-state allocation
 ///   freedom.
@@ -73,7 +73,7 @@ class BasicSimulation {
   explicit BasicSimulation(std::uint64_t seed = 1) : rng_(seed) {}
 
   /// Construct with a pre-configured backend instance (e.g. a
-  /// LadderQueueBackend with non-default LadderConfig geometry).
+  /// TimingWheelBackend with non-default WheelConfig geometry).
   BasicSimulation(std::uint64_t seed, Backend backend)
       : queue_(std::move(backend)), rng_(seed) {}
 
@@ -151,7 +151,7 @@ class BasicSimulation {
   }
 
   /// Remove a pending callback event (O(log n) positional erase on the
-  /// heap backend, O(1) tombstone on the ladder). Returns false when the
+  /// heap backend, O(1) tombstone on the wheel). Returns false when the
   /// id is stale (already fired, already cancelled, or never valid).
   bool cancel(EventId id) {
     const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
@@ -205,8 +205,8 @@ class BasicSimulation {
 
   /// Attach (or detach, with nullptr) a trace recorder. Default-off: the
   /// only hot-path cost while detached is one predictable null test per
-  /// dispatched event. Backends that emit structural events (ladder
-  /// spill/epoch, wheel cascade/rebase) receive the tracer too. Tracing
+  /// dispatched event. Backends that emit structural events (wheel
+  /// cascade/rebase) receive the tracer too. Tracing
   /// only *observes* — it never changes what the run computes, so
   /// telemetry fingerprints are bit-identical either way (test-enforced).
   void set_tracer(trace::Tracer* t) noexcept {
@@ -420,11 +420,9 @@ class BasicSimulation {
 /// (Core, SleepService, Metronome, Port, Testbed, ...) are generic over
 /// the kernel instantiation; their unsuffixed aliases bind to this type.
 using Simulation = BasicSimulation<BinaryHeapBackend>;
-/// The large-pending-population kernel variant. The whole app stack also
-/// instantiates over this (BasicTestbed<LadderSimulation> etc.).
-using LadderSimulation = BasicSimulation<LadderQueueBackend>;
 /// The million-timer kernel variant: hierarchical timing-wheel event
-/// store. Instantiated across the app stack like the other two.
+/// store. The whole app stack also instantiates over this
+/// (BasicTestbed<WheelSimulation> etc.).
 using WheelSimulation = BasicSimulation<TimingWheelBackend>;
 
 /// A one-to-many wake-up signal. Processes co_await the signal (optionally

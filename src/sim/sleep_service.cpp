@@ -73,7 +73,6 @@ Time BasicSleepService<Sim>::sample_dispatch_latency() {
 }
 
 template class BasicSleepService<Simulation>;
-template class BasicSleepService<LadderSimulation>;
 template class BasicSleepService<WheelSimulation>;
 
 }  // namespace metro::sim

@@ -13,8 +13,6 @@ Tracer::Tracer(std::size_t capacity) {
   // chrome://tracing search box; arg labels name the payloads.
   names_ = {
       {"kernel", "fire", "processed", ""},            // kKernelFire
-      {"kernel", "ladder_epoch", "top_pending", ""},  // kLadderEpoch
-      {"kernel", "ladder_spill", "spilled", ""},      // kLadderSpill
       {"kernel", "wheel_cascade", "moved", "level"},  // kWheelCascade
       {"kernel", "wheel_epoch", "overflow", ""},      // kWheelEpoch
       {"nic", "rx_burst", "accepted", "offered"},     // kRxBurst

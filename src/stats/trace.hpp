@@ -47,19 +47,17 @@ enum class Phase : std::uint8_t {
 /// these directly; ad-hoc users call Tracer::intern for their own ids.
 namespace id {
 inline constexpr std::uint32_t kKernelFire = 0;     ///< sampled event dispatch
-inline constexpr std::uint32_t kLadderEpoch = 1;    ///< ladder epoch rollover
-inline constexpr std::uint32_t kLadderSpill = 2;    ///< ladder bucket spill
-inline constexpr std::uint32_t kWheelCascade = 3;   ///< wheel level cascade
-inline constexpr std::uint32_t kWheelEpoch = 4;     ///< wheel overflow rebase
-inline constexpr std::uint32_t kRxBurst = 5;        ///< NIC grouped ingress
-inline constexpr std::uint32_t kTxFlush = 6;        ///< TxRing batch flush
-inline constexpr std::uint32_t kMetSleep = 7;       ///< Metronome sleep→wake
-inline constexpr std::uint32_t kMetDrain = 8;       ///< Metronome busy period
-inline constexpr std::uint32_t kFaultDrop = 9;      ///< injected packet drop
-inline constexpr std::uint32_t kFaultReorder = 10;  ///< injected reorder hold
-inline constexpr std::uint32_t kFaultLinkDown = 11; ///< link-flap window hit
-inline constexpr std::uint32_t kFaultStall = 12;    ///< rx-ring stall window
-inline constexpr std::uint32_t kShard = 13;         ///< sweep shard (wall time)
+inline constexpr std::uint32_t kWheelCascade = 1;   ///< wheel level cascade
+inline constexpr std::uint32_t kWheelEpoch = 2;     ///< wheel overflow rebase
+inline constexpr std::uint32_t kRxBurst = 3;        ///< NIC grouped ingress
+inline constexpr std::uint32_t kTxFlush = 4;        ///< TxRing batch flush
+inline constexpr std::uint32_t kMetSleep = 5;       ///< Metronome sleep→wake
+inline constexpr std::uint32_t kMetDrain = 6;       ///< Metronome busy period
+inline constexpr std::uint32_t kFaultDrop = 7;      ///< injected packet drop
+inline constexpr std::uint32_t kFaultReorder = 8;   ///< injected reorder hold
+inline constexpr std::uint32_t kFaultLinkDown = 9;  ///< link-flap window hit
+inline constexpr std::uint32_t kFaultStall = 10;    ///< rx-ring stall window
+inline constexpr std::uint32_t kShard = 11;         ///< sweep shard (wall time)
 }  // namespace id
 
 /// One recorded event. POD, 40 bytes; timestamps are sim-time ns (or, for

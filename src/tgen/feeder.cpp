@@ -90,9 +90,6 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 
 template void attach<sim::Simulation>(sim::Simulation&, nic::BasicPort<sim::Simulation>&,
                                       Generator&, FeederConfig);
-template void attach<sim::LadderSimulation>(sim::LadderSimulation&,
-                                            nic::BasicPort<sim::LadderSimulation>&, Generator&,
-                                            FeederConfig);
 template void attach<sim::WheelSimulation>(sim::WheelSimulation&,
                                            nic::BasicPort<sim::WheelSimulation>&, Generator&,
                                            FeederConfig);
@@ -173,15 +170,11 @@ void PerFlowSourceArena<Sim>::fire(std::uint32_t flow) {
 }
 
 template class PerFlowSourceArena<sim::Simulation>;
-template class PerFlowSourceArena<sim::LadderSimulation>;
 template class PerFlowSourceArena<sim::WheelSimulation>;
 
 template void attach_per_flow_sources<sim::Simulation>(sim::Simulation&,
                                                        nic::BasicPort<sim::Simulation>&,
                                                        const FlowSet&, PerFlowSourceConfig);
-template void attach_per_flow_sources<sim::LadderSimulation>(
-    sim::LadderSimulation&, nic::BasicPort<sim::LadderSimulation>&, const FlowSet&,
-    PerFlowSourceConfig);
 template void attach_per_flow_sources<sim::WheelSimulation>(
     sim::WheelSimulation&, nic::BasicPort<sim::WheelSimulation>&, const FlowSet&,
     PerFlowSourceConfig);

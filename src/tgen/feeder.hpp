@@ -12,7 +12,7 @@
 // fig13 full-stack regime: thousands to millions of concurrently armed
 // flow timers), the per-flow entry points keep one timer armed per flow,
 // so N flows put N events in the kernel's pending store — the workload
-// the ladder-queue and timing-wheel backends exist for. One event per
+// the timing-wheel backend exists for. One event per
 // packet; use the grouped feeder when simulation speed matters more than
 // population realism. Two implementations share the exact event stream:
 //

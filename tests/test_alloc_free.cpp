@@ -122,8 +122,8 @@ TEST(AllocFreeTest, SteadyStateKernelDoesNotAllocate) {
 }
 
 // Kernel-only steady-state allocation freedom, parameterized over both
-// event-queue backends. The ladder queue recycles rungs, buckets, bottom
-// and top storage, so once every container has seen its peak it must be
+// event-queue backends. The timing wheel recycles slot, bottom and
+// overflow storage, so once every container has seen its peak it must be
 // exactly as allocation-free as the heap.
 template <typename Backend>
 class AllocFreeBackendTest : public ::testing::Test {
@@ -132,7 +132,7 @@ class AllocFreeBackendTest : public ::testing::Test {
   using Sig = BasicSignal<Sim>;
 };
 
-using Backends = ::testing::Types<BinaryHeapBackend, LadderQueueBackend, TimingWheelBackend>;
+using Backends = ::testing::Types<BinaryHeapBackend, TimingWheelBackend>;
 TYPED_TEST_SUITE(AllocFreeBackendTest, Backends);
 
 TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
@@ -183,8 +183,8 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   sim.set_tracer(&tracer);
 
   // Warm-up: backend storage, FIFO buffer and pools reach steady state.
-  // (Longer than the heap's: the ladder's per-bucket capacities converge
-  // over a few epochs rather than one pass.)
+  // (Longer than the heap's: the wheel's per-slot capacities converge
+  // over a few rotations rather than one pass.)
   sim.run_until(40 * kMillisecond);
 
   // The series recorder arms here (pre-window: prime() preallocates its
@@ -193,8 +193,8 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   // the warm-up above has taken to peak. The backends' allocation-freedom
   // guarantee is "after every container has seen its peak": a far-future
   // cadence (say 1 ms) would make the sampler the lone event class at a
-  // horizon the warm-up never visits, and the wheel/ladder would keep
-  // sizing virgin slots and buckets for it mid-window.
+  // horizon the warm-up never visits, and the wheel would keep sizing
+  // virgin slots for it mid-window.
   metro::stats::SeriesConfig series_cfg;
   series_cfg.interval = 8_us;
   series_cfg.capacity = 5100;

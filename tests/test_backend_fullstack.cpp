@@ -4,11 +4,11 @@
 // backends (test_determinism.cpp). Since PR 3 the full app stack — Core,
 // SleepService, rings, Port, drivers, Metronome, feeder, Testbed — is
 // generic over the backend, so the same guarantee must hold one level up:
-// an identical ExperimentConfig run on BasicTestbed<Simulation>,
-// BasicTestbed<LadderSimulation> and BasicTestbed<WheelSimulation> must
-// produce identical packet counters, identical driver statistics and an
-// identical latency histogram, bin for bin. This is what lets the figure
-// benches treat --backend as a pure speed knob.
+// an identical ExperimentConfig run on BasicTestbed<Simulation> and
+// BasicTestbed<WheelSimulation> must produce identical packet counters,
+// identical driver statistics and an identical latency histogram, bin for
+// bin. This is what lets the figure benches treat --backend as a pure
+// speed knob.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,11 +99,9 @@ ExperimentConfig small_metronome_config() {
 TEST(BackendFullstackTest, MetronomeCountersIdenticalAcrossBackends) {
   const auto cfg = small_metronome_config();
   const auto heap = run_fullstack<sim::Simulation>(cfg);
-  const auto ladder = run_fullstack<sim::LadderSimulation>(cfg);
   const auto wheel = run_fullstack<sim::WheelSimulation>(cfg);
   ASSERT_GT(heap.processed, 100000u) << "scenario must do real work";
   ASSERT_GT(heap.latency_count, 0u) << "latency histogram must record";
-  EXPECT_EQ(heap, ladder);
   EXPECT_EQ(heap, wheel);
 }
 
@@ -112,30 +110,26 @@ TEST(BackendFullstackTest, StaticPollingCountersIdenticalAcrossBackends) {
   cfg.driver = DriverKind::kStaticPolling;
   cfg.governor = sim::Governor::kOndemand;  // governor-tick timers too
   const auto heap = run_fullstack<sim::Simulation>(cfg);
-  const auto ladder = run_fullstack<sim::LadderSimulation>(cfg);
   const auto wheel = run_fullstack<sim::WheelSimulation>(cfg);
   ASSERT_GT(heap.processed, 100000u);
-  EXPECT_EQ(heap, ladder);
   EXPECT_EQ(heap, wheel);
 }
 
 TEST(BackendFullstackTest, PerFlowSourcesIdenticalAcrossBackends) {
   // The large-pending-population workload mode (one timer per flow) —
-  // the regime the ladder backend targets — must also be trace-identical.
+  // the regime the wheel backend targets — must also be trace-identical.
   auto cfg = small_metronome_config();
   cfg.workload.model = ArrivalModel::kPerFlow;
   cfg.workload.n_flows = 2048;
   cfg.workload.rate_mpps = 10.0;
   cfg.measure = 15 * sim::kMillisecond;
   const auto heap = run_fullstack<sim::Simulation>(cfg);
-  const auto ladder = run_fullstack<sim::LadderSimulation>(cfg);
   const auto wheel = run_fullstack<sim::WheelSimulation>(cfg);
   ASSERT_GT(heap.processed, 50000u);
-  EXPECT_EQ(heap, ladder);
   EXPECT_EQ(heap, wheel);
 }
 
-TEST(BackendFullstackTest, LadderRunsFasterRegimeHasLargePopulation) {
+TEST(BackendFullstackTest, PerFlowModeArmsOneTimerPerFlow) {
   // Sanity-check the per-flow mode actually creates the pending population
   // it exists for (one armed timer per flow).
   auto cfg = small_metronome_config();
@@ -144,7 +138,7 @@ TEST(BackendFullstackTest, LadderRunsFasterRegimeHasLargePopulation) {
   cfg.workload.rate_mpps = 10.0;
   cfg.warmup = sim::kMillisecond;
   cfg.measure = sim::kMillisecond;
-  BasicTestbed<sim::LadderSimulation> bed(cfg);
+  BasicTestbed<sim::WheelSimulation> bed(cfg);
   bed.start();
   bed.run_until(cfg.warmup);
   EXPECT_GE(bed.sim().pending_events(), 2048u);

@@ -23,7 +23,7 @@ struct Parsed {
 };
 
 Parsed parse(std::vector<std::string> flags,
-             BackendChoice def_backend = BackendChoice::kBoth, int def_jobs = 2) {
+             BackendChoice def_backend = BackendChoice::kAll, int def_jobs = 2) {
   std::vector<char*> argv;
   std::string argv0 = "bench_test";
   argv.push_back(argv0.data());
@@ -47,12 +47,12 @@ TEST(BenchArgsTest, NoFlagsKeepsDefaults) {
 }
 
 TEST(BenchArgsTest, AllFlagsParse) {
-  const auto p = parse({"--fast", "--backend=ladder", "--jobs=8", "--trace=cap.pcap",
+  const auto p = parse({"--fast", "--backend=wheel", "--jobs=8", "--trace=cap.pcap",
                         "--only=cbr_lossy,imix_corrupt", "--deadline=30", "--list"});
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_TRUE(p.args.fast);
   EXPECT_TRUE(p.args.list);
-  EXPECT_EQ(p.args.backend, BackendChoice::kLadder);
+  EXPECT_EQ(p.args.backend, BackendChoice::kWheel);
   EXPECT_EQ(p.args.jobs, 8);
   EXPECT_EQ(p.args.trace, "cap.pcap");
   ASSERT_EQ(p.args.only.size(), 2u);
@@ -63,9 +63,9 @@ TEST(BenchArgsTest, AllFlagsParse) {
 
 TEST(BenchArgsTest, UnknownFlagRejectedWithTheOffendingSpelling) {
   // The motivating typo: --backed must not silently run both backends.
-  const auto p = parse({"--backed=ladder"});
+  const auto p = parse({"--backed=wheel"});
   ASSERT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("--backed=ladder"), std::string::npos) << p.error;
+  EXPECT_NE(p.error.find("--backed=wheel"), std::string::npos) << p.error;
   ASSERT_FALSE(parse({"--fats"}).ok);
   ASSERT_FALSE(parse({"extra_positional"}).ok);
   ASSERT_FALSE(parse({"--fast", "--nonsense"}).ok) << "later flags are checked too";
@@ -73,13 +73,11 @@ TEST(BenchArgsTest, UnknownFlagRejectedWithTheOffendingSpelling) {
 
 TEST(BenchArgsTest, BackendValueValidated) {
   EXPECT_EQ(parse({"--backend=heap"}).args.backend, BackendChoice::kHeap);
-  EXPECT_EQ(parse({"--backend=ladder"}).args.backend, BackendChoice::kLadder);
   EXPECT_EQ(parse({"--backend=wheel"}).args.backend, BackendChoice::kWheel);
-  EXPECT_EQ(parse({"--backend=both"}).args.backend, BackendChoice::kBoth);
   EXPECT_EQ(parse({"--backend=all"}).args.backend, BackendChoice::kAll);
-  const auto p = parse({"--backend=lader"});
+  const auto p = parse({"--backend=hepa"});
   ASSERT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("lader"), std::string::npos);
+  EXPECT_NE(p.error.find("hepa"), std::string::npos);
   const auto q = parse({"--backend=wheeel"});
   ASSERT_FALSE(q.ok);
   EXPECT_NE(q.error.find("wheeel"), std::string::npos);
@@ -90,11 +88,22 @@ TEST(BenchArgsTest, BackendSelectionsMapToKinds) {
   using scenario::BackendKind;
   EXPECT_EQ(backend_kinds(BackendChoice::kWheel),
             (std::vector<BackendKind>{BackendKind::kWheel}));
-  EXPECT_EQ(backend_kinds(BackendChoice::kBoth),
-            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kLadder}));
+  EXPECT_EQ(backend_kinds(BackendChoice::kHeap),
+            (std::vector<BackendKind>{BackendKind::kHeap}));
   EXPECT_EQ(backend_kinds(BackendChoice::kAll),
-            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kLadder,
-                                      BackendKind::kWheel}));
+            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kWheel}));
+}
+
+TEST(BenchArgsTest, RetiredBackendSpellingsExitTwo) {
+  // Spellings that once named backends ("ladder", "both") must fail at
+  // launch, not silently fall back to a default backend set.
+  for (const char* flag : {"--backend=ladder", "--backend=both"}) {
+    std::string argv0 = "bench_test", f = flag;
+    std::array<char*, 2> argv{argv0.data(), f.data()};
+    EXPECT_EXIT(parse_args(2, argv.data(), BackendChoice::kAll, 1),
+                ::testing::ExitedWithCode(2), "unknown --backend value")
+        << flag;
+  }
 }
 
 TEST(BenchArgsTest, JobsMustBeAWholeNumberInRange) {

@@ -6,7 +6,7 @@
 // nothing on the event path depends on host state.
 //
 // The same guarantee holds *across event-queue backends*: the binary heap
-// and the ladder queue implement the same total (at, seq) order, so an
+// and the timing wheel implement the same total (at, seq) order, so an
 // identical script must produce a bit-identical execution trace on both.
 #include <gtest/gtest.h>
 
@@ -159,10 +159,8 @@ std::vector<TraceRecord> kernel_trace() {
 
 TEST(DeterminismTest, BackendsProduceBitIdenticalTraces) {
   const auto heap = kernel_trace<sim::BinaryHeapBackend>();
-  const auto ladder = kernel_trace<sim::LadderQueueBackend>();
   const auto wheel = kernel_trace<sim::TimingWheelBackend>();
   EXPECT_GT(heap.size(), 4000u) << "trace must cover real work";
-  EXPECT_EQ(heap, ladder);
   EXPECT_EQ(heap, wheel);
 }
 

@@ -2,6 +2,9 @@
 // ferret competitor and the experiment harness glue.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "apps/experiment.hpp"
 #include "apps/ferret.hpp"
 
@@ -87,6 +90,35 @@ TEST(XdpTest, RequiresCorePerQueue) {
   cfg.n_queues = 4;
   cfg.n_cores = 2;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(ExperimentConfigTest, RejectsZeroQueues) {
+  for (const auto kind : {DriverKind::kMetronome, DriverKind::kStaticPolling, DriverKind::kXdp}) {
+    auto cfg = config_for(kind, 1.0);
+    cfg.n_queues = 0;
+    try {
+      run_experiment(cfg);
+      FAIL() << "n_queues = 0 must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("n_queues"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(run_experiment<sim::WheelSimulation>(cfg), std::invalid_argument);
+  }
+}
+
+TEST(ExperimentConfigTest, RejectsZeroMetronomeThreads) {
+  auto cfg = config_for(DriverKind::kMetronome, 1.0);
+  cfg.met.n_threads = 0;
+  try {
+    run_experiment(cfg);
+    FAIL() << "met.n_threads = 0 must be rejected for the Metronome driver";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("met.n_threads"), std::string::npos) << e.what();
+  }
+  // The other drivers never read met.n_threads.
+  cfg.driver = DriverKind::kStaticPolling;
+  cfg.measure = 10 * sim::kMillisecond;
+  EXPECT_NO_THROW(run_experiment(cfg));
 }
 
 TEST(FerretTest, RunsAtFullSpeedAlone) {

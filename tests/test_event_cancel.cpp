@@ -1,6 +1,6 @@
 // The event-ID API: stable-id timer cancellation and id staleness,
 // parameterized over both event-queue backends (eager positional erase on
-// the binary heap, lazy tombstoning on the ladder queue). The observable
+// the binary heap, lazy tombstoning on the timing wheel). The observable
 // contract is identical.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,7 @@ class EventCancelTest : public ::testing::Test {
   using Sim = BasicSimulation<Backend>;
 };
 
-using Backends = ::testing::Types<BinaryHeapBackend, LadderQueueBackend, TimingWheelBackend>;
+using Backends = ::testing::Types<BinaryHeapBackend, TimingWheelBackend>;
 TYPED_TEST_SUITE(EventCancelTest, Backends);
 
 TYPED_TEST(EventCancelTest, CancelledEventNeverFires) {

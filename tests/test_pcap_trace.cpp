@@ -165,10 +165,10 @@ TEST(TraceTest, ExternalPcapFileReplaysThroughTestbed) {
     return scenario::SweepRunner(1).run({scenario::Shard{"ext_trace", backend, cfg}}).at(0);
   };
   const auto heap = run(scenario::BackendKind::kHeap);
-  const auto ladder = run(scenario::BackendKind::kLadder);
+  const auto wheel = run(scenario::BackendKind::kWheel);
   EXPECT_GT(heap.counters.processed, 1000u) << "external trace must drive real traffic";
-  EXPECT_EQ(heap.fingerprint, ladder.fingerprint);
-  EXPECT_EQ(heap.final_clock, ladder.final_clock);
+  EXPECT_EQ(heap.fingerprint, wheel.fingerprint);
+  EXPECT_EQ(heap.final_clock, wheel.final_clock);
   std::remove(path.c_str());
 }
 
