@@ -20,8 +20,9 @@
 //                         figure-generation path.
 //   --jobs=N              worker threads for benches that sweep through
 //                         scenario::SweepRunner. Results are bit-identical
-//                         for any N; only wall time changes. Benches whose
-//                         headline *is* wall time default to 1.
+//                         for any N; only wall time changes.
+//                         bench_kernel_throughput, whose headline *is*
+//                         wall time, runs its shards sequentially anyway.
 //   --trace=<file>        external pcap to replay through the kTrace
 //                         arrival model (bench_scenario_matrix); absent =
 //                         the synthesised §V-F.4 trace.
@@ -51,8 +52,7 @@
 //                         identical, wall time measures the crypto).
 //   --flows=N             bench_kernel_throughput: run the full-stack
 //                         scale block on one custom per-flow population
-//                         instead of the registry 1m/4m/16m ladder (the
-//                         wheel gets its for_population geometry).
+//                         instead of the registry 1m/4m/16m ladder.
 //
 // Parsing is strict: unknown flags and malformed numeric values print the
 // usage text and exit 2. Benches that only take --fast use parse_fast(),
@@ -65,6 +65,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -296,10 +297,51 @@ inline bool parse_fast(int argc, char** argv) {
   return fast;
 }
 
-/// Write Chrome trace-event JSON for the given lanes to `path`, failing
+/// Write a bench report (BENCH_*.json, a Chrome trace) to `path`, failing
 /// loudly (message + exit 1) when the file cannot be created or written —
-/// a silently-missing trace from an overnight run is the same footgun as
-/// a silently-defaulted flag. Prints a one-line summary (events, drops).
+/// a silently-missing report from an overnight run is the same footgun as
+/// a silently-defaulted flag.
+inline void write_report(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::cerr << "cannot open report file '" << path << "' for writing\n";
+    std::exit(1);
+  }
+  out << text;
+  out.flush();
+  if (!out) {
+    std::cerr << "failed writing report file '" << path << "'\n";
+    std::exit(1);
+  }
+}
+
+/// Median and IQR of one measured quantity over repeated trials.
+struct Sample {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Median and IQR (p75 - p25) of `trials`, each quantile linearly
+/// interpolated between the two nearest order statistics (position
+/// q * (n - 1) in the sorted sample). At odd n = 4k + 1 (the crypto
+/// bench's 5 and 9 trials) every quantile lands on an order statistic.
+/// An empty sample gives {0, 0}.
+inline Sample sample_of(std::vector<double> trials) {
+  if (trials.empty()) return {};
+  std::sort(trials.begin(), trials.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(trials.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto hi = std::min(lo + 1, trials.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return trials[lo] * (1.0 - frac) + trials[hi] * frac;
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/// Write Chrome trace-event JSON for the given lanes to `path` through
+/// write_report (exit 1 on an unwritable path). Prints a one-line
+/// summary (events, drops).
 inline void write_trace_file(const std::string& path,
                              const std::vector<trace::TraceProcess>& lanes) {
   std::size_t events = 0;
@@ -308,17 +350,9 @@ inline void write_trace_file(const std::string& path,
     events += lane.tracer->size();
     drops += lane.tracer->dropped();
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "cannot open --trace-out file '" << path << "' for writing\n";
-    std::exit(1);
-  }
-  trace::write_chrome_trace(out, lanes);
-  out.flush();
-  if (!out) {
-    std::cerr << "failed writing --trace-out file '" << path << "'\n";
-    std::exit(1);
-  }
+  std::ostringstream text;
+  trace::write_chrome_trace(text, lanes);
+  write_report(path, text.str());
   std::cout << "trace: " << events << " events in " << lanes.size() << " lane(s) -> " << path;
   if (drops > 0) std::cout << " (" << drops << " dropped at capacity)";
   std::cout << "\n";

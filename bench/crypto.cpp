@@ -16,23 +16,17 @@
 //
 // Every number is a median over repeated trials with the IQR alongside
 // (untimed warm-up first); the report lands in BENCH_crypto.json through
-// stats::JsonWriter. The CI regression gate is
+// stats::JsonWriter. The regression gate is
 // scripts/check_bench_regression.py comparing this report against the
 // tracked BENCH_crypto.json baseline (median +/- IQR tolerances) — the
 // speedups are gated against what the baseline actually recorded, not a
-// hardcoded constant. --min-cbc-speedup=X remains as a self-contained
-// manual gate: it turns the in-run AES-CBC-1024B encrypt speedup into a
-// hard floor (below X the bench exits 1), comparing medians so run-to-run
-// jitter has to move the *median* trial to flip it.
+// hardcoded constant.
 //
 // Flags (strict parsing, unknown flag exits 2):
 //   --fast                  fewer trials/iterations (CI smoke mode)
-//   --min-cbc-speedup=X     fail (exit 1) if fast CBC encrypt < X * scalar
-//                           (manual floor; CI uses the regression script)
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,37 +37,10 @@
 #include "stats/table.hpp"
 
 using namespace metro;
-using bench::cryptob::Sample;
+using bench::Sample;
 using bench::cryptob::speedup;
 
 namespace {
-
-struct CryptoArgs {
-  bool fast = false;
-  double min_cbc_speedup = 0.0;  // 0 = no gate
-};
-
-bool try_parse(int argc, char** argv, CryptoArgs& out, std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") {
-      out.fast = true;
-    } else if (arg.rfind("--min-cbc-speedup=", 0) == 0) {
-      const std::string v = arg.substr(18);
-      char* end = nullptr;
-      const double x = std::strtod(v.c_str(), &end);
-      if (v.empty() || *end != '\0' || !(x > 0.0)) {
-        error = "bad --min-cbc-speedup value '" + v + "' (want > 0)";
-        return false;
-      }
-      out.min_cbc_speedup = x;
-    } else {
-      error = "unknown flag '" + arg + "'";
-      return false;
-    }
-  }
-  return true;
-}
 
 using bench::cryptob::cbc_loop;
 using bench::cryptob::gateway_loop;
@@ -116,15 +83,9 @@ std::uint8_t gateway_burst_loop(Gateway& egress, Gateway& ingress,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CryptoArgs args;
-  std::string error;
-  if (!try_parse(argc, argv, args, error)) {
-    std::cerr << error << "\nflags:\n  --fast\n  --min-cbc-speedup=X\n";
-    return 2;
-  }
-
-  const int trials = args.fast ? 5 : 9;
-  const std::uint64_t scale = args.fast ? 1 : 4;
+  const bool fast_mode = bench::parse_fast(argc, argv);
+  const int trials = fast_mode ? 5 : 9;
+  const std::uint64_t scale = fast_mode ? 1 : 4;
 
   std::cout << "=== Crypto substrate microbench (fast vs scalar oracle) ===\n";
   std::cout << "trials=" << trials << " per row; medians with IQR; speedup = scalar/fast\n\n";
@@ -276,11 +237,11 @@ int main(int argc, char** argv) {
     w.kv("speedup_median", speedup(scalar, fast));
     w.end_object();
   };
-  std::ofstream json_file("BENCH_crypto.json");
-  stats::JsonWriter w(json_file);
+  std::ostringstream json;
+  stats::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "crypto");
-  w.kv("mode", args.fast ? "fast" : "full");
+  w.kv("mode", fast_mode ? "fast" : "full");
   w.kv("trials", static_cast<std::uint64_t>(trials));
   w.kv("aes_impl", aes_impl);
   emit_pair(w, "aes_block_encrypt", enc_scalar, enc_fast);
@@ -323,25 +284,8 @@ int main(int argc, char** argv) {
   w.end_object();
   w.end_object();
   w.finish();
+  bench::write_report("BENCH_crypto.json", json.str());
   std::cout << "wrote BENCH_crypto.json (sink=" << static_cast<int>(bench::cryptob::g_sink)
             << ")\n";
-
-  // --- noise-aware CI gate -------------------------------------------------
-  if (args.min_cbc_speedup > 0.0) {
-    // Gate on the 1024 B encrypt row of the auto-dispatched path (what the
-    // ESP data path runs): big enough that per-call overhead is noise, and
-    // encrypt is CBC's serial direction — the harder one to speed up.
-    double gate = 0.0;
-    for (const auto& r : cbc_rows) {
-      if (r.bytes == 1024) gate = speedup(r.enc_scalar, r.enc_fast);
-    }
-    if (gate < args.min_cbc_speedup) {
-      std::cerr << "FAIL: AES-CBC-1024B encrypt speedup " << gate << " < required "
-                << args.min_cbc_speedup << " (median of " << trials << " trials)\n";
-      return 1;
-    }
-    std::cout << "CBC gate ok: 1024B encrypt speedup " << stats::Table::num(gate, 2)
-              << " >= " << args.min_cbc_speedup << "\n";
-  }
   return 0;
 }

@@ -1,21 +1,21 @@
-// Shared measurement helpers for the crypto substrate benches
-// (bench_crypto and the `crypto` block of bench_kernel_throughput).
+// Shared helpers for the crypto substrate bench (bench_crypto) and the
+// live-crypto ipsec path of bench_fig16_apps (--crypto=live).
 //
-// Reporting follows the qMEMO-style rigor the ROADMAP asks for: every
-// number is the median of repeated trials with the IQR alongside, after an
-// untimed warm-up run, and every timed loop folds its output into a
-// checksum that is published through a volatile sink so the optimiser can
-// delete nothing.
+// Every number is the median of repeated trials with the IQR alongside
+// (bench::sample_of), after an untimed warm-up run, and every timed loop
+// folds its output into a checksum that is published through a volatile
+// sink so the optimiser can delete nothing.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/ipsec.hpp"
+#include "common.hpp"
 #include "net/packet.hpp"
 #include "net/packet_builder.hpp"
 #include "nic/sim_packet.hpp"
@@ -32,32 +32,6 @@ inline constexpr std::array<std::uint8_t, 16> kBenchIv = {
 /// Sink that defeats dead-code elimination: every timed loop accumulates
 /// into a checksum and stores it here.
 inline volatile std::uint8_t g_sink = 0;
-
-inline double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Interquartile range (p75 - p25) by nearest-rank on the sorted sample.
-inline double iqr(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  if (n < 2) return 0.0;
-  const auto rank = [&](double q) { return v[std::min(n - 1, static_cast<std::size_t>(q * static_cast<double>(n)))]; };
-  return rank(0.75) - rank(0.25);
-}
-
-/// Median and IQR of one measured quantity over repeated trials.
-struct Sample {
-  double median = 0.0;
-  double iqr = 0.0;
-};
-
-inline Sample sample_of(const std::vector<double>& trials) {
-  return {median(trials), iqr(trials)};
-}
 
 /// Time `fn(iters)` (which must run the operation `iters` times and
 /// return a checksum byte) over `trials` repetitions, after one untimed
@@ -76,11 +50,11 @@ Sample time_ns_per_op(int trials, std::uint64_t iters, Fn&& fn) {
         static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
     ns.push_back(total_ns / static_cast<double>(iters));
   }
-  return sample_of(ns);
+  return sample_of(std::move(ns));
 }
 
-/// Ratio of two per-trial ns/op medians, the "speedup" convention used in
-/// the crypto JSON block: slow/fast, > 1 means `fast` won.
+/// Ratio of two per-trial ns/op medians, the "speedup" convention of
+/// BENCH_crypto.json: slow/fast, > 1 means `fast` won.
 inline double speedup(const Sample& slow, const Sample& fast) {
   return fast.median > 0.0 ? slow.median / fast.median : 0.0;
 }

@@ -32,7 +32,6 @@
 // and cross-jobs identity gates as healthy ones.
 //
 // Writes the merged report (timing included) to BENCH_scenarios.json.
-#include <fstream>
 #include <iostream>
 #include <map>
 
@@ -188,7 +187,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream("BENCH_scenarios.json") << scenario::report_json(shards, results, true, &runner);
+  bench::write_report("BENCH_scenarios.json",
+                      scenario::report_json(shards, results, true, &runner));
   std::cout << "wrote BENCH_scenarios.json\n";
   if (!args.trace_out.empty()) bench::write_sweep_trace(args.trace_out, shards, results, runner);
   if (diverged || nondeterministic || n_failed > 0) {

@@ -57,11 +57,7 @@ BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("XDP requires one core per Rx queue");
   }
 
-  if constexpr (std::is_same_v<Sim, sim::WheelSimulation>) {
-    sim_ = std::make_unique<Sim>(cfg.seed, sim::TimingWheelBackend(cfg.wheel));
-  } else {
-    sim_ = std::make_unique<Sim>(cfg.seed);
-  }
+  sim_ = std::make_unique<Sim>(cfg.seed);
 
   sim::CoreConfig core_cfg;
   core_cfg.governor = cfg.governor;
@@ -79,7 +75,7 @@ BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
 
   if (cfg.workload.fault.any()) {
     // Fault stream seeded from the *shard* seed on a dedicated stream tag:
-    // bit-identical across backends, geometries and --jobs by the same
+    // bit-identical across backends and --jobs by the same
     // argument as the workload stream.
     fault_ = std::make_unique<fault::FaultInjector>(cfg.workload.fault,
                                                     fault::FaultInjector::derive_seed(cfg.seed));
@@ -167,10 +163,7 @@ void BasicTestbed<Sim>::start() {
       // Arena form, not one coroutine per flow: at fig13_fullstack_1m+
       // scale (2^20..2^24 flows) the spawn loop and its millions of
       // frames would dominate setup; the SoA lanes are 16 B per flow.
-      // Bit-identical stream either way (test_tgen). Scenarios at this
-      // scale also set cfg_.wheel = WheelConfig::for_population(n_flows)
-      // so the wheel backend's geometry matches the timer population
-      // (registry.cpp); geometry never changes results, only wall time.
+      // Bit-identical stream either way (test_tgen).
       flow_arena_ = std::make_unique<tgen::PerFlowSourceArena<Sim>>(*sim_, *port_, *flows_, src);
     } else if (generator_ != nullptr) {
       tgen::attach(*sim_, *port_, *generator_);

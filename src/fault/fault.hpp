@@ -15,7 +15,7 @@
 //     tag, so fault randomness never aliases workload randomness). The
 //     injector is driven exclusively by packet arrival timestamps and the
 //     arrival *order* at the port — both already bit-identical across
-//     backends, geometries and `--jobs` — so fault sequences inherit the
+//     backends and `--jobs` — so fault sequences inherit the
 //     determinism contract and `fingerprint()` gates extend to faulty
 //     runs unchanged.
 //   * Counters (`fault.dropped`, `fault.corrupted`, `fault.dup`,

@@ -128,15 +128,12 @@ std::vector<ScenarioSpec> build_registry() {
     s.config.workload.n_flows = 1u << 20;
     s.config.warmup = 5 * sim::kMillisecond;
     s.config.measure = 25 * sim::kMillisecond;
-    s.config.wheel = sim::WheelConfig::for_population(s.config.workload.n_flows);
     reg.push_back(std::move(s));
   }
   {
     // 2^22 flows: the flow table no longer fits LLC and the mean per-flow
-    // gap (113 ms) dwarfs the default wheel's level-0 horizon, so the
-    // geometry matters — for_population() widens the level-0 slots until
-    // re-arms land there directly instead of cascading. Fingerprints stay
-    // identical to any other geometry (pure speed knob).
+    // gap (113 ms) dwarfs the wheel's level-0 horizon, so most re-arms
+    // cascade down from the upper levels.
     ScenarioSpec s{"fig13_fullstack_4m",
                    "fig13 multiqueue testbed on 2^22 per-flow sources (beyond-LLC regime)",
                    fig13_testbed()};
@@ -145,7 +142,6 @@ std::vector<ScenarioSpec> build_registry() {
     s.config.workload.n_flows = 1u << 22;
     s.config.warmup = 5 * sim::kMillisecond;
     s.config.measure = 25 * sim::kMillisecond;
-    s.config.wheel = sim::WheelConfig::for_population(s.config.workload.n_flows);
     reg.push_back(std::move(s));
   }
   {
@@ -162,7 +158,6 @@ std::vector<ScenarioSpec> build_registry() {
     s.config.workload.n_flows = 1u << 24;
     s.config.warmup = 5 * sim::kMillisecond;
     s.config.measure = 25 * sim::kMillisecond;
-    s.config.wheel = sim::WheelConfig::for_population(s.config.workload.n_flows);
     reg.push_back(std::move(s));
   }
 

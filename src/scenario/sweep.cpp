@@ -66,7 +66,7 @@ ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t t
   out.result = bed.finish_measurement();
   // The full telemetry set *is* the shard's observable state: snapshot it
   // once, fingerprint it (order-sensitive over every counter, summary and
-  // histogram bin — what cross-backend / cross-geometry identity means),
+  // histogram bin — what cross-backend identity means),
   // and derive the headline counter view from the same snapshot.
   out.telemetry = bed.telemetry().snapshot();
   out.fingerprint = out.telemetry.fingerprint();

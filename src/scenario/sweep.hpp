@@ -90,9 +90,9 @@ struct ShardResult {
   /// not on copied fields.
   stats::MetricSnapshot telemetry;
   /// Order-sensitive digest of `telemetry` — the cross-backend /
-  /// cross-geometry / cross-jobs identity check. Subsumes the old
-  /// latency-bin digest and ShardCounters comparison: any single counter
-  /// or bin diverging changes this value.
+  /// cross-jobs identity check. Subsumes the old latency-bin digest and
+  /// ShardCounters comparison: any single counter or bin diverging
+  /// changes this value.
   std::uint64_t fingerprint = 0;
   ShardCounters counters;              ///< headline view (see ShardCounters)
   std::uint64_t events = 0;            ///< kernel events over the whole run

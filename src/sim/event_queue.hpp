@@ -266,34 +266,6 @@ struct WheelConfig {
   /// Hierarchy depth; level k slots are `1 << (tick_shift + k*slot_bits)`
   /// ns wide. Events beyond level `levels - 1`'s horizon go to overflow.
   std::uint32_t levels = 5;
-
-  /// Measured per-population default geometry for the per-flow-source
-  /// regime (one armed timer per flow, re-arm gaps that grow linearly
-  /// with the population at a fixed aggregate rate).
-  ///
-  /// The numbers come from the `wheel_geometry_sweep` block of
-  /// bench_kernel_throughput (slot_bits x tick_shift grid over the
-  /// fig13_fullstack_1m/4m/16m scenarios, median wall time over repeated
-  /// trials; the fingerprint-identity gate proves geometry is a pure
-  /// speed knob, so the pick can never change results). The trend the
-  /// sweep shows: what matters is the level-0 horizon
-  /// `2^(slot_bits + tick_shift)` ns against the mean re-arm gap — once
-  /// the horizon covers the gap, re-arms land in level 0 directly and
-  /// are touched once instead of cascading down level by level. Hence
-  /// the horizon grows with the population while finer resolution (and
-  /// depth, bounded by `tick_shift + levels*slot_bits <= 62`) is traded
-  /// away.
-  ///
-  /// Guarantees (pinned in tests/test_timing_wheel.cpp): the returned
-  /// geometry is always constructible, the pick is a pure function of
-  /// `pending`, and the level-0 horizon is non-decreasing in the
-  /// population.
-  static constexpr WheelConfig for_population(std::size_t pending) noexcept {
-    if (pending < (std::size_t{1} << 21)) return WheelConfig{};     // <= ~1M: 8/10/5
-    if (pending < (std::size_t{1} << 23)) return WheelConfig{8, 16, 5};   // ~4M
-    return WheelConfig{12, 16, 3};  // >= ~8M: the win flattens at the
-                                    // memory-bandwidth wall; widest horizon
-  }
 };
 
 /// Hierarchical timing wheel tuned for very large pending populations of
@@ -342,8 +314,8 @@ class TimingWheelBackend {
   /// Default geometry (WheelConfig defaults).
   TimingWheelBackend() : TimingWheelBackend(WheelConfig{}) {}
   /// Custom geometry. Degenerate or overflowing grids are rejected loudly
-  /// in every build type (benches sweep geometry in Release, where an
-  /// assert would vanish): the top level's slot width must still fit in
+  /// in every build type (a Release assert would vanish): the top
+  /// level's slot width must still fit in
   /// the non-negative Time range.
   explicit TimingWheelBackend(const WheelConfig& cfg) : cfg_(cfg) {
     if (cfg.slot_bits < 1 || cfg.slot_bits > 20 || cfg.levels < 1 || cfg.levels > 16 ||

@@ -72,8 +72,8 @@ class BasicSimulation {
   /// Construct an idle simulation whose RNG is seeded with `seed`.
   explicit BasicSimulation(std::uint64_t seed = 1) : rng_(seed) {}
 
-  /// Construct with a pre-configured backend instance (e.g. a
-  /// TimingWheelBackend with non-default WheelConfig geometry).
+  /// Construct with a pre-configured backend instance (e.g. the
+  /// deliberately tiny TimingWheelBackend the wheel tests drive).
   BasicSimulation(std::uint64_t seed, Backend backend)
       : queue_(std::move(backend)), rng_(seed) {}
 

@@ -24,8 +24,8 @@
 ///   * **order-sensitive fingerprint()** — one 64-bit SplitMix64-chained
 ///     digest over every name, kind and value (histograms bin for bin).
 ///     Two runs fingerprint equal iff every registered observable is
-///     bit-identical, which is what cross-backend / cross-geometry /
-///     cross-jobs identity checks mean by "the same execution".
+///     bit-identical, which is what cross-backend / cross-jobs identity
+///     checks mean by "the same execution".
 ///
 /// Adding an observable to a layer is one `attach_*` line; it then shows
 /// up in snapshots, window deltas, merges, fingerprints and the JSON

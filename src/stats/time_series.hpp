@@ -21,7 +21,7 @@
 ///     between resets), with the side Summary handled as above.
 ///
 /// Each window carries the deterministic fingerprint of its delta, so the
-/// repo-wide identity gates (cross-backend, cross-geometry, jobs=N-vs-1)
+/// repo-wide identity gates (cross-backend, jobs=N-vs-1)
 /// extend from "the runs agree in aggregate" to "the runs agree window by
 /// window".
 ///

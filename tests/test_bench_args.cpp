@@ -3,10 +3,14 @@
 // A typoed flag on an overnight sweep used to silently run defaults and
 // produce wrong-but-plausible numbers; try_parse_args/try_parse_fast are
 // the testable cores behind the exiting wrappers, so the policy is pinned
-// here without spawning processes.
+// here without spawning processes. The shared report helpers
+// (sample_of, write_report) are pinned here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -215,6 +219,56 @@ TEST(BenchArgsTest, ParseFastAcceptsOnlyFast) {
   std::array<char*, 2> bad_argv{argv0.data(), f2.data()};
   ASSERT_FALSE(try_parse_fast(2, bad_argv.data(), fast, error));
   EXPECT_NE(error.find("--jobs=4"), std::string::npos) << error;
+}
+
+TEST(BenchStatsTest, SampleOfInterpolatesQuantilesLinearly) {
+  EXPECT_DOUBLE_EQ(sample_of({}).median, 0.0);
+  EXPECT_DOUBLE_EQ(sample_of({}).iqr, 0.0);
+  EXPECT_DOUBLE_EQ(sample_of({7.0}).median, 7.0);
+  EXPECT_DOUBLE_EQ(sample_of({7.0}).iqr, 0.0);
+  // n = 2: p25/p75 sit a quarter of the way in from either end.
+  EXPECT_DOUBLE_EQ(sample_of({3.0, 1.0}).median, 2.0);
+  EXPECT_DOUBLE_EQ(sample_of({3.0, 1.0}).iqr, 1.0);
+  // n = 3: p25/p75 halfway between neighbouring order statistics.
+  EXPECT_DOUBLE_EQ(sample_of({5.0, 1.0, 3.0}).median, 3.0);
+  EXPECT_DOUBLE_EQ(sample_of({5.0, 1.0, 3.0}).iqr, 2.0);
+}
+
+TEST(BenchStatsTest, SampleOfMatchesNearestRankAtCryptoTrialCounts) {
+  // bench_crypto runs 5 (--fast) or 9 trials. There the interpolated
+  // quantiles land on order statistics, so BENCH_crypto.json reads the
+  // same as under the nearest-rank IQR it used before (p = v[floor(q*n)]).
+  const auto nearest_rank_iqr = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const auto rank = [&](double q) {
+      return v[std::min(v.size() - 1, static_cast<std::size_t>(q * static_cast<double>(v.size())))];
+    };
+    return rank(0.75) - rank(0.25);
+  };
+  const std::vector<double> five{10.0, 1.0, 2.0, 20.0, 4.0};
+  EXPECT_DOUBLE_EQ(sample_of(five).median, 4.0);
+  EXPECT_DOUBLE_EQ(sample_of(five).iqr, 8.0);
+  EXPECT_DOUBLE_EQ(sample_of(five).iqr, nearest_rank_iqr(five));
+  const std::vector<double> nine{55.0, 1.0, 34.0, 2.0, 21.0, 3.0, 13.0, 5.0, 8.0};
+  EXPECT_DOUBLE_EQ(sample_of(nine).median, 8.0);
+  EXPECT_DOUBLE_EQ(sample_of(nine).iqr, 18.0);
+  EXPECT_DOUBLE_EQ(sample_of(nine).iqr, nearest_rank_iqr(nine));
+}
+
+TEST(BenchReportTest, WriteReportWritesTheText) {
+  const std::string path = ::testing::TempDir() + "bench_report_test.json";
+  write_report(path, "{\"bench\": \"test\"}\n");
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "{\"bench\": \"test\"}\n");
+}
+
+TEST(BenchReportTest, UnwritableReportPathExitsOne) {
+  // A report that cannot be written must fail the bench, not leave a
+  // silently absent BENCH_*.json behind an exit 0.
+  const std::string path = ::testing::TempDir() + "no_such_dir/BENCH_test.json";
+  EXPECT_EXIT(write_report(path, "{}"), ::testing::ExitedWithCode(1), "cannot open report file");
 }
 
 }  // namespace

@@ -302,17 +302,5 @@ TEST(SweepRunnerTest, MergedResultsIdenticalForAnyWorkerCount) {
             scenario::report_json(shards, parallel, false));
 }
 
-TEST(SweepRunnerTest, WheelGeometryIsAPureSpeedKnob) {
-  // Slot/tick/level geometry may change how fast the wheel simulates,
-  // never what it simulates.
-  auto cfg = small_config(ArrivalModel::kPerFlow);
-  const scenario::Shard coarse{"w", BackendKind::kWheel, cfg};
-  cfg.wheel = sim::WheelConfig{4, 6, 8};  // 16-slot levels, 64 ns tick
-  const scenario::Shard fine{"w", BackendKind::kWheel, cfg};
-  const auto results = scenario::SweepRunner(2).run({coarse, fine});
-  ASSERT_GT(results[0].counters.processed, 1000u);
-  EXPECT_EQ(fingerprint_of(results[0]), fingerprint_of(results[1]));
-}
-
 }  // namespace
 }  // namespace metro
