@@ -21,6 +21,7 @@
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "stats/histogram.hpp"
+#include "stats/summary.hpp"
 
 using namespace metro;
 
@@ -166,6 +167,21 @@ void BM_HistogramAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramAdd);
+
+// One sample per packet on the latency path. The summary is forced to
+// memory every iteration, as it is between the simulator's callbacks, so
+// each add waits on the previous one: this times the update's latency.
+void BM_SummaryAdd(benchmark::State& state) {
+  stats::Summary s;
+  double v = 0.0;
+  for (auto _ : state) {
+    s.add(v);
+    benchmark::DoNotOptimize(s);
+    v += 0.37;
+    if (v > 4000.0) v = 0.0;
+  }
+}
+BENCHMARK(BM_SummaryAdd);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events dispatched per second by the DES kernel.

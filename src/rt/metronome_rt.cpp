@@ -112,8 +112,10 @@ void MetronomeRt::worker_loop(int thread_id) {
 
     std::uint64_t drained = 0;
     int n;
-    while ((n = q.ring->pop_burst(burst.data(), cfg_.burst)) > 0 &&
-           running_.load(std::memory_order_relaxed)) {
+    // Stop check before the pop: a burst popped after stop() must still be
+    // counted, or the conservation audit in stop() comes up short.
+    while (running_.load(std::memory_order_relaxed) &&
+           (n = q.ring->pop_burst(burst.data(), cfg_.burst)) > 0) {
       const std::int64_t t_pop = monotonic_ns();
       for (int i = 0; i < n; ++i) {
         my.latency_us.add(static_cast<double>(t_pop - burst[static_cast<std::size_t>(i)].arrival_ns) /

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -31,9 +32,10 @@ struct Boxplot {
 class Histogram {
  public:
   /// `bin_width` and `max_value` are in the caller's unit (we use us).
+  /// Throws std::invalid_argument unless bin_width is finite and positive
+  /// and max_value is finite and at least bin_width.
   Histogram(double bin_width, double max_value)
-      : bin_width_(bin_width),
-        bins_(static_cast<std::size_t>(max_value / bin_width) + 1, 0) {}
+      : bin_width_(bin_width), bins_(checked_bin_count(bin_width, max_value), 0) {}
 
   // Copies stay geometry-identical but only move the touched bin prefix:
   // the default latency geometry is 100k bins (~0.8 MB) of which a run
@@ -135,8 +137,8 @@ class Histogram {
   }
 
   /// Bin-wise merge of another histogram filled at the *same* geometry:
-  /// bins and overflow add, the side Summary merges by the parallel-
-  /// moments rule. Merging shard histograms of split sub-streams yields
+  /// bins and overflow add, the side Summary merges its shifted sums
+  /// (Summary::merge). Merging shard histograms of split sub-streams yields
   /// bin counts identical to a single-pass fill of the combined stream.
   /// Throws std::invalid_argument on a bin-width or bin-count mismatch —
   /// silently resampling mismatched geometries would fabricate data.
@@ -203,6 +205,25 @@ class Histogram {
   }
 
  private:
+  static std::size_t checked_bin_count(double bin_width, double max_value) {
+    if (!std::isfinite(bin_width) || bin_width <= 0.0) {
+      throw std::invalid_argument("Histogram: bin_width must be finite and > 0, got " +
+                                  std::to_string(bin_width));
+    }
+    if (!std::isfinite(max_value) || max_value < bin_width) {
+      throw std::invalid_argument("Histogram: max_value must be finite and >= bin_width (" +
+                                  std::to_string(bin_width) + "), got " +
+                                  std::to_string(max_value));
+    }
+    const double bins = max_value / bin_width;
+    // The cast below is undefined for a value past size_t's range.
+    if (!(bins < 0x1p62)) {
+      throw std::invalid_argument("Histogram: max_value / bin_width = " + std::to_string(bins) +
+                                  " bins does not fit a size_t");
+    }
+    return static_cast<std::size_t>(bins) + 1;
+  }
+
   double bin_width_;
   std::vector<std::uint64_t> bins_;
   std::uint64_t overflow_ = 0;

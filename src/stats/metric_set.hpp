@@ -17,8 +17,8 @@
 ///     so a measurement window is two calls, not a hand-copied
 ///     `*_at_start_` field per counter;
 ///   * **deterministic merge** — `MetricSnapshot::merge` unions two
-///     snapshots by name: counters/gauges add, `Summary`s merge by the
-///     parallel-moments rule, `Histogram`s merge bin-wise (geometry
+///     snapshots by name: counters/gauges add, `Summary`s add their
+///     shifted sums, `Histogram`s merge bin-wise (geometry
 ///     mismatches throw). Shard results merge without anyone hand-picking
 ///     a field subset;
 ///   * **order-sensitive fingerprint()** — one 64-bit SplitMix64-chained

@@ -13,10 +13,11 @@
 ///     delta bit-exactly);
 ///   * **gauge** — the value at the window's end (a level, not a total);
 ///   * **summary** — moment-subtracted window statistics: count and sum
-///     are exact, mean/variance follow from the inverse of the parallel-
-///     moments merge rule; min/max stay run-so-far (extremes are not
-///     window-recoverable from moments alone — documented, and the merge
-///     of all windows still yields the exact run extremes);
+///     are exact, mean/variance follow from subtracting the earlier
+///     snapshot's shifted sums (Summary::since); min/max stay run-so-far
+///     (extremes are not window-recoverable from moments alone —
+///     documented, and the merge of all windows still yields the exact
+///     run extremes);
 ///   * **histogram** — bin-wise exact subtraction (bins are monotonic
 ///     between resets), with the side Summary handled as above.
 ///

@@ -1,7 +1,6 @@
 #include "tgen/feeder.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 namespace metro::tgen {
@@ -12,42 +11,33 @@ template <typename Sim>
 sim::Task feeder_task(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen, FeederConfig cfg) {
   // Pull through next_batch() so hot generators amortise the virtual call
   // and state reloads; the buffer is a pure prefetch — group boundaries
-  // (window + max_batch) are identical to the old one-next()-at-a-time
-  // loop because next_batch draws the exact next() stream.
+  // (window + max_batch) are identical to a one-next()-at-a-time loop
+  // because next_batch draws the exact next() stream, and a refill happens
+  // only when the grouping needs the next packet.
+  const auto max_batch = static_cast<std::size_t>(cfg.max_batch);
   std::vector<nic::PacketDesc> buf;
-  buf.reserve(static_cast<std::size_t>(cfg.max_batch));
+  buf.reserve(max_batch);
   std::size_t head = 0;
-  const auto pull = [&]() -> std::optional<nic::PacketDesc> {
-    if (head == buf.size()) {
-      buf.clear();
-      head = 0;
-      gen.next_batch(buf, static_cast<std::size_t>(cfg.max_batch));
-      if (buf.empty()) return std::nullopt;
-    }
-    return buf[head++];
+  const auto refill = [&] {
+    buf.clear();
+    head = 0;
+    gen.next_batch(buf, max_batch);
+    return !buf.empty();
   };
   std::vector<nic::PacketDesc> group;
-  group.reserve(static_cast<std::size_t>(cfg.max_batch));
-  std::optional<nic::PacketDesc> carry = pull();
-  while (carry.has_value()) {
+  group.reserve(max_batch);
+  while (head < buf.size() || refill()) {
     group.clear();
-    const sim::Time window_start = carry->arrival;
-    group.push_back(*carry);
-    carry.reset();
-    while (static_cast<int>(group.size()) < cfg.max_batch) {
-      auto pkt = pull();
-      if (!pkt.has_value()) break;
-      if (pkt->arrival > window_start + cfg.batch_window) {
-        carry = pkt;  // belongs to the next group
-        break;
-      }
-      group.push_back(*pkt);
+    const sim::Time window_end = buf[head].arrival + cfg.batch_window;
+    group.push_back(buf[head++]);
+    while (group.size() < max_batch && (head < buf.size() || refill()) &&
+           buf[head].arrival <= window_end) {
+      group.push_back(buf[head++]);
     }
     // Deliver the whole group when its last packet has arrived on the wire
     // — one port call per group, not one per packet.
     co_await sim.sleep_until(group.back().arrival);
     port.rx_burst(group.data(), static_cast<int>(group.size()));
-    if (!carry.has_value()) carry = pull();
   }
 }
 

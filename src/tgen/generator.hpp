@@ -35,7 +35,10 @@ class FlowSet {
   const net::FiveTuple& tuple(std::uint32_t flow_id) const {
     return flows_[flow_id % flows_.size()].tuple;
   }
+  /// Every picker-drawn id is in range, so the per-packet path skips the
+  /// 64-bit modulo; an out-of-range id wraps as tuple() does.
   std::uint32_t rss_hash(std::uint32_t flow_id) const {
+    if (flow_id < flows_.size()) [[likely]] return flows_[flow_id].rss;
     return flows_[flow_id % flows_.size()].rss;
   }
 

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -127,13 +129,124 @@ TEST(HistogramTest, NegativeValuesClampToFirstBin) {
   h.add(-5.0);
   EXPECT_EQ(h.bin_count(0), 1u);
 }
+// --- accuracy against a long-double two-pass reference ----------------------
+// Each case draws 10^7 samples from a seeded stream and regenerates the
+// stream for the reference instead of storing it. Mean and variance must
+// agree to 1e-11 relative.
+
+constexpr std::size_t kAccuracyN = 10'000'000;
+constexpr double kAccuracyTol = 1e-11;
+
+struct Reference {
+  long double mean = 0.0L;
+  long double variance = 0.0L;
+};
+
+/// Two-pass moments of samples [lo, hi) of the stream `draw(i, rng)` seeded
+/// with `seed`, in long double.
+template <typename Draw>
+Reference two_pass(std::uint64_t seed, std::size_t lo, std::size_t hi, Draw draw) {
+  long double sum = 0.0L;
+  sim::Rng rng(seed);
+  for (std::size_t i = 0; i < hi; ++i) {
+    const double x = draw(i, rng);
+    if (i >= lo) sum += x;
+  }
+  const auto n = static_cast<long double>(hi - lo);
+  Reference r;
+  r.mean = sum / n;
+  long double ss = 0.0L;
+  rng = sim::Rng(seed);
+  for (std::size_t i = 0; i < hi; ++i) {
+    const long double d = draw(i, rng) - r.mean;
+    if (i >= lo) ss += d * d;
+  }
+  r.variance = ss / (n - 1.0L);
+  return r;
+}
+
+void expect_matches(const stats::Summary& s, const Reference& r) {
+  EXPECT_LE(std::fabs((s.mean() - r.mean) / r.mean), kAccuracyTol)
+      << "mean " << s.mean() << " vs " << static_cast<double>(r.mean);
+  EXPECT_LE(std::fabs((s.variance() - r.variance) / r.variance), kAccuracyTol)
+      << "variance " << s.variance() << " vs " << static_cast<double>(r.variance);
+}
+
+TEST(SummaryAccuracyTest, LargeMeanUnitVariance) {
+  const auto draw = [](std::size_t, sim::Rng& rng) { return rng.normal(1e9, 1.0); };
+  stats::Summary s;
+  sim::Rng rng(21);
+  for (std::size_t i = 0; i < kAccuracyN; ++i) s.add(draw(i, rng));
+  expect_matches(s, two_pass(21, 0, kAccuracyN, draw));
+}
+
+// The first sample sets the initial shift; 10^3 sigma off the mean, only
+// the power-of-two re-centring keeps S2 - S1^2/n from cancelling.
+TEST(SummaryAccuracyTest, OutlyingFirstSampleIsRecentred) {
+  const auto draw = [](std::size_t i, sim::Rng& rng) {
+    return i == 0 ? 1e6 + 1e3 : rng.normal(1e6, 1.0);
+  };
+  stats::Summary s;
+  sim::Rng rng(22);
+  for (std::size_t i = 0; i < kAccuracyN; ++i) s.add(draw(i, rng));
+  expect_matches(s, two_pass(22, 0, kAccuracyN, draw));
+}
+
+// Small integers (packets per burst): the re-centre rounds K to a grid the
+// samples share, so every x - K and its square are exact. An unrounded K
+// adds the same few inexact squares 10^7 times, all rounding one way.
+TEST(SummaryAccuracyTest, IntegerSamplesAccumulateExactly) {
+  const auto draw = [](std::size_t, sim::Rng& rng) {
+    return rng.uniform() < 0.85 ? 32.0 : std::floor(rng.uniform(12.0, 32.0));
+  };
+  stats::Summary s;
+  sim::Rng rng(25);
+  for (std::size_t i = 0; i < kAccuracyN; ++i) s.add(draw(i, rng));
+  expect_matches(s, two_pass(25, 0, kAccuracyN, draw));
+}
+
+// The snapshot is taken at 3e6 samples, so re-centres at 2^22 and 2^23 fall
+// inside the window; the window also has its own mean and spread.
+TEST(SummaryAccuracyTest, SinceAcrossRecentre) {
+  constexpr std::size_t kSnap = 3'000'000;
+  const auto draw = [](std::size_t i, sim::Rng& rng) {
+    return i < kSnap ? rng.normal(1e9, 1.0) : rng.normal(1e9 + 10.0, 3.0);
+  };
+  stats::Summary s, snap;
+  sim::Rng rng(23);
+  for (std::size_t i = 0; i < kAccuracyN; ++i) {
+    if (i == kSnap) snap = s;
+    s.add(draw(i, rng));
+  }
+  const stats::Summary w = s.since(snap);
+  EXPECT_EQ(w.count(), kAccuracyN - kSnap);
+  expect_matches(w, two_pass(23, kSnap, kAccuracyN, draw));
+}
+
+// Four contiguous shards with different means (hence different shifts)
+// and spreads, merged in order.
+TEST(SummaryAccuracyTest, MergeOfShardsWithDifferentShifts) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kPerShard = kAccuracyN / kShards;
+  const auto draw = [](std::size_t i, sim::Rng& rng) {
+    const auto shard = static_cast<double>(i / kPerShard);
+    return rng.normal(1e9 + 100.0 * shard, 1.0 + shard);
+  };
+  std::vector<stats::Summary> shards(kShards);
+  sim::Rng rng(24);
+  for (std::size_t i = 0; i < kAccuracyN; ++i) shards[i / kPerShard].add(draw(i, rng));
+  stats::Summary merged = shards[0];
+  for (std::size_t k = 1; k < kShards; ++k) merged.merge(shards[k]);
+  EXPECT_EQ(merged.count(), kAccuracyN);
+  expect_matches(merged, two_pass(24, 0, kAccuracyN, draw));
+}
 
 // Property: filling N shards with disjoint sub-streams and merging them
 // must reproduce the single-pass fill bin for bin — the guarantee the
 // sweep runner's shard merge rests on. (Pairs with
 // SummaryTest.MergeEqualsCombinedStream: the embedded Summary merges by
-// the parallel-moments rule, exact for count/min/max/sum, near-exact for
-// mean/variance.)
+// re-shifting the other side's sums onto its own shift and adding, exact
+// for count/min/max/sum, near-exact for mean/variance.)
 TEST(HistogramTest, MergeOfSplitShardsBitIdenticalToSinglePass) {
   sim::Rng rng(17);
   stats::Histogram all(0.5, 50.0);
@@ -157,7 +270,7 @@ TEST(HistogramTest, MergeOfSplitShardsBitIdenticalToSinglePass) {
   // Exact side-summary fields (order-independent ones are bit-identical).
   EXPECT_DOUBLE_EQ(merged.summary().min(), all.summary().min());
   EXPECT_DOUBLE_EQ(merged.summary().max(), all.summary().max());
-  // Moments via the parallel rule: equal to tight tolerance.
+  // Moments via the shifted-sum merge: equal to tight tolerance.
   EXPECT_NEAR(merged.summary().mean(), all.summary().mean(), 1e-9);
   EXPECT_NEAR(merged.summary().variance(), all.summary().variance(), 1e-6);
 }
@@ -178,6 +291,25 @@ TEST(HistogramTest, MergeRejectsGeometryMismatch) {
   EXPECT_THROW(a.merge(stats::Histogram(1.0, 20.0)), std::invalid_argument);  // bin count
   stats::Histogram same(1.0, 10.0);
   a.merge(same);  // identical geometry is fine
+}
+
+TEST(HistogramTest, ConstructorRejectsBadGeometry) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double width : {0.0, -1.0, kInf, kNan}) {
+    EXPECT_THROW(stats::Histogram(width, 10.0), std::invalid_argument) << "bin_width " << width;
+  }
+  for (const double max : {kInf, kNan, 0.5, 0.0, -10.0}) {
+    EXPECT_THROW(stats::Histogram(1.0, max), std::invalid_argument) << "max_value " << max;
+  }
+  EXPECT_THROW(stats::Histogram(1e-300, 1e300), std::invalid_argument);  // bin count overflows
+  try {
+    stats::Histogram(0.0, 10.0);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bin_width"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(stats::Histogram(1.0, 1.0).n_bins(), 2u);  // max_value == bin_width is fine
 }
 
 TEST(EwmaTest, FirstSamplePrimes) {

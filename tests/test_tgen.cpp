@@ -31,6 +31,18 @@ TEST(FlowSetTest, DeterministicAndDistinct) {
   EXPECT_EQ(distinct, 63);
 }
 
+// rss_hash reads in-range ids directly and wraps the rest by modulo; both
+// paths must agree with tuple()'s wrap.
+TEST(FlowSetTest, OutOfRangeIdsWrapModuloSize) {
+  constexpr std::uint32_t kN = 37;
+  FlowSet flows(kN, 9);
+  for (std::uint32_t id = 0; id < kN; ++id) {
+    for (const std::uint32_t k : {1u, 2u, 5u, 1000u, 0xFFFFFFFFu / kN - 1}) {
+      ASSERT_EQ(flows.rss_hash(id + k * kN), flows.rss_hash(id)) << "id " << id << " k " << k;
+    }
+  }
+}
+
 TEST(StreamGeneratorTest, CbrGapsAreExact) {
   FlowSet flows(8, 1);
   StreamConfig cfg;
