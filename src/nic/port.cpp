@@ -54,7 +54,7 @@ bool BasicPort<Sim>::accept(const PacketDesc& pkt) {
 }
 
 template <typename Sim>
-bool BasicPort<Sim>::rx(PacketDesc pkt) {
+bool BasicPort<Sim>::rx(const PacketDesc& pkt) {
   if (faults_ == nullptr) return accept(pkt);
   // The injector decides how many copies (0, 1 or 2, possibly mutated or
   // reordered) actually reach the MAC; each surviving copy runs the full

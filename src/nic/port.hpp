@@ -51,7 +51,7 @@ class BasicPort {
 
   /// NIC-side ingress: RSS-dispatch one descriptor. Returns false if the
   /// packet was dropped (fault plane, ring full or device cap exceeded).
-  bool rx(PacketDesc pkt);
+  bool rx(const PacketDesc& pkt);
 
   /// Ingress of `n` descriptors with non-decreasing arrival times (a
   /// feeder group). Semantically identical to n rx() calls — same cap

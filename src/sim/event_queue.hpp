@@ -28,7 +28,8 @@
 ///     the backend declares `kPositionalCancel == true`. The simulation
 ///     uses the recorded position for O(log n) `erase_at` cancellation.
 ///   * `ctx.dead(entry)` — liveness query: true when a kCallback entry has
-///     been cancelled (tombstoned). Backends with
+///     been cancelled (tombstoned); always false for the other kinds,
+///     which cannot be cancelled. Backends with
 ///     `kPositionalCancel == false` never see a cancelled entry removed
 ///     eagerly; they must use this hook to drop tombstones lazily and must
 ///     never surface a dead entry from peek()/pop_min().
@@ -61,22 +62,30 @@
 
 namespace metro::sim {
 
-/// Discriminates the two event payload flavours carried by EventEntry.
+/// Discriminates the three event payload flavours carried by EventEntry.
 enum class EventKind : std::uint32_t {
   kCoroutine,  ///< payload is a raw coroutine frame address (hot path)
-  kCallback    ///< slot indexes the simulation's pooled callback table
+  kCallback,   ///< slot indexes the simulation's pooled callback table
+  kTimer       ///< payload is a TimerTarget*, slot its 32-bit argument
 };
 
 /// 32-byte POD event record; comparisons and moves stay inside contiguous
-/// backend storage. For kCoroutine entries `payload` is the frame address;
-/// for kCallback entries it carries the slot *generation* at scheduling
-/// time, which is how tombstoning backends detect cancellation (a
-/// cancelled slot's generation has been bumped).
+/// backend storage. What `payload` and `slot` mean depends on the kind:
+///
+///   * kCoroutine — payload is the frame address; slot is unused.
+///   * kCallback  — slot indexes the simulation's callback pool and
+///     payload carries that slot's *generation* at scheduling time, which
+///     is how tombstoning backends detect cancellation (a cancelled slot's
+///     generation has been bumped). The only kind ctx.dead()/ctx.moved()
+///     ever act on.
+///   * kTimer     — payload is the TimerTarget* to fire and slot the
+///     argument it receives. The record is the whole event: no side-table
+///     state, and it can never be cancelled (or be dead).
 struct EventEntry {
   Time at;            ///< absolute virtual timestamp, ns
   std::uint64_t seq;  ///< global insertion sequence; ties broken by it
-  void* payload;      ///< coroutine frame, or encoded generation
-  std::uint32_t slot; ///< kCallback: index into the callback slot pool
+  void* payload;      ///< coroutine frame, encoded generation, or target
+  std::uint32_t slot; ///< kCallback: pool index; kTimer: target argument
   EventKind kind;     ///< payload discriminator
 };
 static_assert(sizeof(EventEntry) == 32);

@@ -23,11 +23,17 @@
 ///     resumes): the raw handle rides inside the event record itself, with
 ///     zero side-table bookkeeping, and same-instant resumes bypass the
 ///     backend entirely through a FIFO that is already in execution order;
-///   * callback events (governor ticks, timers, test fixtures) live in a
-///     pooled slot with a small-buffer-optimised callable and a stable
-///     EventId, so pending timers can be *cancelled* instead of being left
-///     to fire as stale no-ops. Callables that are trivially copyable and
-///     fit kInlineCallbackSize bytes never touch the heap allocator.
+///   * timer events (the per-flow arrival timers of PerFlowSourceArena)
+///     work the same way: a TimerTarget* and a 32-bit argument ride inside
+///     the record, so a pending timer costs its 32 bytes and nothing else —
+///     no slot to acquire or release, no callable to copy. They cannot be
+///     cancelled;
+///   * callback events (governor ticks, cancellable timeouts, test
+///     fixtures) live in a pooled slot with a small-buffer-optimised
+///     callable and a stable EventId, so pending timers can be *cancelled*
+///     instead of being left to fire as stale no-ops. Callables that are
+///     trivially copyable and fit kInlineCallbackSize bytes never touch the
+///     heap allocator.
 #pragma once
 
 #include <cassert>
@@ -45,6 +51,18 @@
 #include "sim/time.hpp"
 
 namespace metro::sim {
+
+/// Receiver of kTimer events (BasicSimulation::schedule_timer_at): the
+/// kernel calls on_timer(arg) with the argument the timer was armed with.
+/// The target must outlive every timer armed on it — a timer cannot be
+/// cancelled. Never deleted through this interface.
+class TimerTarget {
+ public:
+  virtual void on_timer(std::uint32_t arg) = 0;
+
+ protected:
+  ~TimerTarget() = default;
+};
 
 /// The discrete-event kernel, templated over the pending-event store.
 ///
@@ -122,6 +140,22 @@ class BasicSimulation {
   template <typename F>
   EventId schedule_after(Time delay, F&& fn) {
     return schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
+  }
+
+  /// Schedule `target->on_timer(arg)` at absolute virtual time `t`. The
+  /// whole event lives in its 32-byte record (no callback slot), so this
+  /// is the cheap way to keep one timer per flow armed; the price is that
+  /// it cannot be cancelled. It takes a sequence number exactly like
+  /// schedule_at, so replacing a callback by a timer keeps the run's
+  /// execution order.
+  void schedule_timer_at(Time t, TimerTarget* target, std::uint32_t arg) {
+    EventEntry e;
+    e.at = t < now_ ? now_ : t;
+    e.seq = next_seq_++;
+    e.payload = target;
+    e.slot = arg;
+    e.kind = EventKind::kTimer;
+    queue_.push(e, ctx());
   }
 
   /// Schedule a coroutine resume at absolute virtual time `t`. This is the
@@ -361,6 +395,8 @@ class BasicSimulation {
     if (top.kind == EventKind::kCoroutine) {
       const auto h = std::coroutine_handle<>::from_address(top.payload);
       if (!h.done()) h.resume();
+    } else if (top.kind == EventKind::kTimer) {
+      static_cast<TimerTarget*>(top.payload)->on_timer(top.slot);
     } else {
       // Detach the callable before invoking: the handler may schedule new
       // events that reuse this slot, and the popped id is stale from here.

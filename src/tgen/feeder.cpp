@@ -130,17 +130,18 @@ void PerFlowSourceArena<Sim>::bootstrap() {
 
 template <typename Sim>
 void PerFlowSourceArena<Sim>::arm(std::uint32_t flow) {
-  // [this, flow] is 16 trivially-copyable bytes — inside the kernel's
-  // inline callback budget, so steady state never allocates.
-  sim_.schedule_at(next_at_[flow], [this, flow] { --armed_; fire(flow); });
+  // A kTimer event: {this, flow} rides in the kernel's 32-byte event
+  // record, so arming touches no callback slot and never allocates.
+  sim_.schedule_timer_at(next_at_[flow], this, flow);
   ++armed_;
 }
 
 template <typename Sim>
-void PerFlowSourceArena<Sim>::fire(std::uint32_t flow) {
+void PerFlowSourceArena<Sim>::on_timer(std::uint32_t flow) {
   // The fire path touches only the firing flow's lane entries (rss read,
   // draw-state bump, next-fire write) plus the shared config/RNG — no
   // neighbouring flow state comes into the working set.
+  --armed_;
   nic::PacketDesc pkt;
   pkt.flow_id = flow;
   pkt.rss_hash = rss_[flow];

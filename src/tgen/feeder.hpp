@@ -20,14 +20,14 @@
 //     reference; a heap-allocated frame per flow makes it unaffordable at
 //     the million-flow mark.
 //   * PerFlowSourceArena — the same processes as a structure-of-arrays
-//     arena plus one pooled callback timer per flow. 16 bytes of arena
-//     state per flow across three packed lanes, steady-state
-//     allocation-free, and construction is a few vector fills instead of
-//     millions of coroutine frames. Emits the byte-identical event
-//     stream (enforced by tests/test_tgen.cpp).
+//     arena plus one kernel timer event per flow. 16 bytes of arena
+//     state per flow across three packed lanes plus the timer's 32-byte
+//     event record, steady-state allocation-free, and construction is a
+//     few vector fills instead of millions of coroutine frames. Emits
+//     the byte-identical event stream (enforced by tests/test_tgen.cpp).
 //
 // All entry points are generic over the kernel instantiation; defined in
-// feeder.cpp and instantiated for the three shipped backends.
+// feeder.cpp and instantiated for both shipped backends.
 #pragma once
 
 #include <memory>
@@ -82,10 +82,11 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 ///                            RNG (per-flow accounting for the at-scale
 ///                            invariant tests).
 ///
-/// One pending kernel timer per flow carries only the flow index (the
-/// 16-byte callback fits the kernel's inline budget), so a fire touches
-/// the firing flow's lane entries and nothing else — no coroutine frame,
-/// no per-arrival allocation, no shared record to false-share.
+/// One pending kernel timer per flow (a kTimer event, see
+/// sim::TimerTarget) carries only the arena and the flow index inside its
+/// 32-byte event record, so a fire touches the firing flow's lane entries
+/// and nothing else — no coroutine frame, no callback slot, no per-arrival
+/// allocation, no shared record to false-share.
 ///
 /// Re-arming is batched where the population is batched: constructing the
 /// arena schedules a single bootstrap callback that first streams the
@@ -107,10 +108,10 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 /// (tests/test_tgen.cpp pins this). Only the kernel's internal event
 /// count differs: one bootstrap event replaces the n spawn resumes.
 ///
-/// The arena must outlive the simulation run; it is pinned (callbacks
-/// capture `this`).
+/// The arena must outlive the simulation run; it is pinned (its bootstrap
+/// callback and its timers point at `this`).
 template <typename Sim>
-class PerFlowSourceArena {
+class PerFlowSourceArena final : public sim::TimerTarget {
  public:
   /// next_fire_at() value of a flow with no pending timer (retired past
   /// `start + duration`, or not yet bootstrapped).
@@ -138,7 +139,8 @@ class PerFlowSourceArena {
 
  private:
   void bootstrap();
-  void fire(std::uint32_t flow);
+  /// One flow's timer fired: emit its packet, draw its next gap, re-arm.
+  void on_timer(std::uint32_t flow) override;
   void arm(std::uint32_t flow);
 
   Sim& sim_;

@@ -1,14 +1,18 @@
 // The event-ID API: stable-id timer cancellation and id staleness,
 // parameterized over both event-queue backends (eager positional erase on
 // the binary heap, lazy tombstoning on the timing wheel). The observable
-// contract is identical.
+// contract is identical. The last case mixes all three event kinds
+// (coroutine, callback, kTimer) and pins their shared (at, seq) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace metro::sim {
@@ -183,6 +187,118 @@ TYPED_TEST(EventCancelTest, ChurnWhileRunning) {
   EXPECT_EQ(fired, scheduled - cancelled);
   EXPECT_TRUE(sim.idle());
   EXPECT_GT(fired, 1000u) << "churn must do real work";
+}
+
+// --- three event kinds in one order ----------------------------------------
+//
+// Every schedule call below first takes a tag from MixedOrderLog::note(),
+// with no other schedule in between, so tags are handed out in the
+// kernel's seq order and the expected execution is the live (at, tag)
+// pairs sorted.
+
+struct MixedOrderLog {
+  std::vector<std::pair<Time, std::uint32_t>> expected;  // (at, tag) per live event
+  std::vector<std::pair<Time, std::uint32_t>> fired;     // (now, tag) per execution
+  std::uint32_t next_tag = 0;
+
+  std::uint32_t note(Time at) {
+    expected.emplace_back(at, next_tag);
+    return next_tag++;
+  }
+};
+
+template <typename Sim>
+struct TagTimer final : TimerTarget {
+  Sim* sim;
+  MixedOrderLog* log;
+  TagTimer(Sim& s, MixedOrderLog& l) : sim(&s), log(&l) {}
+  void on_timer(std::uint32_t tag) override { log->fired.emplace_back(sim->now(), tag); }
+};
+
+/// Logs its first resume under `resume_tag`, then sleeps until `at` and
+/// logs the wake-up under the tag it takes just before suspending.
+template <typename Sim>
+Task tag_sleeper(Sim& sim, MixedOrderLog& log, std::uint32_t resume_tag, Time at) {
+  log.fired.emplace_back(sim.now(), resume_tag);
+  const std::uint32_t tag = log.note(at);
+  co_await sim.sleep_until(at);
+  log.fired.emplace_back(sim.now(), tag);
+}
+
+TYPED_TEST(EventCancelTest, TimerCallbackAndCoroutineEventsShareOneOrder) {
+  using Sim = typename TestFixture::Sim;
+  Sim sim;
+  MixedOrderLog log;
+  TagTimer<Sim> timers(sim, log);
+  const auto timer_at = [&](Time at) { sim.schedule_timer_at(at, &timers, log.note(at)); };
+  const auto callback_at = [&](Time at) {
+    const std::uint32_t tag = log.note(at);
+    const auto id =
+        sim.schedule_at(at, [&log, &sim, tag] { log.fired.emplace_back(sim.now(), tag); });
+    return std::pair{id, tag};
+  };
+  const auto cancel = [&](std::pair<typename Sim::EventId, std::uint32_t> ev) {
+    EXPECT_TRUE(sim.cancel(ev.first));
+    std::erase_if(log.expected, [&](const auto& e) { return e.second == ev.second; });
+  };
+  const auto spawn_now = [&](Time at) {
+    const std::uint32_t tag = log.note(sim.now());
+    sim.spawn(tag_sleeper(sim, log, tag, at));
+  };
+  // Every live event noted so far and not yet run is pending — timers too.
+  const auto expect_pending = [&] {
+    EXPECT_EQ(sim.pending_events(), log.expected.size() - log.fired.size());
+  };
+
+  // On the wheel (1024 ns level-0 ticks) everything in [2048, 3072) shares
+  // one level-0 slot: timers, live callbacks, a coroutine wake-up and the
+  // tombstones of two cancelled callbacks, at equal and at distinct times.
+  timer_at(2900);
+  timer_at(2500);
+  callback_at(2500);
+  timer_at(2100);
+  const auto doomed_a = callback_at(2200);
+  timer_at(2500);
+  const auto doomed_b = callback_at(2500);
+  callback_at(2700);
+  timer_at(2200);
+  spawn_now(2500);  // first resume at 0 via the now-FIFO, wakes at 2500
+  // Far enough out to sit in a level-1 slot, so timers cascade down next
+  // to a tombstone.
+  timer_at(400'000);
+  const auto doomed_c = callback_at(400'100);
+  timer_at(400'100);
+  callback_at(400'100);
+  // At 1000 ns: two spawns enter the now-FIFO, then a timer and a callback
+  // are armed at now(). Both resumes hold lower seqs, so they run first.
+  const std::uint32_t hook = log.note(1000);
+  sim.schedule_at(1000, [&, hook] {
+    log.fired.emplace_back(sim.now(), hook);
+    spawn_now(2300);
+    spawn_now(2600);
+    timer_at(sim.now());
+    callback_at(sim.now());
+  });
+  cancel(doomed_a);
+  cancel(doomed_b);
+  cancel(doomed_c);
+  expect_pending();
+
+  sim.run_until(2000);
+  EXPECT_EQ(log.fired.size(), 6u) << "the 0 ns resume, the hook and its four events";
+  expect_pending();
+  sim.run_until(2500);
+  expect_pending();
+  sim.run();
+  expect_pending();
+  EXPECT_TRUE(sim.idle());
+
+  auto want = log.expected;
+  std::sort(want.begin(), want.end());
+  // Equal vectors: every live event ran exactly once, at its time, in
+  // (at, seq) order; no cancelled callback ran.
+  EXPECT_EQ(log.fired, want);
+  EXPECT_EQ(want.size(), 19u);
 }
 
 }  // namespace

@@ -93,7 +93,9 @@ TEST(CuckooTest, MatchesReferenceMapUnderChurn) {
       const auto got = t.find(key);
       const auto it = ref.find(key);
       ASSERT_EQ(got.has_value(), it != ref.end());
-      if (got.has_value()) ASSERT_EQ(*got, it->second);
+      if (got.has_value()) {
+        ASSERT_EQ(*got, it->second);
+      }
     }
   }
   EXPECT_EQ(t.size(), ref.size());

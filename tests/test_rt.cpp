@@ -48,26 +48,42 @@ TEST(TryLockTest, BasicAcquireRelease) {
 }
 
 TEST(TryLockTest, MutualExclusionUnderContention) {
+  // Each thread loops until it has won the lock kPerThread times, so the
+  // total is exact however the host schedules the threads. The attempt
+  // cap is hundreds of times what an uncontended host needs; it only
+  // turns a lock that stops granting into a loud failure, not a hang.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 25'000;
+  constexpr std::uint64_t kMaxAttempts = 100'000'000;
   TryLock lock;
   std::atomic<int> in_critical{0};
   std::atomic<bool> violation{false};
+  std::atomic<int> capped{0};
   std::atomic<std::uint64_t> acquisitions{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < 200000; ++i) {
+      std::uint64_t won = 0;
+      for (std::uint64_t attempt = 0; won < kPerThread; ++attempt) {
+        if (attempt == kMaxAttempts) {
+          capped.fetch_add(1);
+          break;
+        }
         if (lock.try_lock()) {
           if (in_critical.fetch_add(1, std::memory_order_acq_rel) != 0) violation.store(true);
           in_critical.fetch_sub(1, std::memory_order_acq_rel);
           acquisitions.fetch_add(1, std::memory_order_relaxed);
+          ++won;
           lock.unlock();
         }
       }
     });
   }
   for (auto& t : threads) t.join();
+  ASSERT_EQ(capped.load(), 0) << "a thread made " << kMaxAttempts
+                              << " try_lock attempts without winning " << kPerThread << " times";
   EXPECT_FALSE(violation.load());
-  EXPECT_GT(acquisitions.load(), 100000u);
+  EXPECT_EQ(acquisitions.load(), kThreads * kPerThread);
 }
 
 TEST(SpscRingTest, FifoOrderSingleThread) {

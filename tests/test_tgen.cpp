@@ -317,8 +317,8 @@ TEST(NextBatchTest, TraceMatchesUnbatched) {
 // --- arena vs coroutine per-flow sources --------------------------------
 //
 // PerFlowSourceArena is the million-flow form of attach_per_flow_sources:
-// packed records and pooled callback timers instead of one coroutine
-// frame per flow. The contract is bit-identical execution — the consumer
+// packed SoA lanes and one kernel timer event (kTimer) per flow instead of
+// one coroutine frame per flow. The contract is bit-identical execution — the consumer
 // below digests every delivered packet (fields and delivery instant), and
 // the digest, the delivery count and the kernel event count must match
 // between the two attach paths, on every backend.
