@@ -1,62 +1,16 @@
-// Shared helpers for the per-figure/table bench binaries.
+// Shared helpers for the bench binaries: the one flag parser, report
+// writers, trial statistics and the identity gate.
 //
-// Each binary regenerates one table or figure from the paper's §V (the
-// full binary -> figure map lives in docs/BENCHMARKS.md). Output
+// bench_paper regenerates the paper's grid-shaped §V figures and tables
+// from one table of figures (bench/paper_figures.hpp); the other binaries
+// drive the testbed by hand or measure the simulator itself. Output
 // convention: a header naming the experiment, the paper's qualitative
 // expectation, then an aligned table of the regenerated rows.
 //
-// Common CLI flags (parse_args() is the one shared parser):
-//   --fast                shrink the measurement windows (CI smoke mode)
-//   --backend=heap|wheel|all
-//                         which event-queue backend(s) the bench drives.
-//                         The full app stack is generic over the backend,
-//                         so the figure benches honour this flag too:
-//                         "all" runs the heap and the timing wheel.
-//                         kernel_throughput, fig13/14 and scenario_matrix
-//                         default to all (fig13 and scenario_matrix
-//                         cross-check that the backends produce identical
-//                         packet counters); the remaining figure benches
-//                         default to heap, the traditional
-//                         figure-generation path.
-//   --jobs=N              worker threads for benches that sweep through
-//                         scenario::SweepRunner. Results are bit-identical
-//                         for any N; only wall time changes.
-//                         bench_kernel_throughput, whose headline *is*
-//                         wall time, runs its shards sequentially anyway.
-//   --trace=<file>        external pcap to replay through the kTrace
-//                         arrival model (bench_scenario_matrix); absent =
-//                         the synthesised §V-F.4 trace.
-//   --list                bench_scenario_matrix: print registered scenario
-//                         names, one per line, and exit 0.
-//   --only=a,b,c          bench_scenario_matrix: restrict the sweep to the
-//                         named scenarios (e.g. the fault scenarios in the
-//                         sanitizer CI job).
-//   --deadline=SECONDS    per-shard wall-clock deadline; a shard that
-//                         exceeds it fails (and is reported) instead of
-//                         wedging the sweep.
-//   --series=INTERVAL_US  sample the full telemetry set every INTERVAL_US
-//                         of sim time during measurement; sweep benches
-//                         emit the per-window tracks as a `timeseries`
-//                         block per shard (schema in docs/BENCHMARKS.md),
-//                         fig9 prints a per-window table. Pure observer:
-//                         results and fingerprints are unchanged.
-//   --trace-out=<file>    write a Chrome trace-event JSON (chrome://tracing
-//                         / Perfetto) of the run: kernel fire/cascade
-//                         instants, NIC burst/flush instants, Metronome
-//                         sleep and drain spans, fault instants, and (for
-//                         sweeps) per-worker wall-clock shard spans.
-//   --crypto=calibrated|live
-//                         fig16 ipsec: calibrated charges the fitted
-//                         per-packet cost only; live also executes the
-//                         real ESP gateway per packet (simulated results
-//                         identical, wall time measures the crypto).
-//   --flows=N             bench_kernel_throughput: run the full-stack
-//                         scale block on one custom per-flow population
-//                         instead of the registry 1m/4m/16m ladder.
-//
-// Parsing is strict: unknown flags and malformed numeric values print the
-// usage text and exit 2. Benches that only take --fast use parse_fast(),
-// with the same policy.
+// Flags: usage_text() lists them and docs/BENCHMARKS.md documents each
+// one (with the binary -> figure map). Parsing is strict: unknown flags
+// and malformed numeric values print the usage text and exit 2. Benches
+// that only take --fast use parse_fast(), with the same policy.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,18 +45,11 @@ enum class BackendChoice { kHeap, kWheel, kAll };
 /// wall-clock simulated-packets/s measures it end to end.
 enum class CryptoMode { kCalibrated, kLive };
 
-inline bool use_heap(BackendChoice c) {
-  return c == BackendChoice::kHeap || c == BackendChoice::kAll;
-}
-inline bool use_wheel(BackendChoice c) {
-  return c == BackendChoice::kWheel || c == BackendChoice::kAll;
-}
-
 /// The enabled backends as SweepRunner shard kinds, heap first.
 inline std::vector<scenario::BackendKind> backend_kinds(BackendChoice c) {
   std::vector<scenario::BackendKind> out;
-  if (use_heap(c)) out.push_back(scenario::BackendKind::kHeap);
-  if (use_wheel(c)) out.push_back(scenario::BackendKind::kWheel);
+  if (c != BackendChoice::kWheel) out.push_back(scenario::BackendKind::kHeap);
+  if (c != BackendChoice::kHeap) out.push_back(scenario::BackendKind::kWheel);
   return out;
 }
 
@@ -122,8 +70,8 @@ struct Args {
   BackendChoice backend = BackendChoice::kHeap;
   int jobs = 1;
   std::string trace;  ///< external pcap for kTrace scenarios; empty = synthesise
-  bool list = false;  ///< print registry names and exit (scenario_matrix)
-  std::vector<std::string> only;  ///< scenario filter; empty = all (scenario_matrix)
+  bool list = false;  ///< print the selectable names and exit
+  std::vector<std::string> only;  ///< scenario or figure filter; empty = all
   double deadline_s = 0.0;        ///< per-shard wall-clock deadline; 0 = off
   CryptoMode crypto = CryptoMode::kCalibrated;  ///< fig16 ipsec crypto mode
   double series_us = 0.0;   ///< telemetry sampling interval in us; 0 = off
@@ -137,8 +85,8 @@ inline const char* usage_text() {
          "  --backend=heap|wheel|all\n"
          "  --jobs=N             sweep worker threads (1..1024)\n"
          "  --trace=<file>       external pcap for kTrace scenarios\n"
-         "  --list               print registered scenario names and exit\n"
-         "  --only=a,b,c         restrict the sweep to the named scenarios\n"
+         "  --list               print the scenario (or figure) names and exit\n"
+         "  --only=a,b,c         restrict the run to the named scenarios (or figures)\n"
          "  --deadline=SECONDS   per-shard wall-clock deadline (> 0)\n"
          "  --series=INTERVAL_US sample telemetry every INTERVAL_US of sim time\n"
          "  --trace-out=<file>   write a Chrome trace-event JSON of the run\n"
@@ -377,6 +325,58 @@ inline void write_sweep_trace(const std::string& path,
                                         runner.wall_tracers()[w].get()});
   }
   write_trace_file(path, lanes);
+}
+
+/// One run entered into identity_gate: runs sharing a key must be the
+/// same execution; the label names the run in a DIVERGENCE line.
+struct GateRun {
+  std::string key;
+  std::string label;
+  const scenario::ShardResult* result;
+};
+
+/// The identity gate every cross-run check shares (cross-backend, trial
+/// to trial, calibrated vs live crypto). Each run is compared with the
+/// first run of its key on the telemetry fingerprint (every registered
+/// counter, summary and histogram bin) and the final kernel clock. Prints
+/// one DIVERGENCE line per mismatch to `err` and returns the mismatch
+/// count. Failed shards have no telemetry and are skipped; callers count
+/// them through scenario::failed_count.
+inline std::size_t identity_gate(const std::vector<GateRun>& runs, std::ostream& err = std::cerr) {
+  const auto describe = [](const GateRun& g) {
+    const scenario::ShardResult& r = *g.result;
+    return g.label + " (rx " + std::to_string(r.counters.rx) + ", tx " +
+           std::to_string(r.counters.tx) + ", drop " + std::to_string(r.counters.dropped) +
+           ", fingerprint " + std::to_string(r.fingerprint) + ", clock " +
+           std::to_string(r.final_clock) + ")";
+  };
+  std::map<std::string, const GateRun*> first;
+  std::size_t mismatches = 0;
+  for (const GateRun& run : runs) {
+    if (run.result->failed) continue;
+    const auto [it, inserted] = first.emplace(run.key, &run);
+    if (inserted) continue;
+    const scenario::ShardResult& ref = *it->second->result;
+    if (run.result->fingerprint != ref.fingerprint ||
+        run.result->final_clock != ref.final_clock) {
+      ++mismatches;
+      err << "DIVERGENCE at " << run.key << ": " << describe(*it->second) << " vs "
+          << describe(run) << "\n";
+    }
+  }
+  return mismatches;
+}
+
+/// identity_gate over a sweep: shards with the same label are one point
+/// run on several backends.
+inline std::size_t identity_gate(const std::vector<scenario::Shard>& shards,
+                                 const std::vector<scenario::ShardResult>& results,
+                                 std::ostream& err = std::cerr) {
+  std::vector<GateRun> runs;
+  for (std::size_t i = 0; i < shards.size() && i < results.size(); ++i) {
+    runs.push_back({shards[i].scenario, scenario::backend_name(shards[i].backend), &results[i]});
+  }
+  return identity_gate(runs, err);
 }
 
 inline void header(const std::string& title, const std::string& paper_expectation) {

@@ -473,20 +473,20 @@ int main(int argc, char** argv) {
       for (const auto kind : kinds) shards.push_back({pr.name, kind, pr.cfg});
     }
     const auto out = metro::scenario::SweepRunner(1).run(shards);
+    std::vector<metro::bench::GateRun> runs;
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const auto& r = out[i];
       auto& b = pr.backend[static_cast<std::size_t>(shards[i].backend)];
       b.wall.push_back(r.wall_seconds);
       b.pps.push_back(static_cast<double>(r.counters.processed) / r.wall_seconds);
       b.pending = r.pending_at_measure;
-      if (r.fingerprint != out[0].fingerprint) {
-        pr.diverged = scale_diverged = true;
-        std::cerr << "DIVERGENCE in " << pr.name << ": "
-                  << metro::scenario::backend_name(shards[i].backend) << " trial "
-                  << i / kinds.size() << " fingerprint " << r.fingerprint
-                  << " != " << out[0].fingerprint << "\n";
-      }
+      runs.push_back({pr.name,
+                      std::string(metro::scenario::backend_name(shards[i].backend)) +
+                          " trial " + std::to_string(i / kinds.size()),
+                      &r});
     }
+    pr.diverged = metro::bench::identity_gate(runs) > 0;
+    scale_diverged = scale_diverged || pr.diverged;
   }
 
   // --- console report ---------------------------------------------------

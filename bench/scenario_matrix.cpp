@@ -16,12 +16,9 @@
 //      dependence in the runner or any shared mutable state in the app
 //      stack fails the bench.
 //
-// Extra flags (see common.hpp): --list prints the registered scenario
-// names one per line and exits 0; --trace=<file> replays an external
-// pcap through the kTrace scenarios instead of the synthesised §V-F.4
-// trace (identity checks still apply — a trace shard is as deterministic
-// as any other); --only=a,b,c restricts the sweep (the sanitizer CI job
-// runs just the fault scenarios); --deadline=SECONDS arms the per-shard
+// Flags (docs/BENCHMARKS.md): --list and --only=a,b,c select scenarios;
+// --trace=<file> replays an external pcap through the kTrace scenarios
+// (identity checks still apply); --deadline=SECONDS arms the per-shard
 // wall-clock watchdog.
 //
 // Hardened execution: a shard that throws is captured into the report's
@@ -33,7 +30,6 @@
 //
 // Writes the merged report (timing included) to BENCH_scenarios.json.
 #include <iostream>
-#include <map>
 
 #include "common.hpp"
 #include "scenario/registry.hpp"
@@ -133,35 +129,12 @@ int main(int argc, char** argv) {
   }
 
   // --- cross-backend identity ------------------------------------------
-  bool diverged = false;
-  std::map<std::string, std::vector<std::size_t>> by_scenario;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    by_scenario[shards[i].scenario].push_back(i);
-  }
-  for (const auto& [name, idx] : by_scenario) {
-    for (std::size_t j = 1; j < idx.size(); ++j) {
-      const auto& a = results[idx[0]];
-      const auto& b = results[idx[j]];
-      // Failed shards have no telemetry to compare; they are already
-      // accounted in the failure summary and the exit status.
-      if (a.failed || b.failed) continue;
-      // Full-set identity: the fingerprint covers every registered metric
-      // of every layer (the old hand-picked counter/digest comparison is
-      // a strict subset of it); final_clock covers the kernel clock.
-      if (a.fingerprint != b.fingerprint || a.final_clock != b.final_clock) {
-        diverged = true;
-        std::cerr << "BACKEND DIVERGENCE in scenario '" << name << "': "
-                  << scenario::backend_name(shards[idx[0]].backend) << " (rx "
-                  << a.counters.rx << ", tx " << a.counters.tx << ", fingerprint "
-                  << a.fingerprint << ") vs "
-                  << scenario::backend_name(shards[idx[j]].backend) << " (rx "
-                  << b.counters.rx << ", tx " << b.counters.tx << ", fingerprint "
-                  << b.fingerprint << ")\n";
-      }
-    }
-  }
+  // Full-set identity: the fingerprint covers every registered metric of
+  // every layer; the final clock covers the kernel. Failed shards are
+  // skipped here: the failure summary and the exit status account them.
+  const bool diverged = bench::identity_gate(shards, results) > 0;
   if (!diverged && matrix.backends.size() > 1) {
-    std::cout << "cross-backend check: all " << by_scenario.size()
+    std::cout << "cross-backend check: all " << matrix.scenarios.size()
               << " scenarios identical across " << matrix.backends.size() << " backends\n";
   }
 

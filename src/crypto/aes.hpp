@@ -25,7 +25,7 @@
 /// Both share one byte-for-byte behaviour; vectors and the fuzz oracle pin
 /// it. The discrete-event simulator charges the calibrated per-packet cost
 /// by default and only executes the cipher inline in the fig16
-/// `--crypto=live` mode (see bench/fig16_apps.cpp).
+/// `--crypto=live` mode of bench_paper (see bench/paper.cpp).
 #pragma once
 
 #include <array>

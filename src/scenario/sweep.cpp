@@ -137,25 +137,20 @@ std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
     if (spec == nullptr) {
       throw std::invalid_argument("SweepRunner: unknown scenario '" + name + "'");
     }
-    // Empty axes collapse to one implicit "scenario default" point.
-    const std::size_t n_rates = matrix.rates_mpps.empty() ? 1 : matrix.rates_mpps.size();
-    for (std::size_t r = 0; r < n_rates; ++r) {
-      apps::ExperimentConfig cfg = spec->config;
-      if (!matrix.rates_mpps.empty()) cfg.workload.rate_mpps = matrix.rates_mpps[r];
-      if (matrix.warmup >= 0) cfg.warmup = matrix.warmup;
-      if (matrix.measure >= 0) cfg.measure = matrix.measure;
-      if (matrix.series_interval > 0) cfg.series_interval = matrix.series_interval;
-      if (matrix.base_seed != 0) {
-        // A *point* is (scenario, rate): the backends of one point share
-        // the seed, because the backend is a pure speed knob — same point
-        // -> same execution is exactly what the divergence checks assert.
-        cfg.seed = util::mix_seed(matrix.base_seed, point_index);
-        cfg.workload.seed = util::mix_seed(cfg.seed, 1);
-      }
-      ++point_index;
-      for (const BackendKind backend : matrix.backends) {
-        shards.push_back(Shard{spec->name, backend, cfg});
-      }
+    apps::ExperimentConfig cfg = spec->config;
+    if (matrix.warmup >= 0) cfg.warmup = matrix.warmup;
+    if (matrix.measure >= 0) cfg.measure = matrix.measure;
+    if (matrix.series_interval > 0) cfg.series_interval = matrix.series_interval;
+    if (matrix.base_seed != 0) {
+      // A *point* is one scenario: the backends of one point share the
+      // seed, because the backend is a pure speed knob — same point ->
+      // same execution is exactly what the divergence checks assert.
+      cfg.seed = util::mix_seed(matrix.base_seed, point_index);
+      cfg.workload.seed = util::mix_seed(cfg.seed, 1);
+    }
+    ++point_index;
+    for (const BackendKind backend : matrix.backends) {
+      shards.push_back(Shard{spec->name, backend, cfg});
     }
   }
   return shards;

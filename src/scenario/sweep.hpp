@@ -1,9 +1,9 @@
 /// \file sweep.hpp
 /// Parallel parameter-matrix sweep runner.
 ///
-/// The paper's evaluation is a matrix — scenarios x backends x rates —
-/// and every figure bench used to walk its corner of that matrix
-/// serially. SweepRunner expands a matrix into independent
+/// The paper's evaluation is a matrix of testbed configurations run on
+/// each event-queue backend. SweepRunner expands a matrix (or takes a
+/// hand-built shard list, as bench_paper does) into independent
 /// *shards* (one complete Testbed run each: own BasicSimulation, own RNG,
 /// own results), executes them on a pool of std::thread workers, and
 /// merges the results in shard order.
@@ -124,7 +124,6 @@ struct ShardResult {
 struct SweepMatrix {
   std::vector<std::string> scenarios;   ///< registry names (see registry.hpp)
   std::vector<BackendKind> backends = {BackendKind::kHeap};
-  std::vector<double> rates_mpps;       ///< offered-rate overrides
   sim::Time warmup = -1;   ///< window override; < 0 keeps the scenario's
   sim::Time measure = -1;  ///< window override; < 0 keeps the scenario's
   /// != 0: derive per-point seeds as mix_seed(base_seed, point_index)
@@ -141,9 +140,9 @@ class SweepRunner {
   /// \param jobs worker-thread count; <= 1 runs inline on the caller.
   explicit SweepRunner(int jobs = 1) : jobs_(jobs < 1 ? 1 : jobs) {}
 
-  /// Expand a matrix into shards, ordered scenario-major, then rate, with
-  /// the shards of one point adjacent in matrix.backends order: one shard
-  /// per backend.
+  /// Expand a matrix into shards, one point per scenario in matrix order,
+  /// with the shards of one point adjacent in matrix.backends order: one
+  /// shard per backend.
   /// Throws std::invalid_argument on an unknown scenario name.
   static std::vector<Shard> expand(const SweepMatrix& matrix);
 

@@ -7,30 +7,34 @@ namespace metro::tgen {
 
 namespace {
 
+/// A feeder group spans arrivals within this window of its first packet...
+constexpr sim::Time kGroupWindow = 2 * sim::kMicrosecond;
+/// ...and holds at most this many packets.
+constexpr std::size_t kGroupCap = 32;
+
 template <typename Sim>
-sim::Task feeder_task(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen, FeederConfig cfg) {
+sim::Task feeder_task(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
   // Pull through next_batch() so hot generators amortise the virtual call
   // and state reloads; the buffer is a pure prefetch — group boundaries
-  // (window + max_batch) are identical to a one-next()-at-a-time loop
-  // because next_batch draws the exact next() stream, and a refill happens
-  // only when the grouping needs the next packet.
-  const auto max_batch = static_cast<std::size_t>(cfg.max_batch);
+  // (window + cap) are identical to a one-next()-at-a-time loop because
+  // next_batch draws the exact next() stream, and a refill happens only
+  // when the grouping needs the next packet.
   std::vector<nic::PacketDesc> buf;
-  buf.reserve(max_batch);
+  buf.reserve(kGroupCap);
   std::size_t head = 0;
   const auto refill = [&] {
     buf.clear();
     head = 0;
-    gen.next_batch(buf, max_batch);
+    gen.next_batch(buf, kGroupCap);
     return !buf.empty();
   };
   std::vector<nic::PacketDesc> group;
-  group.reserve(max_batch);
+  group.reserve(kGroupCap);
   while (head < buf.size() || refill()) {
     group.clear();
-    const sim::Time window_end = buf[head].arrival + cfg.batch_window;
+    const sim::Time window_end = buf[head].arrival + kGroupWindow;
     group.push_back(buf[head++]);
-    while (group.size() < max_batch && (head < buf.size() || refill()) &&
+    while (group.size() < kGroupCap && (head < buf.size() || refill()) &&
            buf[head].arrival <= window_end) {
       group.push_back(buf[head++]);
     }
@@ -63,8 +67,8 @@ sim::Task flow_source_task(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& f
 }  // namespace
 
 template <typename Sim>
-void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen, FeederConfig cfg) {
-  sim.spawn(feeder_task(sim, port, gen, cfg));
+void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
+  sim.spawn(feeder_task(sim, port, gen));
 }
 
 template <typename Sim>
@@ -79,10 +83,9 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 }
 
 template void attach<sim::Simulation>(sim::Simulation&, nic::BasicPort<sim::Simulation>&,
-                                      Generator&, FeederConfig);
+                                      Generator&);
 template void attach<sim::WheelSimulation>(sim::WheelSimulation&,
-                                           nic::BasicPort<sim::WheelSimulation>&, Generator&,
-                                           FeederConfig);
+                                           nic::BasicPort<sim::WheelSimulation>&, Generator&);
 template <typename Sim>
 PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
                                             const FlowSet& flows, PerFlowSourceConfig cfg)

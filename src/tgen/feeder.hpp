@@ -1,12 +1,15 @@
 // Feeder: drives a Generator's packet stream into a simulated Port.
 //
 // To keep the event count tractable at 10-40 Gbps line rates, arrivals are
-// grouped: the feeder pulls packets whose timestamps fall within a short
-// window (default 2 us, i.e. well below any vacation period of interest),
-// sleeps until the *last* arrival of the group, and pushes the group into
-// the port with one rx_burst() call. Per-packet timestamps inside the
-// group are exact, so latency accounting is unaffected; only the instant
-// at which the ring "sees" the packets is coarsened by < window.
+// grouped: the feeder pulls packets whose timestamps fall within a 2 us
+// window (at most 32 of them), sleeps until the *last* arrival of the
+// group, and pushes the group into the port with one rx_burst() call.
+// Per-packet timestamps inside the group are exact, but the ring "sees"
+// each packet up to one window late, and a driver cannot pop a packet
+// before it is visible. Latency therefore carries that delay: at 14.88
+// Mpps on the X520 single-queue testbed the p50 is 17.63 us grouped
+// against 16.13 us with per-packet delivery (0.744 Mpps: 34.98 us
+// either way). CPU %, TS and wake-ups agree within 0.5%.
 //
 // For scenarios where the *pending-event population* is the point (the
 // fig13 full-stack regime: thousands to millions of concurrently armed
@@ -40,15 +43,11 @@
 
 namespace metro::tgen {
 
-struct FeederConfig {
-  sim::Time batch_window = 2 * sim::kMicrosecond;
-  int max_batch = 32;
-};
-
-/// Spawn a coroutine that feeds `gen` into `port` until exhaustion.
-/// The generator must outlive the simulation run.
+/// Spawn a coroutine that feeds `gen` into `port` in groups (see the file
+/// comment) until exhaustion. The generator must outlive the simulation
+/// run.
 template <typename Sim>
-void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen, FeederConfig cfg = {});
+void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen);
 
 /// Per-flow arrival processes (see the file comment).
 struct PerFlowSourceConfig {

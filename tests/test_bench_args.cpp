@@ -4,7 +4,7 @@
 // produce wrong-but-plausible numbers; try_parse_args/try_parse_fast are
 // the testable cores behind the exiting wrappers, so the policy is pinned
 // here without spawning processes. The shared report helpers
-// (sample_of, write_report) are pinned here too.
+// (sample_of, write_report) and the identity gate are pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -269,6 +269,52 @@ TEST(BenchReportTest, UnwritableReportPathExitsOne) {
   // silently absent BENCH_*.json behind an exit 0.
   const std::string path = ::testing::TempDir() + "no_such_dir/BENCH_test.json";
   EXPECT_EXIT(write_report(path, "{}"), ::testing::ExitedWithCode(1), "cannot open report file");
+}
+
+/// Two backends of one point, with the given fingerprints.
+std::vector<scenario::ShardResult> two_runs(std::uint64_t heap_fp, std::uint64_t wheel_fp) {
+  std::vector<scenario::ShardResult> r(2);
+  r[0].fingerprint = heap_fp;
+  r[1].fingerprint = wheel_fp;
+  r[0].final_clock = r[1].final_clock = 150'000'000;
+  return r;
+}
+
+std::vector<scenario::Shard> two_shards(const std::string& key) {
+  return {scenario::Shard{key, scenario::BackendKind::kHeap, {}},
+          scenario::Shard{key, scenario::BackendKind::kWheel, {}}};
+}
+
+TEST(IdentityGateTest, EqualFingerprintsPass) {
+  std::ostringstream err;
+  EXPECT_EQ(identity_gate(two_shards("fig5#3"), two_runs(42, 42), err), 0u);
+  EXPECT_TRUE(err.str().empty()) << err.str();
+}
+
+TEST(IdentityGateTest, OneMismatchIsCountedOnceWithItsKey) {
+  auto shards = two_shards("fig5#3");
+  auto results = two_runs(42, 43);
+  // A second, identical point must not add to the count.
+  for (auto& s : two_shards("fig5#4")) shards.push_back(s);
+  for (auto& r : two_runs(7, 7)) results.push_back(r);
+  std::ostringstream err;
+  EXPECT_EQ(identity_gate(shards, results, err), 1u);
+  EXPECT_NE(err.str().find("DIVERGENCE at fig5#3"), std::string::npos) << err.str();
+  EXPECT_EQ(err.str().find("fig5#4"), std::string::npos) << err.str();
+}
+
+TEST(IdentityGateTest, FinalClockIsPartOfTheIdentity) {
+  auto results = two_runs(42, 42);
+  results[1].final_clock += 1;
+  std::ostringstream err;
+  EXPECT_EQ(identity_gate(two_shards("k"), results, err), 1u);
+}
+
+TEST(IdentityGateTest, FailedShardsAreLeftToTheFailureCount) {
+  auto results = two_runs(42, 0);
+  results[1].failed = true;
+  std::ostringstream err;
+  EXPECT_EQ(identity_gate(two_shards("k"), results, err), 0u);
 }
 
 }  // namespace

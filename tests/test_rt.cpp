@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -173,16 +175,39 @@ TEST(MetronomeRtTest, RhoStaysInUnitInterval) {
   EXPECT_GT(r.vacation_us.count(), 50u);
 }
 
+/// Poll until `rt` has consumed `target` packets in total; false once
+/// `cap` passes first. The adaptation assertions need drain cycles, not
+/// elapsed time: a loaded host can starve the threads through a whole
+/// fixed sleep.
+bool wait_for_consumed(const MetronomeRt& rt, std::uint64_t target, std::chrono::seconds cap) {
+  const auto deadline = std::chrono::steady_clock::now() + cap;
+  while (rt.packets_consumed() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(MetronomeRtTest, AdaptsTsWhenRateRises) {
   RtConfig cfg;
   cfg.rate_pps = 20e3;
   cfg.target_vacation_us = 100.0;
   MetronomeRt rt(cfg);
   rt.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // Each phase waits for the packets its nominal duration carries (300 ms
+  // at 20 kpps, 400 ms at 2 Mpps), however long the host takes to run them.
+  constexpr std::uint64_t kLowLoadPackets = 6'000;
+  constexpr std::uint64_t kHighLoadPackets = 800'000;
+  constexpr std::chrono::seconds kCap{60};
+  ASSERT_TRUE(wait_for_consumed(rt, kLowLoadPackets, kCap))
+      << "low-load phase consumed only " << rt.packets_consumed() << " of " << kLowLoadPackets
+      << " packets in " << kCap.count() << " s";
   const double ts_low_load = rt.current_ts_us();
   rt.set_rate_pps(2e6);  // 100x the load
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const std::uint64_t high_target = rt.packets_consumed() + kHighLoadPackets;
+  ASSERT_TRUE(wait_for_consumed(rt, high_target, kCap))
+      << "high-load phase consumed only " << rt.packets_consumed() << " of " << high_target
+      << " packets in " << kCap.count() << " s";
   const double ts_high_load = rt.current_ts_us();
   const double rho_high = rt.current_rho();
   rt.stop();
