@@ -16,6 +16,7 @@
 
 #include "apps/experiment.hpp"
 #include "common.hpp"
+#include "scenario/sweep.hpp"
 #include "stats/time_series.hpp"
 #include "tgen/feeder.hpp"
 
@@ -86,38 +87,29 @@ int main(int argc, char** argv) {
 
   if (series) {
     series->finish(bed.sim().now());
+    const scenario::ShardSeries track =
+        scenario::compact_series(*series, bed.port().n_rx_queues());
     std::cout << "\nper-window telemetry series, interval " << bench::num(args.series_us, 1)
-              << " us (" << series->size() << " windows";
-    if (series->dropped() > 0) std::cout << ", " << series->dropped() << " dropped at capacity";
+              << " us (" << track.windows.size() << " windows";
+    if (track.dropped_windows > 0) {
+      std::cout << ", " << track.dropped_windows << " dropped at capacity";
+    }
     std::cout << "):\n";
     stats::Table st({"t_end (s)", "rx (Mpps)", "tx (Mpps)", "dropped", "lat mean (us)",
                      "wakeups", "fingerprint"});
     sim::Time prev_end = 0;
-    for (std::size_t i = 0; i < series->size(); ++i) {
-      const stats::SeriesRecorder::Window& win = series->window(i);
-      const double dt_s = sim::to_seconds(win.t_end - prev_end);
-      prev_end = win.t_end;
-      const auto rx = win.delta.counter("port.rx");
-      const auto tx = win.delta.counter("port.tx.transmitted");
-      std::uint64_t drops = win.delta.counter("port.cap_drops");
-      for (int q = 0; q < bed.port().n_rx_queues(); ++q) {
-        drops += win.delta.counter("port.q" + std::to_string(q) + ".dropped");
-      }
-      const stats::Histogram& lat = win.delta.histogram("latency_us");
-      std::uint64_t wakeups = 0;
-      for (int q = 0;; ++q) {
-        const auto* e = win.delta.find("met.q" + std::to_string(q) + ".total_tries");
-        if (e == nullptr) break;
-        wakeups += e->counter;
-      }
-      st.add_row({bench::num(sim::to_seconds(win.t_end), 3),
-                  bench::num(dt_s > 0.0 ? static_cast<double>(rx) / dt_s / 1e6 : 0.0, 2),
-                  bench::num(dt_s > 0.0 ? static_cast<double>(tx) / dt_s / 1e6 : 0.0, 2),
-                  std::to_string(drops),
-                  bench::num(lat.count() > 0
-                                 ? lat.summary().sum() / static_cast<double>(lat.count())
+    for (const scenario::SeriesWindow& w : track.windows) {
+      const double dt_s = sim::to_seconds(w.t_end - prev_end);
+      prev_end = w.t_end;
+      const auto rate_mpps = [dt_s](std::uint64_t n) {
+        return dt_s > 0.0 ? static_cast<double>(n) / dt_s / 1e6 : 0.0;
+      };
+      st.add_row({bench::num(sim::to_seconds(w.t_end), 3), bench::num(rate_mpps(w.rx), 2),
+                  bench::num(rate_mpps(w.tx), 2), std::to_string(w.dropped),
+                  bench::num(w.latency_count > 0
+                                 ? w.latency_sum_us / static_cast<double>(w.latency_count)
                                  : 0.0, 2),
-                  std::to_string(wakeups), std::to_string(win.fingerprint)});
+                  std::to_string(w.wakeups), std::to_string(w.fingerprint)});
     }
     st.print();
   }

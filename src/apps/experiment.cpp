@@ -285,10 +285,7 @@ ExperimentResult BasicTestbed<Sim>::finish_measurement() {
 
   const double window_s = sim::to_seconds(window);
   const std::uint64_t rx = d.counter("port.rx");
-  std::uint64_t drops = d.counter("port.cap_drops");
-  for (int q = 0; q < port_->n_rx_queues(); ++q) {
-    drops += d.counter("port.q" + std::to_string(q) + ".dropped");
-  }
+  const std::uint64_t drops = port_drops(d, port_->n_rx_queues());
   const std::uint64_t tx = d.counter("port.tx.transmitted");
   r.rx_packets = rx;
   r.tx_packets = tx;
@@ -364,6 +361,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   bed.begin_measurement();
   bed.run_until(cfg.warmup + cfg.measure);
   return bed.finish_measurement();
+}
+
+std::uint64_t port_drops(const stats::MetricSnapshot& d, int n_queues) {
+  std::uint64_t drops = d.counter("port.cap_drops");
+  for (int q = 0; q < n_queues; ++q) {
+    drops += d.counter("port.q" + std::to_string(q) + ".dropped");
+  }
+  return drops;
 }
 
 template class BasicTestbed<sim::Simulation>;

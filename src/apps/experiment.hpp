@@ -289,6 +289,11 @@ class BasicTestbed {
 /// Heap-kernel alias (the original spelling).
 using Testbed = BasicTestbed<sim::Simulation>;
 
+/// Packets the testbed's port dropped, read from a telemetry snapshot or
+/// window delta: `port.cap_drops` plus `port.qN.dropped` over its
+/// `n_queues` rx queues.
+std::uint64_t port_drops(const stats::MetricSnapshot& d, int n_queues);
+
 /// Assemble, warm up, measure, tear down — on the chosen kernel
 /// instantiation (run_experiment(cfg) without a template argument is the
 /// heap path, unchanged).

@@ -70,46 +70,16 @@ ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t t
   // and derive the headline counter view from the same snapshot.
   out.telemetry = bed.telemetry().snapshot();
   out.fingerprint = out.telemetry.fingerprint();
-  std::uint64_t dropped = out.telemetry.counter("port.cap_drops");
-  for (int q = 0; q < bed.port().n_rx_queues(); ++q) {
-    dropped += out.telemetry.counter("port.q" + std::to_string(q) + ".dropped");
-  }
-  out.counters = ShardCounters{out.telemetry.counter("port.rx"), dropped,
+  out.counters = ShardCounters{out.telemetry.counter("port.rx"),
+                               apps::port_drops(out.telemetry, bed.port().n_rx_queues()),
                                out.telemetry.counter("port.tx.transmitted"),
                                bed.packets_processed()};
   out.events = bed.sim().events_processed();
   out.final_clock = bed.sim().now();
   out.latency_count = out.telemetry.histogram("latency_us").count();
 
-  // Compact per-window tracks out of the recorder's full-snapshot ring:
-  // the headline counters every figure plots, plus the window's own
-  // fingerprint so series identity can be asserted window by window.
   if (const stats::SeriesRecorder* sr = bed.series(); sr != nullptr) {
-    out.series.interval = sr->interval();
-    out.series.dropped_windows = sr->dropped();
-    out.series.windows.reserve(sr->size());
-    const int n_queues = bed.port().n_rx_queues();
-    for (std::size_t k = 0; k < sr->size(); ++k) {
-      const stats::SeriesRecorder::Window& win = sr->window(k);
-      SeriesWindow w;
-      w.t_end = win.t_end;
-      w.fingerprint = win.fingerprint;
-      w.rx = win.delta.counter("port.rx");
-      w.tx = win.delta.counter("port.tx.transmitted");
-      w.dropped = win.delta.counter("port.cap_drops");
-      for (int q = 0; q < n_queues; ++q) {
-        w.dropped += win.delta.counter("port.q" + std::to_string(q) + ".dropped");
-      }
-      const stats::Histogram& lat = win.delta.histogram("latency_us");
-      w.latency_count = lat.count();
-      w.latency_sum_us = lat.summary().sum();
-      for (int q = 0;; ++q) {
-        const auto* e = win.delta.find("met.q" + std::to_string(q) + ".total_tries");
-        if (e == nullptr) break;
-        w.wakeups += e->counter;
-      }
-      out.series.windows.push_back(w);
-    }
+    out.series = compact_series(*sr, bed.port().n_rx_queues());
   }
   out.trace = std::move(tracer);
 
@@ -128,6 +98,32 @@ ShardResult run_shard(const Shard& shard, double deadline_s, std::size_t trace_c
 }
 
 }  // namespace
+
+ShardSeries compact_series(const stats::SeriesRecorder& sr, int n_queues) {
+  ShardSeries out;
+  out.interval = sr.interval();
+  out.dropped_windows = sr.dropped();
+  out.windows.reserve(sr.size());
+  for (std::size_t k = 0; k < sr.size(); ++k) {
+    const stats::SeriesRecorder::Window& win = sr.window(k);
+    SeriesWindow w;
+    w.t_end = win.t_end;
+    w.fingerprint = win.fingerprint;
+    w.rx = win.delta.counter("port.rx");
+    w.tx = win.delta.counter("port.tx.transmitted");
+    w.dropped = apps::port_drops(win.delta, n_queues);
+    const stats::Histogram& lat = win.delta.histogram("latency_us");
+    w.latency_count = lat.count();
+    w.latency_sum_us = lat.summary().sum();
+    for (int q = 0;; ++q) {
+      const auto* e = win.delta.find("met.q" + std::to_string(q) + ".total_tries");
+      if (e == nullptr) break;
+      w.wakeups += e->counter;
+    }
+    out.windows.push_back(w);
+  }
+  return out;
+}
 
 std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
   std::vector<Shard> shards;

@@ -27,6 +27,7 @@
 #include "apps/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "stats/metric_set.hpp"
+#include "stats/time_series.hpp"
 #include "stats/trace.hpp"
 
 namespace metro::scenario {
@@ -78,6 +79,12 @@ struct ShardSeries {
   std::uint64_t dropped_windows = 0;  ///< samples lost to ring overflow
   std::vector<SeriesWindow> windows;
 };
+
+/// The compact per-window tracks of a testbed's series recorder, whose
+/// port has `n_queues` rx queues: the headline counters every figure
+/// plots, plus each window's own fingerprint so series identity can be
+/// asserted window by window.
+ShardSeries compact_series(const stats::SeriesRecorder& sr, int n_queues);
 
 /// Everything a shard run produces. All fields except wall_seconds are
 /// deterministic (pure functions of the shard's config).

@@ -6,9 +6,9 @@
 /// backends are provided:
 ///
 ///   * BinaryHeapBackend — the default. A binary min-heap of 32-byte POD
-///     entries with Floyd pops and positional O(log n) erase. Best up to a
-///     few thousand pending events; its pop cost grows as log n. It is
-///     also the order oracle the wheel is tested against.
+///     entries with Floyd pops. Best up to a few thousand pending events;
+///     its pop cost grows as log n. It is also the order oracle the wheel
+///     is tested against.
 ///   * TimingWheelBackend — a hierarchical timing wheel (the structure OS
 ///     timer subsystems use): fixed power-of-two slot grids per level,
 ///     each level covering its parent slot at finer granularity, with a
@@ -19,34 +19,22 @@
 ///
 /// ## Backend concept and invariant contract
 ///
-/// A backend `B` must satisfy `EventQueueBackend<B>` (checked against
-/// NullQueueContext below). Operations taking a `ctx` receive a *queue
-/// context* from the owning simulation providing:
+/// A backend `B` must satisfy `EventQueueBackend<B>`: a plain priority
+/// queue of EventEntry records. It knows nothing of the kernel's callback
+/// table and nothing of cancellation — every entry pushed is stored until
+/// it is popped or dropped by erase_if(). Two invariants:
 ///
-///   * `ctx.moved(slot, pos)`  — position-tracking hook: must be invoked
-///     whenever a kCallback entry comes to rest at a new position, *iff*
-///     the backend declares `kPositionalCancel == true`. The simulation
-///     uses the recorded position for O(log n) `erase_at` cancellation.
-///   * `ctx.dead(entry)` — liveness query: true when a kCallback entry has
-///     been cancelled (tombstoned); always false for the other kinds,
-///     which cannot be cancelled. Backends with
-///     `kPositionalCancel == false` never see a cancelled entry removed
-///     eagerly; they must use this hook to drop tombstones lazily and must
-///     never surface a dead entry from peek()/pop_min().
-///
-/// Every backend, regardless of cancellation style, must uphold the
-/// kernel's three invariants:
-///
-///   1. **Total order.** peek()/pop_min() yield live entries in strictly
+///   1. **Total order.** peek()/pop_min() yield stored entries in strictly
 ///      increasing (at, seq) order — the pair is unique, so the order is a
 ///      total one and runs are bit-for-bit reproducible across backends.
 ///   2. **Allocation freedom in steady state.** Internal storage may grow
 ///      while warming up but must be recycled, never released, so that a
 ///      periodic steady-state workload performs zero heap allocations
 ///      (enforced by tests/test_alloc_free.cpp for both backends).
-///   3. **Exact live accounting.** size() counts live (non-cancelled)
-///      entries only and empty() == (size() == 0), even while tombstones
-///      still occupy internal storage.
+///
+/// size() counts stored entries. Live accounting belongs to the kernel
+/// (simulation.hpp): a cancelled callback stays stored as a *tombstone*
+/// until it reaches the front or the kernel purges it with erase_if().
 #pragma once
 
 #include <algorithm>
@@ -75,12 +63,11 @@ enum class EventKind : std::uint32_t {
 ///   * kCoroutine — payload is the frame address; slot is unused.
 ///   * kCallback  — slot indexes the simulation's callback pool and
 ///     payload carries that slot's *generation* at scheduling time, which
-///     is how tombstoning backends detect cancellation (a cancelled slot's
-///     generation has been bumped). The only kind ctx.dead()/ctx.moved()
-///     ever act on.
+///     is how the kernel recognises a tombstone (a cancelled slot's
+///     generation has been bumped). The only kind that can be cancelled.
 ///   * kTimer     — payload is the TimerTarget* to fire and slot the
 ///     argument it receives. The record is the whole event: no side-table
-///     state, and it can never be cancelled (or be dead).
+///     state, and it can never be cancelled.
 struct EventEntry {
   Time at;            ///< absolute virtual timestamp, ns
   std::uint64_t seq;  ///< global insertion sequence; ties broken by it
@@ -109,34 +96,20 @@ inline std::uint32_t event_precedes_u(const EventEntry& a, const EventEntry& b) 
       (static_cast<unsigned>(a.at == b.at) & static_cast<unsigned>(a.seq < b.seq)));
 }
 
-/// Inert queue context used to type-check backends against the concept;
-/// also handy for backend unit tests that never cancel.
-struct NullQueueContext {
-  void moved(std::uint32_t, std::uint32_t) const noexcept {}
-  bool dead(const EventEntry&) const noexcept { return false; }
-};
-
-/// The backend policy concept (see the file comment for the full invariant
-/// contract). `peek`/`pop_min` have the precondition `!empty()`.
-///
-/// One cancellation-path member is additionally required depending on
-/// `kPositionalCancel` (it cannot be expressed in one concept because only
-/// one of the two is ever instantiated):
-///   * true  -> `erase_at(pos, slot, ctx)` removes the entry whose
-///     position was last reported via ctx.moved() for `slot`;
-///   * false -> `on_cancelled()` notes that one stored entry was
-///     tombstoned (ctx.dead() will flag it from now on).
+/// The backend policy concept: a priority queue of EventEntry ordered by
+/// (at, seq), meeting the invariants in the file comment. `peek`/`pop_min`
+/// have the precondition `!empty()`.
 template <typename B>
 concept EventQueueBackend =
     std::is_default_constructible_v<B> &&
-    requires(B b, const B cb, const EventEntry& e, NullQueueContext ctx) {
-      { B::kPositionalCancel } -> std::convertible_to<bool>;
-      { b.push(e, ctx) };
-      { b.peek(ctx) } -> std::convertible_to<const EventEntry&>;
-      { b.pop_min(ctx) };
+    requires(B b, const B cb, const EventEntry& e) {
+      { b.push(e) };
+      { b.peek() } -> std::convertible_to<const EventEntry&>;
+      { b.pop_min() };
       { cb.size() } -> std::convertible_to<std::size_t>;
       { cb.empty() } -> std::convertible_to<bool>;
       { cb.for_each([](const EventEntry&) {}) };
+      { b.erase_if([](const EventEntry&) { return false; }) };
       { b.clear() };
     };
 
@@ -144,35 +117,24 @@ concept EventQueueBackend =
 // Binary heap backend (default)
 // ---------------------------------------------------------------------------
 
-/// Binary min-heap over (at, seq) with Floyd pops, a branch-free descent
-/// and positional erase. Cancellation is *eager*: the simulation records
-/// each kCallback entry's heap position via ctx.moved() and calls
-/// erase_at(), so no tombstones ever exist (ctx.dead() is never consulted).
+/// Binary min-heap over (at, seq) with Floyd pops and a branch-free
+/// descent.
 class BinaryHeapBackend {
  public:
-  /// Eager positional cancellation: the owner tracks positions from
-  /// ctx.moved() and erases in O(log n).
-  static constexpr bool kPositionalCancel = true;
-
   /// Insert an entry; O(log n).
-  template <typename Ctx>
-  void push(const EventEntry& e, Ctx ctx) {
+  void push(const EventEntry& e) {
     heap_.push_back(e);
-    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), e, ctx);
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), e);
   }
 
-  /// The live minimum. Precondition: !empty().
-  template <typename Ctx>
-  const EventEntry& peek(Ctx) const noexcept {
-    return heap_[0];
-  }
+  /// The minimum. Precondition: !empty().
+  const EventEntry& peek() const noexcept { return heap_[0]; }
 
   /// Remove the minimum (Floyd's optimisation): percolate the hole to the
   /// bottom choosing the smaller child — one compare per level instead of
   /// two — then bubble the displaced last element up. In an event queue
   /// the last element is almost always late, so the bubble-up is O(1).
-  template <typename Ctx>
-  void pop_min(Ctx ctx) {
+  void pop_min() {
     const EventEntry last = heap_.back();
     heap_.pop_back();
     const auto n = static_cast<std::uint32_t>(heap_.size());
@@ -185,28 +147,10 @@ class BinaryHeapBackend {
       // compares the left child against itself (false), which is safe.
       const auto has_right = static_cast<std::uint32_t>(child + 1 < n);
       child += has_right & event_precedes_u(heap_[child + has_right], heap_[child]);
-      place(pos, heap_[child], ctx);
+      heap_[pos] = heap_[child];
       pos = child;
     }
-    sift_up(pos, last, ctx);
-  }
-
-  /// Remove the entry at heap position `pos` (as last reported through
-  /// ctx.moved() for `slot`); O(log n).
-  template <typename Ctx>
-  void erase_at(std::uint32_t pos, std::uint32_t slot, Ctx ctx) {
-    assert(pos < heap_.size() && heap_[pos].slot == slot &&
-           heap_[pos].kind == EventKind::kCallback &&
-           "stale position: a ctx.moved() update was missed");
-    (void)slot;
-    const EventEntry last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size()) return;
-    if (pos > 0 && event_precedes(last, heap_[(pos - 1) / 2])) {
-      sift_up(pos, last, ctx);
-    } else {
-      sift_down(pos, last, ctx);
-    }
+    sift_up(pos, last);
   }
 
   std::size_t size() const noexcept { return heap_.size(); }
@@ -218,40 +162,26 @@ class BinaryHeapBackend {
     for (const EventEntry& e : heap_) f(e);
   }
 
+  /// Drop every entry matching `pred`, then re-heapify; O(n).
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    std::erase_if(heap_, pred);
+    std::make_heap(heap_.begin(), heap_.end(),
+                   [](const EventEntry& a, const EventEntry& b) { return event_precedes(b, a); });
+  }
+
   void clear() { heap_.clear(); }
 
  private:
-  template <typename Ctx>
-  void place(std::uint32_t pos, const EventEntry& e, Ctx ctx) {
-    heap_[pos] = e;
-    if (e.kind == EventKind::kCallback) ctx.moved(e.slot, pos);
-  }
-
   /// Move `e` up from the hole at `pos` to its final position.
-  template <typename Ctx>
-  void sift_up(std::uint32_t pos, const EventEntry& e, Ctx ctx) {
+  void sift_up(std::uint32_t pos, const EventEntry& e) {
     while (pos > 0) {
       const std::uint32_t parent = (pos - 1) / 2;
       if (!event_precedes(e, heap_[parent])) break;
-      place(pos, heap_[parent], ctx);
+      heap_[pos] = heap_[parent];
       pos = parent;
     }
-    place(pos, e, ctx);
-  }
-
-  /// Move `e` down from the hole at `pos` to its final position.
-  template <typename Ctx>
-  void sift_down(std::uint32_t pos, const EventEntry& e, Ctx ctx) {
-    const auto n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      std::uint32_t child = 2 * pos + 1;
-      if (child >= n) break;
-      if (child + 1 < n && event_precedes(heap_[child + 1], heap_[child])) ++child;
-      if (!event_precedes(heap_[child], e)) break;
-      place(pos, heap_[child], ctx);
-      pos = child;
-    }
-    place(pos, e, ctx);
+    heap_[pos] = e;
   }
 
   std::vector<EventEntry> heap_;
@@ -306,20 +236,12 @@ struct WheelConfig {
 /// horizon arithmetic saturates at the Time maximum, so timestamps near
 /// INT64_MAX roll through overflow epochs instead of overflowing.
 ///
-/// Cancellation is *lazy* (kPositionalCancel == false): the owner bumps
-/// the slot generation and calls on_cancelled();
-/// dead entries are dropped whenever ctx.dead() flags them during
-/// cascades, sorts or peeks. size() always reports live entries only.
-///
 /// Steady-state allocation freedom: slot vectors are pooled per (level,
 /// slot) — cleared on consumption, never shrunk — and bottom/overflow/
 /// scratch recycle their capacity, so a periodic workload stops
 /// allocating once every container has seen its peak.
 class TimingWheelBackend {
  public:
-  /// Lazy tombstone cancellation (see class comment).
-  static constexpr bool kPositionalCancel = false;
-
   /// Default geometry (WheelConfig defaults).
   TimingWheelBackend() : TimingWheelBackend(WheelConfig{}) {}
   /// Custom geometry. Degenerate or overflowing grids are rejected loudly
@@ -347,50 +269,39 @@ class TimingWheelBackend {
 
   /// Insert an entry: O(1) slot hash, or a bounded sorted insert into
   /// bottom for timestamps behind the consumption floor.
-  template <typename Ctx>
-  void push(const EventEntry& e, Ctx ctx) {
-    ++live_;
+  void push(const EventEntry& e) {
+    ++stored_;
     if (e.at >= overflow_floor_) {
       overflow_.push_back(e);
       return;
     }
     if (e.at < floor_) {
-      insert_bottom(e, ctx);
+      insert_bottom(e);
       return;
     }
     place_in_wheel(e);
   }
 
-  /// The live minimum. Precondition: !empty().
-  template <typename Ctx>
-  const EventEntry& peek(Ctx ctx) {
-    ensure_bottom(ctx);
+  /// The minimum. Precondition: !empty().
+  const EventEntry& peek() {
+    ensure_bottom();
     return bottom_[bottom_head_];
   }
 
-  /// Remove the live minimum. Precondition: !empty().
-  template <typename Ctx>
-  void pop_min(Ctx ctx) {
-    ensure_bottom(ctx);
-    --live_;
+  /// Remove the minimum. Precondition: !empty().
+  void pop_min() {
+    ensure_bottom();
+    --stored_;
     if (++bottom_head_ == bottom_.size()) {
       bottom_.clear();  // recycle capacity, never shrink
       bottom_head_ = 0;
     }
   }
 
-  /// Tombstone notification: one pending entry was cancelled by the owner
-  /// (its slot generation is already bumped, so ctx.dead() now flags it).
-  void on_cancelled() noexcept {
-    assert(live_ > 0);
-    --live_;
-  }
+  std::size_t size() const noexcept { return stored_; }
+  bool empty() const noexcept { return stored_ == 0; }
 
-  std::size_t size() const noexcept { return live_; }
-  bool empty() const noexcept { return live_ == 0; }
-
-  /// Visit every stored entry, tombstones included (the owner re-checks
-  /// liveness; pending-event cleanup on destruction).
+  /// Visit every stored entry (pending-event cleanup on destruction).
   template <typename F>
   void for_each(F f) const {
     for (std::size_t i = bottom_head_; i < bottom_.size(); ++i) f(bottom_[i]);
@@ -409,12 +320,30 @@ class TimingWheelBackend {
     floor_ = 0;
     overflow_.clear();
     overflow_floor_ = sat_shl(slots_per_level_, shift(cfg_.levels - 1));
-    live_ = 0;
+    stored_ = 0;
+  }
+
+  /// Drop every entry matching `pred`, visiting only occupied slots (by
+  /// their bits); a slot left empty loses its bit.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    bottom_.erase(bottom_.begin(), bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
+    bottom_head_ = 0;
+    std::size_t n = std::erase_if(bottom_, pred) + std::erase_if(overflow_, pred);
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      const std::size_t first = i / words_per_level_ * slots_per_level_ + i % words_per_level_ * 64;
+      for (std::uint64_t occupied = bits_[i]; occupied != 0; occupied &= occupied - 1) {
+        const int bit = std::countr_zero(occupied);
+        n += std::erase_if(slots_[first + bit], pred);
+        if (slots_[first + bit].empty()) bits_[i] &= ~(std::uint64_t{1} << bit);
+      }
+    }
+    stored_ -= n;
   }
 
   // --- observability (tests and the bench probe these) --------------------
 
-  /// Non-empty slots at `level` (tombstones included).
+  /// Non-empty slots at `level`.
   std::uint32_t occupancy(std::uint32_t level) const noexcept {
     std::uint32_t n = 0;
     for (std::uint32_t w = 0; w < words_per_level_; ++w) {
@@ -426,7 +355,7 @@ class TimingWheelBackend {
   Time wheel_floor() const noexcept { return floor_; }
   /// Start of this epoch's overflow region (beyond the top horizon).
   Time overflow_floor() const noexcept { return overflow_floor_; }
-  /// Entries in the overflow pool, tombstones included.
+  /// Entries in the overflow pool.
   std::size_t overflow_stored() const noexcept { return overflow_.size(); }
 
   /// Attach a trace recorder for structural events (cascade, epoch rebase).
@@ -484,9 +413,7 @@ class TimingWheelBackend {
     overflow_.push_back(e);
   }
 
-  template <typename Ctx>
-  void insert_bottom(const EventEntry& e, Ctx ctx) {
-    (void)ctx;
+  void insert_bottom(const EventEntry& e) {
     const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
     const auto pos = std::upper_bound(first, bottom_.end(), e,
                                       [](const EventEntry& a, const EventEntry& b) {
@@ -521,29 +448,17 @@ class TimingWheelBackend {
     return -1;
   }
 
-  /// Refill bottom until its front is the global live minimum, dropping
-  /// tombstones on the way. Precondition: live_ > 0.
-  template <typename Ctx>
-  void ensure_bottom(Ctx ctx) {
-    for (;;) {
-      // Drop dead entries surfacing at the front.
-      while (bottom_head_ < bottom_.size() && ctx.dead(bottom_[bottom_head_])) {
-        if (++bottom_head_ == bottom_.size()) {
-          bottom_.clear();
-          bottom_head_ = 0;
-        }
-      }
-      if (bottom_head_ < bottom_.size()) return;  // front is the live min
-      refill_bottom(ctx);
-    }
+  /// Refill bottom if it is drained, so that its front is the global
+  /// minimum. Precondition: stored_ > 0.
+  void ensure_bottom() {
+    if (bottom_head_ == bottom_.size()) refill_bottom();
   }
 
   /// Consume the next non-empty level-0 slot into bottom, cascading
   /// higher levels (and re-basing from overflow) as needed. Each pass
   /// either consumes a level-0 slot, cascades one coarse slot a level
-  /// down, or drains overflow, so progress is guaranteed while live_ > 0.
-  template <typename Ctx>
-  void refill_bottom(Ctx ctx) {
+  /// down, or drains overflow, so progress is guaranteed while stored_ > 0.
+  void refill_bottom() {
     for (;;) {
       // Top-down pass: level k searches [cur_[k], cap). The cap is the
       // first non-empty slot of the level above scaled down — content
@@ -572,7 +487,7 @@ class TimingWheelBackend {
       if (s0 >= 0) {
         // s0 fires before every coarse slot found above: consume it.
         auto& slot = slot_ref(0, s0);
-        sort_into_bottom(slot, ctx);
+        sort_into_bottom(slot);
         slot.clear();  // recycle capacity
         clear_bit(0, s0);
         floor_ = sat_shl(s0 + 1, cfg_.tick_shift);
@@ -581,7 +496,7 @@ class TimingWheelBackend {
         for (std::uint32_t k = 0; k < cfg_.levels; ++k) {
           cur_[k] = std::max(cur_[k], slot_of(floor_, k));
         }
-        return;  // bottom may still be empty (all-tombstone slot): caller loops
+        return;
       }
       if (cslot >= 0) {
         // No level-0 slot fires before the lowest found coarse slot:
@@ -598,7 +513,6 @@ class TimingWheelBackend {
                            slot.size(), 0, clevel);
         }
         for (const EventEntry& e : slot) {
-          if (ctx.dead(e)) continue;
           const std::int64_t down = slot_of(e.at, clevel - 1);
           assert(static_cast<std::uint64_t>(down - cur_[clevel - 1]) < slots_per_level_);
           slot_ref(clevel - 1, down).push_back(e);
@@ -610,19 +524,16 @@ class TimingWheelBackend {
         continue;
       }
       // Wheels fully drained: open the next epoch from overflow.
-      assert(!overflow_.empty() && "live_ > 0 but no entries stored");
-      rebase_from_overflow(ctx);
+      assert(!overflow_.empty() && "stored_ > 0 but no entries stored");
+      rebase_from_overflow();
     }
   }
 
   /// Move one consumed level-0 slot into bottom, sorted by the total
-  /// (at, seq) order, dropping tombstones.
-  template <typename Ctx>
-  void sort_into_bottom(std::vector<EventEntry>& slot, Ctx ctx) {
+  /// (at, seq) order.
+  void sort_into_bottom(const std::vector<EventEntry>& slot) {
     assert(bottom_.empty() && bottom_head_ == 0);
-    for (const EventEntry& e : slot) {
-      if (!ctx.dead(e)) bottom_.push_back(e);
-    }
+    bottom_.insert(bottom_.end(), slot.begin(), slot.end());
     std::sort(bottom_.begin(), bottom_.end(),
               [](const EventEntry& a, const EventEntry& b) { return event_precedes(a, b); });
   }
@@ -631,14 +542,9 @@ class TimingWheelBackend {
   /// re-latch overflow_floor_ to the new top horizon and repartition the
   /// pool — entries inside the horizon drop into the wheels, the rest
   /// stay in overflow. Precondition: bottom and all wheels are empty.
-  template <typename Ctx>
-  void rebase_from_overflow(Ctx ctx) {
+  void rebase_from_overflow() {
     Time lo = INT64_MAX;
-    for (const EventEntry& e : overflow_) {
-      if (!ctx.dead(e) && e.at < lo) lo = e.at;
-    }
-    // All-tombstone pool with live_ > 0 elsewhere is impossible here
-    // (wheels are empty); lo == INT64_MAX then simply re-bases at the top.
+    for (const EventEntry& e : overflow_) lo = std::min(lo, e.at);
     if (tracer_ != nullptr) [[unlikely]] {
       tracer_->instant(trace::id::kWheelEpoch, lo, overflow_.size());
     }
@@ -653,7 +559,6 @@ class TimingWheelBackend {
     // must enter the wheels (they fit the re-based windows) or the pool
     // would cycle forever.
     for (const EventEntry& e : scratch_) {
-      if (ctx.dead(e)) continue;
       if (!try_place(e)) overflow_.push_back(e);
     }
     scratch_.clear();  // recycle capacity
@@ -672,7 +577,7 @@ class TimingWheelBackend {
   std::vector<EventEntry> overflow_;  // unsorted beyond-horizon pool
   Time overflow_floor_ = 0;  // latched per epoch; entries at/after it -> overflow
   std::vector<EventEntry> scratch_;  // detached pool during a rebase
-  std::size_t live_ = 0;
+  std::size_t stored_ = 0;
   trace::Tracer* tracer_ = nullptr;
 };
 

@@ -34,6 +34,17 @@
 ///     instead of being left to fire as stale no-ops. Callables that are
 ///     trivially copyable and fit kInlineCallbackSize bytes never touch the
 ///     heap allocator.
+///
+/// Cancellation is the kernel's alone; the backends are plain (at, seq)
+/// queues. cancel() frees the callable and bumps the slot generation, so
+/// the stored entry becomes a *tombstone*: step_if() discards it when it
+/// reaches the front, without advancing the clock or counting it as
+/// processed, and pending_events()/idle() subtract the tombstone count.
+/// Once more than kPurgeMin tombstones make up over half the store,
+/// cancel() drops them all through the backend's erase_if(), so dense
+/// cancel traffic does not pay a full pop per tombstone. Only the spinning
+/// baselines cancel (the next arrival beats their idle Signal timeout);
+/// the single-queue X520 poller stays below the floor, denser ones purge.
 #pragma once
 
 #include <cassert>
@@ -67,11 +78,10 @@ class TimerTarget {
 /// The discrete-event kernel, templated over the pending-event store.
 ///
 /// \tparam Backend an EventQueueBackend (event_queue.hpp). The default
-///   BinaryHeapBackend cancels eagerly in O(log n); TimingWheelBackend
-///   trades that for O(1) scheduling at very large pending populations,
-///   cancelling by tombstone. Both uphold the same observable contract:
-///   identical execution order, stable EventIds, steady-state allocation
-///   freedom.
+///   BinaryHeapBackend is a binary min-heap; TimingWheelBackend gives O(1)
+///   scheduling at very large pending populations. Both uphold the same
+///   observable contract: identical execution order and steady-state
+///   allocation freedom.
 template <EventQueueBackend Backend = BinaryHeapBackend>
 class BasicSimulation {
  public:
@@ -102,7 +112,7 @@ class BasicSimulation {
     // Drop pending events first so no event can refer to a destroyed frame,
     // then destroy all frames (they are suspended, so destroy() is legal).
     queue_.for_each([this](const EventEntry& e) {
-      if (e.kind == EventKind::kCallback && !ctx().dead(e)) {
+      if (e.kind == EventKind::kCallback && !dead(e)) {
         slots_[e.slot].cb.destroy();
       }
     });
@@ -132,7 +142,7 @@ class BasicSimulation {
     e.payload = encode_generation(slots_[slot].generation);
     e.slot = slot;
     e.kind = EventKind::kCallback;
-    queue_.push(e, ctx());
+    queue_.push(e);
     return make_id(slot);
   }
 
@@ -155,7 +165,7 @@ class BasicSimulation {
     e.payload = target;
     e.slot = arg;
     e.kind = EventKind::kTimer;
-    queue_.push(e, ctx());
+    queue_.push(e);
   }
 
   /// Schedule a coroutine resume at absolute virtual time `t`. This is the
@@ -175,7 +185,7 @@ class BasicSimulation {
     if (e.at == now_) {
       fifo_.push_back(e);
     } else {
-      queue_.push(e, ctx());
+      queue_.push(e);
     }
   }
 
@@ -184,24 +194,22 @@ class BasicSimulation {
     schedule_handle_at(now_ + (delay < 0 ? 0 : delay), h);
   }
 
-  /// Remove a pending callback event (O(log n) positional erase on the
-  /// heap backend, O(1) tombstone on the wheel). Returns false when the
-  /// id is stale (already fired, already cancelled, or never valid).
+  /// Revoke a pending callback event in amortised O(1): its callable is
+  /// destroyed and its stored entry becomes a tombstone that never fires.
+  /// Returns false when the id is stale (already fired, already cancelled,
+  /// or never valid).
   bool cancel(EventId id) {
     const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     const auto gen = static_cast<std::uint32_t>(id >> 32);
     if (id == kInvalidEvent || slot >= slots_.size()) return false;
     CallbackSlot& s = slots_[slot];
     if (s.generation != gen) return false;
-    if constexpr (Backend::kPositionalCancel) {
-      queue_.erase_at(s.heap_pos, slot, ctx());
-    } else {
-      // Tombstone: the entry stays queued; bumping the slot generation in
-      // release_slot() is what makes ctx().dead() flag it for lazy drop.
-      queue_.on_cancelled();
-    }
     s.cb.destroy();
-    release_slot(slot);
+    release_slot(slot);  // the generation bump is what makes dead() flag it
+    if (++tombstones_ > kPurgeMin && 2 * tombstones_ > queue_.size()) {
+      queue_.erase_if([this](const EventEntry& e) { return dead(e); });
+      tombstones_ = 0;
+    }
     return true;
   }
 
@@ -229,10 +237,11 @@ class BasicSimulation {
   }
 
   /// True when no live event is pending.
-  bool idle() const noexcept { return queue_.empty() && fifo_empty(); }
-  /// Number of live pending events (backend + now-FIFO).
+  bool idle() const noexcept { return queue_.size() == tombstones_ && fifo_empty(); }
+  /// Number of live pending events (backend minus tombstones, plus the
+  /// now-FIFO).
   std::size_t pending_events() const noexcept {
-    return queue_.size() + (fifo_.size() - fifo_head_);
+    return queue_.size() - tombstones_ + (fifo_.size() - fifo_head_);
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
@@ -320,25 +329,17 @@ class BasicSimulation {
 
   /// Pooled storage for callback events (the cancellable minority).
   struct CallbackSlot {
-    SmallCallback cb;            // 40 bytes
+    SmallCallback cb;  // 40 bytes
     std::uint32_t generation = 1;
-    std::uint32_t heap_pos = 0;  // backend position / free-list link
+    std::uint32_t next_free = 0;  // free-list link while the slot is free
   };
 
-  /// The queue context handed to the backend: position tracking for
-  /// eager-cancel backends, liveness queries for tombstoning ones (see the
-  /// contract in event_queue.hpp).
-  struct QueueCtx {
-    BasicSimulation* sim;
-    void moved(std::uint32_t slot, std::uint32_t pos) const noexcept {
-      sim->slots_[slot].heap_pos = pos;
-    }
-    bool dead(const EventEntry& e) const noexcept {
-      return e.kind == EventKind::kCallback &&
-             sim->slots_[e.slot].generation != decode_generation(e.payload);
-    }
-  };
-  QueueCtx ctx() noexcept { return QueueCtx{this}; }
+  /// True for a tombstone: a callback entry whose slot was cancelled (or
+  /// cancelled and reused) since the entry was stored.
+  bool dead(const EventEntry& e) const noexcept {
+    return e.kind == EventKind::kCallback &&
+           slots_[e.slot].generation != decode_generation(e.payload);
+  }
 
   static void* encode_generation(std::uint32_t gen) noexcept {
     return reinterpret_cast<void*>(static_cast<std::uintptr_t>(gen));
@@ -351,7 +352,7 @@ class BasicSimulation {
     std::uint32_t slot;
     if (free_head_ != kNilSlot) {
       slot = free_head_;
-      free_head_ = slots_[slot].heap_pos;
+      free_head_ = slots_[slot].next_free;
     } else {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
@@ -362,7 +363,7 @@ class BasicSimulation {
   void release_slot(std::uint32_t slot) {
     CallbackSlot& s = slots_[slot];
     ++s.generation;
-    s.heap_pos = free_head_;
+    s.next_free = free_head_;
     free_head_ = slot;
   }
 
@@ -407,36 +408,46 @@ class BasicSimulation {
     }
   }
 
-  /// Pop and execute the earliest event with at <= end, false when none.
+  /// Pop and execute the earliest live event with at <= end, false when
+  /// none. Tombstones at the store's front are discarded first, so the
+  /// merge below only ever sees a live store minimum.
   bool step_if(Time end) {
+    while (tombstones_ != 0 && dead(queue_.peek())) {
+      queue_.pop_min();
+      --tombstones_;
+    }
     if (fifo_empty()) {
       if (queue_.empty()) return false;
-      const EventEntry top = queue_.peek(ctx());
+      const EventEntry top = queue_.peek();
       if (top.at > end) return false;
       // Start pulling the coroutine frame in while the pop runs; resume()
       // needs it a few dozen cycles from now.
       if (top.kind == EventKind::kCoroutine) __builtin_prefetch(top.payload);
-      queue_.pop_min(ctx());
+      queue_.pop_min();
       dispatch(top);
       return true;
     }
     // The FIFO front is its minimum (entries are appended in seq order at
     // a single instant); merge it with the backend's minimum by (at, seq).
-    if (queue_.empty() || event_precedes(fifo_[fifo_head_], queue_.peek(ctx()))) {
+    if (queue_.empty() || event_precedes(fifo_[fifo_head_], queue_.peek())) {
       const EventEntry top = fifo_[fifo_head_];
       if (top.at > end) return false;
       fifo_pop();
       dispatch(top);
     } else {
-      const EventEntry top = queue_.peek(ctx());
+      const EventEntry top = queue_.peek();
       if (top.at > end) return false;
-      queue_.pop_min(ctx());
+      queue_.pop_min();
       dispatch(top);
     }
     return true;
   }
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  /// Purge floor: up to this many tombstones are popped as they come due
+  /// (the X520 poller keeps at most ~45). Above it, a purge at half the
+  /// store costs O(1) amortised per cancel.
+  static constexpr std::size_t kPurgeMin = 64;
   static constexpr Time kTimeMax = INT64_MAX;
 
   Time now_ = 0;
@@ -447,6 +458,7 @@ class BasicSimulation {
   std::size_t fifo_head_ = 0;
   std::vector<CallbackSlot> slots_;
   std::uint32_t free_head_ = kNilSlot;
+  std::size_t tombstones_ = 0;  // cancelled entries still stored in queue_
   std::vector<std::coroutine_handle<Task::promise_type>> processes_;
   Rng rng_;
   trace::Tracer* tracer_ = nullptr;
@@ -469,9 +481,9 @@ using WheelSimulation = BasicSimulation<TimingWheelBackend>;
 ///
 /// Waiters form an intrusive doubly-linked FIFO over a pooled token array —
 /// a wait costs no allocation in steady state. A timed wait arms a
-/// cancellable kernel timer; notification cancels the timer (and vice
-/// versa the timer detaches the waiter), so notify racing timeout can
-/// never double-resume.
+/// cancellable kernel timer; notification cancels it, leaving a kernel
+/// tombstone that never fires (and vice versa the timer detaches the
+/// waiter), so notify racing timeout can never double-resume.
 ///
 /// \tparam Sim the owning kernel instantiation (any backend).
 template <typename Sim = Simulation>

@@ -11,6 +11,8 @@
 // speed knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -142,6 +144,38 @@ TEST(BackendFullstackTest, PerFlowModeArmsOneTimerPerFlow) {
   bed.start();
   bed.run_until(cfg.warmup);
   EXPECT_GE(bed.sim().pending_events(), 2048u);
+}
+
+template <typename Sim>
+std::size_t max_stored_tombstones() {
+  // X520 static poller at 10 GbE line rate: every arrival beats the
+  // poller's idle Signal timeout, so a quarter of all kernel events are
+  // cancels. Each tombstone stays stored until the clock reaches its fire
+  // time; the population must stay near cancel rate x timeout horizon
+  // (a few dozen), not grow with the run.
+  ExperimentConfig cfg;
+  cfg.driver = DriverKind::kStaticPolling;
+  cfg.workload.rate_mpps = 14.88;
+  cfg.warmup = 5 * sim::kMillisecond;
+  cfg.measure = 20 * sim::kMillisecond;
+  BasicTestbed<Sim> bed(cfg);
+  bed.start();
+  std::size_t max_tombstones = 0;
+  for (sim::Time t = sim::kMillisecond; t <= cfg.warmup + cfg.measure; t += sim::kMillisecond) {
+    bed.run_until(t);
+    // The now-FIFO is empty when run_until returns, so whatever the store
+    // holds beyond the live count is tombstones.
+    const std::size_t tombstones = bed.sim().backend().size() - bed.sim().pending_events();
+    EXPECT_LE(tombstones, 256u) << "at " << t << " ns";
+    max_tombstones = std::max(max_tombstones, tombstones);
+  }
+  EXPECT_GT(bed.packets_processed(), 250000u) << "scenario must do real work";
+  return max_tombstones;
+}
+
+TEST(BackendFullstackTest, StaticPollingTombstonesStayBounded) {
+  EXPECT_GT(max_stored_tombstones<sim::Simulation>(), 0u) << "the poller must cancel";
+  EXPECT_GT(max_stored_tombstones<sim::WheelSimulation>(), 0u) << "the poller must cancel";
 }
 
 }  // namespace

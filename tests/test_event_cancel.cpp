@@ -1,12 +1,15 @@
 // The event-ID API: stable-id timer cancellation and id staleness,
-// parameterized over both event-queue backends (eager positional erase on
-// the binary heap, lazy tombstoning on the timing wheel). The observable
-// contract is identical. The last case mixes all three event kinds
+// parameterized over both event-queue backends. Cancellation is the
+// kernel's: a cancelled callback stays stored as a tombstone that the
+// kernel discards when it reaches the front or purges once tombstones
+// dominate the store, so the observable contract is identical on both. The last case mixes all three event kinds
 // (coroutine, callback, kTimer) and pins their shared (at, seq) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,9 +84,9 @@ TYPED_TEST(EventCancelTest, CancelFromInsideAHandler) {
 }
 
 TYPED_TEST(EventCancelTest, CancelLastPendingEventLeavesKernelIdle) {
-  // The edge case tombstoning backends must get right: cancelling the only
-  // pending event must report the kernel idle even though the tombstone
-  // still occupies internal storage, and a later schedule must work.
+  // Cancelling the only pending event must report the kernel idle even
+  // though its tombstone still occupies the store, and a later schedule
+  // must work.
   typename TestFixture::Sim sim;
   int fired = 0;
   const auto id = sim.schedule_at(100, [&] { ++fired; });
@@ -101,6 +104,136 @@ TYPED_TEST(EventCancelTest, CancelLastPendingEventLeavesKernelIdle) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), 50);
   EXPECT_TRUE(sim.idle());
+}
+
+/// Logs the clock, negated, at its first resume and finishes.
+template <typename Sim>
+Task log_negated_clock(Sim& sim, std::vector<Time>& log) {
+  log.push_back(-sim.now());
+  co_return;
+}
+
+TYPED_TEST(EventCancelTest, TombstonesLeaveNoTrace) {
+  // Cancel the latest-scheduled events so the last stored entries are
+  // tombstones: the clock, the processed count and the live counts must
+  // all ignore them.
+  using Sim = typename TestFixture::Sim;
+  Sim sim;
+  std::vector<Time> fired;
+  const auto at = [&](Time t) {
+    return sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
+  };
+  at(10);
+  at(20);
+  at(30);
+  const auto late_a = at(40);
+  const auto late_b = at(50);
+  EXPECT_EQ(sim.pending_events(), 5u);
+  EXPECT_TRUE(sim.cancel(late_b));
+  EXPECT_TRUE(sim.cancel(late_a));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_FALSE(sim.idle());
+  ASSERT_EQ(sim.backend().size(), 5u) << "the tombstones must still be stored";
+
+  EXPECT_EQ(sim.run(), 30) << "run() returns the time of the last live event";
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30}));
+  EXPECT_EQ(sim.events_processed(), 3u) << "tombstones are not processed events";
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_TRUE(sim.backend().empty()) << "run() drains the trailing tombstones";
+
+  // run_until(end) with a tombstone before `end` still runs the live
+  // events between it and `end`, and stops there.
+  at(100);
+  const auto doomed = at(110);
+  at(120);
+  at(140);
+  at(200);
+  EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.run_until(150), 150);
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 100, 120, 140}));
+  EXPECT_EQ(sim.events_processed(), 6u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.idle());
+
+  // A tombstone at the current instant ahead of a now-FIFO resume (a
+  // spawn at the same time, with a larger seq) must not stall the merge.
+  sim.schedule_at(170, [&] {
+    EXPECT_TRUE(sim.cancel(at(sim.now())));
+    sim.spawn(log_negated_clock(sim, fired));
+    EXPECT_EQ(sim.pending_events(), 2u) << "the resume and the event at 200";
+  });
+  EXPECT_EQ(sim.run(), 200);
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 100, 120, 140, -170, 200}));
+  EXPECT_EQ(sim.events_processed(), 9u) << "the hook, the resume and the event at 200";
+  EXPECT_TRUE(sim.idle());
+}
+
+template <typename Sim>
+Task sleep_then_log_clock(Sim& sim, Time delay, std::vector<Time>& log) {
+  co_await sim.sleep_for(delay);
+  log.push_back(sim.now());
+}
+
+TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
+  // Cancelling most of a large store makes tombstones outnumber the live
+  // entries, and cancel() purges them all at once. The survivors — live
+  // callbacks and a sleeping coroutine — must still run in (at, seq)
+  // order. The far times span every wheel level and the overflow pool;
+  // the near ones, armed after run_until has consumed part of the store,
+  // sit in the wheel's sorted bottom or one per level-0 slot, and the
+  // cancels run from a handler halfway through that bottom.
+  using Sim = typename TestFixture::Sim;
+  Sim sim;
+  std::vector<Time> fired;
+  std::vector<std::pair<typename Sim::EventId, Time>> events;
+  const auto arm = [&](Time t) {
+    events.emplace_back(sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); }), t);
+  };
+  for (int i = 0; i < 400; ++i) {
+    arm(i % 50 == 0 ? (Time{1} << 51) + i : 1'000 + (i * 7'919 % 400) * Time{997'000});
+  }
+  sim.spawn(sleep_then_log_clock(sim, 150 * kMillisecond, fired));
+  const Time mid = 50 * kMillisecond;
+  sim.run_until(mid);
+  // The next event after mid (at ~50.85 ms) set the wheel's floor, and
+  // its level-0 window reaches ~262 us past it.
+  for (int j = 1; j <= 100; ++j) {
+    arm(mid + j * Time{1'024});                 // behind the floor: the sorted bottom
+    arm(mid + kMillisecond + j * Time{1'024});  // one per level-0 slot
+  }
+  if constexpr (std::is_same_v<TypeParam, TimingWheelBackend>) {
+    ASSERT_GE(sim.backend().occupancy(0), 100u) << "near events must sit in level-0 slots";
+  }
+
+  const Time cut = mid + 50 * Time{1'024} + 512;
+  std::vector<Time> expect{150 * kMillisecond};
+  std::size_t live_after_cut = 1;  // the coroutine
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Time t = events[i].second;
+    if (t <= cut || i % 4 == 0) expect.push_back(t);
+    live_after_cut += t > cut && i % 4 == 0;
+  }
+  sim.schedule_at(cut, [&] {
+    const std::size_t stored = sim.backend().size();
+    for (std::size_t i = events.size(); i-- > 0;) {  // near ones first: the purge takes them
+      const auto [id, t] = events[i];
+      if (t > cut && i % 4 != 0) {
+        EXPECT_TRUE(sim.cancel(id));
+      }
+    }
+    EXPECT_EQ(sim.pending_events(), live_after_cut);
+    EXPECT_LT(sim.backend().size(), stored / 2) << "a purge must have run";
+    EXPECT_LE(sim.backend().size() - sim.pending_events(),
+              std::max<std::size_t>(64, sim.pending_events()))
+        << "tombstones never outnumber live entries past the purge threshold";
+  });
+  sim.run();
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(fired, expect);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_TRUE(sim.backend().empty());
 }
 
 TYPED_TEST(EventCancelTest, CancelMiddleOfManyKeepsOrdering) {

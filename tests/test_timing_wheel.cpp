@@ -166,9 +166,9 @@ TEST(TimingWheelTest, SameTickFloodRunsInInsertionOrder) {
 }
 
 TEST(TimingWheelTest, CancelLastPendingEventLeavesWheelIdle) {
-  // Tombstoning the only stored entry must drop live accounting to zero
-  // without a peek ever surfacing the dead entry — and the structure must
-  // absorb a fresh workload afterwards.
+  // Tombstoning the only stored entry must drop the kernel's live count to
+  // zero, the dead entry must never fire, and the structure must absorb a
+  // fresh workload afterwards.
   BasicSimulation<TimingWheelBackend> sim;
   int fired = 0;
   const auto id = sim.schedule_at(5'000, [&fired] { ++fired; });
