@@ -162,8 +162,10 @@ void BasicTestbed<Sim>::start() {
       src.duration = cfg_.warmup + cfg_.measure + 100 * sim::kMillisecond;
       // Arena form, not one coroutine per flow: at fig13_fullstack_1m+
       // scale (2^20..2^24 flows) the spawn loop and its millions of
-      // frames would dominate setup; the SoA lanes are 16 B per flow.
-      // Bit-identical stream either way (test_tgen).
+      // frames would dominate setup, and each flow would keep an event in
+      // the kernel store; the arena's lanes are 28 B per flow and its
+      // calendar keeps the arrivals out of the store. Bit-identical
+      // stream either way (test_tgen).
       flow_arena_ = std::make_unique<tgen::PerFlowSourceArena<Sim>>(*sim_, *port_, *flows_, src);
     } else if (generator_ != nullptr) {
       tgen::attach(*sim_, *port_, *generator_);

@@ -104,7 +104,7 @@ std::vector<ScenarioSpec> build_registry() {
   }
   {
     ScenarioSpec s{"fig13_fullstack_perflow",
-                   "fig13 multiqueue testbed on 24576 per-flow sources (large pending population)",
+                   "fig13 multiqueue testbed on 24576 per-flow sources (large armed population)",
                    fig13_testbed()};
     s.config.workload.model = ArrivalModel::kPerFlow;
     s.config.workload.poisson = true;
@@ -114,14 +114,14 @@ std::vector<ScenarioSpec> build_registry() {
     reg.push_back(std::move(s));
   }
   {
-    // The million-flow regime the timing-wheel backend exists for: 2^20
-    // per-flow Poisson sources, each keeping one timer armed at all times
-    // (>1M concurrently pending events; the arena source path makes the
-    // population affordable to construct). Windows are short because one
-    // simulated millisecond covers 37k packets against a 28 ms mean
-    // per-flow gap — the point is the pending population, not run length.
+    // The million-flow regime: 2^20 per-flow Poisson sources, each keeping
+    // one arrival armed at all times (>1M concurrently armed flows, held in
+    // the arena's own calendar, not the kernel store). Windows are short
+    // because one simulated millisecond covers 37k packets against a 28 ms
+    // mean per-flow gap — the point is the armed population, not run
+    // length.
     ScenarioSpec s{"fig13_fullstack_1m",
-                   "fig13 multiqueue testbed on 2^20 per-flow sources (wheel regime)",
+                   "fig13 multiqueue testbed on 2^20 per-flow sources (million-flow regime)",
                    fig13_testbed()};
     s.config.workload.model = ArrivalModel::kPerFlow;
     s.config.workload.poisson = true;
@@ -131,9 +131,9 @@ std::vector<ScenarioSpec> build_registry() {
     reg.push_back(std::move(s));
   }
   {
-    // 2^22 flows: the flow table no longer fits LLC and the mean per-flow
-    // gap (113 ms) dwarfs the wheel's level-0 horizon, so most re-arms
-    // cascade down from the upper levels.
+    // 2^22 flows: the flow lanes (~117 MB) no longer fit a typical LLC and
+    // the mean per-flow gap is 113 ms, so most flows arm once in the
+    // window and every calendar chain step is a cold-memory touch.
     ScenarioSpec s{"fig13_fullstack_4m",
                    "fig13 multiqueue testbed on 2^22 per-flow sources (beyond-LLC regime)",
                    fig13_testbed()};
@@ -145,8 +145,8 @@ std::vector<ScenarioSpec> build_registry() {
     reg.push_back(std::move(s));
   }
   {
-    // 2^24 flows: ~256 MB of arena lanes + ~1.3 GB of pending kernel
-    // events — the memory-bandwidth wall. Mean per-flow gap is 453 ms, so
+    // 2^24 flows: ~470 MB of arena lanes + 64 MB of calendar buckets —
+    // the memory-bandwidth wall. Mean per-flow gap is 453 ms, so
     // a 25 ms window sees each flow at most once; the packet rate is
     // unchanged (it depends only on the aggregate rate) but every fire is
     // a cold-memory touch.

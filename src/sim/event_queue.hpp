@@ -14,8 +14,11 @@
 ///     each level covering its parent slot at finer granularity, with a
 ///     per-level cascade on consumption and an unsorted overflow pool for
 ///     events beyond the top level's horizon. O(1) insert, and each event
-///     cascades at most once per level — built for the 1M+ concurrently
-///     pending per-flow timers of the fig13_fullstack_1m scenario.
+///     cascades at most once per level — built for very large stored
+///     populations. The per-flow arrival timers that once made up such
+///     populations now live in the arena's own calendar (an EventSource,
+///     simulation.hpp), so no registry scenario keeps more than a handful
+///     of events in either store.
 ///
 /// ## Backend concept and invariant contract
 ///
@@ -50,11 +53,10 @@
 
 namespace metro::sim {
 
-/// Discriminates the three event payload flavours carried by EventEntry.
+/// Discriminates the two event payload flavours carried by EventEntry.
 enum class EventKind : std::uint32_t {
   kCoroutine,  ///< payload is a raw coroutine frame address (hot path)
-  kCallback,   ///< slot indexes the simulation's pooled callback table
-  kTimer       ///< payload is a TimerTarget*, slot its 32-bit argument
+  kCallback    ///< slot indexes the simulation's pooled callback table
 };
 
 /// 32-byte POD event record; comparisons and moves stay inside contiguous
@@ -65,14 +67,11 @@ enum class EventKind : std::uint32_t {
 ///     payload carries that slot's *generation* at scheduling time, which
 ///     is how the kernel recognises a tombstone (a cancelled slot's
 ///     generation has been bumped). The only kind that can be cancelled.
-///   * kTimer     — payload is the TimerTarget* to fire and slot the
-///     argument it receives. The record is the whole event: no side-table
-///     state, and it can never be cancelled.
 struct EventEntry {
   Time at;            ///< absolute virtual timestamp, ns
   std::uint64_t seq;  ///< global insertion sequence; ties broken by it
-  void* payload;      ///< coroutine frame, encoded generation, or target
-  std::uint32_t slot; ///< kCallback: pool index; kTimer: target argument
+  void* payload;      ///< coroutine frame or encoded generation
+  std::uint32_t slot; ///< kCallback: pool index
   EventKind kind;     ///< payload discriminator
 };
 static_assert(sizeof(EventEntry) == 32);
@@ -208,7 +207,7 @@ struct WheelConfig {
 };
 
 /// Hierarchical timing wheel tuned for very large pending populations of
-/// mostly near-future timers (the per-flow-source regime).
+/// mostly near-future timers.
 ///
 /// Structure (coarsest at the top):
 ///

@@ -6,13 +6,14 @@
 ///   * a pluggable pending-event store (see event_queue.hpp) holding
 ///     timestamped events — a binary min-heap by default, or a timing
 ///     wheel for very large pending populations,
+///   * optionally one attached EventSource whose own events it merges,
 ///   * the coroutine frames of all spawned processes,
 ///   * a deterministic RNG shared by models that need randomness.
 ///
 /// Events inserted at equal timestamps run in insertion order (a strictly
-/// increasing sequence number breaks ties, merged across the backend and
-/// the now-FIFO), which keeps runs bit-for-bit reproducible — on every
-/// backend.
+/// increasing sequence number breaks ties, merged across the backend, the
+/// now-FIFO and the attached EventSource), which keeps runs bit-for-bit
+/// reproducible — on every backend.
 ///
 /// The event path is allocation-free in steady state and built for
 /// throughput:
@@ -23,11 +24,13 @@
 ///     resumes): the raw handle rides inside the event record itself, with
 ///     zero side-table bookkeeping, and same-instant resumes bypass the
 ///     backend entirely through a FIFO that is already in execution order;
-///   * timer events (the per-flow arrival timers of PerFlowSourceArena)
-///     work the same way: a TimerTarget* and a 32-bit argument ride inside
-///     the record, so a pending timer costs its 32 bytes and nothing else —
-///     no slot to acquire or release, no callable to copy. They cannot be
-///     cancelled;
+///   * an attached EventSource (at most one: the per-flow arrival
+///     calendar of PerFlowSourceArena) keeps its armed events in its own
+///     structure and publishes only its earliest (at, seq); step_if merges
+///     that head with the store and the now-FIFO, so N per-flow timers
+///     cost the store nothing. The source takes its sequence numbers from
+///     take_seq(), so its events interleave with scheduled ones exactly as
+///     if they had been scheduled;
 ///   * callback events (governor ticks, cancellable timeouts, test
 ///     fixtures) live in a pooled slot with a small-buffer-optimised
 ///     callable and a stable EventId, so pending timers can be *cancelled*
@@ -52,6 +55,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -63,16 +67,49 @@
 
 namespace metro::sim {
 
-/// Receiver of kTimer events (BasicSimulation::schedule_timer_at): the
-/// kernel calls on_timer(arg) with the argument the timer was armed with.
-/// The target must outlive every timer armed on it — a timer cannot be
-/// cancelled. Never deleted through this interface.
-class TimerTarget {
+/// A private store of events the kernel merges into its own (at, seq)
+/// order — the way a subsystem with its own timer structure (the per-flow
+/// arrival calendar, tgen/feeder.hpp) keeps N timers without putting N
+/// events into the kernel's store.
+///
+/// The source publishes the (at, seq) of its earliest armed event through
+/// set_head(), and keeps armed() current; the kernel reads both inline on
+/// every step. Each armed event takes its seq from
+/// BasicSimulation::take_seq() when it is armed, so it orders against
+/// scheduled events exactly as if it had been scheduled. When the head is
+/// the earliest pending event the kernel sets now() to head_at(), counts
+/// the event as processed and calls fire(), which must consume the head
+/// (and may arm more events) and publish the new head before returning.
+/// The kernel never touches the source outside step_if, so it need only
+/// outlive the runs it takes part in. Never deleted through this
+/// interface.
+class EventSource {
  public:
-  virtual void on_timer(std::uint32_t arg) = 0;
+  /// (at, seq) of the earliest armed event. With nothing armed the head
+  /// is (INT64_MAX, UINT64_MAX), which no stored event can follow.
+  Time head_at() const noexcept { return head_at_; }
+  std::uint64_t head_seq() const noexcept { return head_seq_; }
+  /// Events armed in the source; counted by pending_events()/idle().
+  std::size_t armed() const noexcept { return armed_; }
+
+  /// Run the head event (the kernel has set now() to head_at()).
+  virtual void fire() = 0;
 
  protected:
-  ~TimerTarget() = default;
+  EventSource() = default;
+  ~EventSource() = default;
+
+  void set_head(Time at, std::uint64_t seq) noexcept {
+    head_at_ = at;
+    head_seq_ = seq;
+  }
+  void clear_head() noexcept { set_head(INT64_MAX, UINT64_MAX); }
+
+  std::size_t armed_ = 0;
+
+ private:
+  Time head_at_ = INT64_MAX;
+  std::uint64_t head_seq_ = UINT64_MAX;
 };
 
 /// The discrete-event kernel, templated over the pending-event store.
@@ -152,20 +189,17 @@ class BasicSimulation {
     return schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Schedule `target->on_timer(arg)` at absolute virtual time `t`. The
-  /// whole event lives in its 32-byte record (no callback slot), so this
-  /// is the cheap way to keep one timer per flow armed; the price is that
-  /// it cannot be cancelled. It takes a sequence number exactly like
-  /// schedule_at, so replacing a callback by a timer keeps the run's
-  /// execution order.
-  void schedule_timer_at(Time t, TimerTarget* target, std::uint32_t arg) {
-    EventEntry e;
-    e.at = t < now_ ? now_ : t;
-    e.seq = next_seq_++;
-    e.payload = target;
-    e.slot = arg;
-    e.kind = EventKind::kTimer;
-    queue_.push(e);
+  /// Hand out the next sequence number, exactly as scheduling an event
+  /// does. An EventSource takes one per armed event so that its events and
+  /// the scheduled ones share one (at, seq) order.
+  std::uint64_t take_seq() noexcept { return next_seq_++; }
+
+  /// Register the one EventSource whose head step_if merges with the
+  /// store (see EventSource). A second registration throws.
+  void attach_source(EventSource* source) {
+    if (source == nullptr) throw std::invalid_argument("attach_source: null source");
+    if (source_ != nullptr) throw std::logic_error("attach_source: a source is already attached");
+    source_ = source;
   }
 
   /// Schedule a coroutine resume at absolute virtual time `t`. This is the
@@ -237,11 +271,13 @@ class BasicSimulation {
   }
 
   /// True when no live event is pending.
-  bool idle() const noexcept { return queue_.size() == tombstones_ && fifo_empty(); }
+  bool idle() const noexcept {
+    return queue_.size() == tombstones_ && fifo_empty() && source_armed() == 0;
+  }
   /// Number of live pending events (backend minus tombstones, plus the
-  /// now-FIFO).
+  /// now-FIFO, plus the attached source's armed events).
   std::size_t pending_events() const noexcept {
-    return queue_.size() - tombstones_ + (fifo_.size() - fifo_head_);
+    return queue_.size() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed();
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
@@ -383,21 +419,43 @@ class BasicSimulation {
     }
   }
 
-  void dispatch(const EventEntry& top) {
-    now_ = top.at;
+  std::size_t source_armed() const noexcept {
+    return source_ != nullptr ? source_->armed() : 0;
+  }
+
+  /// Advance the clock to `at` and count one processed event.
+  void advance(Time at) {
+    now_ = at;
     ++processed_;
     if (tracer_ != nullptr) [[unlikely]] {
       // 1-in-256 deterministic sampling: a full-rate fire instant per
       // event would saturate the ring in microseconds of sim time.
       if ((processed_ & 0xff) == 0) {
-        tracer_->instant(trace::id::kKernelFire, top.at, processed_);
+        tracer_->instant(trace::id::kKernelFire, at, processed_);
       }
     }
+  }
+
+  /// True when the attached source's head precedes `e` in (at, seq).
+  bool source_first(const EventEntry& e) const noexcept {
+    if (source_ == nullptr) return false;
+    const Time at = source_->head_at();
+    return at < e.at || (at == e.at && source_->head_seq() < e.seq);
+  }
+
+  /// Fire the source's head if it is armed and due by `end`.
+  bool step_source(Time end) {
+    if (source_ == nullptr || source_->armed() == 0 || source_->head_at() > end) return false;
+    advance(source_->head_at());
+    source_->fire();
+    return true;
+  }
+
+  void dispatch(const EventEntry& top) {
+    advance(top.at);
     if (top.kind == EventKind::kCoroutine) {
       const auto h = std::coroutine_handle<>::from_address(top.payload);
       if (!h.done()) h.resume();
-    } else if (top.kind == EventKind::kTimer) {
-      static_cast<TimerTarget*>(top.payload)->on_timer(top.slot);
     } else {
       // Detach the callable before invoking: the handler may schedule new
       // events that reuse this slot, and the popped id is stale from here.
@@ -410,15 +468,17 @@ class BasicSimulation {
 
   /// Pop and execute the earliest live event with at <= end, false when
   /// none. Tombstones at the store's front are discarded first, so the
-  /// merge below only ever sees a live store minimum.
+  /// merge below only ever sees a live store minimum. Three sorted streams
+  /// meet here by (at, seq): the store, the now-FIFO and the source head.
   bool step_if(Time end) {
     while (tombstones_ != 0 && dead(queue_.peek())) {
       queue_.pop_min();
       --tombstones_;
     }
     if (fifo_empty()) {
-      if (queue_.empty()) return false;
+      if (queue_.empty()) return step_source(end);
       const EventEntry top = queue_.peek();
+      if (source_first(top)) return step_source(end);
       if (top.at > end) return false;
       // Start pulling the coroutine frame in while the pop runs; resume()
       // needs it a few dozen cycles from now.
@@ -431,11 +491,13 @@ class BasicSimulation {
     // a single instant); merge it with the backend's minimum by (at, seq).
     if (queue_.empty() || event_precedes(fifo_[fifo_head_], queue_.peek())) {
       const EventEntry top = fifo_[fifo_head_];
+      if (source_first(top)) return step_source(end);
       if (top.at > end) return false;
       fifo_pop();
       dispatch(top);
     } else {
       const EventEntry top = queue_.peek();
+      if (source_first(top)) return step_source(end);
       if (top.at > end) return false;
       queue_.pop_min();
       dispatch(top);
@@ -459,6 +521,7 @@ class BasicSimulation {
   std::vector<CallbackSlot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t tombstones_ = 0;  // cancelled entries still stored in queue_
+  EventSource* source_ = nullptr;  // attach_source(); merged by step_if
   std::vector<std::coroutine_handle<Task::promise_type>> processes_;
   Rng rng_;
   trace::Tracer* tracer_ = nullptr;

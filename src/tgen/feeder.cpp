@@ -1,6 +1,9 @@
 #include "tgen/feeder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace metro::tgen {
@@ -66,6 +69,18 @@ sim::Task flow_source_task(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& f
 
 }  // namespace
 
+void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg) {
+  if (!std::isfinite(cfg.total_rate_pps)) {
+    throw std::invalid_argument("per-flow sources: total_rate_pps must be finite");
+  }
+  if (cfg.duration < 0) {
+    throw std::invalid_argument("per-flow sources: duration must not be negative");
+  }
+  if (n_flows >= 0xffffffffu) {
+    throw std::invalid_argument("per-flow sources: at most 2^32 - 2 flows");
+  }
+}
+
 template <typename Sim>
 void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
   sim.spawn(feeder_task(sim, port, gen));
@@ -74,6 +89,7 @@ void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
 template <typename Sim>
 void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
                              PerFlowSourceConfig cfg) {
+  check_per_flow_config(flows.size(), cfg);
   const auto n = flows.size();
   if (n == 0 || cfg.total_rate_pps <= 0.0) return;
   const double mean_gap_ns = 1e9 * static_cast<double>(n) / cfg.total_rate_pps;
@@ -86,10 +102,35 @@ template void attach<sim::Simulation>(sim::Simulation&, nic::BasicPort<sim::Simu
                                       Generator&);
 template void attach<sim::WheelSimulation>(sim::WheelSimulation&,
                                            nic::BasicPort<sim::WheelSimulation>&, Generator&);
+
+namespace {
+
+/// Calendar geometry targets: about this many aggregate arrivals per
+/// bucket, and a horizon of about this many mean per-flow gaps (an
+/// exponential gap overflows it with probability e^-8).
+constexpr double kArrivalsPerBucket = 8.0;
+constexpr double kHorizonGaps = 8.0;
+/// Bucket width and ring size caps: 2^40 ns is 18 minutes, and the ring
+/// never needs more buckets than flows.
+constexpr std::uint32_t kMaxShift = 40;
+constexpr std::size_t kMaxBuckets = std::size_t{1} << 24;
+/// A refill loads at most this many non-empty buckets and walks their
+/// chains interleaved...
+constexpr std::size_t kRefillBuckets = 4;
+/// ...and, once it has one, scans at most this many buckets looking for
+/// more, so a sparse ring does not push the run far ahead of time.
+constexpr std::int64_t kRefillScan = 16;
+/// Initial run capacity (records); a refill of kRefillBuckets buckets
+/// holds ~32.
+constexpr std::size_t kRunReserve = 256;
+
+}  // namespace
+
 template <typename Sim>
 PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
                                             const FlowSet& flows, PerFlowSourceConfig cfg)
     : sim_(sim), port_(port), cfg_(cfg) {
+  check_per_flow_config(flows.size(), cfg);
   const auto n = flows.size();
   if (n == 0 || cfg.total_rate_pps <= 0.0) return;
   // Exact-size lane fills: at 2^24 flows a reserve-less push_back loop
@@ -102,6 +143,7 @@ PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
   emitted_.assign(n, 0);
   mean_gap_ns_ = 1e9 * static_cast<double>(n) / cfg.total_rate_pps;
   end_ = cfg.start + cfg.duration;
+  sim_.attach_source(this);
   // One bootstrap callback in place of n spawns. It lands in the now-FIFO
   // exactly where the coroutine path's n task handles would, so the phase
   // draws happen at the same point of the event order.
@@ -110,15 +152,33 @@ PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
 
 template <typename Sim>
 void PerFlowSourceArena<Sim>::bootstrap() {
+  const auto n = static_cast<std::uint32_t>(rss_.size());
+  // The calendar: built here rather than in the constructor, so setup
+  // pays for it where it arms the flows. Bucket width: the power of two
+  // of ns at or above kArrivalsPerBucket aggregate gaps...
+  const double width = std::ceil(kArrivalsPerBucket * mean_gap_ns_ / n);
+  shift_ = width >= std::ldexp(1.0, kMaxShift)
+               ? kMaxShift
+               : static_cast<std::uint32_t>(std::bit_width(static_cast<std::uint64_t>(width) - 1));
+  // ...and a power-of-two ring of buckets spanning kHorizonGaps mean
+  // per-flow gaps.
+  const double span = std::ceil(kHorizonGaps * mean_gap_ns_ / std::ldexp(1.0, shift_));
+  const std::size_t max_buckets = std::min(kMaxBuckets, std::bit_ceil(rss_.size()));
+  heads_.assign(
+      std::bit_ceil(static_cast<std::size_t>(std::clamp(span, 1.0, static_cast<double>(max_buckets)))),
+      kNil);
+  cur_ = sim_.now() >> shift_;
+  seq_.resize(n);
+  link_.resize(n);
+  run_.reserve(std::min<std::size_t>(n, kRunReserve));
   // Batched arming, two sequential passes over the lanes. Pass 1 streams
   // the uniform phase draws into the next-fire lane — flow order, the
   // order attach_per_flow_sources' tasks resume in (the now-FIFO
   // preserves spawn order), so the draws consume the shared RNG
-  // identically. Pass 2 arms the kernel timers, also in flow order.
-  // Splitting the passes cannot change the execution: draws consume no
-  // sequence numbers, so each armed timer still gets the sequence number
-  // the interleaved form would have handed it.
-  const auto n = static_cast<std::uint32_t>(rss_.size());
+  // identically. Pass 2 arms the flows, also in flow order. Splitting the
+  // passes cannot change the execution: draws consume no sequence
+  // numbers, so each arm still takes the sequence number the interleaved
+  // form would have handed it.
   for (std::uint32_t f = 0; f < n; ++f) {
     next_at_[f] = cfg_.start + static_cast<sim::Time>(sim_.rng().uniform(0.0, mean_gap_ns_));
   }
@@ -126,24 +186,127 @@ void PerFlowSourceArena<Sim>::bootstrap() {
     if (next_at_[f] > end_) {
       next_at_[f] = kIdle;  // the coroutine's `while (next <= end)` bound
     } else {
-      arm(f);
+      arm(f, next_at_[f]);
     }
+  }
+  publish_head();
+}
+
+template <typename Sim>
+void PerFlowSourceArena<Sim>::arm(std::uint32_t flow, sim::Time at) {
+  const sim::Time t = std::max(at, sim_.now());
+  const std::uint64_t seq = sim_.take_seq();
+  next_at_[flow] = t;
+  seq_[flow] = seq;
+  ++armed_;
+  const std::int64_t b = t >> shift_;
+  if (b < cur_) {
+    // Behind the loaded buckets: straight into the sorted run. The new
+    // seq is the largest taken so far, so it goes after every equal `at`.
+    const auto pos = std::upper_bound(
+        run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(), t,
+        [](sim::Time v, const Pending& p) { return v < p.at; });
+    run_.insert(pos, Pending{t, seq, flow});
+  } else {
+    chain(flow, b);
   }
 }
 
 template <typename Sim>
-void PerFlowSourceArena<Sim>::arm(std::uint32_t flow) {
-  // A kTimer event: {this, flow} rides in the kernel's 32-byte event
-  // record, so arming touches no callback slot and never allocates.
-  sim_.schedule_timer_at(next_at_[flow], this, flow);
-  ++armed_;
+void PerFlowSourceArena<Sim>::chain(std::uint32_t flow, std::int64_t b) {
+  if (b - cur_ < static_cast<std::int64_t>(heads_.size())) {
+    std::uint32_t& head = heads_[static_cast<std::size_t>(b) & (heads_.size() - 1)];
+    link_[flow] = head;
+    head = flow;
+    ++in_buckets_;
+  } else {
+    link_[flow] = overflow_;
+    overflow_ = flow;
+    overflow_min_ = std::min(overflow_min_, b);
+  }
 }
 
 template <typename Sim>
-void PerFlowSourceArena<Sim>::on_timer(std::uint32_t flow) {
+void PerFlowSourceArena<Sim>::publish_head() {
+  if (run_head_ == run_.size() && armed_ != 0) refill();
+  if (run_head_ == run_.size()) {
+    clear_head();
+  } else {
+    set_head(run_[run_head_].at, run_[run_head_].seq);
+  }
+}
+
+template <typename Sim>
+void PerFlowSourceArena<Sim>::absorb_overflow() {
+  std::uint32_t f = overflow_;
+  overflow_ = kNil;
+  overflow_min_ = INT64_MAX;
+  while (f != kNil) {
+    const std::uint32_t next = link_[f];
+    chain(f, next_at_[f] >> shift_);
+    f = next;
+  }
+}
+
+template <typename Sim>
+void PerFlowSourceArena<Sim>::refill() {
+  run_.clear();
+  run_head_ = 0;
+  const auto ring = static_cast<std::int64_t>(heads_.size());
+  if (overflow_ != kNil && overflow_min_ - cur_ < ring) absorb_overflow();
+  if (in_buckets_ == 0) {
+    // The ring is empty: jump to the earliest overflow bucket. Every
+    // overflow entry is at or past it, so the ring window starts there.
+    cur_ = overflow_min_;
+    absorb_overflow();
+  }
+  // Take up to kRefillBuckets non-empty buckets, stopping at the horizon
+  // (every chained flow sits before it) or a short scan past the first.
+  std::uint32_t chains[kRefillBuckets];
+  std::size_t live = 0;
+  const std::int64_t horizon = cur_ + ring;
+  for (std::int64_t scanned = 0; live < kRefillBuckets && cur_ < horizon; ++scanned) {
+    if (live != 0 && scanned >= kRefillScan) break;
+    std::uint32_t& head = heads_[static_cast<std::size_t>(cur_++) & (heads_.size() - 1)];
+    if (head != kNil) {
+      chains[live++] = head;
+      head = kNil;
+    }
+  }
+  // Walk the chains round-robin: each step's three lane loads for one
+  // chain do not depend on the other chains' loads.
+  while (live != 0) {
+    for (std::size_t i = 0; i < live;) {
+      const std::uint32_t f = chains[i];
+      run_.push_back(Pending{next_at_[f], seq_[f], f});
+      chains[i] = link_[f];
+      if (chains[i] == kNil) {
+        chains[i] = chains[--live];
+      } else {
+        ++i;
+      }
+    }
+  }
+  in_buckets_ -= run_.size();
+  std::sort(run_.begin(), run_.end(), [](const Pending& a, const Pending& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+}
+
+template <typename Sim>
+void PerFlowSourceArena<Sim>::fire() {
   // The fire path touches only the firing flow's lane entries (rss read,
-  // draw-state bump, next-fire write) plus the shared config/RNG — no
-  // neighbouring flow state comes into the working set.
+  // draw-state bump, next-fire/seq/link writes) plus the run and the
+  // shared config/RNG — no neighbouring flow state comes into the
+  // working set.
+  const std::uint32_t flow = run_[run_head_++].flow;
+  if (run_head_ + 1 < run_.size()) {
+    // Two fires ahead: start pulling that flow's read lanes in (past the
+    // LLC at the 4M+ rungs, each is a cold line).
+    const std::uint32_t ahead = run_[run_head_ + 1].flow;
+    __builtin_prefetch(&rss_[ahead]);
+    __builtin_prefetch(&emitted_[ahead], 1);
+  }
   --armed_;
   nic::PacketDesc pkt;
   pkt.flow_id = flow;
@@ -157,10 +320,10 @@ void PerFlowSourceArena<Sim>::on_timer(std::uint32_t flow) {
   const auto next = sim_.now() + std::max<sim::Time>(1, static_cast<sim::Time>(gap));
   if (next > end_) {
     next_at_[flow] = kIdle;  // retired: the coroutine's loop bound
-    return;
+  } else {
+    arm(flow, next);
   }
-  next_at_[flow] = next;
-  arm(flow);
+  publish_head();
 }
 
 template class PerFlowSourceArena<sim::Simulation>;

@@ -11,23 +11,24 @@
 // against 16.13 us with per-packet delivery (0.744 Mpps: 34.98 us
 // either way). CPU %, TS and wake-ups agree within 0.5%.
 //
-// For scenarios where the *pending-event population* is the point (the
+// For scenarios where the *population of armed flows* is the point (the
 // fig13 full-stack regime: thousands to millions of concurrently armed
-// flow timers), the per-flow entry points keep one timer armed per flow,
-// so N flows put N events in the kernel's pending store — the workload
-// the timing-wheel backend exists for. One event per
-// packet; use the grouped feeder when simulation speed matters more than
-// population realism. Two implementations share the exact event stream:
+// flow timers), the per-flow entry points keep one arrival armed per flow.
+// One event per packet; use the grouped feeder when simulation speed
+// matters more than population realism. Two implementations share the
+// exact event stream:
 //
-//   * attach_per_flow_sources() — one coroutine per flow. The readable
-//     reference; a heap-allocated frame per flow makes it unaffordable at
-//     the million-flow mark.
+//   * attach_per_flow_sources() — one coroutine per flow, each a pending
+//     kernel event. The readable reference; a heap-allocated frame per
+//     flow makes it unaffordable at the million-flow mark.
 //   * PerFlowSourceArena — the same processes as a structure-of-arrays
-//     arena plus one kernel timer event per flow. 16 bytes of arena
-//     state per flow across three packed lanes plus the timer's 32-byte
-//     event record, steady-state allocation-free, and construction is a
-//     few vector fills instead of millions of coroutine frames. Emits
-//     the byte-identical event stream (enforced by tests/test_tgen.cpp).
+//     arena that keeps its own timers: a private (at, seq) calendar the
+//     kernel merges as its one sim::EventSource. 28 bytes of arena state
+//     per flow across five packed lanes plus ~4 bytes of calendar bucket,
+//     no kernel event per flow, steady-state allocation-free, and
+//     construction is a few vector fills instead of millions of coroutine
+//     frames. Emits the byte-identical event stream (enforced by
+//     tests/test_tgen.cpp).
 //
 // All entry points are generic over the kernel instantiation; defined in
 // feeder.cpp and instantiated for both shipped backends.
@@ -58,61 +59,91 @@ struct PerFlowSourceConfig {
   sim::Time duration = sim::kSecond;
 };
 
+/// Throw std::invalid_argument for a per-flow config no run can honour: a
+/// non-finite total_rate_pps (NaN would reach an undefined float-to-time
+/// cast, infinity makes every gap 1 ns), a negative duration, or
+/// 2^32 - 1 flows or more (flow ids are 32-bit and the arena reserves
+/// the top value as its nil link). Both per-flow entry points call it
+/// before touching the simulation. A non-positive finite rate is valid:
+/// it offers no traffic.
+void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg);
+
 /// Spawn one arrival process per flow of `flows` (flows.size() concurrent
-/// pending timers). All randomness is drawn from the owning simulation's
-/// RNG in event order, so runs stay bit-identical across backends. The
-/// flow set must outlive the simulation run.
+/// pending kernel events). All randomness is drawn from the owning
+/// simulation's RNG in event order, so runs stay bit-identical across
+/// backends. The flow set must outlive the simulation run. Throws as
+/// check_per_flow_config.
 template <typename Sim>
 void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
                              PerFlowSourceConfig cfg);
 
 /// Arena-backed per-flow arrival processes: the multi-million-flow form
-/// of attach_per_flow_sources. The arena is a structure of arrays — three
-/// packed lanes, 16 bytes per flow in total, sized exactly (no growth
+/// of attach_per_flow_sources. The arena is a structure of arrays — five
+/// packed lanes, 28 bytes per flow in total, sized exactly (no growth
 /// slack at 2^24 flows):
 ///
 ///   * rss hash (4 B)       — the precomputed RSS hash, contiguous so the
 ///                            fire path touches one dense cache line per
 ///                            16 flows instead of a FlowSet stride;
-///   * next-fire time (8 B) — the instant of the flow's pending timer
+///   * next-fire time (8 B) — the instant of the flow's armed arrival
 ///                            (kIdle once the flow retires past its end);
 ///   * draw state (4 B)     — packets this flow has emitted, i.e. the
 ///                            gap draws it has consumed from the shared
 ///                            RNG (per-flow accounting for the at-scale
-///                            invariant tests).
+///                            invariant tests);
+///   * seq (8 B)            — the kernel sequence number its arm took;
+///   * link (4 B)           — the intrusive calendar-chain link.
 ///
-/// One pending kernel timer per flow (a kTimer event, see
-/// sim::TimerTarget) carries only the arena and the flow index inside its
-/// 32-byte event record, so a fire touches the firing flow's lane entries
-/// and nothing else — no coroutine frame, no callback slot, no per-arrival
-/// allocation, no shared record to false-share.
+/// The arena owns its timers: it is the kernel's sim::EventSource, and
+/// the kernel's event store holds nothing per flow. Armed flows wait in a
+/// calendar queue (Brown, CACM 31(10), 1988) keyed by (at, seq):
 ///
-/// Re-arming is batched where the population is batched: constructing the
-/// arena schedules a single bootstrap callback that first streams the
-/// uniform phase draws into the next-fire lane (one sequential pass, flow
-/// order) and then arms the timers in a second sequential pass, so
-/// building a 2^22-flow population is a handful of lane fills plus the
-/// kernel inserts — not millions of interleaved draw/spawn round trips
-/// through cold kernel structures.
+///   * buckets a power of two of ns wide, about 8 aggregate arrivals each,
+///     with enough of them to cover about 8 mean per-flow gaps — both
+///     derived from the flow count and the rate; each bucket is an
+///     intrusive chain through the link lane;
+///   * an overflow chain for arms beyond that horizon, folded back in when
+///     the horizon reaches its earliest entry (or jumped to when the
+///     buckets run dry);
+///   * a short run of {at, seq, flow} records: the next few non-empty
+///     buckets, sorted. Its front is the head the kernel merges. The
+///     chains are walked interleaved, so beyond the LLC the walk pays
+///     for several independent cache misses at once instead of one
+///     dependent miss per step. An arm that lands before the end of the
+///     loaded buckets (rare: a gap shorter than a few buckets) goes
+///     straight into the run in order.
+///
+/// A fire touches the firing flow's lane entries plus the run — no
+/// coroutine frame, no kernel store push, pop or cascade, and no
+/// per-arrival allocation.
+///
+/// Arming is batched where the population is batched: constructing the
+/// arena schedules a single bootstrap callback that builds the calendar,
+/// streams the uniform phase draws into the next-fire lane (one
+/// sequential pass, flow order) and then arms the flows in a second
+/// sequential pass — a handful of lane fills, not millions of interleaved
+/// draw/spawn round trips through cold kernel structures.
 ///
 /// Equivalence contract: the arena consumes the simulation RNG in the
 /// same order as the coroutine path (phase draws in flow order at t=now,
-/// then one gap draw per arrival in event order) and arms its timers in
-/// the same relative sequence order (the phase/arm split does not change
-/// seq assignment: RNG draws consume no sequence numbers, and flows past
-/// their end are skipped by both passes exactly as the coroutine's
-/// `while (next <= end)` bound would). The emitted packet stream — every
-/// field, every delivery instant, and hence every downstream observable —
-/// is bit-identical to attach_per_flow_sources for every backend
+/// then one gap draw per arrival in event order), and every arm takes its
+/// kernel sequence number (sim.take_seq()) at the point the coroutine's
+/// resume would have been scheduled, with the same `t < now -> now` clamp.
+/// The kernel merges the calendar's head with its own events by
+/// (at, seq), so the merged order is the order the per-flow events would
+/// have had in the store. The emitted packet stream — every field, every
+/// delivery instant, and hence every downstream observable — is
+/// bit-identical to attach_per_flow_sources for every backend
 /// (tests/test_tgen.cpp pins this). Only the kernel's internal event
 /// count differs: one bootstrap event replaces the n spawn resumes.
 ///
-/// The arena must outlive the simulation run; it is pinned (its bootstrap
-/// callback and its timers point at `this`).
+/// The arena must outlive the simulation run; it is pinned (the kernel
+/// and its bootstrap callback point at `this`). Throws as
+/// check_per_flow_config.
 template <typename Sim>
-class PerFlowSourceArena final : public sim::TimerTarget {
+class PerFlowSourceArena final : public sim::EventSource {
  public:
-  /// next_fire_at() value of a flow with no pending timer (retired past
+  /// next_fire_at() value of a flow with no armed arrival (retired past
   /// `start + duration`, or not yet bootstrapped).
   static constexpr sim::Time kIdle = -1;
 
@@ -122,37 +153,66 @@ class PerFlowSourceArena final : public sim::TimerTarget {
   PerFlowSourceArena& operator=(const PerFlowSourceArena&) = delete;
 
   std::size_t flow_count() const noexcept { return rss_.size(); }
-  /// Timers currently pending in the kernel (0 once every flow passed
-  /// `start + duration`).
-  std::size_t armed() const noexcept { return armed_; }
-  /// Packets emitted so far.
+  /// Packets emitted so far. (armed(), from sim::EventSource, counts the
+  /// flows with an arrival pending: 0 once every flow passed
+  /// `start + duration`.)
   std::uint64_t fired() const noexcept { return fired_; }
 
   // --- per-flow lane accessors (accounting tests and diagnostics) -------
-  /// True while `flow` has a timer pending in the kernel.
+  /// True while `flow` has an arrival armed.
   bool flow_armed(std::uint32_t flow) const noexcept { return next_at_[flow] != kIdle; }
-  /// The pending timer's fire instant, or kIdle when the flow retired.
+  /// The armed arrival's instant, or kIdle when the flow retired.
   sim::Time next_fire_at(std::uint32_t flow) const noexcept { return next_at_[flow]; }
   /// Packets this flow emitted (== gap draws it consumed).
   std::uint32_t flow_fired(std::uint32_t flow) const noexcept { return emitted_[flow]; }
 
  private:
+  /// One armed arrival in the sorted run.
+  struct Pending {
+    sim::Time at;
+    std::uint64_t seq;
+    std::uint32_t flow;
+  };
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
   void bootstrap();
-  /// One flow's timer fired: emit its packet, draw its next gap, re-arm.
-  void on_timer(std::uint32_t flow) override;
-  void arm(std::uint32_t flow);
+  /// The head flow's arrival is due: emit its packet, draw its next gap,
+  /// re-arm it, publish the new head.
+  void fire() override;
+  /// Arm `flow` at `at` (clamped to now) under a fresh kernel seq.
+  void arm(std::uint32_t flow, sim::Time at);
+  /// Chain `flow`, armed in bucket `b >= cur_`, into its ring bucket, or
+  /// into overflow when `b` lies past the ring.
+  void chain(std::uint32_t flow, std::int64_t b);
+  /// Make the run's front the earliest armed arrival and publish it.
+  void publish_head();
+  /// Load the next non-empty buckets into the (empty) run, sorted.
+  void refill();
+  /// Move overflow entries now inside the horizon into their buckets.
+  void absorb_overflow();
 
   Sim& sim_;
   nic::BasicPort<Sim>& port_;
-  // The SoA lanes (16 B per flow; see the class comment).
+  // The SoA lanes (28 B per flow; see the class comment).
   std::vector<std::uint32_t> rss_;      ///< RSS hash lane
   std::vector<sim::Time> next_at_;      ///< next-fire lane (kIdle = retired)
   std::vector<std::uint32_t> emitted_;  ///< draw-state lane (packets emitted)
+  std::vector<std::uint64_t> seq_;      ///< kernel seq of the armed arrival
+  std::vector<std::uint32_t> link_;     ///< calendar chain link
   PerFlowSourceConfig cfg_;
   double mean_gap_ns_ = 0.0;
   sim::Time end_ = 0;
-  std::size_t armed_ = 0;
   std::uint64_t fired_ = 0;
+  // The calendar (see the class comment). Buckets are absolute indices
+  // `at >> shift_`; the ring holds [cur_, cur_ + ring size).
+  std::vector<std::uint32_t> heads_;  ///< bucket chain heads (ring)
+  std::uint32_t shift_ = 0;           ///< log2(bucket width, ns)
+  std::int64_t cur_ = 0;              ///< first bucket not yet in the run
+  std::size_t in_buckets_ = 0;        ///< flows chained in the ring
+  std::uint32_t overflow_ = kNil;     ///< overflow chain head
+  std::int64_t overflow_min_ = INT64_MAX;  ///< earliest overflow bucket
+  std::vector<Pending> run_;          ///< sorted; consumed from run_head_
+  std::size_t run_head_ = 0;
 };
 
 }  // namespace metro::tgen

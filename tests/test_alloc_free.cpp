@@ -255,16 +255,16 @@ struct ArenaWindow {
 
 /// A PerFlowSourceArena of 4096 flows feeds an X520 port and a consumer
 /// coroutine drains it; returns what the 150-200 ms window did. Every fire
-/// is one kernel timer event, a port rx() and a re-arm.
+/// is one calendar pop, a port rx() and a re-arm into the arena's own
+/// calendar — the kernel's event store holds nothing per flow.
 ///
-/// 1,953,125 pps over 4096 flows is a per-flow gap of exactly 2^21 ns:
-/// eight revolutions of the default wheel's level 0 and eight of its
-/// level-1 slots. With constant gaps the wheel's per-slot populations then
-/// repeat every gap, which is the periodic workload the backends'
-/// allocation-freedom contract covers, and the 150 ms warm-up spans two
-/// level-1 revolutions. Poisson gaps are not periodic: the wheel's pooled
-/// slot vectors keep meeting rare, larger per-slot counts and grow to fit
-/// them, so only the heap is held to zero there.
+/// 1,953,125 pps over 4096 flows is a per-flow gap of exactly 2^21 ns, so
+/// the calendar has 4096 ns buckets of ~8 arrivals each. Constant gaps
+/// make every bucket's population repeat every gap; Poisson gaps do not,
+/// and the run's record vector must still never grow past its reserve
+/// once warm. The arena keeps no per-slot vectors of its own and no
+/// longer touches the wheel's, so both backends are held to zero either
+/// way.
 template <typename Sim>
 ArenaWindow arena_window(bool poisson) {
   Sim sim(7);
@@ -295,14 +295,14 @@ TYPED_TEST(AllocFreeBackendTest, PerFlowArenaSteadyStateDoesNotAllocate) {
   const ArenaWindow w = arena_window<typename TestFixture::Sim>(/*poisson=*/false);
   EXPECT_GT(w.fired, 10000u) << "window did real work";
   EXPECT_GT(w.drained, 10000u) << "the consumer drained the port";
-  EXPECT_EQ(w.armed, 4096u) << "one timer per flow stays armed";
+  EXPECT_EQ(w.armed, 4096u) << "one arrival per flow stays armed";
   EXPECT_EQ(w.allocations, 0u)
       << "arena fires, port ingress or the consumer allocated during the "
          "steady-state window";
 }
 
-TEST(AllocFreeTest, PoissonPerFlowArenaOnHeapDoesNotAllocate) {
-  const ArenaWindow w = arena_window<Simulation>(/*poisson=*/true);
+TYPED_TEST(AllocFreeBackendTest, PoissonPerFlowArenaDoesNotAllocate) {
+  const ArenaWindow w = arena_window<typename TestFixture::Sim>(/*poisson=*/true);
   EXPECT_GT(w.fired, 10000u) << "window did real work";
   EXPECT_EQ(w.allocations, 0u);
 }

@@ -131,19 +131,31 @@ TEST(BackendFullstackTest, PerFlowSourcesIdenticalAcrossBackends) {
   EXPECT_EQ(heap, wheel);
 }
 
-TEST(BackendFullstackTest, PerFlowModeArmsOneTimerPerFlow) {
-  // Sanity-check the per-flow mode actually creates the pending population
-  // it exists for (one armed timer per flow).
+template <typename Sim>
+void expect_flow_timers_outside_the_store() {
+  // The per-flow mode keeps one arrival armed per flow, and the arena's
+  // calendar holds them all: pending_events() counts them, the kernel's
+  // event store never sees them.
   auto cfg = small_metronome_config();
   cfg.workload.model = ArrivalModel::kPerFlow;
   cfg.workload.n_flows = 2048;
   cfg.workload.rate_mpps = 10.0;
   cfg.warmup = sim::kMillisecond;
   cfg.measure = sim::kMillisecond;
-  BasicTestbed<sim::WheelSimulation> bed(cfg);
+  BasicTestbed<Sim> bed(cfg);
   bed.start();
-  bed.run_until(cfg.warmup);
-  EXPECT_GE(bed.sim().pending_events(), 2048u);
+  for (sim::Time t = 250 * sim::kMicrosecond; t <= cfg.warmup + cfg.measure;
+       t += 250 * sim::kMicrosecond) {
+    bed.run_until(t);
+    EXPECT_GE(bed.sim().pending_events(), 2048u) << "at " << t << " ns";
+    EXPECT_LE(bed.sim().backend().size(), 64u) << "at " << t << " ns";
+  }
+  EXPECT_GT(bed.packets_processed(), 10000u) << "scenario must do real work";
+}
+
+TEST(BackendFullstackTest, PerFlowModeKeepsFlowTimersOutOfTheStore) {
+  expect_flow_timers_outside_the_store<sim::Simulation>();
+  expect_flow_timers_outside_the_store<sim::WheelSimulation>();
 }
 
 template <typename Sim>

@@ -2,13 +2,15 @@
 // parameterized over both event-queue backends. Cancellation is the
 // kernel's: a cancelled callback stays stored as a tombstone that the
 // kernel discards when it reaches the front or purges once tombstones
-// dominate the store, so the observable contract is identical on both. The last case mixes all three event kinds
-// (coroutine, callback, kTimer) and pins their shared (at, seq) order.
+// dominate the store, so the observable contract is identical on both. The
+// last cases merge an attached EventSource with coroutine and callback
+// events and pin their shared (at, seq) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -322,12 +324,12 @@ TYPED_TEST(EventCancelTest, ChurnWhileRunning) {
   EXPECT_GT(fired, 1000u) << "churn must do real work";
 }
 
-// --- three event kinds in one order ----------------------------------------
+// --- an event source merged into one order --------------------------------
 //
-// Every schedule call below first takes a tag from MixedOrderLog::note(),
-// with no other schedule in between, so tags are handed out in the
-// kernel's seq order and the expected execution is the live (at, tag)
-// pairs sorted.
+// Every schedule or arm call below first takes a tag from
+// MixedOrderLog::note(), with no other schedule in between, so tags are
+// handed out in the kernel's seq order and the expected execution is the
+// live (at, tag) pairs sorted.
 
 struct MixedOrderLog {
   std::vector<std::pair<Time, std::uint32_t>> expected;  // (at, tag) per live event
@@ -340,12 +342,51 @@ struct MixedOrderLog {
   }
 };
 
+/// The smallest EventSource: a sorted vector of (at, seq, tag). Each arm
+/// takes a kernel seq; each fire logs (now, tag).
 template <typename Sim>
-struct TagTimer final : TimerTarget {
-  Sim* sim;
-  MixedOrderLog* log;
-  TagTimer(Sim& s, MixedOrderLog& l) : sim(&s), log(&l) {}
-  void on_timer(std::uint32_t tag) override { log->fired.emplace_back(sim->now(), tag); }
+class TagSource final : public EventSource {
+ public:
+  TagSource(Sim& sim, MixedOrderLog& log) : sim_(sim), log_(log) { sim.attach_source(this); }
+
+  void arm(Time at) {
+    const std::uint32_t tag = log_.note(at);
+    const Armed a{at, sim_.take_seq(), tag};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), a,
+                                     [](const Armed& x, const Armed& y) {
+                                       return std::pair{x.at, x.seq} < std::pair{y.at, y.seq};
+                                     }),
+                    a);
+    ++armed_;
+    publish();
+  }
+
+  void fire() override {
+    EXPECT_EQ(sim_.now(), pending_.front().at);
+    log_.fired.emplace_back(sim_.now(), pending_.front().tag);
+    pending_.erase(pending_.begin());
+    --armed_;
+    publish();
+  }
+
+ private:
+  struct Armed {
+    Time at;
+    std::uint64_t seq;
+    std::uint32_t tag;
+  };
+
+  void publish() {
+    if (pending_.empty()) {
+      clear_head();
+    } else {
+      set_head(pending_.front().at, pending_.front().seq);
+    }
+  }
+
+  Sim& sim_;
+  MixedOrderLog& log_;
+  std::vector<Armed> pending_;
 };
 
 /// Logs its first resume under `resume_tag`, then sleeps until `at` and
@@ -358,12 +399,12 @@ Task tag_sleeper(Sim& sim, MixedOrderLog& log, std::uint32_t resume_tag, Time at
   log.fired.emplace_back(sim.now(), tag);
 }
 
-TYPED_TEST(EventCancelTest, TimerCallbackAndCoroutineEventsShareOneOrder) {
+TYPED_TEST(EventCancelTest, SourceEventsMergeIntoOneOrder) {
   using Sim = typename TestFixture::Sim;
   Sim sim;
   MixedOrderLog log;
-  TagTimer<Sim> timers(sim, log);
-  const auto timer_at = [&](Time at) { sim.schedule_timer_at(at, &timers, log.note(at)); };
+  TagSource<Sim> source(sim, log);
+  const auto source_at = [&](Time at) { source.arm(at); };
   const auto callback_at = [&](Time at) {
     const std::uint32_t tag = log.note(at);
     const auto id =
@@ -378,39 +419,43 @@ TYPED_TEST(EventCancelTest, TimerCallbackAndCoroutineEventsShareOneOrder) {
     const std::uint32_t tag = log.note(sim.now());
     sim.spawn(tag_sleeper(sim, log, tag, at));
   };
-  // Every live event noted so far and not yet run is pending — timers too.
+  // Every live event noted so far and not yet run is pending — the
+  // source's armed events too.
   const auto expect_pending = [&] {
     EXPECT_EQ(sim.pending_events(), log.expected.size() - log.fired.size());
+    EXPECT_EQ(sim.idle(), log.expected.size() == log.fired.size());
   };
 
   // On the wheel (1024 ns level-0 ticks) everything in [2048, 3072) shares
-  // one level-0 slot: timers, live callbacks, a coroutine wake-up and the
-  // tombstones of two cancelled callbacks, at equal and at distinct times.
-  timer_at(2900);
-  timer_at(2500);
+  // one level-0 slot: source events, live callbacks, a store-held
+  // coroutine wake-up and the tombstones of two cancelled callbacks, at
+  // equal and at distinct times.
+  source_at(2900);
+  source_at(2500);
   callback_at(2500);
-  timer_at(2100);
+  source_at(2100);  // alone at its instant: run_until(2100) ends on it
   const auto doomed_a = callback_at(2200);
-  timer_at(2500);
+  source_at(2500);
   const auto doomed_b = callback_at(2500);
   callback_at(2700);
-  timer_at(2200);
+  source_at(2200);
   spawn_now(2500);  // first resume at 0 via the now-FIFO, wakes at 2500
-  // Far enough out to sit in a level-1 slot, so timers cascade down next
-  // to a tombstone.
-  timer_at(400'000);
+  // Far enough out to sit in a level-1 slot, next to a tombstone.
+  source_at(400'000);
   const auto doomed_c = callback_at(400'100);
-  timer_at(400'100);
+  source_at(400'100);
   callback_at(400'100);
-  // At 1000 ns: two spawns enter the now-FIFO, then a timer and a callback
-  // are armed at now(). Both resumes hold lower seqs, so they run first.
+  source_at(500'000);  // the last pending event is the source's
+  // At 1000 ns the hook interleaves now-FIFO spawns, source arms and a
+  // callback, all at now(): they run in the order they were taken.
   const std::uint32_t hook = log.note(1000);
   sim.schedule_at(1000, [&, hook] {
     log.fired.emplace_back(sim.now(), hook);
     spawn_now(2300);
+    source_at(sim.now());
     spawn_now(2600);
-    timer_at(sim.now());
     callback_at(sim.now());
+    source_at(sim.now());
   });
   cancel(doomed_a);
   cancel(doomed_b);
@@ -418,20 +463,36 @@ TYPED_TEST(EventCancelTest, TimerCallbackAndCoroutineEventsShareOneOrder) {
   expect_pending();
 
   sim.run_until(2000);
-  EXPECT_EQ(log.fired.size(), 6u) << "the 0 ns resume, the hook and its four events";
+  EXPECT_EQ(log.fired.size(), 7u) << "the 0 ns resume, the hook and its five events";
   expect_pending();
-  sim.run_until(2500);
+  sim.run_until(2100);
+  EXPECT_EQ(log.fired.back(), (std::pair<Time, std::uint32_t>{2100, 3}))
+      << "a source head at exactly run_until's end fires";
+  expect_pending();
+  sim.run_until(400'200);
+  EXPECT_EQ(sim.pending_events(), 1u) << "only the source's 500 us event is left";
   expect_pending();
   sim.run();
   expect_pending();
   EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), 500'000);
 
   auto want = log.expected;
   std::sort(want.begin(), want.end());
   // Equal vectors: every live event ran exactly once, at its time, in
   // (at, seq) order; no cancelled callback ran.
   EXPECT_EQ(log.fired, want);
-  EXPECT_EQ(want.size(), 19u);
+  EXPECT_EQ(want.size(), 21u);
+  EXPECT_EQ(sim.events_processed(), 21u) << "source fires count as processed events";
+}
+
+TYPED_TEST(EventCancelTest, OnlyOneSourceAttaches) {
+  using Sim = typename TestFixture::Sim;
+  Sim sim;
+  MixedOrderLog log;
+  TagSource<Sim> source(sim, log);
+  EXPECT_THROW(sim.attach_source(&source), std::logic_error);
+  EXPECT_THROW(sim.attach_source(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "nic/port.hpp"
@@ -317,11 +319,12 @@ TEST(NextBatchTest, TraceMatchesUnbatched) {
 // --- arena vs coroutine per-flow sources --------------------------------
 //
 // PerFlowSourceArena is the million-flow form of attach_per_flow_sources:
-// packed SoA lanes and one kernel timer event (kTimer) per flow instead of
-// one coroutine frame per flow. The contract is bit-identical execution — the consumer
-// below digests every delivered packet (fields and delivery instant), and
-// the digest, the delivery count and the kernel event count must match
-// between the two attach paths, on every backend.
+// packed SoA lanes and a private arrival calendar merged into the kernel's
+// order instead of one coroutine frame and one pending kernel event per
+// flow. The contract is bit-identical execution — the consumer below
+// digests every delivered packet (fields and delivery instant), and the
+// digest and the delivery count must match between the two attach paths,
+// on every backend.
 
 template <typename Sim>
 sim::Task digest_all(Sim& s, nic::BasicRxRing<Sim>& ring, std::uint64_t& digest,
@@ -348,40 +351,63 @@ struct PerFlowRun {
   bool operator==(const PerFlowRun&) const = default;
 };
 
+/// A per-flow population, its source config and how long to run it.
+struct PerFlowCase {
+  std::size_t flows = 256;
+  PerFlowSourceConfig cfg{.total_rate_pps = 2e6,
+                          .poisson = true,
+                          .wire_size = 64,
+                          .start = 0,
+                          .duration = 20 * sim::kMillisecond};
+  Time run_until = 25 * sim::kMillisecond;
+};
+
+/// Attach functions for run_per_flow. Each returns what must stay alive
+/// for the run; run_per_flow holds it inside the simulation's lifetime.
+struct AttachCoroutines {
+  template <typename Sim>
+  int operator()(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+                 PerFlowSourceConfig cfg) const {
+    attach_per_flow_sources(sim, port, flows, cfg);
+    return 0;
+  }
+};
+struct AttachArena {
+  template <typename Sim>
+  std::unique_ptr<PerFlowSourceArena<Sim>> operator()(Sim& sim, nic::BasicPort<Sim>& port,
+                                                      const FlowSet& flows,
+                                                      PerFlowSourceConfig cfg) const {
+    return std::make_unique<PerFlowSourceArena<Sim>>(sim, port, flows, cfg);
+  }
+};
+
 template <typename Sim, typename AttachFn>
-PerFlowRun run_per_flow(AttachFn&& attach_fn) {
+PerFlowRun run_per_flow(AttachFn&& attach_fn, const PerFlowCase& c = {}) {
   Sim sim(7);
   nic::BasicPort<Sim> port(sim, nic::x520_config(1));
-  FlowSet flows(256, 11);
-  PerFlowSourceConfig cfg;
-  cfg.total_rate_pps = 2e6;
-  cfg.poisson = true;
-  cfg.duration = 20 * sim::kMillisecond;
+  FlowSet flows(c.flows, 11);
   PerFlowRun r;
   sim.spawn(digest_all(sim, port.rx_queue(0), r.digest, r.count));
-  attach_fn(sim, port, flows, cfg);
-  sim.run_until(25 * sim::kMillisecond);
+  [[maybe_unused]] const auto keep = attach_fn(sim, port, flows, c.cfg);
+  sim.run_until(c.run_until);
   r.events = sim.events_processed();
   return r;
 }
 
 TEST(PerFlowArenaTest, MatchesCoroutineSourcesExactly) {
-  const auto coroutine = run_per_flow<sim::Simulation>(
-      [](auto& sim, auto& port, const FlowSet& flows, PerFlowSourceConfig cfg) {
-        attach_per_flow_sources(sim, port, flows, cfg);
-      });
+  const auto coroutine = run_per_flow<sim::Simulation>(AttachCoroutines{});
   std::size_t arena_flows = 0;
   std::size_t arena_armed = ~std::size_t{0};
   std::uint64_t arena_fired = 0;
   const auto arena = run_per_flow<sim::Simulation>(
       [&](auto& sim, auto& port, const FlowSet& flows, PerFlowSourceConfig cfg) {
-        static std::unique_ptr<PerFlowSourceArena<sim::Simulation>> holder;
-        holder = std::make_unique<PerFlowSourceArena<sim::Simulation>>(sim, port, flows, cfg);
-        sim.schedule_at(24 * sim::kMillisecond, [&] {
-          arena_flows = holder->flow_count();
-          arena_armed = holder->armed();
-          arena_fired = holder->fired();
+        auto holder = AttachArena{}(sim, port, flows, cfg);
+        sim.schedule_at(24 * sim::kMillisecond, [&, a = holder.get()] {
+          arena_flows = a->flow_count();
+          arena_armed = a->armed();
+          arena_fired = a->fired();
         });
+        return holder;
       });
   EXPECT_GT(coroutine.count, 10000u);
   // The delivered packet stream — fields and delivery instants — is
@@ -391,20 +417,106 @@ TEST(PerFlowArenaTest, MatchesCoroutineSourcesExactly) {
   EXPECT_EQ(arena.count, coroutine.count);
   EXPECT_LT(arena.events, coroutine.events);
   EXPECT_EQ(arena_flows, 256u);
-  EXPECT_EQ(arena_armed, 0u) << "all timers must retire once every flow passed its end";
+  EXPECT_EQ(arena_armed, 0u) << "all arrivals must retire once every flow passed its end";
   EXPECT_EQ(arena_fired, arena.count) << "nothing dropped: fired == delivered";
 }
 
 TEST(PerFlowArenaTest, BitIdenticalAcrossBackends) {
-  const auto attach_arena = [](auto& sim, auto& port, const FlowSet& flows,
-                               PerFlowSourceConfig cfg) {
-    using SimT = std::remove_reference_t<decltype(sim)>;
-    static std::unique_ptr<PerFlowSourceArena<SimT>> holder;
-    holder = std::make_unique<PerFlowSourceArena<SimT>>(sim, port, flows, cfg);
-  };
-  const auto heap = run_per_flow<sim::Simulation>(attach_arena);
-  const auto wheel = run_per_flow<sim::WheelSimulation>(attach_arena);
+  const auto heap = run_per_flow<sim::Simulation>(AttachArena{});
+  const auto wheel = run_per_flow<sim::WheelSimulation>(AttachArena{});
   EXPECT_EQ(heap, wheel);
+}
+
+/// The arena on both backends against the coroutine oracle for one case.
+void expect_arena_matches_oracle(const PerFlowCase& c, std::uint64_t min_packets) {
+  const auto oracle = run_per_flow<sim::Simulation>(AttachCoroutines{}, c);
+  const auto heap = run_per_flow<sim::Simulation>(AttachArena{}, c);
+  const auto wheel = run_per_flow<sim::WheelSimulation>(AttachArena{}, c);
+  EXPECT_GE(oracle.count, min_packets) << "the case must do real work";
+  EXPECT_EQ(heap.digest, oracle.digest);
+  EXPECT_EQ(heap.count, oracle.count);
+  EXPECT_EQ(wheel, heap);
+}
+
+// The calendar's rare paths, each against the coroutine oracle.
+
+TEST(PerFlowArenaTest, StartPastTheHorizonMatchesOracle) {
+  // 256 flows at 2 Mpps: a 128 us mean per-flow gap and a calendar
+  // horizon of about 1 ms. Starting at 50 ms puts every flow in overflow
+  // at bootstrap; the calendar must jump to them.
+  PerFlowCase c;
+  c.cfg.start = 50 * sim::kMillisecond;
+  c.cfg.duration = 5 * sim::kMillisecond;
+  c.run_until = 60 * sim::kMillisecond;
+  expect_arena_matches_oracle(c, 9000);
+}
+
+TEST(PerFlowArenaTest, ConstantGapsMatchOracle) {
+  PerFlowCase c;
+  c.cfg.poisson = false;
+  expect_arena_matches_oracle(c, 39000);
+}
+
+TEST(PerFlowArenaTest, SingleFlowMatchesOracle) {
+  // One flow: a one-bucket ring 8192 ns wide against a 1 us mean gap, so
+  // re-arms land in the loaded run, in the next bucket and in overflow.
+  PerFlowCase c;
+  c.flows = 1;
+  c.cfg.total_rate_pps = 1e6;
+  expect_arena_matches_oracle(c, 19000);
+}
+
+TEST(PerFlowArenaTest, ManyFlowsOverSeveralHorizonRevolutionsMatchOracle) {
+  // 2^16 Poisson flows at 4 Mpps: 2048 ns buckets, a 2^16-bucket ring
+  // (a 134 ms horizon, 8.2 mean per-flow gaps) and a 420 ms window, so
+  // the ring turns over three times and the exponential tail keeps
+  // feeding the overflow chain.
+  PerFlowCase c;
+  c.flows = std::size_t{1} << 16;
+  c.cfg.total_rate_pps = 4e6;
+  c.cfg.duration = 420 * sim::kMillisecond;
+  c.run_until = 430 * sim::kMillisecond;
+  expect_arena_matches_oracle(c, 1'500'000);
+}
+
+// --- fail-fast per-flow configs --------------------------------------------
+
+template <typename Attach>
+void expect_rejected(Attach attach, PerFlowSourceConfig cfg) {
+  sim::Simulation sim;
+  nic::Port port(sim, nic::x520_config(1));
+  FlowSet flows(4, 1);
+  EXPECT_THROW(attach(sim, port, flows, cfg), std::invalid_argument);
+  EXPECT_TRUE(sim.idle()) << "nothing was scheduled before the throw";
+}
+
+TEST(PerFlowConfigTest, NanRateIsRejected) {
+  PerFlowSourceConfig cfg;
+  cfg.total_rate_pps = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(AttachArena{}, cfg);
+  expect_rejected(AttachCoroutines{}, cfg);
+}
+
+TEST(PerFlowConfigTest, InfiniteRateIsRejected) {
+  PerFlowSourceConfig cfg;
+  cfg.total_rate_pps = std::numeric_limits<double>::infinity();
+  expect_rejected(AttachArena{}, cfg);
+  expect_rejected(AttachCoroutines{}, cfg);
+}
+
+TEST(PerFlowConfigTest, NegativeDurationIsRejected) {
+  PerFlowSourceConfig cfg;
+  cfg.duration = -1;
+  expect_rejected(AttachArena{}, cfg);
+  expect_rejected(AttachCoroutines{}, cfg);
+}
+
+TEST(PerFlowConfigTest, FlowIdsMustLeaveTheNilLink) {
+  // Both entry points call check_per_flow_config first; a FlowSet of
+  // 2^32 - 1 flows would take ~80 GB, so the bound is tested there.
+  const PerFlowSourceConfig cfg;
+  EXPECT_THROW(check_per_flow_config(0xffffffffu, cfg), std::invalid_argument);
+  EXPECT_NO_THROW(check_per_flow_config(0xfffffffeu, cfg));
 }
 
 TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
