@@ -7,8 +7,8 @@
 // same adaptation path) and sample, every profile step: the true offered
 // rate, Metronome's estimated rate (rho-hat * mu), TS, rho and CPU usage.
 //
-// --series=INTERVAL_US additionally arms a stats::SeriesRecorder on the
-// testbed and prints a per-window telemetry table (rx/tx rate, drops,
+// --series=INTERVAL_US additionally samples the testbed's telemetry series
+// (ExperimentConfig::series_interval) and prints a per-window telemetry table (rx/tx rate, drops,
 // mean latency, wake-ups, window fingerprint) after the adaptation table;
 // --trace-out=<file> records the run's kernel/NIC/Metronome trace events
 // and writes them as Chrome trace-event JSON.
@@ -17,7 +17,6 @@
 #include "apps/experiment.hpp"
 #include "common.hpp"
 #include "scenario/sweep.hpp"
-#include "stats/time_series.hpp"
 #include "tgen/feeder.hpp"
 
 using namespace metro;
@@ -37,6 +36,7 @@ int main(int argc, char** argv) {
   cfg.workload.rate_mpps = 0.0;  // the ramp generator below feeds the port
   cfg.warmup = 0;
   cfg.measure = total;
+  if (args.series_us > 0.0) cfg.series_interval = sim::from_micros(args.series_us);
 
   apps::Testbed bed(cfg);
   std::unique_ptr<trace::Tracer> tracer;
@@ -50,19 +50,9 @@ int main(int argc, char** argv) {
                              std::make_unique<tgen::UniformFlowPicker>(256));
   bed.start();
   tgen::attach(bed.sim(), bed.port(), gen);
-
-  // This bench drives the testbed by hand (no begin_measurement), so the
-  // series recorder is armed directly; start() must have registered the
-  // telemetry tree first so the snapshots carry every layer.
-  std::unique_ptr<stats::SeriesRecorder> series;
-  if (args.series_us > 0.0) {
-    stats::SeriesConfig scfg;
-    scfg.interval = sim::from_micros(args.series_us);
-    const sim::Time want = total / scfg.interval + 2;
-    scfg.capacity = static_cast<std::size_t>(want < 2 ? 2 : (want > 512 ? 512 : want));
-    series = std::make_unique<stats::SeriesRecorder>(bed.telemetry(), scfg);
-    series->arm(bed.sim());
-  }
+  // The window is the whole run; with --series this arms the recorder
+  // after the feeder, so its ticks order behind the feeder's events.
+  bed.begin_measurement();
 
   const double mu_pps = 1e9 / static_cast<double>(sim::calib::kL3fwdPerPacketCost);
 
@@ -84,9 +74,9 @@ int main(int argc, char** argv) {
                    bench::num(rho, 3), bench::num(cpu, 1)});
   }
   table.print();
+  bed.finish_measurement();
 
-  if (series) {
-    series->finish(bed.sim().now());
+  if (const stats::SeriesRecorder* series = bed.series()) {
     const scenario::ShardSeries track =
         scenario::compact_series(*series, bed.port().n_rx_queues());
     std::cout << "\nper-window telemetry series, interval " << bench::num(args.series_us, 1)

@@ -208,7 +208,6 @@ class Signal {
 
 namespace {
 
-using metro::sim::BasicSignal;
 using metro::sim::Task;
 using metro::sim::Time;
 
@@ -331,7 +330,8 @@ constexpr std::array<const char*, 4> kScenarioNames = {
     "timer_churn", "coroutine_sleep", "signal_timeout", "fig13_multiqueue_kernel"};
 
 // The four kernel scenarios on one kernel implementation: `Sim` is
-// legacy::Simulation or a BasicSimulation<Backend>, `Sig` its signal type.
+// legacy::Simulation, sim::Simulation (heap) or sim::WheelSimulation,
+// `Sig` its signal type.
 // Workloads are identical for every kernel (fixed iteration counts).
 template <typename Sim, typename Sig>
 std::array<Run, 4> run_scenarios(std::uint64_t scale) {
@@ -419,11 +419,10 @@ int main(int argc, char** argv) {
   const auto base = run_scenarios<legacy::Simulation, legacy::Signal>(scale);
   for (std::size_t i = 0; i < scen.size(); ++i) scen[i].base = base[i];
   for (const auto kind : kinds) {
-    const auto runs = kind == metro::scenario::BackendKind::kHeap
-                          ? run_scenarios<metro::sim::Simulation,
-                                          BasicSignal<metro::sim::Simulation>>(scale)
-                          : run_scenarios<metro::sim::WheelSimulation,
-                                          BasicSignal<metro::sim::WheelSimulation>>(scale);
+    const auto runs =
+        kind == metro::scenario::BackendKind::kHeap
+            ? run_scenarios<metro::sim::Simulation, metro::sim::Signal>(scale)
+            : run_scenarios<metro::sim::WheelSimulation, metro::sim::Signal>(scale);
     for (std::size_t i = 0; i < scen.size(); ++i) {
       scen[i].backend[static_cast<std::size_t>(kind)] = runs[i];
     }

@@ -42,8 +42,7 @@ std::unique_ptr<tgen::Generator> make_trace_generator(const WorkloadConfig& w, T
 
 }  // namespace
 
-template <typename Sim>
-BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
+Testbed::Testbed(const ExperimentConfig& cfg, bool wheel) : cfg_(cfg) {
   // Reject degenerate topologies before anything is built: zero queues
   // would divide by zero in the RSS table, and a Metronome with no threads
   // would run silently and report zero throughput.
@@ -57,11 +56,12 @@ BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("XDP requires one core per Rx queue");
   }
 
-  sim_ = std::make_unique<Sim>(cfg.seed);
+  sim_ = wheel ? std::make_unique<sim::Simulation>(cfg.seed, sim::TimingWheelBackend{})
+               : std::make_unique<sim::Simulation>(cfg.seed);
 
   sim::CoreConfig core_cfg;
   core_cfg.governor = cfg.governor;
-  machine_ = std::make_unique<sim::BasicMachine<Sim>>(*sim_, cfg.n_cores, core_cfg);
+  machine_ = std::make_unique<sim::Machine>(*sim_, cfg.n_cores, core_cfg);
 
   // Latency in microseconds: 0.05 us bins up to 5 ms.
   latency_ = std::make_unique<stats::Histogram>(0.05, 5000.0);
@@ -70,12 +70,11 @@ BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
   nic::PortConfig port_cfg = cfg.xl710 ? nic::xl710_config(cfg.n_queues)
                                        : nic::x520_config(cfg.n_queues);
   port_cfg.tx_batch = cfg.tx_batch;
-  port_ = std::make_unique<nic::BasicPort<Sim>>(*sim_, port_cfg,
-                                                nic::TxCallback(latency_recorder_));
+  port_ = std::make_unique<nic::Port>(*sim_, port_cfg, nic::TxCallback(latency_recorder_));
 
   if (cfg.workload.fault.any()) {
     // Fault stream seeded from the *shard* seed on a dedicated stream tag:
-    // bit-identical across backends and --jobs by the same
+    // bit-identical on either store and across --jobs by the same
     // argument as the workload stream.
     fault_ = std::make_unique<fault::FaultInjector>(cfg.workload.fault,
                                                     fault::FaultInjector::derive_seed(cfg.seed));
@@ -145,11 +144,9 @@ BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
   }
 }
 
-template <typename Sim>
-BasicTestbed<Sim>::~BasicTestbed() = default;
+Testbed::~Testbed() = default;
 
-template <typename Sim>
-void BasicTestbed<Sim>::start() {
+void Testbed::start() {
   assert(!started_);
   started_ = true;
 
@@ -166,7 +163,7 @@ void BasicTestbed<Sim>::start() {
       // the kernel store; the arena's lanes are 28 B per flow and its
       // calendar keeps the arrivals out of the store. Bit-identical
       // stream either way (test_tgen).
-      flow_arena_ = std::make_unique<tgen::PerFlowSourceArena<Sim>>(*sim_, *port_, *flows_, src);
+      flow_arena_ = std::make_unique<tgen::PerFlowSourceArena>(*sim_, *port_, *flows_, src);
     } else if (generator_ != nullptr) {
       tgen::attach(*sim_, *port_, *generator_);
     }
@@ -176,7 +173,7 @@ void BasicTestbed<Sim>::start() {
     case DriverKind::kMetronome: {
       std::vector<Core*> cores;
       for (int i = 0; i < cfg_.n_cores; ++i) cores.push_back(&machine_->core(i));
-      metronome_ = std::make_unique<core::BasicMetronome<Sim>>(*sim_, *port_, cores, cfg_.met);
+      metronome_ = std::make_unique<core::Metronome>(*sim_, *port_, cores, cfg_.met);
       metronome_->start();
       for (const auto& t : metronome_->threads()) {
         driver_entities_.push_back(EntitySnapshot{t.core, t.entity, 0});
@@ -235,11 +232,9 @@ void BasicTestbed<Sim>::start() {
   }
 }
 
-template <typename Sim>
-void BasicTestbed<Sim>::run_until(Time t) { sim_->run_until(t); }
+void Testbed::run_until(Time t) { sim_->run_until(t); }
 
-template <typename Sim>
-void BasicTestbed<Sim>::begin_measurement() {
+void Testbed::begin_measurement() {
   assert(started_ && "begin_measurement() before start(): no metrics registered");
   window_start_ = sim_->now();
   machine_start_ = machine_->snapshot_all();  // settles all cores
@@ -263,8 +258,7 @@ void BasicTestbed<Sim>::begin_measurement() {
   }
 }
 
-template <typename Sim>
-ExperimentResult BasicTestbed<Sim>::finish_measurement() {
+ExperimentResult Testbed::finish_measurement() {
   if (series_) series_->finish(sim_->now());
   ExperimentResult r;
   const auto machine_end = machine_->snapshot_all();
@@ -323,8 +317,7 @@ ExperimentResult BasicTestbed<Sim>::finish_measurement() {
   return r;
 }
 
-template <typename Sim>
-double BasicTestbed<Sim>::window_cpu_percent() {
+double Testbed::window_cpu_percent() {
   machine_->snapshot_all();  // settle so on_cpu_time is current
   const Time now = sim_->now();
   if (cpu_probe_oncpu_.size() != driver_entities_.size()) {
@@ -346,8 +339,7 @@ double BasicTestbed<Sim>::window_cpu_percent() {
   return dt > 0 ? 100.0 * sum / static_cast<double>(dt) : 0.0;
 }
 
-template <typename Sim>
-std::uint64_t BasicTestbed<Sim>::packets_processed() const {
+std::uint64_t Testbed::packets_processed() const {
   if (metronome_) return metronome_->packets_processed();
   std::uint64_t total = 0;
   for (const auto& s : polling_stats_) total += s->packets_processed;
@@ -355,9 +347,8 @@ std::uint64_t BasicTestbed<Sim>::packets_processed() const {
   return total;
 }
 
-template <typename Sim>
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  BasicTestbed<Sim> bed(cfg);
+  Testbed bed(cfg);
   bed.start();
   bed.run_until(cfg.warmup);
   bed.begin_measurement();
@@ -372,10 +363,5 @@ std::uint64_t port_drops(const stats::MetricSnapshot& d, int n_queues) {
   }
   return drops;
 }
-
-template class BasicTestbed<sim::Simulation>;
-template class BasicTestbed<sim::WheelSimulation>;
-template ExperimentResult run_experiment<sim::Simulation>(const ExperimentConfig&);
-template ExperimentResult run_experiment<sim::WheelSimulation>(const ExperimentConfig&);
 
 }  // namespace metro::apps

@@ -7,18 +7,18 @@
 // measurement window. This header packages that wiring once, so each bench
 // is just a parameter sweep + a table printer.
 //
-// The whole stack is generic over the event-queue backend: BasicTestbed<Sim>
-// (and run_experiment<Sim>) assemble the same layers on any kernel
-// instantiation, and execution is bit-identical across backends — same
+// The testbed runs its kernel on the binary-heap event store; the
+// BasicTestbed<sim::WheelSimulation> shim runs the same stack on the
+// timing wheel, and execution is bit-identical on either store — same
 // counters, same latency histogram, same final clock (enforced by
-// tests/test_backend_fullstack.cpp). `Testbed` and the plain
-// run_experiment(cfg) call bind to the default heap kernel as before.
+// tests/test_backend_fullstack.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/ferret.hpp"
@@ -50,9 +50,10 @@ enum class ArrivalModel {
   /// the traditional figure path. Honours imix and heavy_share.
   kStream,
   /// One arrival process per flow instead of the grouped stream feeder:
-  /// n_flows concurrently pending timers — the large-population regime the
-  /// timing-wheel backend targets (see tgen/feeder.hpp). Costs one event per
-  /// packet; leave off unless the pending population is the point.
+  /// n_flows flows with one arrival armed each, kept in the per-flow
+  /// arena's own calendar rather than the kernel's event store (see
+  /// tgen/feeder.hpp). Costs one event per packet; leave off unless the
+  /// armed-flow population is the point.
   /// Honours poisson (per-flow gaps); flows are uniform by construction,
   /// so imix and heavy_share do not apply.
   kPerFlow,
@@ -140,7 +141,7 @@ struct ExperimentConfig {
 /// The measurement-window observables every figure/table bench reads.
 /// Since the telemetry refactor this is a *view*: finish_measurement()
 /// derives every field from the testbed's MetricSet window delta
-/// (BasicTestbed::telemetry()), not from hand-copied counters.
+/// (Testbed::telemetry()), not from hand-copied counters.
 struct ExperimentResult {
   double offered_mpps = 0.0;
   double throughput_mpps = 0.0;
@@ -175,18 +176,15 @@ struct ExperimentResult {
 
 /// The live simulation testbed, for benches needing time series (Fig. 9)
 /// or bespoke sequencing (Fig. 12). run_experiment() is built on this.
-/// \tparam Sim the kernel instantiation; the heap alias `Testbed`
-///   preserves the original spelling.
-template <typename Sim = sim::Simulation>
-class BasicTestbed {
+class Testbed {
  public:
-  explicit BasicTestbed(const ExperimentConfig& cfg);
-  ~BasicTestbed();
+  explicit Testbed(const ExperimentConfig& cfg) : Testbed(cfg, false) {}
+  ~Testbed();
 
-  Sim& sim() { return *sim_; }
-  sim::BasicMachine<Sim>& machine() { return *machine_; }
-  nic::BasicPort<Sim>& port() { return *port_; }
-  core::BasicMetronome<Sim>* metronome() { return metronome_.get(); }
+  sim::Simulation& sim() { return *sim_; }
+  sim::Machine& machine() { return *machine_; }
+  nic::Port& port() { return *port_; }
+  core::Metronome* metronome() { return metronome_.get(); }
   /// The end-to-end latency histogram backing the result boxplot
   /// (microseconds; cross-backend identity checks compare its raw bins).
   const stats::Histogram& latency_histogram() const { return *latency_; }
@@ -232,14 +230,19 @@ class BasicTestbed {
   /// ArrivalModel::kPerFlow). Exposes the lane accessors —
   /// flow_count()/armed()/fired() and the per-flow lanes — for scale
   /// diagnostics.
-  const tgen::PerFlowSourceArena<Sim>* flow_arena() const { return flow_arena_.get(); }
+  const tgen::PerFlowSourceArena* flow_arena() const { return flow_arena_.get(); }
+
+ protected:
+  /// Build the kernel on the timing-wheel store when `wheel` is set
+  /// (BasicTestbed<sim::WheelSimulation>), on the heap otherwise.
+  Testbed(const ExperimentConfig& cfg, bool wheel);
 
  private:
-  using Core = sim::BasicCore<Sim>;
+  using Core = sim::Core;
 
   struct EntitySnapshot {
     Core* core;
-    typename Core::EntityId entity;
+    Core::EntityId entity;
     sim::Time on_cpu_at_start = 0;
   };
 
@@ -254,16 +257,16 @@ class BasicTestbed {
   };
 
   ExperimentConfig cfg_;
-  std::unique_ptr<Sim> sim_;
-  std::unique_ptr<sim::BasicMachine<Sim>> machine_;
+  std::unique_ptr<sim::Simulation> sim_;
+  std::unique_ptr<sim::Machine> machine_;
   std::unique_ptr<stats::Histogram> latency_;
   LatencyRecorder latency_recorder_;  // must outlive port_ (non-owning ref)
   std::unique_ptr<fault::FaultInjector> fault_;  // must outlive port_ (borrowed there)
-  std::unique_ptr<nic::BasicPort<Sim>> port_;
+  std::unique_ptr<nic::Port> port_;
   std::unique_ptr<tgen::FlowSet> flows_;
   std::unique_ptr<tgen::Generator> generator_;
-  std::unique_ptr<tgen::PerFlowSourceArena<Sim>> flow_arena_;  // kPerFlow only
-  std::unique_ptr<core::BasicMetronome<Sim>> metronome_;
+  std::unique_ptr<tgen::PerFlowSourceArena> flow_arena_;  // kPerFlow only
+  std::unique_ptr<core::Metronome> metronome_;
   std::vector<std::unique_ptr<dpdk::DriverStats>> polling_stats_;
   std::vector<std::unique_ptr<dpdk::XdpStats>> xdp_stats_;
   std::vector<EntitySnapshot> driver_entities_;
@@ -277,7 +280,7 @@ class BasicTestbed {
 
   // measurement window state (scheduler side)
   sim::Time window_start_ = 0;
-  std::vector<typename Core::Snapshot> machine_start_;
+  std::vector<Core::Snapshot> machine_start_;
 
   // window_cpu_percent() state
   sim::Time cpu_probe_at_ = 0;
@@ -286,18 +289,22 @@ class BasicTestbed {
   bool started_ = false;
 };
 
-/// Heap-kernel alias (the original spelling).
-using Testbed = BasicTestbed<sim::Simulation>;
+/// Kept for metrobench until the wheel store goes: a Testbed whose kernel
+/// runs on the store `Sim` names — the timing wheel for
+/// sim::WheelSimulation, the heap for sim::Simulation.
+template <typename Sim>
+class BasicTestbed : public Testbed {
+ public:
+  explicit BasicTestbed(const ExperimentConfig& cfg)
+      : Testbed(cfg, std::is_same_v<Sim, sim::WheelSimulation>) {}
+};
 
 /// Packets the testbed's port dropped, read from a telemetry snapshot or
 /// window delta: `port.cap_drops` plus `port.qN.dropped` over its
 /// `n_queues` rx queues.
 std::uint64_t port_drops(const stats::MetricSnapshot& d, int n_queues);
 
-/// Assemble, warm up, measure, tear down — on the chosen kernel
-/// instantiation (run_experiment(cfg) without a template argument is the
-/// heap path, unchanged).
-template <typename Sim = sim::Simulation>
+/// Assemble, warm up, measure, tear down.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 }  // namespace metro::apps

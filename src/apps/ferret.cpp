@@ -4,10 +4,8 @@ namespace metro::apps {
 
 namespace {
 
-template <typename Sim>
-sim::Task ferret_task(Sim& sim, sim::BasicCore<Sim>& core,
-                      typename sim::BasicCore<Sim>::EntityId ent, FerretConfig cfg,
-                      std::shared_ptr<FerretResult> result) {
+sim::Task ferret_task(sim::Simulation& sim, sim::Core& core, sim::Core::EntityId ent,
+                      FerretConfig cfg, std::shared_ptr<FerretResult> result) {
   result->started = sim.now();
   if (cfg.total_work <= 0) {
     // Continuous contention: model as a spinning entity; never finishes.
@@ -26,19 +24,12 @@ sim::Task ferret_task(Sim& sim, sim::BasicCore<Sim>& core,
 
 }  // namespace
 
-template <typename Sim>
-std::shared_ptr<FerretResult> spawn_ferret(Sim& sim, sim::BasicCore<Sim>& core,
+std::shared_ptr<FerretResult> spawn_ferret(sim::Simulation& sim, sim::Core& core,
                                            const FerretConfig& cfg, const std::string& name) {
   auto result = std::make_shared<FerretResult>();
   const auto ent = core.add_entity(name, cfg.nice);
   sim.spawn(ferret_task(sim, core, ent, cfg, result));
   return result;
 }
-
-template std::shared_ptr<FerretResult> spawn_ferret<sim::Simulation>(
-    sim::Simulation&, sim::BasicCore<sim::Simulation>&, const FerretConfig&, const std::string&);
-template std::shared_ptr<FerretResult> spawn_ferret<sim::WheelSimulation>(
-    sim::WheelSimulation&, sim::BasicCore<sim::WheelSimulation>&, const FerretConfig&,
-    const std::string&);
 
 }  // namespace metro::apps

@@ -42,11 +42,8 @@ struct FerretConfig {
 };
 
 /// Spawn one ferret worker on `core`. The returned result object is owned
-/// by the caller and updated when the worker finishes. Generic over the
-/// kernel instantiation; defined in ferret.cpp and instantiated for both
-/// shipped backends.
-template <typename Sim>
-std::shared_ptr<FerretResult> spawn_ferret(Sim& sim, sim::BasicCore<Sim>& core,
+/// by the caller and updated when the worker finishes.
+std::shared_ptr<FerretResult> spawn_ferret(sim::Simulation& sim, sim::Core& core,
                                            const FerretConfig& cfg,
                                            const std::string& name = "ferret");
 

@@ -7,9 +7,8 @@ namespace metro::core {
 using sim::Time;
 namespace calib = sim::calib;
 
-template <typename Sim>
-BasicMetronome<Sim>::BasicMetronome(Sim& sim, nic::BasicPort<Sim>& port,
-                                    std::vector<sim::BasicCore<Sim>*> cores, MetronomeConfig cfg)
+Metronome::Metronome(sim::Simulation& sim, nic::Port& port, std::vector<sim::Core*> cores,
+                     MetronomeConfig cfg)
     : sim_(sim), port_(port), cores_(std::move(cores)), cfg_(cfg) {
   const int n = port_.n_rx_queues();
   queues_.reserve(static_cast<std::size_t>(n));
@@ -22,8 +21,7 @@ BasicMetronome<Sim>::BasicMetronome(Sim& sim, nic::BasicPort<Sim>& port,
   }
 }
 
-template <typename Sim>
-Time BasicMetronome<Sim>::compute_ts(const QueueState& q) const {
+Time Metronome::compute_ts(const QueueState& q) const {
   if (!cfg_.adaptive) return cfg_.fixed_ts;
   const double target_us = sim::to_micros(cfg_.target_vacation);
   const double ts_us = model::ts_for_target_multiqueue(target_us, q.rho.value(), cfg_.n_threads,
@@ -31,25 +29,23 @@ Time BasicMetronome<Sim>::compute_ts(const QueueState& q) const {
   return sim::from_micros(ts_us);
 }
 
-template <typename Sim>
-void BasicMetronome<Sim>::start() {
+void Metronome::start() {
   if (started_) return;
   started_ = true;
   threads_.reserve(static_cast<std::size_t>(cfg_.n_threads));
   for (int t = 0; t < cfg_.n_threads; ++t) {
-    sim::BasicCore<Sim>* core = cores_[static_cast<std::size_t>(t) % cores_.size()];
+    sim::Core* core = cores_[static_cast<std::size_t>(t) % cores_.size()];
     const auto ent = core->add_entity("metronome-" + std::to_string(t), -20);
     threads_.push_back(ThreadRef{core, ent});
-    sleepers_.push_back(std::make_unique<sim::BasicSleepService<Sim>>(sim_, cfg_.sleep, core));
+    sleepers_.push_back(std::make_unique<sim::SleepService>(sim_, cfg_.sleep, core));
     sim_.spawn(thread_task(t));
   }
 }
 
-template <typename Sim>
-sim::Task BasicMetronome<Sim>::thread_task(int thread_id) {
-  sim::BasicCore<Sim>& core = *threads_[static_cast<std::size_t>(thread_id)].core;
+sim::Task Metronome::thread_task(int thread_id) {
+  sim::Core& core = *threads_[static_cast<std::size_t>(thread_id)].core;
   const auto ent = threads_[static_cast<std::size_t>(thread_id)].entity;
-  sim::BasicSleepService<Sim>& sleeper = *sleepers_[static_cast<std::size_t>(thread_id)];
+  sim::SleepService& sleeper = *sleepers_[static_cast<std::size_t>(thread_id)];
   const int n_queues = port_.n_rx_queues();
   std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg_.burst));
 
@@ -91,7 +87,7 @@ sim::Task BasicMetronome<Sim>::thread_task(int thread_id) {
     ++q.lock_successes;
     const Time acquire = sim_.now();
     const Time vacation = q.last_release >= 0 ? acquire - q.last_release : -1;
-    nic::BasicRxRing<Sim>& ring = port_.rx_queue(curr);
+    nic::RxRing& ring = port_.rx_queue(curr);
     const auto nv = static_cast<double>(ring.size());
     std::uint64_t drained = 0;
 
@@ -147,8 +143,7 @@ sim::Task BasicMetronome<Sim>::thread_task(int thread_id) {
   }
 }
 
-template <typename Sim>
-void BasicMetronome<Sim>::note_sleep(QueueState& q, int thread_id, int queue, Time t0,
+void Metronome::note_sleep(QueueState& q, int thread_id, int queue, Time t0,
                                      Time armed) {
   const Time slept = sim_.now() - t0;
   q.slept_ns += static_cast<std::uint64_t>(slept);
@@ -159,49 +154,25 @@ void BasicMetronome<Sim>::note_sleep(QueueState& q, int thread_id, int queue, Ti
   }
 }
 
-template <typename Sim>
-std::uint64_t BasicMetronome<Sim>::packets_processed() const {
+std::uint64_t Metronome::packets_processed() const {
   std::uint64_t total = 0;
   for (const auto& q : queues_) total += q->packets;
   return total;
 }
 
-template <typename Sim>
-std::uint64_t BasicMetronome<Sim>::total_tries() const {
-  std::uint64_t total = 0;
-  for (const auto& q : queues_) total += q->total_tries;
-  return total;
-}
-
-template <typename Sim>
-std::uint64_t BasicMetronome<Sim>::busy_tries() const {
-  std::uint64_t total = 0;
-  for (const auto& q : queues_) total += q->busy_tries;
-  return total;
-}
-
-template <typename Sim>
-double BasicMetronome<Sim>::busy_try_fraction() const {
-  const auto tries = total_tries();
-  return tries ? static_cast<double>(busy_tries()) / static_cast<double>(tries) : 0.0;
-}
-
-template <typename Sim>
-double BasicMetronome<Sim>::mean_rho() const {
+double Metronome::mean_rho() const {
   double sum = 0.0;
   for (const auto& q : queues_) sum += q->rho.value();
   return sum / static_cast<double>(queues_.size());
 }
 
-template <typename Sim>
-double BasicMetronome<Sim>::mean_ts_us() const {
+double Metronome::mean_ts_us() const {
   double sum = 0.0;
   for (const auto& q : queues_) sum += sim::to_micros(q->ts);
   return sum / static_cast<double>(queues_.size());
 }
 
-template <typename Sim>
-void BasicMetronome<Sim>::register_metrics(stats::MetricSet& set, const std::string& prefix) {
+void Metronome::register_metrics(stats::MetricSet& set, const std::string& prefix) {
   for (std::size_t q = 0; q < queues_.size(); ++q) {
     const std::string base = prefix + ".q" + std::to_string(q);
     QueueState& qs = *queues_[q];
@@ -218,25 +189,5 @@ void BasicMetronome<Sim>::register_metrics(stats::MetricSet& set, const std::str
     set.attach_summary(base + ".burst_fill", qs.burst_fill);
   }
 }
-
-template <typename Sim>
-void BasicMetronome<Sim>::reset_stats() {
-  for (auto& q : queues_) {
-    q->total_tries = 0;
-    q->busy_tries = 0;
-    q->lock_successes = 0;
-    q->packets = 0;
-    q->empty_polls = 0;
-    q->slept_ns = 0;
-    q->vacation_us.reset();
-    q->busy_us.reset();
-    q->nv.reset();
-    q->sleep_us.reset();
-    q->burst_fill.reset();
-  }
-}
-
-template class BasicMetronome<sim::Simulation>;
-template class BasicMetronome<sim::WheelSimulation>;
 
 }  // namespace metro::core

@@ -78,7 +78,7 @@ struct QueueState {
   Ewma rho{0.05};
   sim::Time ts;  // current adaptive short timeout for this queue
 
-  // Counters (resettable by the experiment harness).
+  // Counters (the experiment harness windows them through its MetricSet).
   std::uint64_t total_tries = 0;
   std::uint64_t busy_tries = 0;  // failed trylocks
   std::uint64_t lock_successes = 0;
@@ -92,27 +92,18 @@ struct QueueState {
   stats::Summary burst_fill;  // packets per pop_burst (batch occupancy)
   /// Optional full vacation-period distribution (Fig. 4); caller-owned.
   stats::Histogram* vacation_hist = nullptr;
-
-  double busy_try_fraction() const {
-    return total_tries ? static_cast<double>(busy_tries) / static_cast<double>(total_tries) : 0.0;
-  }
 };
 
 /// The Metronome runtime: spawns M sleep/wake threads that cooperatively
 /// drain the port's Rx queues (see the file comment for the loop), owns
 /// the per-queue shared state, and aggregates the statistics the figure
 /// benches read.
-///
-/// \tparam Sim the kernel instantiation (any backend). The heap alias
-///   `Metronome` preserves the original spelling; member definitions live
-///   in metronome.cpp with explicit instantiations for both backends.
-template <typename Sim = sim::Simulation>
-class BasicMetronome {
+class Metronome {
  public:
   /// Threads are placed round-robin on `cores` (thread i on
   /// cores[i % cores.size()]); the port's queue count defines N.
-  BasicMetronome(Sim& sim, nic::BasicPort<Sim>& port, std::vector<sim::BasicCore<Sim>*> cores,
-                 MetronomeConfig cfg);
+  Metronome(sim::Simulation& sim, nic::Port& port, std::vector<sim::Core*> cores,
+            MetronomeConfig cfg);
 
   /// Spawn all M threads. Each starts with a small random stagger so wake
   /// times decorrelate from t = 0 (they would anyway after a few cycles).
@@ -127,21 +118,10 @@ class BasicMetronome {
 
   /// Total packets processed across queues.
   std::uint64_t packets_processed() const;
-  /// Total wake-ups (lock attempts) across queues.
-  std::uint64_t total_tries() const;
-  std::uint64_t busy_tries() const;
-
-  /// Aggregate busy-try fraction over all queues.
-  double busy_try_fraction() const;
   /// Mean rho over queues (instantaneous EWMA values).
   double mean_rho() const;
   /// Mean of the queues' current TS values, in microseconds.
   double mean_ts_us() const;
-
-  /// Clear counters and summaries after warm-up (keeps rho estimates).
-  /// The experiment harness no longer needs this — it windows the
-  /// registered metrics instead — but standalone users still can.
-  void reset_stats();
 
   /// Attach every per-queue observable to `set`: `<prefix>.qN.total_tries`
   /// / `.busy_tries` / `.lock_successes` / `.packets` / `.empty_polls` /
@@ -152,8 +132,8 @@ class BasicMetronome {
 
   /// (core, entity) of every thread, for CPU-usage accounting.
   struct ThreadRef {
-    sim::BasicCore<Sim>* core;
-    typename sim::BasicCore<Sim>::EntityId entity;
+    sim::Core* core;
+    sim::Core::EntityId entity;
   };
   const std::vector<ThreadRef>& threads() const noexcept { return threads_; }
 
@@ -166,17 +146,14 @@ class BasicMetronome {
   /// plain function, so no RAII span has to live across a co_await.
   void note_sleep(QueueState& q, int thread_id, int queue, sim::Time t0, sim::Time armed);
 
-  Sim& sim_;
-  nic::BasicPort<Sim>& port_;
-  std::vector<sim::BasicCore<Sim>*> cores_;
+  sim::Simulation& sim_;
+  nic::Port& port_;
+  std::vector<sim::Core*> cores_;
   MetronomeConfig cfg_;
   std::vector<std::unique_ptr<QueueState>> queues_;
   std::vector<ThreadRef> threads_;
-  std::vector<std::unique_ptr<sim::BasicSleepService<Sim>>> sleepers_;  // one per thread
+  std::vector<std::unique_ptr<sim::SleepService>> sleepers_;  // one per thread
   bool started_ = false;
 };
-
-/// Heap-kernel alias (the original spelling).
-using Metronome = BasicMetronome<sim::Simulation>;
 
 }  // namespace metro::core

@@ -7,13 +7,11 @@ namespace metro::dpdk {
 
 namespace {
 
-template <typename Sim>
-sim::Task freq_scaling_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
-                            sim::BasicCore<Sim>& core,
-                            typename sim::BasicCore<Sim>::EntityId ent, FreqScalingConfig cfg,
+sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, sim::Core& core,
+                            sim::Core::EntityId ent, FreqScalingConfig cfg,
                             FreqScalingStats& stats) {
-  nic::BasicRxRing<Sim>& ring = port.rx_queue(queue);
-  nic::BasicTxRing<Sim>& tx = port.tx();
+  nic::RxRing& ring = port.rx_queue(queue);
+  nic::TxRing& tx = port.tx();
   std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg.burst));
   sim::Time last_tx_flush = sim.now();
   int idle_streak = 0;
@@ -88,25 +86,12 @@ sim::Task freq_scaling_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
 
 }  // namespace
 
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_freq_scaling_lcore(Sim& sim,
-                                                                nic::BasicPort<Sim>& port,
-                                                                int queue,
-                                                                sim::BasicCore<Sim>& core,
-                                                                const FreqScalingConfig& cfg,
-                                                                FreqScalingStats& stats) {
+sim::Core::EntityId spawn_freq_scaling_lcore(sim::Simulation& sim, nic::Port& port, int queue,
+                                             sim::Core& core, const FreqScalingConfig& cfg,
+                                             FreqScalingStats& stats) {
   const auto ent = core.add_entity("l3fwd-power-q" + std::to_string(queue), 0);
   sim.spawn(freq_scaling_task(sim, port, queue, core, ent, cfg, stats));
   return ent;
 }
-
-template sim::BasicCore<sim::Simulation>::EntityId spawn_freq_scaling_lcore<sim::Simulation>(
-    sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
-    const FreqScalingConfig&, FreqScalingStats&);
-template sim::BasicCore<sim::WheelSimulation>::EntityId
-spawn_freq_scaling_lcore<sim::WheelSimulation>(sim::WheelSimulation&,
-                                               nic::BasicPort<sim::WheelSimulation>&, int,
-                                               sim::BasicCore<sim::WheelSimulation>&,
-                                               const FreqScalingConfig&, FreqScalingStats&);
 
 }  // namespace metro::dpdk

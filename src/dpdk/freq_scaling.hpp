@@ -37,15 +37,9 @@ struct FreqScalingStats {
 };
 
 /// Spawn the frequency-scaling lcore for `queue` on `core`. The core should
-/// be configured with Governor::kUserspace. Generic over the kernel
-/// instantiation; defined in freq_scaling.cpp and instantiated for both
-/// shipped backends.
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_freq_scaling_lcore(Sim& sim,
-                                                                nic::BasicPort<Sim>& port,
-                                                                int queue,
-                                                                sim::BasicCore<Sim>& core,
-                                                                const FreqScalingConfig& cfg,
-                                                                FreqScalingStats& stats);
+/// be configured with Governor::kUserspace.
+sim::Core::EntityId spawn_freq_scaling_lcore(sim::Simulation& sim, nic::Port& port, int queue,
+                                             sim::Core& core, const FreqScalingConfig& cfg,
+                                             FreqScalingStats& stats);
 
 }  // namespace metro::dpdk

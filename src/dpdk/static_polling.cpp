@@ -7,13 +7,11 @@ namespace metro::dpdk {
 
 namespace {
 
-template <typename Sim>
-sim::Task static_lcore_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
-                            sim::BasicCore<Sim>& core,
-                            typename sim::BasicCore<Sim>::EntityId ent, StaticPollingConfig cfg,
+sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, sim::Core& core,
+                            sim::Core::EntityId ent, StaticPollingConfig cfg,
                             DriverStats& stats) {
-  nic::BasicRxRing<Sim>& ring = port.rx_queue(queue);
-  nic::BasicTxRing<Sim>& tx = port.tx();
+  nic::RxRing& ring = port.rx_queue(queue);
+  nic::TxRing& tx = port.tx();
   std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg.burst));
   sim::Time last_tx_flush = sim.now();
 
@@ -58,23 +56,12 @@ sim::Task static_lcore_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
 
 }  // namespace
 
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_static_lcore(Sim& sim, nic::BasicPort<Sim>& port,
-                                                          int queue, sim::BasicCore<Sim>& core,
-                                                          const StaticPollingConfig& cfg,
-                                                          DriverStats& stats) {
+sim::Core::EntityId spawn_static_lcore(sim::Simulation& sim, nic::Port& port, int queue,
+                                       sim::Core& core, const StaticPollingConfig& cfg,
+                                       DriverStats& stats) {
   const auto ent = core.add_entity("dpdk-poll-q" + std::to_string(queue), cfg.nice);
   sim.spawn(static_lcore_task(sim, port, queue, core, ent, cfg, stats));
   return ent;
 }
-
-template sim::BasicCore<sim::Simulation>::EntityId spawn_static_lcore<sim::Simulation>(
-    sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
-    const StaticPollingConfig&, DriverStats&);
-template sim::BasicCore<sim::WheelSimulation>::EntityId
-spawn_static_lcore<sim::WheelSimulation>(sim::WheelSimulation&,
-                                         nic::BasicPort<sim::WheelSimulation>&, int,
-                                         sim::BasicCore<sim::WheelSimulation>&,
-                                         const StaticPollingConfig&, DriverStats&);
 
 }  // namespace metro::dpdk

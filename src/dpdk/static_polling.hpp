@@ -51,12 +51,8 @@ struct DriverStats {
 /// Spawn a static-polling lcore bound to `queue` of `port`, running on
 /// `core`. Returns the core entity id (for CPU accounting) and exposes
 /// counters through `stats` (caller-owned, must outlive the simulation).
-/// Generic over the kernel instantiation; defined in static_polling.cpp
-/// and instantiated for both shipped backends.
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_static_lcore(Sim& sim, nic::BasicPort<Sim>& port,
-                                                          int queue, sim::BasicCore<Sim>& core,
-                                                          const StaticPollingConfig& cfg,
-                                                          DriverStats& stats);
+sim::Core::EntityId spawn_static_lcore(sim::Simulation& sim, nic::Port& port, int queue,
+                                       sim::Core& core, const StaticPollingConfig& cfg,
+                                       DriverStats& stats);
 
 }  // namespace metro::dpdk

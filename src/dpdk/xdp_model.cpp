@@ -7,13 +7,10 @@ namespace metro::dpdk {
 
 namespace {
 
-template <typename Sim>
-sim::Task xdp_queue_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
-                         sim::BasicCore<Sim>& core,
-                         typename sim::BasicCore<Sim>::EntityId ent, XdpConfig cfg,
-                         XdpStats& stats) {
-  nic::BasicRxRing<Sim>& ring = port.rx_queue(queue);
-  nic::BasicTxRing<Sim>& tx = port.tx();
+sim::Task xdp_queue_task(sim::Simulation& sim, nic::Port& port, int queue, sim::Core& core,
+                         sim::Core::EntityId ent, XdpConfig cfg, XdpStats& stats) {
+  nic::RxRing& ring = port.rx_queue(queue);
+  nic::TxRing& tx = port.tx();
   std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg.napi_budget));
 
   for (;;) {
@@ -44,20 +41,11 @@ sim::Task xdp_queue_task(Sim& sim, nic::BasicPort<Sim>& port, int queue,
 
 }  // namespace
 
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_xdp_queue(Sim& sim, nic::BasicPort<Sim>& port,
-                                                       int queue, sim::BasicCore<Sim>& core,
-                                                       const XdpConfig& cfg, XdpStats& stats) {
+sim::Core::EntityId spawn_xdp_queue(sim::Simulation& sim, nic::Port& port, int queue,
+                                    sim::Core& core, const XdpConfig& cfg, XdpStats& stats) {
   const auto ent = core.add_entity("xdp-q" + std::to_string(queue), 0);
   sim.spawn(xdp_queue_task(sim, port, queue, core, ent, cfg, stats));
   return ent;
 }
-
-template sim::BasicCore<sim::Simulation>::EntityId spawn_xdp_queue<sim::Simulation>(
-    sim::Simulation&, nic::BasicPort<sim::Simulation>&, int, sim::BasicCore<sim::Simulation>&,
-    const XdpConfig&, XdpStats&);
-template sim::BasicCore<sim::WheelSimulation>::EntityId spawn_xdp_queue<sim::WheelSimulation>(
-    sim::WheelSimulation&, nic::BasicPort<sim::WheelSimulation>&, int,
-    sim::BasicCore<sim::WheelSimulation>&, const XdpConfig&, XdpStats&);
 
 }  // namespace metro::dpdk

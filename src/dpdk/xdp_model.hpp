@@ -42,12 +42,8 @@ struct XdpStats {
   }
 };
 
-/// Spawn the IRQ+NAPI handler for `queue` of `port` on `core`. Generic
-/// over the kernel instantiation; defined in xdp_model.cpp and
-/// instantiated for both shipped backends.
-template <typename Sim>
-typename sim::BasicCore<Sim>::EntityId spawn_xdp_queue(Sim& sim, nic::BasicPort<Sim>& port,
-                                                       int queue, sim::BasicCore<Sim>& core,
-                                                       const XdpConfig& cfg, XdpStats& stats);
+/// Spawn the IRQ+NAPI handler for `queue` of `port` on `core`.
+sim::Core::EntityId spawn_xdp_queue(sim::Simulation& sim, nic::Port& port, int queue,
+                                    sim::Core& core, const XdpConfig& cfg, XdpStats& stats);
 
 }  // namespace metro::dpdk

@@ -22,9 +22,9 @@
 //     `fault.reordered`, `fault.link_down_ns`, `fault.stall_ns`)
 //     registered in `stats::MetricSet` like every other layer's.
 //
-// Hook points: `BasicPort::rx`/`rx_burst` route each descriptor through
+// Hook points: `Port::rx`/`rx_burst` route each descriptor through
 // `ingress()` (drop / corrupt / duplicate / reorder / link-down), and
-// `BasicRxRing::push` consults `rx_stalled()` (a stalled ring tail-drops
+// `RxRing::push` consults `rx_stalled()` (a stalled ring tail-drops
 // as if full — DMA writes that land during a stall are lost, which is
 // what a wedged descriptor ring does to real hardware).
 //
@@ -151,7 +151,7 @@ class FaultInjector {
   }
 
   /// True while the rx ring is wedged at sim time `t`. Called from
-  /// BasicRxRing::push; no RNG (stateless in the clock), but accounts
+  /// RxRing::push; no RNG (stateless in the clock), but accounts
   /// witnessed stall time lazily (once per stall window a push lands in).
   bool rx_stalled(sim::Time t);
 

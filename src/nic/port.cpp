@@ -8,7 +8,9 @@ PortConfig x520_config(int n_queues) {
   PortConfig cfg;
   cfg.n_rx_queues = n_queues;
   cfg.rx_ring_size = sim::calib::kX520DefaultRingSize;
-  cfg.max_pps = 0.0;  // generator never exceeds 14.88 Mpps line rate
+  // Uncapped: nothing holds the offered load to the 14.88 Mpps line rate
+  // (Poisson arrivals configured at 14.88 Mpps offer about 15.04 Mpps).
+  cfg.max_pps = 0.0;
   return cfg;
 }
 
@@ -20,27 +22,27 @@ PortConfig xl710_config(int n_queues) {
   return cfg;
 }
 
-template <typename Sim>
-BasicPort<Sim>::BasicPort(Sim& sim, PortConfig cfg, TxCallback on_tx)
+Port::Port(sim::Simulation& sim, PortConfig cfg, TxCallback on_tx)
     : sim_(sim),
       cfg_(cfg),
       reta_(cfg.n_rx_queues),
       tx_ring_(sim, cfg.tx_batch, on_tx) {
   rx_.reserve(static_cast<std::size_t>(cfg.n_rx_queues));
   for (int i = 0; i < cfg.n_rx_queues; ++i) {
-    rx_.push_back(std::make_unique<BasicRxRing<Sim>>(sim, cfg.rx_ring_size));
+    rx_.push_back(std::make_unique<RxRing>(sim, cfg.rx_ring_size));
   }
   if (cfg.max_pps > 0.0) {
     per_packet_ns_ = static_cast<sim::Time>(1e9 / cfg.max_pps);
   }
 }
 
-template <typename Sim>
-bool BasicPort<Sim>::accept(const PacketDesc& pkt) {
+bool Port::accept(const PacketDesc& pkt) {
   // Device-level processing cap (XL710 spec update #13): packets arriving
   // faster than the device can process are dropped at the MAC. Credit
   // accounting (next_accept_ advances by the per-packet budget, not to the
-  // arrival time) makes the sustained accept rate exactly max_pps.
+  // arrival time) makes the sustained accept rate 1e9 / per_packet_ns_.
+  // The budget is truncated to whole ns, so that is at or above max_pps:
+  // the XL710's 37 Mpps (27.03 ns) becomes 27 ns, i.e. 37.04 Mpps.
   if (per_packet_ns_ > 0) {
     if (pkt.arrival < next_accept_) {
       ++cap_drops_;
@@ -53,8 +55,7 @@ bool BasicPort<Sim>::accept(const PacketDesc& pkt) {
   return rx_[q]->push(pkt);
 }
 
-template <typename Sim>
-bool BasicPort<Sim>::rx(const PacketDesc& pkt) {
+bool Port::rx(const PacketDesc& pkt) {
   if (faults_ == nullptr) return accept(pkt);
   // The injector decides how many copies (0, 1 or 2, possibly mutated or
   // reordered) actually reach the MAC; each surviving copy runs the full
@@ -64,14 +65,12 @@ bool BasicPort<Sim>::rx(const PacketDesc& pkt) {
   return accepted;
 }
 
-template <typename Sim>
-void BasicPort<Sim>::set_fault_injector(fault::FaultInjector* faults) {
+void Port::set_fault_injector(fault::FaultInjector* faults) {
   faults_ = faults;
   for (auto& ring : rx_) ring->set_fault_injector(faults);
 }
 
-template <typename Sim>
-int BasicPort<Sim>::rx_burst(const PacketDesc* pkts, int n) {
+int Port::rx_burst(const PacketDesc* pkts, int n) {
   int accepted = 0;
   if (faults_ != nullptr) {
     // Faults are per packet, so a faulty burst is exactly n rx() calls —
@@ -104,8 +103,7 @@ int BasicPort<Sim>::rx_burst(const PacketDesc* pkts, int n) {
   return accepted;
 }
 
-template <typename Sim>
-void BasicPort<Sim>::trace_burst(const PacketDesc* pkts, int n, int accepted) {
+void Port::trace_burst(const PacketDesc* pkts, int n, int accepted) {
   if (trace::Tracer* t = sim_.tracer(); t != nullptr) [[unlikely]] {
     // One instant per group (not per packet): the burst boundary is the
     // interesting structure; arrival of the group's last packet stamps it.
@@ -114,15 +112,13 @@ void BasicPort<Sim>::trace_burst(const PacketDesc* pkts, int n, int accepted) {
   }
 }
 
-template <typename Sim>
-std::uint64_t BasicPort<Sim>::total_dropped() const {
+std::uint64_t Port::total_dropped() const {
   std::uint64_t drops = cap_drops_;
   for (const auto& ring : rx_) drops += ring->total_dropped();
   return drops;
 }
 
-template <typename Sim>
-void BasicPort<Sim>::register_metrics(stats::MetricSet& set, const std::string& prefix) {
+void Port::register_metrics(stats::MetricSet& set, const std::string& prefix) {
   set.attach_counter(prefix + ".rx", total_rx_);
   set.attach_counter(prefix + ".cap_drops", cap_drops_);
   for (std::size_t q = 0; q < rx_.size(); ++q) {
@@ -130,8 +126,5 @@ void BasicPort<Sim>::register_metrics(stats::MetricSet& set, const std::string& 
   }
   tx_ring_.register_metrics(set, prefix + ".tx");
 }
-
-template class BasicPort<sim::Simulation>;
-template class BasicPort<sim::WheelSimulation>;
 
 }  // namespace metro::nic

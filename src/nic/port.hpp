@@ -7,10 +7,6 @@
 // already-grouped deliveries, through `rx_burst()`, which runs the whole
 // group through cap accounting and RSS dispatch in one call — and the
 // port tail-drops on full rings.
-//
-// Templated over the kernel instantiation (BasicPort<Sim>); the heap alias
-// `Port` preserves the original spelling. Member definitions live in
-// port.cpp with explicit instantiations for the two shipped backends.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +35,13 @@ struct PortConfig {
 PortConfig x520_config(int n_queues = 1);
 PortConfig xl710_config(int n_queues);
 
-template <typename Sim = sim::Simulation>
-class BasicPort {
+class Port {
  public:
-  BasicPort(Sim& sim, PortConfig cfg, TxCallback on_tx = {});
+  Port(sim::Simulation& sim, PortConfig cfg, TxCallback on_tx = {});
 
   int n_rx_queues() const noexcept { return static_cast<int>(rx_.size()); }
-  BasicRxRing<Sim>& rx_queue(int i) { return *rx_[static_cast<std::size_t>(i)]; }
-  BasicTxRing<Sim>& tx() noexcept { return tx_ring_; }
+  RxRing& rx_queue(int i) { return *rx_[static_cast<std::size_t>(i)]; }
+  TxRing& tx() noexcept { return tx_ring_; }
   const PortConfig& config() const noexcept { return cfg_; }
 
   /// NIC-side ingress: RSS-dispatch one descriptor. Returns false if the
@@ -86,11 +81,11 @@ class BasicPort {
   /// Record one kRxBurst instant when the kernel has a tracer attached.
   void trace_burst(const PacketDesc* pkts, int n, int accepted);
 
-  Sim& sim_;
+  sim::Simulation& sim_;
   PortConfig cfg_;
   RssReta reta_;
-  std::vector<std::unique_ptr<BasicRxRing<Sim>>> rx_;
-  BasicTxRing<Sim> tx_ring_;
+  std::vector<std::unique_ptr<RxRing>> rx_;
+  TxRing tx_ring_;
   fault::FaultInjector* faults_ = nullptr;  // borrowed; nullptr = healthy
   std::uint64_t total_rx_ = 0;
   std::uint64_t cap_drops_ = 0;
@@ -98,8 +93,5 @@ class BasicPort {
   sim::Time next_accept_ = 0;
   sim::Time per_packet_ns_ = 0;  // 1/max_pps, 0 if uncapped
 };
-
-/// Heap-kernel alias (the original spelling).
-using Port = BasicPort<sim::Simulation>;
 
 }  // namespace metro::nic

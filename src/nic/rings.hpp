@@ -19,9 +19,6 @@
 //   * TxRing's transmit callback is a non-owning FunctionRef (one indirect
 //     call, no std::function machinery) and flush() tests it once per
 //     flush, not once per packet.
-//
-// Both rings are templated over the kernel instantiation; the heap-bound
-// aliases RxRing / TxRing preserve the original spellings.
 #pragma once
 
 #include <algorithm>
@@ -43,13 +40,12 @@ namespace metro::nic {
 /// owning: the callable must outlive the ring (the harness owns both).
 using TxCallback = util::FunctionRef<void(const PacketDesc&, sim::Time)>;
 
-template <typename Sim = sim::Simulation>
-class BasicRxRing {
+class RxRing {
  public:
   /// Storage is rounded up to a power of two so index wrap is a mask, not
   /// a division; the *logical* capacity (full/drop threshold) stays exactly
   /// as requested, matching the configured descriptor count.
-  BasicRxRing(Sim& sim, int capacity)
+  RxRing(sim::Simulation& sim, int capacity)
       : capacity_(static_cast<std::size_t>(capacity)),
         mask_(std::bit_ceil(static_cast<std::size_t>(capacity)) - 1),
         slots_(mask_ + 1),
@@ -106,7 +102,7 @@ class BasicRxRing {
   /// Awaitable signal fired when an empty ring receives its first packet;
   /// used by polling drivers to fast-forward idle stretches without
   /// per-poll events. Wait only with the ring drained (all drivers do).
-  sim::BasicSignal<Sim>& arrival_signal() noexcept { return arrival_signal_; }
+  sim::Signal& arrival_signal() noexcept { return arrival_signal_; }
 
   /// Attach this ring's counters to `set` under `prefix` (setup only; the
   /// hot path keeps its plain increments).
@@ -116,7 +112,7 @@ class BasicRxRing {
   }
 
   /// Attach (or detach, with nullptr) the fault plane's stall hook. The
-  /// injector must outlive the ring; normally wired by BasicPort.
+  /// injector must outlive the ring; normally wired by Port.
   void set_fault_injector(fault::FaultInjector* faults) noexcept { faults_ = faults; }
 
  private:
@@ -129,17 +125,16 @@ class BasicRxRing {
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;
   fault::FaultInjector* faults_ = nullptr;  // borrowed; nullptr = healthy
-  sim::BasicSignal<Sim> arrival_signal_;
+  sim::Signal arrival_signal_;
 };
 
-template <typename Sim = sim::Simulation>
-class BasicTxRing {
+class TxRing {
  public:
   /// Per-packet transmit hook (see nic::TxCallback). Kept as a member
   /// alias so existing `TxRing::TxCallback` spellings stay valid.
   using TxCallback = nic::TxCallback;
 
-  BasicTxRing(Sim& sim, int batch_threshold, TxCallback on_tx = {})
+  TxRing(sim::Simulation& sim, int batch_threshold, TxCallback on_tx = {})
       : sim_(sim), batch_(batch_threshold < 1 ? 1 : batch_threshold), on_tx_(on_tx) {
     // send() fills at most `batch_` entries before flushing, so one warm-up
     // reservation makes the steady-state path allocation-free.
@@ -178,15 +173,11 @@ class BasicTxRing {
   }
 
  private:
-  Sim& sim_;
+  sim::Simulation& sim_;
   int batch_;
   TxCallback on_tx_;
   std::vector<PacketDesc> pending_;
   std::uint64_t transmitted_ = 0;
 };
-
-/// Heap-kernel aliases (the original spellings).
-using RxRing = BasicRxRing<sim::Simulation>;
-using TxRing = BasicTxRing<sim::Simulation>;
 
 }  // namespace metro::nic

@@ -11,8 +11,9 @@
 /// The shipped registry covers the paper's staples (CBR, Poisson, IMIX,
 /// the §V-F.4 unbalanced mix) plus the bursty/heavy-tail additions
 /// (MMPP ON-OFF, Pareto flow trains, synchronized incast, pcap trace
-/// replay) and the per-flow-source large-population regime the
-/// timing-wheel backend targets.
+/// replay) and the per-flow-source regime: thousands to millions of flows
+/// with one arrival armed each, kept in the per-flow arena's own calendar
+/// rather than the kernel's event store.
 #pragma once
 
 #include <string>

@@ -23,10 +23,11 @@ const char* backend_name(BackendKind kind) noexcept {
 
 namespace {
 
-template <typename Sim>
-ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t trace_capacity) {
-  const auto t0 = std::chrono::steady_clock::now();
-  apps::BasicTestbed<Sim> bed(shard.config);
+using Clock = std::chrono::steady_clock;
+
+/// Run `shard` on `bed`, which was built at wall time `t0`.
+ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_point t0,
+                          double deadline_s, std::size_t trace_capacity) {
   std::shared_ptr<trace::Tracer> tracer;
   if (trace_capacity > 0) {
     tracer = std::make_shared<trace::Tracer>(trace_capacity);
@@ -42,13 +43,12 @@ ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t t
       bed.run_until(target);
       return;
     }
-    const auto deadline =
-        t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double>(deadline_s));
+    const auto deadline = t0 + std::chrono::duration_cast<Clock::duration>(
+                                   std::chrono::duration<double>(deadline_s));
     constexpr sim::Time kSlices = 32;
     for (sim::Time s = 1; s <= kSlices; ++s) {
       bed.run_until(s == kSlices ? target : from + (target - from) * s / kSlices);
-      if (std::chrono::steady_clock::now() > deadline) {
+      if (Clock::now() > deadline) {
         // Deterministic text (no timing values): failed reports must stay
         // byte-identical across worker counts.
         throw std::runtime_error(std::string("shard wall-clock deadline exceeded (scenario '") +
@@ -83,18 +83,18 @@ ShardResult run_shard_typed(const Shard& shard, double deadline_s, std::size_t t
   }
   out.trace = std::move(tracer);
 
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
 }
 
 ShardResult run_shard(const Shard& shard, double deadline_s, std::size_t trace_capacity) {
-  switch (shard.backend) {
-    case BackendKind::kWheel:
-      return run_shard_typed<sim::WheelSimulation>(shard, deadline_s, trace_capacity);
-    case BackendKind::kHeap: break;
+  const auto t0 = Clock::now();
+  if (shard.backend == BackendKind::kWheel) {
+    apps::BasicTestbed<sim::WheelSimulation> bed(shard.config);
+    return measure_shard(bed, shard, t0, deadline_s, trace_capacity);
   }
-  return run_shard_typed<sim::Simulation>(shard, deadline_s, trace_capacity);
+  apps::Testbed bed(shard.config);
+  return measure_shard(bed, shard, t0, deadline_s, trace_capacity);
 }
 
 }  // namespace

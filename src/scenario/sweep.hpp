@@ -4,7 +4,7 @@
 /// The paper's evaluation is a matrix of testbed configurations run on
 /// each event-queue backend. SweepRunner expands a matrix (or takes a
 /// hand-built shard list, as bench_paper does) into independent
-/// *shards* (one complete Testbed run each: own BasicSimulation, own RNG,
+/// *shards* (one complete Testbed run each: own Simulation, own RNG,
 /// own results), executes them on a pool of std::thread workers, and
 /// merges the results in shard order.
 ///
@@ -182,7 +182,7 @@ class SweepRunner {
   int max_retries() const noexcept { return max_retries_; }
 
   /// Enable per-shard tracing: every shard gets its own trace::Tracer of
-  /// `capacity` events (attached through BasicTestbed::set_tracer and kept
+  /// `capacity` events (attached through Testbed::set_tracer and kept
   /// in ShardResult::trace), and each worker thread records a wall-clock
   /// sweep/shard span per shard it runs. 0 turns tracing back off.
   /// Tracing is a pure observer; shard results stay bit-identical.

@@ -28,8 +28,7 @@ int nice_to_weight(int nice) {
   return kNiceToWeight[nice + 20];
 }
 
-template <typename Sim>
-BasicCore<Sim>::BasicCore(Sim& sim, int core_id, CoreConfig cfg)
+Core::Core(Simulation& sim, int core_id, CoreConfig cfg)
     : sim_(sim), core_id_(core_id), cfg_(cfg) {
   if (cfg_.governor == Governor::kOndemand) {
     freq_ratio_ = cfg_.min_freq_ratio;  // starts relaxed; ramps with load
@@ -39,8 +38,7 @@ BasicCore<Sim>::BasicCore(Sim& sim, int core_id, CoreConfig cfg)
   last_sample_at_ = sim_.now();
 }
 
-template <typename Sim>
-typename BasicCore<Sim>::EntityId BasicCore<Sim>::add_entity(std::string name, int nice) {
+Core::EntityId Core::add_entity(std::string name, int nice) {
   settle();
   Entity e;
   e.name = std::move(name);
@@ -49,8 +47,7 @@ typename BasicCore<Sim>::EntityId BasicCore<Sim>::add_entity(std::string name, i
   return static_cast<EntityId>(entities_.size() - 1);
 }
 
-template <typename Sim>
-void BasicCore<Sim>::set_spinning(EntityId id, bool spinning) {
+void Core::set_spinning(EntityId id, bool spinning) {
   settle();
   Entity& e = entities_[static_cast<std::size_t>(id)];
   if (e.spinning == spinning) return;
@@ -63,8 +60,7 @@ void BasicCore<Sim>::set_spinning(EntityId id, bool spinning) {
   reschedule_completion();
 }
 
-template <typename Sim>
-void BasicCore<Sim>::activate(EntityId id) {
+void Core::activate(EntityId id) {
   Entity& e = entities_[static_cast<std::size_t>(id)];
   assert(e.active_pos < 0);
   e.active_pos = static_cast<int>(active_.size());
@@ -72,8 +68,7 @@ void BasicCore<Sim>::activate(EntityId id) {
   active_weight_ += e.weight;
 }
 
-template <typename Sim>
-void BasicCore<Sim>::deactivate(EntityId id) {
+void Core::deactivate(EntityId id) {
   Entity& e = entities_[static_cast<std::size_t>(id)];
   assert(e.active_pos >= 0);
   const EntityId last = active_.back();
@@ -84,8 +79,7 @@ void BasicCore<Sim>::deactivate(EntityId id) {
   active_weight_ -= e.weight;
 }
 
-template <typename Sim>
-void BasicCore<Sim>::submit_job(EntityId id, Time work, std::coroutine_handle<> h) {
+void Core::submit_job(EntityId id, Time work, std::coroutine_handle<> h) {
   settle();
   Entity& e = entities_[static_cast<std::size_t>(id)];
   assert(!e.has_job && "entity already has an outstanding job");
@@ -96,8 +90,7 @@ void BasicCore<Sim>::submit_job(EntityId id, Time work, std::coroutine_handle<> 
   reschedule_completion();
 }
 
-template <typename Sim>
-void BasicCore<Sim>::settle() {
+void Core::settle() {
   const Time now = sim_.now();
   const Time dt = now - last_update_;
   if (dt <= 0) return;
@@ -123,8 +116,7 @@ void BasicCore<Sim>::settle() {
   }
 }
 
-template <typename Sim>
-void BasicCore<Sim>::reschedule_completion() {
+void Core::reschedule_completion() {
   // First retire any jobs that completed at the current instant.
   bool retired = true;
   while (retired) {
@@ -144,9 +136,9 @@ void BasicCore<Sim>::reschedule_completion() {
     }
   }
 
-  if (completion_event_ != Sim::kInvalidEvent) {
+  if (completion_event_ != Simulation::kInvalidEvent) {
     sim_.cancel(completion_event_);
-    completion_event_ = Sim::kInvalidEvent;
+    completion_event_ = Simulation::kInvalidEvent;
   }
   // Find the earliest completion among remaining jobs.
   const double total_weight = static_cast<double>(active_weight_);
@@ -164,15 +156,13 @@ void BasicCore<Sim>::reschedule_completion() {
   }
 }
 
-template <typename Sim>
-void BasicCore<Sim>::on_completion_event() {
-  completion_event_ = Sim::kInvalidEvent;  // this event just fired
+void Core::on_completion_event() {
+  completion_event_ = Simulation::kInvalidEvent;  // this event just fired
   settle();
   reschedule_completion();
 }
 
-template <typename Sim>
-void BasicCore<Sim>::governor_tick() {
+void Core::governor_tick() {
   settle();
   const Time now = sim_.now();
   const Time window = now - last_sample_at_;
@@ -192,60 +182,50 @@ void BasicCore<Sim>::governor_tick() {
   sim_.schedule_after(cfg_.ondemand_sampling, [this] { governor_tick(); });
 }
 
-template <typename Sim>
-void BasicCore<Sim>::request_freq(double ratio) {
+void Core::request_freq(double ratio) {
   if (cfg_.governor != Governor::kUserspace) return;
   set_freq(std::clamp(ratio, cfg_.min_freq_ratio, 1.0));
 }
 
-template <typename Sim>
-void BasicCore<Sim>::set_freq(double ratio) {
+void Core::set_freq(double ratio) {
   if (ratio == freq_ratio_) return;
   settle();
   freq_ratio_ = ratio;
   reschedule_completion();
 }
 
-template <typename Sim>
-Time BasicCore<Sim>::on_cpu_time(EntityId id) const {
+Time Core::on_cpu_time(EntityId id) const {
   // settle() is non-const bookkeeping; expose the value as of last settle
   // plus the in-flight share (callers snapshot at event boundaries, where
   // settle() has just run, so this is exact in practice).
   return entities_[static_cast<std::size_t>(id)].on_cpu;
 }
 
-template <typename Sim>
-Time BasicCore<Sim>::busy_time() const { return busy_time_; }
+Time Core::busy_time() const { return busy_time_; }
 
-template <typename Sim>
-double BasicCore<Sim>::energy_joules() const { return energy_j_; }
+double Core::energy_joules() const { return energy_j_; }
 
-template <typename Sim>
-typename BasicCore<Sim>::Snapshot BasicCore<Sim>::snapshot() {
+Core::Snapshot Core::snapshot() {
   settle();
   return Snapshot{sim_.now(), busy_time_, energy_j_};
 }
 
-template <typename Sim>
-BasicMachine<Sim>::BasicMachine(Sim& sim, int n_cores, CoreConfig cfg) : sim_(sim) {
+Machine::Machine(Simulation& sim, int n_cores, CoreConfig cfg) {
   cores_.reserve(static_cast<std::size_t>(n_cores));
   for (int i = 0; i < n_cores; ++i) {
-    cores_.push_back(std::make_unique<BasicCore<Sim>>(sim, i, cfg));
+    cores_.push_back(std::make_unique<Core>(sim, i, cfg));
   }
 }
 
-template <typename Sim>
-std::vector<typename BasicCore<Sim>::Snapshot> BasicMachine<Sim>::snapshot_all() {
-  std::vector<typename BasicCore<Sim>::Snapshot> snaps;
+std::vector<Core::Snapshot> Machine::snapshot_all() {
+  std::vector<Core::Snapshot> snaps;
   snaps.reserve(cores_.size());
   for (auto& c : cores_) snaps.push_back(c->snapshot());
   return snaps;
 }
 
-template <typename Sim>
-typename BasicMachine<Sim>::WindowStats BasicMachine<Sim>::window_stats(
-    const std::vector<typename Core::Snapshot>& start,
-    const std::vector<typename Core::Snapshot>& end) const {
+Machine::WindowStats Machine::window_stats(const std::vector<Core::Snapshot>& start,
+                                           const std::vector<Core::Snapshot>& end) const {
   WindowStats ws;
   if (start.empty() || start.size() != end.size()) return ws;
   const Time window = end[0].at - start[0].at;
@@ -260,13 +240,5 @@ typename BasicMachine<Sim>::WindowStats BasicMachine<Sim>::window_stats(
   ws.total_cpu_usage_percent = 100.0 * busy_sum / static_cast<double>(window);
   return ws;
 }
-
-// The app stack is generic over the event-queue backend but the backend set
-// is closed (heap + wheel); instantiating both of them here keeps
-// definitions out of the header and every other TU's compile fast.
-template class BasicCore<Simulation>;
-template class BasicCore<WheelSimulation>;
-template class BasicMachine<Simulation>;
-template class BasicMachine<WheelSimulation>;
 
 }  // namespace metro::sim

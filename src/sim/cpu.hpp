@@ -26,13 +26,6 @@
 // Power: RAPL-like package accounting is split into a package base plus a
 // per-core term: active cores burn static + dynamic (~f^3) power, idle cores
 // sit in a shallow C-state. Constants live in calibration.hpp.
-//
-// Like the rest of the app stack, the layer is templated over the kernel
-// instantiation (`BasicCore<Sim>` where Sim is a BasicSimulation<Backend>),
-// so full-stack scenarios run unchanged on any event-queue backend. The
-// heap-bound aliases `Core` / `Machine` preserve the original spellings;
-// member definitions live in cpu.cpp with explicit instantiations for the
-// two shipped backends.
 #pragma once
 
 #include <coroutine>
@@ -66,13 +59,12 @@ struct CoreConfig {
   double ondemand_up_threshold = calib::kOndemandUpThreshold;
 };
 
-/// One simulated CPU core, bound to kernel instantiation `Sim`.
-template <typename Sim = Simulation>
-class BasicCore {
+/// One simulated CPU core.
+class Core {
  public:
   using EntityId = int;
 
-  BasicCore(Sim& sim, int core_id, CoreConfig cfg = {});
+  Core(Simulation& sim, int core_id, CoreConfig cfg = {});
 
   int id() const noexcept { return core_id_; }
 
@@ -86,7 +78,7 @@ class BasicCore {
   /// Resumes once the work has been served under processor sharing.
   auto run_for(EntityId id, Time work) {
     struct Awaiter {
-      BasicCore& core;
+      Core& core;
       EntityId ent;
       Time work;
       bool await_ready() const noexcept { return work <= 0; }
@@ -153,7 +145,7 @@ class BasicCore {
   void governor_tick();
   void set_freq(double ratio);
 
-  Sim& sim_;
+  Simulation& sim_;
   int core_id_;
   CoreConfig cfg_;
 
@@ -167,7 +159,7 @@ class BasicCore {
   double freq_ratio_ = 1.0;
   /// Pending completion timer; cancelled and re-armed on every state
   /// change instead of being left to fire as a stale no-op.
-  typename Sim::EventId completion_event_ = Sim::kInvalidEvent;
+  Simulation::EventId completion_event_ = Simulation::kInvalidEvent;
 
   // ondemand sampling state
   Time last_sample_at_ = 0;
@@ -175,12 +167,9 @@ class BasicCore {
 };
 
 /// A set of cores sharing one package, with aggregated power accounting.
-template <typename Sim = Simulation>
-class BasicMachine {
+class Machine {
  public:
-  using Core = BasicCore<Sim>;
-
-  BasicMachine(Sim& sim, int n_cores, CoreConfig cfg = {});
+  Machine(Simulation& sim, int n_cores, CoreConfig cfg = {});
 
   Core& core(int i) { return *cores_[static_cast<std::size_t>(i)]; }
   const Core& core(int i) const { return *cores_[static_cast<std::size_t>(i)]; }
@@ -193,18 +182,12 @@ class BasicMachine {
     double total_cpu_usage_percent = 0.0;  // sum over cores, 100 = one full core
   };
   /// Snapshot all cores (call at window start and end).
-  std::vector<typename Core::Snapshot> snapshot_all();
-  WindowStats window_stats(const std::vector<typename Core::Snapshot>& start,
-                           const std::vector<typename Core::Snapshot>& end) const;
+  std::vector<Core::Snapshot> snapshot_all();
+  WindowStats window_stats(const std::vector<Core::Snapshot>& start,
+                           const std::vector<Core::Snapshot>& end) const;
 
  private:
-  Sim& sim_;
   std::vector<std::unique_ptr<Core>> cores_;
 };
-
-/// Heap-kernel aliases (the original spellings; every existing call site
-/// keeps compiling unchanged).
-using Core = BasicCore<Simulation>;
-using Machine = BasicMachine<Simulation>;
 
 }  // namespace metro::sim

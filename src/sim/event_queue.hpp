@@ -1,9 +1,9 @@
 /// \file event_queue.hpp
-/// Pluggable pending-event stores for the discrete-event kernel.
+/// The pending-event stores of the discrete-event kernel.
 ///
-/// The kernel in simulation.hpp is templated over an *event-queue backend*:
-/// the data structure that holds every future-timestamped event. Two
-/// backends are provided:
+/// A Simulation (simulation.hpp) picks its store at construction: the
+/// data structure that holds every future-timestamped event. Two stores
+/// are provided:
 ///
 ///   * BinaryHeapBackend — the default. A binary min-heap of 32-byte POD
 ///     entries with Floyd pops. Best up to a few thousand pending events;
@@ -20,20 +20,22 @@
 ///     simulation.hpp), so no registry scenario keeps more than a handful
 ///     of events in either store.
 ///
-/// ## Backend concept and invariant contract
+/// ## Store contract
 ///
-/// A backend `B` must satisfy `EventQueueBackend<B>`: a plain priority
-/// queue of EventEntry records. It knows nothing of the kernel's callback
-/// table and nothing of cancellation — every entry pushed is stored until
-/// it is popped or dropped by erase_if(). Two invariants:
+/// Each store is a plain priority queue of EventEntry records with the
+/// same operations — push(e), peek(), pop_min() (the last two require
+/// !empty()), size(), empty(), for_each(f), erase_if(pred) and clear().
+/// It knows nothing of the kernel's callback table and nothing of
+/// cancellation — every entry pushed is stored until it is popped or
+/// dropped by erase_if(). Two invariants:
 ///
 ///   1. **Total order.** peek()/pop_min() yield stored entries in strictly
 ///      increasing (at, seq) order — the pair is unique, so the order is a
-///      total one and runs are bit-for-bit reproducible across backends.
+///      total one and runs are bit-for-bit reproducible on either store.
 ///   2. **Allocation freedom in steady state.** Internal storage may grow
 ///      while warming up but must be recycled, never released, so that a
 ///      periodic steady-state workload performs zero heap allocations
-///      (enforced by tests/test_alloc_free.cpp for both backends).
+///      (enforced by tests/test_alloc_free.cpp for both stores).
 ///
 /// size() counts stored entries. Live accounting belongs to the kernel
 /// (simulation.hpp): a cancelled callback stays stored as a *tombstone*
@@ -60,7 +62,7 @@ enum class EventKind : std::uint32_t {
 };
 
 /// 32-byte POD event record; comparisons and moves stay inside contiguous
-/// backend storage. What `payload` and `slot` mean depends on the kind:
+/// store storage. What `payload` and `slot` mean depends on the kind:
 ///
 ///   * kCoroutine — payload is the frame address; slot is unused.
 ///   * kCallback  — slot indexes the simulation's callback pool and
@@ -79,7 +81,7 @@ static_assert(std::is_trivially_copyable_v<EventEntry>);
 
 /// Strict weak (in fact total) order: earlier time first, then earlier
 /// insertion. (at, seq) pairs are unique, so this is the total execution
-/// order shared by every backend and the now-FIFO.
+/// order shared by both stores and the now-FIFO.
 inline bool event_precedes(const EventEntry& a, const EventEntry& b) noexcept {
   if (a.at != b.at) return a.at < b.at;
   return a.seq < b.seq;
@@ -94,23 +96,6 @@ inline std::uint32_t event_precedes_u(const EventEntry& a, const EventEntry& b) 
       static_cast<unsigned>(a.at < b.at) |
       (static_cast<unsigned>(a.at == b.at) & static_cast<unsigned>(a.seq < b.seq)));
 }
-
-/// The backend policy concept: a priority queue of EventEntry ordered by
-/// (at, seq), meeting the invariants in the file comment. `peek`/`pop_min`
-/// have the precondition `!empty()`.
-template <typename B>
-concept EventQueueBackend =
-    std::is_default_constructible_v<B> &&
-    requires(B b, const B cb, const EventEntry& e) {
-      { b.push(e) };
-      { b.peek() } -> std::convertible_to<const EventEntry&>;
-      { b.pop_min() };
-      { cb.size() } -> std::convertible_to<std::size_t>;
-      { cb.empty() } -> std::convertible_to<bool>;
-      { cb.for_each([](const EventEntry&) {}) };
-      { b.erase_if([](const EventEntry&) { return false; }) };
-      { b.clear() };
-    };
 
 // ---------------------------------------------------------------------------
 // Binary heap backend (default)
@@ -185,8 +170,6 @@ class BinaryHeapBackend {
 
   std::vector<EventEntry> heap_;
 };
-
-static_assert(EventQueueBackend<BinaryHeapBackend>);
 
 // ---------------------------------------------------------------------------
 // Hierarchical timing-wheel backend
@@ -579,7 +562,5 @@ class TimingWheelBackend {
   std::size_t stored_ = 0;
   trace::Tracer* tracer_ = nullptr;
 };
-
-static_assert(EventQueueBackend<TimingWheelBackend>);
 
 }  // namespace metro::sim

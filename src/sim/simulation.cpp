@@ -1,0 +1,131 @@
+#include "sim/simulation.hpp"
+
+#include <stdexcept>
+
+namespace metro::sim {
+
+Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
+
+Simulation::Simulation(std::uint64_t seed, TimingWheelBackend wheel)
+    : wheel_(std::move(wheel)), rng_(seed) {}
+
+Simulation::~Simulation() {
+  // Drop pending events first so no event can refer to a destroyed frame,
+  // then destroy all frames (they are suspended, so destroy() is legal).
+  const auto drop = [this](const EventEntry& e) {
+    if (e.kind == EventKind::kCallback && !dead(e)) slots_[e.slot].cb.destroy();
+  };
+  if (wheel_) {
+    wheel_->for_each(drop);
+  } else {
+    heap_.for_each(drop);
+  }
+  slots_.clear();
+  for (auto h : processes_) {
+    if (h) h.destroy();
+  }
+}
+
+void Simulation::attach_source(EventSource* source) {
+  if (source == nullptr) throw std::invalid_argument("attach_source: null source");
+  if (source_ != nullptr) throw std::logic_error("attach_source: a source is already attached");
+  source_ = source;
+}
+
+void Simulation::set_tracer(trace::Tracer* t) noexcept {
+  tracer_ = t;
+  if (wheel_) wheel_->set_tracer(t);
+}
+
+Time Simulation::run_until(Time end) {
+  if (wheel_) {
+    drain(*wheel_, end);
+  } else {
+    drain(heap_, end);
+  }
+  if (now_ < end) now_ = end;
+  return now_;
+}
+
+Time Simulation::run() {
+  if (wheel_) {
+    drain(*wheel_, kTimeMax);
+  } else {
+    drain(heap_, kTimeMax);
+  }
+  return now_;
+}
+
+void Simulation::push_wheel(const EventEntry& e) { wheel_->push(e); }
+
+void Simulation::purge() {
+  const auto is_dead = [this](const EventEntry& e) { return dead(e); };
+  if (wheel_) {
+    wheel_->erase_if(is_dead);
+  } else {
+    heap_.erase_if(is_dead);
+  }
+  tombstones_ = 0;
+}
+
+void Simulation::dispatch(const EventEntry& top) {
+  advance(top.at);
+  if (top.kind == EventKind::kCoroutine) {
+    const auto h = std::coroutine_handle<>::from_address(top.payload);
+    if (!h.done()) h.resume();
+  } else {
+    // Detach the callable before invoking: the handler may schedule new
+    // events that reuse this slot, and the popped id is stale from here.
+    SmallCallback cb = slots_[top.slot].cb;  // trivial copy; takes ownership
+    release_slot(top.slot);
+    cb();
+    cb.destroy();
+  }
+}
+
+/// Tombstones at the store's front are discarded first, so the merge below
+/// only ever sees a live store minimum. Three sorted streams meet here by
+/// (at, seq): the store, the now-FIFO and the source head.
+template <typename Store>
+[[gnu::always_inline]] inline bool Simulation::step_if(Store& store, Time end) {
+  while (tombstones_ != 0 && dead(store.peek())) {
+    store.pop_min();
+    --tombstones_;
+  }
+  if (fifo_empty()) {
+    if (store.empty()) return step_source(end);
+    const EventEntry top = store.peek();
+    if (source_first(top)) return step_source(end);
+    if (top.at > end) return false;
+    // Start pulling the coroutine frame in while the pop runs; resume()
+    // needs it a few dozen cycles from now.
+    if (top.kind == EventKind::kCoroutine) __builtin_prefetch(top.payload);
+    store.pop_min();
+    dispatch(top);
+    return true;
+  }
+  // The FIFO front is its minimum (entries are appended in seq order at
+  // a single instant); merge it with the store's minimum by (at, seq).
+  if (store.empty() || event_precedes(fifo_[fifo_head_], store.peek())) {
+    const EventEntry top = fifo_[fifo_head_];
+    if (source_first(top)) return step_source(end);
+    if (top.at > end) return false;
+    fifo_pop();
+    dispatch(top);
+  } else {
+    const EventEntry top = store.peek();
+    if (source_first(top)) return step_source(end);
+    if (top.at > end) return false;
+    store.pop_min();
+    dispatch(top);
+  }
+  return true;
+}
+
+template <typename Store>
+void Simulation::drain(Store& store, Time end) {
+  while (step_if(store, end)) {
+  }
+}
+
+}  // namespace metro::sim

@@ -1,19 +1,19 @@
 /// \file simulation.hpp
 /// The discrete-event simulation kernel.
 ///
-/// A BasicSimulation owns:
+/// A Simulation owns:
 ///   * the virtual clock (nanoseconds, see time.hpp),
-///   * a pluggable pending-event store (see event_queue.hpp) holding
-///     timestamped events — a binary min-heap by default, or a timing
-///     wheel for very large pending populations,
+///   * a pending-event store (see event_queue.hpp) holding timestamped
+///     events, chosen at construction — a binary min-heap by default, or a
+///     timing wheel,
 ///   * optionally one attached EventSource whose own events it merges,
 ///   * the coroutine frames of all spawned processes,
 ///   * a deterministic RNG shared by models that need randomness.
 ///
 /// Events inserted at equal timestamps run in insertion order (a strictly
-/// increasing sequence number breaks ties, merged across the backend, the
+/// increasing sequence number breaks ties, merged across the store, the
 /// now-FIFO and the attached EventSource), which keeps runs bit-for-bit
-/// reproducible — on every backend.
+/// reproducible — on either store.
 ///
 /// The event path is allocation-free in steady state and built for
 /// throughput:
@@ -23,7 +23,10 @@
 ///     (sleep_for, SleepService wake-ups, Core job completions, Signal
 ///     resumes): the raw handle rides inside the event record itself, with
 ///     zero side-table bookkeeping, and same-instant resumes bypass the
-///     backend entirely through a FIFO that is already in execution order;
+///     store entirely through a FIFO that is already in execution order;
+///   * the store is tested once per run_until()/run() call, not once per
+///     event: the step loop is a member template instantiated per store,
+///     so only the schedule_* pushes branch on the store kind;
 ///   * an attached EventSource (at most one: the per-flow arrival
 ///     calendar of PerFlowSourceArena) keeps its armed events in its own
 ///     structure and publishes only its earliest (at, seq); step_if merges
@@ -38,13 +41,13 @@
 ///     trivially copyable and fit kInlineCallbackSize bytes never touch the
 ///     heap allocator.
 ///
-/// Cancellation is the kernel's alone; the backends are plain (at, seq)
+/// Cancellation is the kernel's alone; the stores are plain (at, seq)
 /// queues. cancel() frees the callable and bumps the slot generation, so
 /// the stored entry becomes a *tombstone*: step_if() discards it when it
 /// reaches the front, without advancing the clock or counting it as
 /// processed, and pending_events()/idle() subtract the tombstone count.
 /// Once more than kPurgeMin tombstones make up over half the store,
-/// cancel() drops them all through the backend's erase_if(), so dense
+/// cancel() drops them all through the store's erase_if(), so dense
 /// cancel traffic does not pay a full pop per tombstone. Only the spinning
 /// baselines cancel (the next arrival beats their idle Signal timeout);
 /// the single-queue X520 poller stays below the floor, denser ones purge.
@@ -55,7 +58,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <stdexcept>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -75,7 +78,7 @@ namespace metro::sim {
 /// The source publishes the (at, seq) of its earliest armed event through
 /// set_head(), and keeps armed() current; the kernel reads both inline on
 /// every step. Each armed event takes its seq from
-/// BasicSimulation::take_seq() when it is armed, so it orders against
+/// Simulation::take_seq() when it is armed, so it orders against
 /// scheduled events exactly as if it had been scheduled. When the head is
 /// the earliest pending event the kernel sets now() to head_at(), counts
 /// the event as processed and calls fire(), which must consume the head
@@ -112,15 +115,13 @@ class EventSource {
   std::uint64_t head_seq_ = UINT64_MAX;
 };
 
-/// The discrete-event kernel, templated over the pending-event store.
+/// The discrete-event kernel.
 ///
-/// \tparam Backend an EventQueueBackend (event_queue.hpp). The default
-///   BinaryHeapBackend is a binary min-heap; TimingWheelBackend gives O(1)
-///   scheduling at very large pending populations. Both uphold the same
-///   observable contract: identical execution order and steady-state
-///   allocation freedom.
-template <EventQueueBackend Backend = BinaryHeapBackend>
-class BasicSimulation {
+/// The pending-event store is picked at construction: a BinaryHeapBackend
+/// by default, or a TimingWheelBackend. Both uphold the same observable
+/// contract — identical execution order and steady-state allocation
+/// freedom — so the store only changes wall time.
+class Simulation {
  public:
   /// Stable identifier of a pending *callback* event: {slot generation,
   /// slot index}. Ids are invalidated the moment the event fires or is
@@ -134,38 +135,28 @@ class BasicSimulation {
   /// stored inline in the pooled slot — no heap traffic.
   static constexpr std::size_t kInlineCallbackSize = 24;
 
-  /// Construct an idle simulation whose RNG is seeded with `seed`.
-  explicit BasicSimulation(std::uint64_t seed = 1) : rng_(seed) {}
+  /// Construct an idle simulation on the binary-heap store whose RNG is
+  /// seeded with `seed`.
+  explicit Simulation(std::uint64_t seed = 1);
 
-  /// Construct with a pre-configured backend instance (e.g. the
-  /// deliberately tiny TimingWheelBackend the wheel tests drive).
-  BasicSimulation(std::uint64_t seed, Backend backend)
-      : queue_(std::move(backend)), rng_(seed) {}
+  /// Construct on the given timing wheel (e.g. the deliberately tiny
+  /// geometries the wheel tests drive).
+  Simulation(std::uint64_t seed, TimingWheelBackend wheel);
 
-  BasicSimulation(const BasicSimulation&) = delete;
-  BasicSimulation& operator=(const BasicSimulation&) = delete;
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
-  ~BasicSimulation() {
-    // Drop pending events first so no event can refer to a destroyed frame,
-    // then destroy all frames (they are suspended, so destroy() is legal).
-    queue_.for_each([this](const EventEntry& e) {
-      if (e.kind == EventKind::kCallback && !dead(e)) {
-        slots_[e.slot].cb.destroy();
-      }
-    });
-    queue_.clear();
-    slots_.clear();
-    for (auto h : processes_) {
-      if (h) h.destroy();
-    }
-  }
+  ~Simulation();
 
   /// Current virtual time, ns.
   Time now() const noexcept { return now_; }
   /// The simulation-owned deterministic RNG.
   Rng& rng() noexcept { return rng_; }
-  /// The event-store backend (observability for tests and benches).
-  const Backend& backend() const noexcept { return queue_; }
+  /// The timing-wheel store, or nullptr when the simulation runs on the
+  /// heap (observability for tests and benches).
+  const TimingWheelBackend* wheel() const noexcept { return wheel_ ? &*wheel_ : nullptr; }
+  /// Entries in the event store, tombstones included.
+  std::size_t stored_events() const noexcept { return wheel_ ? wheel_->size() : heap_.size(); }
 
   /// Schedule a callback at absolute virtual time `t` (>= now()).
   /// Returns an id usable with cancel() while the event is pending.
@@ -179,7 +170,7 @@ class BasicSimulation {
     e.payload = encode_generation(slots_[slot].generation);
     e.slot = slot;
     e.kind = EventKind::kCallback;
-    queue_.push(e);
+    push(e);
     return make_id(slot);
   }
 
@@ -196,19 +187,15 @@ class BasicSimulation {
 
   /// Register the one EventSource whose head step_if merges with the
   /// store (see EventSource). A second registration throws.
-  void attach_source(EventSource* source) {
-    if (source == nullptr) throw std::invalid_argument("attach_source: null source");
-    if (source_ != nullptr) throw std::logic_error("attach_source: a source is already attached");
-    source_ = source;
-  }
+  void attach_source(EventSource* source);
 
   /// Schedule a coroutine resume at absolute virtual time `t`. This is the
   /// hot path: the raw handle rides in the event record, nothing is erased,
   /// nothing can be cancelled (no user needs to revoke a bare resume; a
   /// cancellable timer is a callback event). Resumes landing at the
   /// current instant (Signal notifies, spawns, job completions) bypass the
-  /// backend entirely: they run at now() in insertion order, which is
-  /// exactly the now-FIFO — O(1) instead of a backend insert.
+  /// store entirely: they run at now() in insertion order, which is
+  /// exactly the now-FIFO — O(1) instead of a store insert.
   void schedule_handle_at(Time t, std::coroutine_handle<> h) {
     EventEntry e;
     e.at = t < now_ ? now_ : t;
@@ -219,7 +206,7 @@ class BasicSimulation {
     if (e.at == now_) {
       fifo_.push_back(e);
     } else {
-      queue_.push(e);
+      push(e);
     }
   }
 
@@ -240,10 +227,7 @@ class BasicSimulation {
     if (s.generation != gen) return false;
     s.cb.destroy();
     release_slot(slot);  // the generation bump is what makes dead() flag it
-    if (++tombstones_ > kPurgeMin && 2 * tombstones_ > queue_.size()) {
-      queue_.erase_if([this](const EventEntry& e) { return dead(e); });
-      tombstones_ = 0;
-    }
+    if (++tombstones_ > kPurgeMin && 2 * tombstones_ > stored_events()) purge();
     return true;
   }
 
@@ -256,42 +240,30 @@ class BasicSimulation {
 
   /// Run until the event queue drains or the clock passes `end`.
   /// Events at exactly `end` are executed. Returns the final clock value.
-  Time run_until(Time end) {
-    while (step_if(end)) {
-    }
-    if (now_ < end) now_ = end;
-    return now_;
-  }
+  Time run_until(Time end);
 
   /// Run until no events remain (all processes finished or are blocked).
-  Time run() {
-    while (step_if(kTimeMax)) {
-    }
-    return now_;
-  }
+  Time run();
 
   /// True when no live event is pending.
   bool idle() const noexcept {
-    return queue_.size() == tombstones_ && fifo_empty() && source_armed() == 0;
+    return stored_events() == tombstones_ && fifo_empty() && source_armed() == 0;
   }
-  /// Number of live pending events (backend minus tombstones, plus the
+  /// Number of live pending events (store minus tombstones, plus the
   /// now-FIFO, plus the attached source's armed events).
   std::size_t pending_events() const noexcept {
-    return queue_.size() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed();
+    return stored_events() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed();
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
 
   /// Attach (or detach, with nullptr) a trace recorder. Default-off: the
   /// only hot-path cost while detached is one predictable null test per
-  /// dispatched event. Backends that emit structural events (wheel
-  /// cascade/rebase) receive the tracer too. Tracing
+  /// dispatched event. The wheel store also receives the tracer for its
+  /// structural events (cascade/rebase). Tracing
   /// only *observes* — it never changes what the run computes, so
   /// telemetry fingerprints are bit-identical either way (test-enforced).
-  void set_tracer(trace::Tracer* t) noexcept {
-    tracer_ = t;
-    if constexpr (requires { queue_.set_tracer(t); }) queue_.set_tracer(t);
-  }
+  void set_tracer(trace::Tracer* t) noexcept;
   /// The attached trace recorder, or nullptr.
   trace::Tracer* tracer() const noexcept { return tracer_; }
 
@@ -302,7 +274,7 @@ class BasicSimulation {
   /// is modelled separately by SleepService.
   auto sleep_for(Time d) {
     struct Awaiter {
-      BasicSimulation& sim;
+      Simulation& sim;
       Time delay;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
@@ -423,6 +395,21 @@ class BasicSimulation {
     return source_ != nullptr ? source_->armed() : 0;
   }
 
+  /// Store one entry in whichever store the simulation runs on. The heap
+  /// push inlines; the wheel's stays out of line so it does not bloat
+  /// every schedule_* call site.
+  void push(const EventEntry& e) {
+    if (wheel_) {
+      push_wheel(e);
+    } else {
+      heap_.push(e);
+    }
+  }
+  void push_wheel(const EventEntry& e);
+
+  /// Drop every stored tombstone at once (cancel()'s purge).
+  void purge();
+
   /// Advance the clock to `at` and count one processed event.
   void advance(Time at) {
     now_ = at;
@@ -451,59 +438,17 @@ class BasicSimulation {
     return true;
   }
 
-  void dispatch(const EventEntry& top) {
-    advance(top.at);
-    if (top.kind == EventKind::kCoroutine) {
-      const auto h = std::coroutine_handle<>::from_address(top.payload);
-      if (!h.done()) h.resume();
-    } else {
-      // Detach the callable before invoking: the handler may schedule new
-      // events that reuse this slot, and the popped id is stale from here.
-      SmallCallback cb = slots_[top.slot].cb;  // trivial copy; takes ownership
-      release_slot(top.slot);
-      cb();
-      cb.destroy();
-    }
-  }
+  void dispatch(const EventEntry& top);
+
+  /// Execute every live event with at <= end on `store` (the one the
+  /// simulation runs on); simulation.cpp instantiates it per store.
+  template <typename Store>
+  void drain(Store& store, Time end);
 
   /// Pop and execute the earliest live event with at <= end, false when
-  /// none. Tombstones at the store's front are discarded first, so the
-  /// merge below only ever sees a live store minimum. Three sorted streams
-  /// meet here by (at, seq): the store, the now-FIFO and the source head.
-  bool step_if(Time end) {
-    while (tombstones_ != 0 && dead(queue_.peek())) {
-      queue_.pop_min();
-      --tombstones_;
-    }
-    if (fifo_empty()) {
-      if (queue_.empty()) return step_source(end);
-      const EventEntry top = queue_.peek();
-      if (source_first(top)) return step_source(end);
-      if (top.at > end) return false;
-      // Start pulling the coroutine frame in while the pop runs; resume()
-      // needs it a few dozen cycles from now.
-      if (top.kind == EventKind::kCoroutine) __builtin_prefetch(top.payload);
-      queue_.pop_min();
-      dispatch(top);
-      return true;
-    }
-    // The FIFO front is its minimum (entries are appended in seq order at
-    // a single instant); merge it with the backend's minimum by (at, seq).
-    if (queue_.empty() || event_precedes(fifo_[fifo_head_], queue_.peek())) {
-      const EventEntry top = fifo_[fifo_head_];
-      if (source_first(top)) return step_source(end);
-      if (top.at > end) return false;
-      fifo_pop();
-      dispatch(top);
-    } else {
-      const EventEntry top = queue_.peek();
-      if (source_first(top)) return step_source(end);
-      if (top.at > end) return false;
-      queue_.pop_min();
-      dispatch(top);
-    }
-    return true;
-  }
+  /// none (see simulation.cpp; always inlined into drain()).
+  template <typename Store>
+  bool step_if(Store& store, Time end);
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// Purge floor: up to this many tombstones are popped as they come due
@@ -515,26 +460,26 @@ class BasicSimulation {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  Backend queue_;
+  BinaryHeapBackend heap_;                   // the store unless wheel_ is set
+  std::optional<TimingWheelBackend> wheel_;  // the store when set
   std::vector<EventEntry> fifo_;  // coroutine resumes at the current instant
   std::size_t fifo_head_ = 0;
   std::vector<CallbackSlot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  std::size_t tombstones_ = 0;  // cancelled entries still stored in queue_
+  std::size_t tombstones_ = 0;  // cancelled entries still in the store
   EventSource* source_ = nullptr;  // attach_source(); merged by step_if
   std::vector<std::coroutine_handle<Task::promise_type>> processes_;
   Rng rng_;
   trace::Tracer* tracer_ = nullptr;
 };
 
-/// The default kernel: binary-heap event store. The production layers
-/// (Core, SleepService, Metronome, Port, Testbed, ...) are generic over
-/// the kernel instantiation; their unsuffixed aliases bind to this type.
-using Simulation = BasicSimulation<BinaryHeapBackend>;
-/// The million-timer kernel variant: hierarchical timing-wheel event
-/// store. The whole app stack also instantiates over this
-/// (BasicTestbed<WheelSimulation> etc.).
-using WheelSimulation = BasicSimulation<TimingWheelBackend>;
+/// Kept for metrobench until the wheel store goes: a Simulation on the
+/// default timing wheel, so `apps::BasicTestbed<sim::WheelSimulation>`
+/// names the wheel-backed testbed.
+class WheelSimulation : public Simulation {
+ public:
+  explicit WheelSimulation(std::uint64_t seed = 1) : Simulation(seed, TimingWheelBackend{}) {}
+};
 
 /// A one-to-many wake-up signal. Processes co_await the signal (optionally
 /// with a timeout); notify_all() resumes every waiter at the current
@@ -547,24 +492,21 @@ using WheelSimulation = BasicSimulation<TimingWheelBackend>;
 /// cancellable kernel timer; notification cancels it, leaving a kernel
 /// tombstone that never fires (and vice versa the timer detaches the
 /// waiter), so notify racing timeout can never double-resume.
-///
-/// \tparam Sim the owning kernel instantiation (any backend).
-template <typename Sim = Simulation>
-class BasicSignal {
+class Signal {
  public:
   /// Bind the signal to its owning simulation.
-  explicit BasicSignal(Sim& sim) : sim_(sim) {}
+  explicit Signal(Simulation& sim) : sim_(sim) {}
 
-  BasicSignal(const BasicSignal&) = delete;
-  BasicSignal& operator=(const BasicSignal&) = delete;
+  Signal(const Signal&) = delete;
+  Signal& operator=(const Signal&) = delete;
 
   /// Cancel every armed timeout on destruction: the timer callbacks hold a
   /// raw pointer back to this Signal and must never fire after it is gone.
   /// Still-queued waiters simply never resume; their frames are reclaimed
   /// by the owning Simulation.
-  ~BasicSignal() {
+  ~Signal() {
     for (std::uint32_t i = head_; i != kNil; i = pool_[i].next) {
-      if (pool_[i].timeout_event != Sim::kInvalidEvent) {
+      if (pool_[i].timeout_event != Simulation::kInvalidEvent) {
         sim_.cancel(pool_[i].timeout_event);
       }
     }
@@ -588,9 +530,9 @@ class BasicSignal {
       t.next = t.prev = kNil;
       t.waiting = false;
       t.notified = true;
-      if (t.timeout_event != Sim::kInvalidEvent) {
+      if (t.timeout_event != Simulation::kInvalidEvent) {
         sim_.cancel(t.timeout_event);
-        t.timeout_event = Sim::kInvalidEvent;
+        t.timeout_event = Simulation::kInvalidEvent;
       }
       sim_.schedule_handle_after(0, t.handle);
       i = next;
@@ -605,7 +547,7 @@ class BasicSignal {
 
   struct Token {
     std::coroutine_handle<> handle;
-    typename Sim::EventId timeout_event = Sim::kInvalidEvent;
+    Simulation::EventId timeout_event = Simulation::kInvalidEvent;
     std::uint32_t next = kNil;
     std::uint32_t prev = kNil;
     std::uint32_t generation = 0;
@@ -615,7 +557,7 @@ class BasicSignal {
 
   /// Fired by the kernel when a timed wait expires un-notified.
   struct TimeoutFire {
-    BasicSignal* sig;
+    Signal* sig;
     std::uint32_t token;
     std::uint32_t generation;
     void operator()() const {
@@ -624,13 +566,13 @@ class BasicSignal {
       sig->detach(token);
       t.waiting = false;
       t.notified = false;
-      t.timeout_event = Sim::kInvalidEvent;
+      t.timeout_event = Simulation::kInvalidEvent;
       if (!t.handle.done()) t.handle.resume();
     }
   };
 
   struct WaitAwaiter {
-    BasicSignal& sig;
+    Signal& sig;
     Time timeout;  // < 0: wait forever
     std::uint32_t token;
 
@@ -703,14 +645,11 @@ class BasicSignal {
     t.next = t.prev = kNil;
   }
 
-  Sim& sim_;
+  Simulation& sim_;
   std::vector<Token> pool_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   std::uint32_t free_head_ = kNil;
 };
-
-/// The default signal, bound to the default kernel.
-using Signal = BasicSignal<Simulation>;
 
 }  // namespace metro::sim

@@ -38,8 +38,7 @@ Overhead interpolate(std::span<const calib::SleepAnchor> anchors, Time requested
 
 }  // namespace
 
-template <typename Sim>
-Time BasicSleepService<Sim>::sample_timer_latency(Time requested) {
+Time SleepService::sample_timer_latency(Time requested) {
   Rng& rng = sim_.rng();
   if (cfg_.kind == SleepKind::kHrSleep && cfg_.sub_us_fast_return && requested < 1_us) {
     // Patched fast path: bare syscall entry/exit, no timer programmed.
@@ -58,8 +57,7 @@ Time BasicSleepService<Sim>::sample_timer_latency(Time requested) {
   return std::max<Time>(latency, 1);
 }
 
-template <typename Sim>
-Time BasicSleepService<Sim>::sample_dispatch_latency() {
+Time SleepService::sample_dispatch_latency() {
   Rng& rng = sim_.rng();
   Time d = calib::kDispatchBase;
   if (core_ != nullptr && core_->runnable_count() > 0) {
@@ -71,8 +69,5 @@ Time BasicSleepService<Sim>::sample_dispatch_latency() {
   }
   return d;
 }
-
-template class BasicSleepService<Simulation>;
-template class BasicSleepService<WheelSimulation>;
 
 }  // namespace metro::sim

@@ -59,15 +59,11 @@ struct SleepServiceConfig {
 /// slack + dispatch virtual nanoseconds (see the file comment for the
 /// model). One instance per simulated thread; all randomness is drawn
 /// from the owning Simulation's RNG, so runs stay deterministic.
-///
-/// \tparam Sim the owning kernel instantiation (any backend). The heap
-///   alias `SleepService` preserves the original spelling.
-template <typename Sim = Simulation>
-class BasicSleepService {
+class SleepService {
  public:
   /// `core`, when given, is consulted at wake time for contention-dependent
   /// dispatch latency. Pass nullptr for an isolated core.
-  BasicSleepService(Sim& sim, SleepServiceConfig cfg = {}, BasicCore<Sim>* core = nullptr)
+  SleepService(Simulation& sim, SleepServiceConfig cfg = {}, Core* core = nullptr)
       : sim_(sim), cfg_(cfg), core_(core) {}
 
   const SleepServiceConfig& config() const noexcept { return cfg_; }
@@ -84,11 +80,11 @@ class BasicSleepService {
   /// after the modelled service latency. Resumes strictly later than now.
   auto sleep(Time requested) {
     struct Awaiter {
-      BasicSleepService& svc;
+      SleepService& svc;
       Time requested;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        BasicSleepService* service = &svc;
+        SleepService* service = &svc;
         const Time timer = service->sample_timer_latency(requested);
         // Two-phase: fire the timer, then apply dispatch latency sampled at
         // wake time (contention is evaluated when the timer fires, not when
@@ -106,12 +102,9 @@ class BasicSleepService {
   }
 
  private:
-  Sim& sim_;
+  Simulation& sim_;
   SleepServiceConfig cfg_;
-  BasicCore<Sim>* core_;
+  Core* core_;
 };
-
-/// The default sleep service, bound to the default (heap) kernel.
-using SleepService = BasicSleepService<Simulation>;
 
 }  // namespace metro::sim

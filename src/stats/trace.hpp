@@ -141,38 +141,6 @@ class Tracer {
   std::vector<NameInfo> names_;
 };
 
-/// RAII sim-time span: records name on destruction, from the sim clock at
-/// construction to the sim clock at scope exit. For straight-line code
-/// only — a coroutine must not hold one across a suspension point (the
-/// frame outlives the scope rule it relies on); coroutines record spans
-/// explicitly instead.
-template <typename Sim>
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* t, const Sim& sim, std::uint32_t name, std::uint32_t tid = 0,
-             std::uint64_t arg = 0) noexcept
-      : t_(t), sim_(&sim), name_(name), tid_(tid), arg_(arg),
-        t0_(t != nullptr ? sim.now() : 0) {}
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Override the primary payload before the span closes.
-  void set_arg(std::uint64_t arg) noexcept { arg_ = arg; }
-
-  ~ScopedSpan() {
-    if (t_ != nullptr) t_->span(name_, t0_, sim_->now() - t0_, arg_, tid_);
-  }
-
- private:
-  Tracer* t_;
-  const Sim* sim_;
-  std::uint32_t name_;
-  std::uint32_t tid_;
-  std::uint64_t arg_;
-  sim::Time t0_;
-};
-
 /// RAII wall-clock span, timestamped as ns since a caller-chosen epoch
 /// (the sweep run start) so all workers share one timeline. Wall lanes
 /// are nondeterministic by nature; they are kept out of every

@@ -15,8 +15,7 @@ constexpr sim::Time kGroupWindow = 2 * sim::kMicrosecond;
 /// ...and holds at most this many packets.
 constexpr std::size_t kGroupCap = 32;
 
-template <typename Sim>
-sim::Task feeder_task(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
+sim::Task feeder_task(sim::Simulation& sim, nic::Port& port, Generator& gen) {
   // Pull through next_batch() so hot generators amortise the virtual call
   // and state reloads; the buffer is a pure prefetch — group boundaries
   // (window + cap) are identical to a one-next()-at-a-time loop because
@@ -48,8 +47,7 @@ sim::Task feeder_task(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
   }
 }
 
-template <typename Sim>
-sim::Task flow_source_task(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+sim::Task flow_source_task(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                            std::uint32_t flow_id, double mean_gap_ns, PerFlowSourceConfig cfg) {
   const sim::Time end = cfg.start + cfg.duration;
   // Uniform phase offset so the N sources decorrelate from t = start.
@@ -81,13 +79,11 @@ void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg) 
   }
 }
 
-template <typename Sim>
-void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen) {
+void attach(sim::Simulation& sim, nic::Port& port, Generator& gen) {
   sim.spawn(feeder_task(sim, port, gen));
 }
 
-template <typename Sim>
-void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                              PerFlowSourceConfig cfg) {
   check_per_flow_config(flows.size(), cfg);
   const auto n = flows.size();
@@ -97,11 +93,6 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
     sim.spawn(flow_source_task(sim, port, flows, static_cast<std::uint32_t>(f), mean_gap_ns, cfg));
   }
 }
-
-template void attach<sim::Simulation>(sim::Simulation&, nic::BasicPort<sim::Simulation>&,
-                                      Generator&);
-template void attach<sim::WheelSimulation>(sim::WheelSimulation&,
-                                           nic::BasicPort<sim::WheelSimulation>&, Generator&);
 
 namespace {
 
@@ -126,9 +117,8 @@ constexpr std::size_t kRunReserve = 256;
 
 }  // namespace
 
-template <typename Sim>
-PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
-                                            const FlowSet& flows, PerFlowSourceConfig cfg)
+PerFlowSourceArena::PerFlowSourceArena(sim::Simulation& sim, nic::Port& port,
+                                       const FlowSet& flows, PerFlowSourceConfig cfg)
     : sim_(sim), port_(port), cfg_(cfg) {
   check_per_flow_config(flows.size(), cfg);
   const auto n = flows.size();
@@ -150,8 +140,7 @@ PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
   sim_.schedule_at(sim_.now(), [this] { bootstrap(); });
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::bootstrap() {
+void PerFlowSourceArena::bootstrap() {
   const auto n = static_cast<std::uint32_t>(rss_.size());
   // The calendar: built here rather than in the constructor, so setup
   // pays for it where it arms the flows. Bucket width: the power of two
@@ -192,8 +181,7 @@ void PerFlowSourceArena<Sim>::bootstrap() {
   publish_head();
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::arm(std::uint32_t flow, sim::Time at) {
+void PerFlowSourceArena::arm(std::uint32_t flow, sim::Time at) {
   const sim::Time t = std::max(at, sim_.now());
   const std::uint64_t seq = sim_.take_seq();
   next_at_[flow] = t;
@@ -212,8 +200,7 @@ void PerFlowSourceArena<Sim>::arm(std::uint32_t flow, sim::Time at) {
   }
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::chain(std::uint32_t flow, std::int64_t b) {
+void PerFlowSourceArena::chain(std::uint32_t flow, std::int64_t b) {
   if (b - cur_ < static_cast<std::int64_t>(heads_.size())) {
     std::uint32_t& head = heads_[static_cast<std::size_t>(b) & (heads_.size() - 1)];
     link_[flow] = head;
@@ -226,8 +213,7 @@ void PerFlowSourceArena<Sim>::chain(std::uint32_t flow, std::int64_t b) {
   }
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::publish_head() {
+void PerFlowSourceArena::publish_head() {
   if (run_head_ == run_.size() && armed_ != 0) refill();
   if (run_head_ == run_.size()) {
     clear_head();
@@ -236,8 +222,7 @@ void PerFlowSourceArena<Sim>::publish_head() {
   }
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::absorb_overflow() {
+void PerFlowSourceArena::absorb_overflow() {
   std::uint32_t f = overflow_;
   overflow_ = kNil;
   overflow_min_ = INT64_MAX;
@@ -248,8 +233,7 @@ void PerFlowSourceArena<Sim>::absorb_overflow() {
   }
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::refill() {
+void PerFlowSourceArena::refill() {
   run_.clear();
   run_head_ = 0;
   const auto ring = static_cast<std::int64_t>(heads_.size());
@@ -293,8 +277,7 @@ void PerFlowSourceArena<Sim>::refill() {
   });
 }
 
-template <typename Sim>
-void PerFlowSourceArena<Sim>::fire() {
+void PerFlowSourceArena::fire() {
   // The fire path touches only the firing flow's lane entries (rss read,
   // draw-state bump, next-fire/seq/link writes) plus the run and the
   // shared config/RNG — no neighbouring flow state comes into the
@@ -325,15 +308,5 @@ void PerFlowSourceArena<Sim>::fire() {
   }
   publish_head();
 }
-
-template class PerFlowSourceArena<sim::Simulation>;
-template class PerFlowSourceArena<sim::WheelSimulation>;
-
-template void attach_per_flow_sources<sim::Simulation>(sim::Simulation&,
-                                                       nic::BasicPort<sim::Simulation>&,
-                                                       const FlowSet&, PerFlowSourceConfig);
-template void attach_per_flow_sources<sim::WheelSimulation>(
-    sim::WheelSimulation&, nic::BasicPort<sim::WheelSimulation>&, const FlowSet&,
-    PerFlowSourceConfig);
 
 }  // namespace metro::tgen

@@ -29,9 +29,6 @@
 //     construction is a few vector fills instead of millions of coroutine
 //     frames. Emits the byte-identical event stream (enforced by
 //     tests/test_tgen.cpp).
-//
-// All entry points are generic over the kernel instantiation; defined in
-// feeder.cpp and instantiated for both shipped backends.
 #pragma once
 
 #include <memory>
@@ -47,8 +44,7 @@ namespace metro::tgen {
 /// Spawn a coroutine that feeds `gen` into `port` in groups (see the file
 /// comment) until exhaustion. The generator must outlive the simulation
 /// run.
-template <typename Sim>
-void attach(Sim& sim, nic::BasicPort<Sim>& port, Generator& gen);
+void attach(sim::Simulation& sim, nic::Port& port, Generator& gen);
 
 /// Per-flow arrival processes (see the file comment).
 struct PerFlowSourceConfig {
@@ -70,11 +66,10 @@ void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg);
 
 /// Spawn one arrival process per flow of `flows` (flows.size() concurrent
 /// pending kernel events). All randomness is drawn from the owning
-/// simulation's RNG in event order, so runs stay bit-identical across
-/// backends. The flow set must outlive the simulation run. Throws as
+/// simulation's RNG in event order, so runs stay bit-identical on either
+/// event store. The flow set must outlive the simulation run. Throws as
 /// check_per_flow_config.
-template <typename Sim>
-void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                              PerFlowSourceConfig cfg);
 
 /// Arena-backed per-flow arrival processes: the multi-million-flow form
@@ -133,21 +128,20 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 /// (at, seq), so the merged order is the order the per-flow events would
 /// have had in the store. The emitted packet stream — every field, every
 /// delivery instant, and hence every downstream observable — is
-/// bit-identical to attach_per_flow_sources for every backend
+/// bit-identical to attach_per_flow_sources on either event store
 /// (tests/test_tgen.cpp pins this). Only the kernel's internal event
 /// count differs: one bootstrap event replaces the n spawn resumes.
 ///
 /// The arena must outlive the simulation run; it is pinned (the kernel
 /// and its bootstrap callback point at `this`). Throws as
 /// check_per_flow_config.
-template <typename Sim>
 class PerFlowSourceArena final : public sim::EventSource {
  public:
   /// next_fire_at() value of a flow with no armed arrival (retired past
   /// `start + duration`, or not yet bootstrapped).
   static constexpr sim::Time kIdle = -1;
 
-  PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+  PerFlowSourceArena(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                      PerFlowSourceConfig cfg);
   PerFlowSourceArena(const PerFlowSourceArena&) = delete;
   PerFlowSourceArena& operator=(const PerFlowSourceArena&) = delete;
@@ -191,8 +185,8 @@ class PerFlowSourceArena final : public sim::EventSource {
   /// Move overflow entries now inside the horizon into their buckets.
   void absorb_overflow();
 
-  Sim& sim_;
-  nic::BasicPort<Sim>& port_;
+  sim::Simulation& sim_;
+  nic::Port& port_;
   // The SoA lanes (28 B per flow; see the class comment).
   std::vector<std::uint32_t> rss_;      ///< RSS hash lane
   std::vector<sim::Time> next_at_;      ///< next-fire lane (kIdle = retired)

@@ -22,6 +22,7 @@
 #include "stats/metric_set.hpp"
 #include "stats/time_series.hpp"
 #include "stats/trace.hpp"
+#include "store_param.hpp"
 #include "tgen/feeder.hpp"
 #include "tgen/generator.hpp"
 
@@ -64,8 +65,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace metro::sim {
 namespace {
 
-template <typename Sim>
-Task sleeper(Sim& sim, Time period) {
+Task sleeper(Simulation& sim, Time period) {
   for (;;) co_await sim.sleep_for(period);
 }
 
@@ -73,16 +73,14 @@ Task service_sleeper(SleepService& svc, Time period) {
   for (;;) co_await svc.sleep(period);
 }
 
-template <typename Sig>
-Task waiter(Sig& sig, Time timeout, std::uint64_t& resumes) {
+Task waiter(Signal& sig, Time timeout, std::uint64_t& resumes) {
   for (;;) {
     (void)co_await sig.wait_for(timeout);
     ++resumes;
   }
 }
 
-template <typename Sim, typename Sig>
-Task notifier(Sim& sim, Sig& sig, Time period) {
+Task notifier(Simulation& sim, Signal& sig, Time period) {
   for (;;) {
     co_await sim.sleep_for(period);
     sig.notify_all();
@@ -127,22 +125,16 @@ TEST(AllocFreeTest, SteadyStateKernelDoesNotAllocate) {
 }
 
 // Kernel-only steady-state allocation freedom, parameterized over both
-// event-queue backends. The timing wheel recycles slot, bottom and
-// overflow storage, so once every container has seen its peak it must be
-// exactly as allocation-free as the heap.
-template <typename Backend>
-class AllocFreeBackendTest : public ::testing::Test {
- public:
-  using Sim = BasicSimulation<Backend>;
-  using Sig = BasicSignal<Sim>;
-};
+// event stores. The timing wheel recycles slot, bottom and overflow
+// storage, so once every container has seen its peak it must be exactly as
+// allocation-free as the heap.
+class AllocFreeBackendTest : public ::testing::TestWithParam<Store> {};
+INSTANTIATE_TEST_SUITE_P(Store, AllocFreeBackendTest, kStores, store_name);
 
-using Backends = ::testing::Types<BinaryHeapBackend, TimingWheelBackend>;
-TYPED_TEST_SUITE(AllocFreeBackendTest, Backends);
-
-TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
-  typename TestFixture::Sim sim(7);
-  typename TestFixture::Sig sig(sim);
+TEST_P(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
+  const auto owned = make_simulation(GetParam(), 7);
+  Simulation& sim = *owned;
+  Signal sig(sim);
   std::uint64_t resumes = 0;
 
   // Telemetry enabled on the measured window: registration happens here
@@ -154,7 +146,7 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   metro::stats::Summary& tick_gap_us = metrics.summary("tick_gap_us");
   metro::stats::Histogram& tick_hist = metrics.histogram("tick_gap_hist", 0.5, 100.0);
 
-  // Periodic timer churn exercising schedule/cancel on the backend, with
+  // Periodic timer churn exercising schedule/cancel on the store, with
   // per-tick telemetry recording. One indirection keeps the callable
   // within the kernel's 24-byte inline budget (three words).
   struct TickStats {
@@ -164,7 +156,7 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   };
   TickStats tick_stats{&ticks, &tick_gap_us, &tick_hist};
   struct Tick {
-    typename TestFixture::Sim* sim;
+    Simulation* sim;
     TickStats* stats;
     Time period;
     void operator()() const {
@@ -187,7 +179,7 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   metro::trace::Tracer tracer(1u << 12);
   sim.set_tracer(&tracer);
 
-  // Warm-up: backend storage, FIFO buffer and pools reach steady state.
+  // Warm-up: store storage, FIFO buffer and pools reach steady state.
   // (Longer than the heap's: the wheel's per-slot capacities converge
   // over a few rotations rather than one pass.)
   sim.run_until(40 * kMillisecond);
@@ -195,7 +187,7 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   // The series recorder arms here (pre-window: prime() preallocates its
   // ring; sampling then refreshes in place) at an 8 us cadence — inside
   // the scheduling-horizon band this workload already exercises, which
-  // the warm-up above has taken to peak. The backends' allocation-freedom
+  // the warm-up above has taken to peak. The stores' allocation-freedom
   // guarantee is "after every container has seen its peak": a far-future
   // cadence (say 1 ms) would make the sampler the lone event class at a
   // horizon the warm-up never visits, and the wheel would keep sizing
@@ -236,8 +228,7 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   sim.set_tracer(nullptr);
 }
 
-template <typename Sim>
-Task drain(nic::BasicRxRing<Sim>& ring, std::uint64_t& drained) {
+Task drain(nic::RxRing& ring, std::uint64_t& drained) {
   nic::PacketDesc buf[32];
   for (;;) {
     const int n = ring.pop_burst(buf, 32);
@@ -263,12 +254,12 @@ struct ArenaWindow {
 /// make every bucket's population repeat every gap; Poisson gaps do not,
 /// and the run's record vector must still never grow past its reserve
 /// once warm. The arena keeps no per-slot vectors of its own and no
-/// longer touches the wheel's, so both backends are held to zero either
+/// longer touches the wheel's, so both stores are held to zero either
 /// way.
-template <typename Sim>
-ArenaWindow arena_window(bool poisson) {
-  Sim sim(7);
-  nic::BasicPort<Sim> port(sim, nic::x520_config(1));
+ArenaWindow arena_window(Store store, bool poisson) {
+  const auto owned = make_simulation(store, 7);
+  Simulation& sim = *owned;
+  nic::Port port(sim, nic::x520_config(1));
   const tgen::FlowSet flows(4096, 11);
   tgen::PerFlowSourceConfig cfg;
   cfg.total_rate_pps = 1953125;
@@ -276,7 +267,7 @@ ArenaWindow arena_window(bool poisson) {
   cfg.duration = kSecond;
   std::uint64_t drained = 0;
   sim.spawn(drain(port.rx_queue(0), drained));
-  tgen::PerFlowSourceArena<Sim> arena(sim, port, flows, cfg);
+  tgen::PerFlowSourceArena arena(sim, port, flows, cfg);
   sim.run_until(150 * kMillisecond);
 
   ArenaWindow w;
@@ -291,8 +282,8 @@ ArenaWindow arena_window(bool poisson) {
   return w;
 }
 
-TYPED_TEST(AllocFreeBackendTest, PerFlowArenaSteadyStateDoesNotAllocate) {
-  const ArenaWindow w = arena_window<typename TestFixture::Sim>(/*poisson=*/false);
+TEST_P(AllocFreeBackendTest, PerFlowArenaSteadyStateDoesNotAllocate) {
+  const ArenaWindow w = arena_window(GetParam(), /*poisson=*/false);
   EXPECT_GT(w.fired, 10000u) << "window did real work";
   EXPECT_GT(w.drained, 10000u) << "the consumer drained the port";
   EXPECT_EQ(w.armed, 4096u) << "one arrival per flow stays armed";
@@ -301,8 +292,8 @@ TYPED_TEST(AllocFreeBackendTest, PerFlowArenaSteadyStateDoesNotAllocate) {
          "steady-state window";
 }
 
-TYPED_TEST(AllocFreeBackendTest, PoissonPerFlowArenaDoesNotAllocate) {
-  const ArenaWindow w = arena_window<typename TestFixture::Sim>(/*poisson=*/true);
+TEST_P(AllocFreeBackendTest, PoissonPerFlowArenaDoesNotAllocate) {
+  const ArenaWindow w = arena_window(GetParam(), /*poisson=*/true);
   EXPECT_GT(w.fired, 10000u) << "window did real work";
   EXPECT_EQ(w.allocations, 0u);
 }

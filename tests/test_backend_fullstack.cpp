@@ -1,14 +1,15 @@
-// App-level cross-backend determinism.
+// App-level cross-store determinism.
 //
-// The kernel guarantees bit-identical *event traces* across event-queue
-// backends (test_determinism.cpp). Since PR 3 the full app stack — Core,
-// SleepService, rings, Port, drivers, Metronome, feeder, Testbed — is
-// generic over the backend, so the same guarantee must hold one level up:
-// an identical ExperimentConfig run on BasicTestbed<Simulation> and
-// BasicTestbed<WheelSimulation> must produce identical packet counters,
-// identical driver statistics and an identical latency histogram, bin for
-// bin. This is what lets the figure benches treat --backend as a pure
-// speed knob.
+// The kernel guarantees bit-identical *event traces* on either event
+// store (test_determinism.cpp), and the whole app stack — Core,
+// SleepService, rings, Port, drivers, Metronome, feeder, Testbed — runs
+// on whichever store its Simulation was built with, so the same guarantee
+// must hold one level up: an identical ExperimentConfig run on Testbed
+// (the heap) and BasicTestbed<WheelSimulation> must produce identical
+// packet counters, identical driver statistics and an identical latency
+// histogram, bin for bin. This is what lets the figure benches treat
+// --backend as a pure speed knob — provided the wheel spellings really do
+// run the wheel, which the last test pins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +18,10 @@
 #include <vector>
 
 #include "apps/experiment.hpp"
+#include "scenario/sweep.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "stats/trace.hpp"
 
 namespace metro::apps {
 namespace {
@@ -148,7 +151,7 @@ void expect_flow_timers_outside_the_store() {
        t += 250 * sim::kMicrosecond) {
     bed.run_until(t);
     EXPECT_GE(bed.sim().pending_events(), 2048u) << "at " << t << " ns";
-    EXPECT_LE(bed.sim().backend().size(), 64u) << "at " << t << " ns";
+    EXPECT_LE(bed.sim().stored_events(), 64u) << "at " << t << " ns";
   }
   EXPECT_GT(bed.packets_processed(), 10000u) << "scenario must do real work";
 }
@@ -177,7 +180,7 @@ std::size_t max_stored_tombstones() {
     bed.run_until(t);
     // The now-FIFO is empty when run_until returns, so whatever the store
     // holds beyond the live count is tombstones.
-    const std::size_t tombstones = bed.sim().backend().size() - bed.sim().pending_events();
+    const std::size_t tombstones = bed.sim().stored_events() - bed.sim().pending_events();
     EXPECT_LE(tombstones, 256u) << "at " << t << " ns";
     max_tombstones = std::max(max_tombstones, tombstones);
   }
@@ -188,6 +191,30 @@ std::size_t max_stored_tombstones() {
 TEST(BackendFullstackTest, StaticPollingTombstonesStayBounded) {
   EXPECT_GT(max_stored_tombstones<sim::Simulation>(), 0u) << "the poller must cancel";
   EXPECT_GT(max_stored_tombstones<sim::WheelSimulation>(), 0u) << "the poller must cancel";
+}
+
+TEST(BackendFullstackTest, WheelSpellingsRunTheWheel) {
+  // A wheel spelling that quietly built a heap kernel would turn every
+  // heap-vs-wheel identity gate into heap vs heap, and nothing would fail.
+  auto cfg = small_metronome_config();
+  EXPECT_EQ(Testbed(cfg).sim().wheel(), nullptr);
+  EXPECT_EQ(BasicTestbed<sim::Simulation>(cfg).sim().wheel(), nullptr);
+  EXPECT_NE(BasicTestbed<sim::WheelSimulation>(cfg).sim().wheel(), nullptr);
+  EXPECT_NE(sim::WheelSimulation().wheel(), nullptr);
+
+  // A sweep shard's kernel is out of reach, but its trace is not: only
+  // the wheel records level cascades (Metronome's 500 us backup sleeps
+  // land past the 262 us level-0 window).
+  cfg.warmup = 2 * sim::kMillisecond;
+  cfg.measure = 2 * sim::kMillisecond;
+  scenario::SweepRunner runner;
+  runner.set_tracing(1u << 16);
+  const auto results = runner.run({scenario::Shard{"heap", scenario::BackendKind::kHeap, cfg},
+                                   scenario::Shard{"wheel", scenario::BackendKind::kWheel, cfg}});
+  ASSERT_EQ(scenario::failed_count(results), 0u);
+  EXPECT_EQ(results[0].trace->count(trace::id::kWheelCascade), 0u);
+  EXPECT_GT(results[1].trace->count(trace::id::kWheelCascade), 0u);
+  EXPECT_EQ(results[0].fingerprint, results[1].fingerprint);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 // events run in insertion order, the RNG is owned by the Simulation, and
 // nothing on the event path depends on host state.
 //
-// The same guarantee holds *across event-queue backends*: the binary heap
-// and the timing wheel implement the same total (at, seq) order, so an
-// identical script must produce a bit-identical execution trace on both.
+// The same guarantee holds *across event stores*: the binary heap and the
+// timing wheel implement the same total (at, seq) order, so an identical
+// script must produce a bit-identical execution trace on both.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "apps/experiment.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "store_param.hpp"
 
 namespace metro::apps {
 namespace {
@@ -88,10 +88,10 @@ TEST(DeterminismTest, StaticPollingRunsAreBitIdentical) {
 // two swapped handlers would consume each other's random numbers.
 using TraceRecord = std::tuple<sim::Time, int, std::uint64_t>;
 
-template <typename Backend>
-std::vector<TraceRecord> kernel_trace() {
-  sim::BasicSimulation<Backend> kernel(1234);
-  sim::BasicSignal<sim::BasicSimulation<Backend>> sig(kernel);
+std::vector<TraceRecord> kernel_trace(sim::Store store) {
+  const auto owned = sim::make_simulation(store, 1234);
+  sim::Simulation& kernel = *owned;
+  sim::Signal sig(kernel);
   std::vector<TraceRecord> trace;
   const auto record = [&](int tag) {
     trace.emplace_back(kernel.now(), tag, kernel.rng().uniform_u64(1u << 30));
@@ -100,7 +100,7 @@ std::vector<TraceRecord> kernel_trace() {
   // Mixed workload: equal-timestamp callback floods, coroutine sleeps,
   // timed signal waits raced by notifies, and mid-run cancellations.
   struct Tick {
-    sim::BasicSimulation<Backend>* kernel;
+    sim::Simulation* kernel;
     const std::function<void(int)>* record;
     int left;
     int tag;
@@ -116,15 +116,15 @@ std::vector<TraceRecord> kernel_trace() {
     kernel.schedule_at(100, Tick{&kernel, &recorder, 50, i});  // same instant
   }
   struct Proc {
-    static sim::Task sleeper(sim::BasicSimulation<Backend>& kernel,
+    static sim::Task sleeper(sim::Simulation& kernel,
                              const std::function<void(int)>& record, int tag) {
       for (int i = 0; i < 200; ++i) {
         co_await kernel.sleep_for(900 + (tag % 7) * 150);
         record(10000 + tag);
       }
     }
-    static sim::Task waiter(sim::BasicSimulation<Backend>& kernel,
-                            sim::BasicSignal<sim::BasicSimulation<Backend>>& sig,
+    static sim::Task waiter(sim::Simulation& kernel,
+                            sim::Signal& sig,
                             const std::function<void(int)>& record, int tag) {
       for (int i = 0; i < 150; ++i) {
         const bool notified = co_await sig.wait_for(3'000);
@@ -132,8 +132,8 @@ std::vector<TraceRecord> kernel_trace() {
         (void)kernel;
       }
     }
-    static sim::Task notifier(sim::BasicSimulation<Backend>& kernel,
-                              sim::BasicSignal<sim::BasicSimulation<Backend>>& sig) {
+    static sim::Task notifier(sim::Simulation& kernel,
+                              sim::Signal& sig) {
       for (int i = 0; i < 120; ++i) {
         co_await kernel.sleep_for(2'500);
         sig.notify_all();
@@ -144,7 +144,7 @@ std::vector<TraceRecord> kernel_trace() {
   for (int i = 0; i < 6; ++i) kernel.spawn(Proc::waiter(kernel, sig, recorder, i));
   kernel.spawn(Proc::notifier(kernel, sig));
   // Cancellation pressure: arm timers and cancel most of them mid-run.
-  std::vector<typename sim::BasicSimulation<Backend>::EventId> armed;
+  std::vector<sim::Simulation::EventId> armed;
   for (int i = 0; i < 300; ++i) {
     armed.push_back(
         kernel.schedule_at(5'000 + i * 37, [&record, i] { record(30000 + i); }));
@@ -158,8 +158,8 @@ std::vector<TraceRecord> kernel_trace() {
 }
 
 TEST(DeterminismTest, BackendsProduceBitIdenticalTraces) {
-  const auto heap = kernel_trace<sim::BinaryHeapBackend>();
-  const auto wheel = kernel_trace<sim::TimingWheelBackend>();
+  const auto heap = kernel_trace(sim::Store::kHeap);
+  const auto wheel = kernel_trace(sim::Store::kWheel);
   EXPECT_GT(heap.size(), 4000u) << "trace must cover real work";
   EXPECT_EQ(heap, wheel);
 }

@@ -102,7 +102,7 @@ TEST(ExperimentConfigTest, RejectsZeroQueues) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("n_queues"), std::string::npos) << e.what();
     }
-    EXPECT_THROW(run_experiment<sim::WheelSimulation>(cfg), std::invalid_argument);
+    EXPECT_THROW(apps::BasicTestbed<sim::WheelSimulation>{cfg}, std::invalid_argument);
   }
 }
 

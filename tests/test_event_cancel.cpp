@@ -1,5 +1,5 @@
 // The event-ID API: stable-id timer cancellation and id staleness,
-// parameterized over both event-queue backends. Cancellation is the
+// parameterized over both event stores. Cancellation is the
 // kernel's: a cancelled callback stays stored as a tombstone that the
 // kernel discards when it reaches the front or purges once tombstones
 // dominate the store, so the observable contract is identical on both. The
@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,21 +18,16 @@
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "store_param.hpp"
 
 namespace metro::sim {
 namespace {
 
-template <typename Backend>
-class EventCancelTest : public ::testing::Test {
- public:
-  using Sim = BasicSimulation<Backend>;
-};
+class EventCancelTest : public StoreTest {};
+INSTANTIATE_TEST_SUITE_P(Store, EventCancelTest, kStores, store_name);
 
-using Backends = ::testing::Types<BinaryHeapBackend, TimingWheelBackend>;
-TYPED_TEST_SUITE(EventCancelTest, Backends);
-
-TYPED_TEST(EventCancelTest, CancelledEventNeverFires) {
-  typename TestFixture::Sim sim;
+TEST_P(EventCancelTest, CancelledEventNeverFires) {
+  Simulation& sim = this->sim();
   std::vector<int> fired;
   sim.schedule_at(10, [&] { fired.push_back(1); });
   const auto id = sim.schedule_at(20, [&] { fired.push_back(2); });
@@ -45,8 +39,8 @@ TYPED_TEST(EventCancelTest, CancelledEventNeverFires) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TYPED_TEST(EventCancelTest, CancelIsIdempotentAndStaleAfterFire) {
-  typename TestFixture::Sim sim;
+TEST_P(EventCancelTest, CancelIsIdempotentAndStaleAfterFire) {
+  Simulation& sim = this->sim();
   int fired = 0;
   const auto id = sim.schedule_at(10, [&] { ++fired; });
   EXPECT_TRUE(sim.cancel(id));
@@ -58,11 +52,11 @@ TYPED_TEST(EventCancelTest, CancelIsIdempotentAndStaleAfterFire) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(sim.cancel(id2)) << "fired events are stale";
-  EXPECT_FALSE(sim.cancel(TestFixture::Sim::kInvalidEvent));
+  EXPECT_FALSE(sim.cancel(Simulation::kInvalidEvent));
 }
 
-TYPED_TEST(EventCancelTest, StaleIdCannotAliasReusedSlot) {
-  typename TestFixture::Sim sim;
+TEST_P(EventCancelTest, StaleIdCannotAliasReusedSlot) {
+  Simulation& sim = this->sim();
   int first = 0, second = 0;
   const auto id = sim.schedule_at(10, [&] { ++first; });
   ASSERT_TRUE(sim.cancel(id));
@@ -75,8 +69,8 @@ TYPED_TEST(EventCancelTest, StaleIdCannotAliasReusedSlot) {
   EXPECT_EQ(second, 1);
 }
 
-TYPED_TEST(EventCancelTest, CancelFromInsideAHandler) {
-  typename TestFixture::Sim sim;
+TEST_P(EventCancelTest, CancelFromInsideAHandler) {
+  Simulation& sim = this->sim();
   int fired = 0;
   const auto doomed = sim.schedule_at(50, [&] { ++fired; });
   sim.schedule_at(10, [&] { EXPECT_TRUE(sim.cancel(doomed)); });
@@ -85,11 +79,11 @@ TYPED_TEST(EventCancelTest, CancelFromInsideAHandler) {
   EXPECT_EQ(sim.now(), 10);
 }
 
-TYPED_TEST(EventCancelTest, CancelLastPendingEventLeavesKernelIdle) {
+TEST_P(EventCancelTest, CancelLastPendingEventLeavesKernelIdle) {
   // Cancelling the only pending event must report the kernel idle even
   // though its tombstone still occupies the store, and a later schedule
   // must work.
-  typename TestFixture::Sim sim;
+  Simulation& sim = this->sim();
   int fired = 0;
   const auto id = sim.schedule_at(100, [&] { ++fired; });
   EXPECT_FALSE(sim.idle());
@@ -109,18 +103,16 @@ TYPED_TEST(EventCancelTest, CancelLastPendingEventLeavesKernelIdle) {
 }
 
 /// Logs the clock, negated, at its first resume and finishes.
-template <typename Sim>
-Task log_negated_clock(Sim& sim, std::vector<Time>& log) {
+Task log_negated_clock(Simulation& sim, std::vector<Time>& log) {
   log.push_back(-sim.now());
   co_return;
 }
 
-TYPED_TEST(EventCancelTest, TombstonesLeaveNoTrace) {
+TEST_P(EventCancelTest, TombstonesLeaveNoTrace) {
   // Cancel the latest-scheduled events so the last stored entries are
   // tombstones: the clock, the processed count and the live counts must
   // all ignore them.
-  using Sim = typename TestFixture::Sim;
-  Sim sim;
+  Simulation& sim = this->sim();
   std::vector<Time> fired;
   const auto at = [&](Time t) {
     return sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
@@ -135,14 +127,14 @@ TYPED_TEST(EventCancelTest, TombstonesLeaveNoTrace) {
   EXPECT_TRUE(sim.cancel(late_a));
   EXPECT_EQ(sim.pending_events(), 3u);
   EXPECT_FALSE(sim.idle());
-  ASSERT_EQ(sim.backend().size(), 5u) << "the tombstones must still be stored";
+  ASSERT_EQ(sim.stored_events(), 5u) << "the tombstones must still be stored";
 
   EXPECT_EQ(sim.run(), 30) << "run() returns the time of the last live event";
   EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30}));
   EXPECT_EQ(sim.events_processed(), 3u) << "tombstones are not processed events";
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_TRUE(sim.idle());
-  EXPECT_TRUE(sim.backend().empty()) << "run() drains the trailing tombstones";
+  EXPECT_EQ(sim.stored_events(), 0u) << "run() drains the trailing tombstones";
 
   // run_until(end) with a tombstone before `end` still runs the live
   // events between it and `end`, and stops there.
@@ -172,13 +164,12 @@ TYPED_TEST(EventCancelTest, TombstonesLeaveNoTrace) {
   EXPECT_TRUE(sim.idle());
 }
 
-template <typename Sim>
-Task sleep_then_log_clock(Sim& sim, Time delay, std::vector<Time>& log) {
+Task sleep_then_log_clock(Simulation& sim, Time delay, std::vector<Time>& log) {
   co_await sim.sleep_for(delay);
   log.push_back(sim.now());
 }
 
-TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
+TEST_P(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
   // Cancelling most of a large store makes tombstones outnumber the live
   // entries, and cancel() purges them all at once. The survivors — live
   // callbacks and a sleeping coroutine — must still run in (at, seq)
@@ -186,10 +177,9 @@ TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
   // the near ones, armed after run_until has consumed part of the store,
   // sit in the wheel's sorted bottom or one per level-0 slot, and the
   // cancels run from a handler halfway through that bottom.
-  using Sim = typename TestFixture::Sim;
-  Sim sim;
+  Simulation& sim = this->sim();
   std::vector<Time> fired;
-  std::vector<std::pair<typename Sim::EventId, Time>> events;
+  std::vector<std::pair<Simulation::EventId, Time>> events;
   const auto arm = [&](Time t) {
     events.emplace_back(sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); }), t);
   };
@@ -205,8 +195,8 @@ TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
     arm(mid + j * Time{1'024});                 // behind the floor: the sorted bottom
     arm(mid + kMillisecond + j * Time{1'024});  // one per level-0 slot
   }
-  if constexpr (std::is_same_v<TypeParam, TimingWheelBackend>) {
-    ASSERT_GE(sim.backend().occupancy(0), 100u) << "near events must sit in level-0 slots";
+  if (const TimingWheelBackend* wheel = sim.wheel()) {
+    ASSERT_GE(wheel->occupancy(0), 100u) << "near events must sit in level-0 slots";
   }
 
   const Time cut = mid + 50 * Time{1'024} + 512;
@@ -218,7 +208,7 @@ TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
     live_after_cut += t > cut && i % 4 == 0;
   }
   sim.schedule_at(cut, [&] {
-    const std::size_t stored = sim.backend().size();
+    const std::size_t stored = sim.stored_events();
     for (std::size_t i = events.size(); i-- > 0;) {  // near ones first: the purge takes them
       const auto [id, t] = events[i];
       if (t > cut && i % 4 != 0) {
@@ -226,8 +216,8 @@ TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
       }
     }
     EXPECT_EQ(sim.pending_events(), live_after_cut);
-    EXPECT_LT(sim.backend().size(), stored / 2) << "a purge must have run";
-    EXPECT_LE(sim.backend().size() - sim.pending_events(),
+    EXPECT_LT(sim.stored_events(), stored / 2) << "a purge must have run";
+    EXPECT_LE(sim.stored_events() - sim.pending_events(),
               std::max<std::size_t>(64, sim.pending_events()))
         << "tombstones never outnumber live entries past the purge threshold";
   });
@@ -235,13 +225,13 @@ TYPED_TEST(EventCancelTest, PurgeDropsTombstonesAndKeepsOrder) {
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(fired, expect);
   EXPECT_TRUE(sim.idle());
-  EXPECT_TRUE(sim.backend().empty());
+  EXPECT_EQ(sim.stored_events(), 0u);
 }
 
-TYPED_TEST(EventCancelTest, CancelMiddleOfManyKeepsOrdering) {
-  typename TestFixture::Sim sim;
+TEST_P(EventCancelTest, CancelMiddleOfManyKeepsOrdering) {
+  Simulation& sim = this->sim();
   std::vector<int> order;
-  std::vector<typename TestFixture::Sim::EventId> ids;
+  std::vector<Simulation::EventId> ids;
   for (int i = 0; i < 100; ++i) {
     ids.push_back(sim.schedule_at(5 + (i % 10), [&order, i] { order.push_back(i); }));
   }
@@ -261,12 +251,12 @@ TYPED_TEST(EventCancelTest, CancelMiddleOfManyKeepsOrdering) {
   EXPECT_EQ(order, expected);
 }
 
-TYPED_TEST(EventCancelTest, QueueStaysConsistentUnderChurn) {
+TEST_P(EventCancelTest, QueueStaysConsistentUnderChurn) {
   // Deterministic schedule/cancel churn; the run must execute exactly the
   // surviving events in order.
-  typename TestFixture::Sim sim;
+  Simulation& sim = this->sim();
   Rng rng(123);
-  std::vector<typename TestFixture::Sim::EventId> live;
+  std::vector<Simulation::EventId> live;
   std::uint64_t scheduled = 0, cancelled = 0, fired = 0;
   for (int round = 0; round < 2000; ++round) {
     const auto t = static_cast<Time>(rng.uniform_u64(10000));
@@ -283,18 +273,18 @@ TYPED_TEST(EventCancelTest, QueueStaysConsistentUnderChurn) {
   EXPECT_TRUE(sim.idle());
 }
 
-TYPED_TEST(EventCancelTest, ChurnWhileRunning) {
+TEST_P(EventCancelTest, ChurnWhileRunning) {
   // Cancels issued from inside handlers while the queue is mid-drain, with
   // reschedules that reuse freed slots across the full range of pending
   // times.
-  typename TestFixture::Sim sim;
+  Simulation& sim = this->sim();
   Rng rng(7);
-  std::vector<typename TestFixture::Sim::EventId> live;
+  std::vector<Simulation::EventId> live;
   std::uint64_t fired = 0, cancelled = 0, scheduled = 0;
   struct Churn {
-    typename TestFixture::Sim* sim;
+    Simulation* sim;
     Rng* rng;
-    std::vector<typename TestFixture::Sim::EventId>* live;
+    std::vector<Simulation::EventId>* live;
     std::uint64_t *fired, *cancelled, *scheduled;
     int depth;
     void operator()() const {
@@ -344,10 +334,9 @@ struct MixedOrderLog {
 
 /// The smallest EventSource: a sorted vector of (at, seq, tag). Each arm
 /// takes a kernel seq; each fire logs (now, tag).
-template <typename Sim>
 class TagSource final : public EventSource {
  public:
-  TagSource(Sim& sim, MixedOrderLog& log) : sim_(sim), log_(log) { sim.attach_source(this); }
+  TagSource(Simulation& sim, MixedOrderLog& log) : sim_(sim), log_(log) { sim.attach_source(this); }
 
   void arm(Time at) {
     const std::uint32_t tag = log_.note(at);
@@ -384,26 +373,24 @@ class TagSource final : public EventSource {
     }
   }
 
-  Sim& sim_;
+  Simulation& sim_;
   MixedOrderLog& log_;
   std::vector<Armed> pending_;
 };
 
 /// Logs its first resume under `resume_tag`, then sleeps until `at` and
 /// logs the wake-up under the tag it takes just before suspending.
-template <typename Sim>
-Task tag_sleeper(Sim& sim, MixedOrderLog& log, std::uint32_t resume_tag, Time at) {
+Task tag_sleeper(Simulation& sim, MixedOrderLog& log, std::uint32_t resume_tag, Time at) {
   log.fired.emplace_back(sim.now(), resume_tag);
   const std::uint32_t tag = log.note(at);
   co_await sim.sleep_until(at);
   log.fired.emplace_back(sim.now(), tag);
 }
 
-TYPED_TEST(EventCancelTest, SourceEventsMergeIntoOneOrder) {
-  using Sim = typename TestFixture::Sim;
-  Sim sim;
+TEST_P(EventCancelTest, SourceEventsMergeIntoOneOrder) {
+  Simulation& sim = this->sim();
   MixedOrderLog log;
-  TagSource<Sim> source(sim, log);
+  TagSource source(sim, log);
   const auto source_at = [&](Time at) { source.arm(at); };
   const auto callback_at = [&](Time at) {
     const std::uint32_t tag = log.note(at);
@@ -411,7 +398,7 @@ TYPED_TEST(EventCancelTest, SourceEventsMergeIntoOneOrder) {
         sim.schedule_at(at, [&log, &sim, tag] { log.fired.emplace_back(sim.now(), tag); });
     return std::pair{id, tag};
   };
-  const auto cancel = [&](std::pair<typename Sim::EventId, std::uint32_t> ev) {
+  const auto cancel = [&](std::pair<Simulation::EventId, std::uint32_t> ev) {
     EXPECT_TRUE(sim.cancel(ev.first));
     std::erase_if(log.expected, [&](const auto& e) { return e.second == ev.second; });
   };
@@ -486,11 +473,10 @@ TYPED_TEST(EventCancelTest, SourceEventsMergeIntoOneOrder) {
   EXPECT_EQ(sim.events_processed(), 21u) << "source fires count as processed events";
 }
 
-TYPED_TEST(EventCancelTest, OnlyOneSourceAttaches) {
-  using Sim = typename TestFixture::Sim;
-  Sim sim;
+TEST_P(EventCancelTest, OnlyOneSourceAttaches) {
+  Simulation& sim = this->sim();
   MixedOrderLog log;
-  TagSource<Sim> source(sim, log);
+  TagSource source(sim, log);
   EXPECT_THROW(sim.attach_source(&source), std::logic_error);
   EXPECT_THROW(sim.attach_source(nullptr), std::invalid_argument);
 }

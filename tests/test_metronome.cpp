@@ -196,20 +196,5 @@ TEST(MetronomeTest, SurvivesZeroTraffic) {
   EXPECT_LT(r.rho, 0.05);
 }
 
-TEST(MetronomeTest, StatsResetClearsCounters) {
-  sim::Simulation sim;
-  sim::Machine machine(sim, 1);
-  nic::Port port(sim, nic::x520_config(1));
-  core::MetronomeConfig mc;
-  mc.n_threads = 2;
-  core::Metronome met(sim, port, {&machine.core(0)}, mc);
-  met.start();
-  sim.run_until(50 * sim::kMillisecond);
-  EXPECT_GT(met.total_tries(), 0u);
-  met.reset_stats();
-  EXPECT_EQ(met.total_tries(), 0u);
-  EXPECT_EQ(met.packets_processed(), 0u);
-}
-
 }  // namespace
 }  // namespace metro

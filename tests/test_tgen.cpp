@@ -324,10 +324,9 @@ TEST(NextBatchTest, TraceMatchesUnbatched) {
 // flow. The contract is bit-identical execution — the consumer below
 // digests every delivered packet (fields and delivery instant), and the
 // digest and the delivery count must match between the two attach paths,
-// on every backend.
+// on either event store.
 
-template <typename Sim>
-sim::Task digest_all(Sim& s, nic::BasicRxRing<Sim>& ring, std::uint64_t& digest,
+sim::Task digest_all(sim::Simulation& s, nic::RxRing& ring, std::uint64_t& digest,
                      std::uint64_t& count) {
   nic::PacketDesc buf[32];
   for (;;) {
@@ -365,26 +364,24 @@ struct PerFlowCase {
 /// Attach functions for run_per_flow. Each returns what must stay alive
 /// for the run; run_per_flow holds it inside the simulation's lifetime.
 struct AttachCoroutines {
-  template <typename Sim>
-  int operator()(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet& flows,
+  int operator()(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                  PerFlowSourceConfig cfg) const {
     attach_per_flow_sources(sim, port, flows, cfg);
     return 0;
   }
 };
 struct AttachArena {
-  template <typename Sim>
-  std::unique_ptr<PerFlowSourceArena<Sim>> operator()(Sim& sim, nic::BasicPort<Sim>& port,
-                                                      const FlowSet& flows,
-                                                      PerFlowSourceConfig cfg) const {
-    return std::make_unique<PerFlowSourceArena<Sim>>(sim, port, flows, cfg);
+  std::unique_ptr<PerFlowSourceArena> operator()(sim::Simulation& sim, nic::Port& port,
+                                                 const FlowSet& flows,
+                                                 PerFlowSourceConfig cfg) const {
+    return std::make_unique<PerFlowSourceArena>(sim, port, flows, cfg);
   }
 };
 
 template <typename Sim, typename AttachFn>
 PerFlowRun run_per_flow(AttachFn&& attach_fn, const PerFlowCase& c = {}) {
   Sim sim(7);
-  nic::BasicPort<Sim> port(sim, nic::x520_config(1));
+  nic::Port port(sim, nic::x520_config(1));
   FlowSet flows(c.flows, 11);
   PerFlowRun r;
   sim.spawn(digest_all(sim, port.rx_queue(0), r.digest, r.count));
@@ -525,9 +522,8 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
   // per-flow gap 66 ms vs a 20 ms duration). The SoA lanes must stay
   // mutually consistent both mid-run, with tens of thousands of timers in
   // flight, and after every flow retires.
-  using Sim = sim::WheelSimulation;
-  Sim sim(13);
-  nic::BasicPort<Sim> port(sim, nic::x520_config(1));
+  sim::WheelSimulation sim(13);
+  nic::Port port(sim, nic::x520_config(1));
   const std::size_t n = std::size_t{1} << 18;
   FlowSet flows(n, 11);
   PerFlowSourceConfig cfg;
@@ -537,7 +533,7 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
   std::uint64_t digest = 0;
   std::uint64_t count = 0;
   sim.spawn(digest_all(sim, port.rx_queue(0), digest, count));
-  PerFlowSourceArena<Sim> arena(sim, port, flows, cfg);
+  PerFlowSourceArena arena(sim, port, flows, cfg);
   EXPECT_EQ(arena.flow_count(), n);
   EXPECT_EQ(arena.armed(), 0u) << "bootstrap has not run yet";
   EXPECT_EQ(arena.fired(), 0u);
@@ -553,7 +549,7 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
         // the lower sequence number and runs first).
         EXPECT_GE(arena.next_fire_at(f), sim.now());
       } else {
-        EXPECT_EQ(arena.next_fire_at(f), (PerFlowSourceArena<Sim>::kIdle));
+        EXPECT_EQ(arena.next_fire_at(f), (PerFlowSourceArena::kIdle));
       }
       emitted_sum += arena.flow_fired(f);
     }

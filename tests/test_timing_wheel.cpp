@@ -1,4 +1,4 @@
-// Timing-wheel backend edge cases.
+// Timing-wheel store edge cases.
 //
 // The hierarchical timing wheel (src/sim/event_queue.hpp) hashes events
 // into per-level slot grids, cascades a coarse slot one level down when
@@ -43,11 +43,10 @@ WheelConfig tiny_geometry() {
   return cfg;
 }
 
-/// Run `script(sim, trace)` to completion on one backend and return every
+/// Run `script(sim, trace)` to completion on `sim` and return every
 /// firing in execution order.
-template <typename Backend, typename Script>
-std::vector<Firing> run_trace(Script script, Backend backend = Backend()) {
-  BasicSimulation<Backend> sim(1, std::move(backend));
+template <typename Script>
+std::vector<Firing> run_trace(Simulation&& sim, Script script) {
   std::vector<Firing> trace;
   script(sim, trace);
   sim.run();
@@ -55,14 +54,14 @@ std::vector<Firing> run_trace(Script script, Backend backend = Backend()) {
   return trace;
 }
 
-/// The heap backend is the oracle: identical scripts must produce
+/// The heap store is the oracle: identical scripts must produce
 /// bit-identical traces on the wheel — under the default geometry and
 /// under the tiny cascade-heavy one.
 template <typename Script>
 void expect_heap_agrees(Script script) {
-  const auto heap = run_trace<BinaryHeapBackend>(script);
-  EXPECT_EQ(heap, run_trace<TimingWheelBackend>(script));
-  EXPECT_EQ(heap, run_trace<TimingWheelBackend>(script, TimingWheelBackend(tiny_geometry())));
+  const auto heap = run_trace(Simulation(1), script);
+  EXPECT_EQ(heap, run_trace(Simulation(1, TimingWheelBackend{}), script));
+  EXPECT_EQ(heap, run_trace(Simulation(1, TimingWheelBackend(tiny_geometry())), script));
   EXPECT_FALSE(heap.empty());
 }
 
@@ -78,16 +77,16 @@ struct WheelStats {
 
 template <typename Script>
 WheelStats wheel_stats_during(Script script, const WheelConfig& cfg) {
-  BasicSimulation<TimingWheelBackend> sim(1, TimingWheelBackend(cfg));
+  Simulation sim(1, TimingWheelBackend(cfg));
   std::vector<Firing> trace;
   WheelStats stats;
   stats.max_occupancy.assign(cfg.levels, 0);
   struct Probe {
-    BasicSimulation<TimingWheelBackend>* s;
+    Simulation* s;
     WheelStats* stats;
     Time last_floor;
     void operator()() const {
-      const auto& wheel = s->backend();
+      const TimingWheelBackend& wheel = *s->wheel();
       for (std::uint32_t k = 0; k < wheel.config().levels; ++k) {
         stats->max_occupancy[k] = std::max(stats->max_occupancy[k], wheel.occupancy(k));
       }
@@ -99,13 +98,12 @@ WheelStats wheel_stats_during(Script script, const WheelConfig& cfg) {
     }
   };
   script(sim, trace);
-  sim.schedule_at(0, Probe{&sim, &stats, sim.backend().overflow_floor()});
+  sim.schedule_at(0, Probe{&sim, &stats, sim.wheel()->overflow_floor()});
   sim.run();
   return stats;
 }
 
-template <typename Sim>
-void tag_at(Sim& sim, std::vector<Firing>& trace, Time t, int tag) {
+void tag_at(Simulation& sim, std::vector<Firing>& trace, Time t, int tag) {
   sim.schedule_at(t, [&sim, &trace, tag] { trace.emplace_back(sim.now(), tag); });
 }
 
@@ -169,7 +167,7 @@ TEST(TimingWheelTest, CancelLastPendingEventLeavesWheelIdle) {
   // Tombstoning the only stored entry must drop the kernel's live count to
   // zero, the dead entry must never fire, and the structure must absorb a
   // fresh workload afterwards.
-  BasicSimulation<TimingWheelBackend> sim;
+  Simulation sim(1, TimingWheelBackend{});
   int fired = 0;
   const auto id = sim.schedule_at(5'000, [&fired] { ++fired; });
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -193,9 +191,9 @@ TEST(TimingWheelTest, CancelAcrossCascadesAndEpochs) {
   // Ids issued while events sit in coarse levels or overflow stay
   // cancellable after cascades and epoch re-bases have moved the entries
   // between containers; tombstones must never fire.
-  BasicSimulation<TimingWheelBackend> sim(1, TimingWheelBackend(tiny_geometry()));
+  Simulation sim(1, TimingWheelBackend(tiny_geometry()));
   Rng rng(99);
-  std::vector<BasicSimulation<TimingWheelBackend>::EventId> ids;
+  std::vector<Simulation::EventId> ids;
   std::uint64_t fired = 0;
   for (int i = 0; i < 3000; ++i) {
     const Time t = static_cast<Time>(rng.uniform_u64(5'000'000));
@@ -215,14 +213,14 @@ TEST(TimingWheelTest, FarFutureTimersSitInOverflowUntilTheirEpoch) {
   // Timers far beyond the top level's horizon must park in the overflow
   // pool (no per-level storage cost), then fire in exact order once the
   // wheels drain and the epoch re-bases onto them.
-  BasicSimulation<TimingWheelBackend> sim(1, TimingWheelBackend(tiny_geometry()));
+  Simulation sim(1, TimingWheelBackend(tiny_geometry()));
   std::vector<Firing> trace;
   // Horizon with the tiny geometry is 1024 ns; everything below is wheel,
   // everything at/after is overflow this epoch.
   for (int i = 0; i < 20; ++i) tag_at(sim, trace, 10 + i * 40, i);
   for (int i = 0; i < 50; ++i) tag_at(sim, trace, 100'000 + i * 977, 100 + i);
   for (int i = 0; i < 10; ++i) tag_at(sim, trace, 50'000'000 + i * 3, 200 + i);
-  EXPECT_GE(sim.backend().overflow_stored(), 60u)
+  EXPECT_GE(sim.wheel()->overflow_stored(), 60u)
       << "far-future timers must not occupy wheel slots";
   sim.run();
   ASSERT_EQ(trace.size(), 80u);
@@ -284,7 +282,7 @@ TEST(TimingWheelTest, EpochRolloverNearClockLimitSaturates) {
   // The clock-limit edge proper: multiple entries exactly at INT64_MAX
   // (the saturated floor) must all fire; a miscomputed epoch would spin
   // or drop them.
-  BasicSimulation<TimingWheelBackend> sim(1, TimingWheelBackend(tiny_geometry()));
+  Simulation sim(1, TimingWheelBackend(tiny_geometry()));
   std::vector<Firing> trace;
   tag_at(sim, trace, 100, 0);
   for (int i = 0; i < 5; ++i) tag_at(sim, trace, INT64_MAX, 1 + i);
@@ -299,7 +297,7 @@ TEST(TimingWheelTest, EpochRolloverNearClockLimitSaturates) {
 }
 
 TEST(TimingWheelTest, RandomisedMirrorAgainstHeap) {
-  // Randomised schedule/cancel interleavings mirrored on both backends,
+  // Randomised schedule/cancel interleavings mirrored on both stores,
   // including handler-side scheduling: the strongest order oracle. The
   // tiny-geometry run inside expect_heap_agrees crosses slot, level and
   // epoch boundaries constantly.
