@@ -236,6 +236,7 @@ void Testbed::run_until(Time t) { sim_->run_until(t); }
 
 void Testbed::begin_measurement() {
   assert(started_ && "begin_measurement() before start(): no metrics registered");
+  sim_->sync_lazy();  // the window opens on every arrival due by now
   window_start_ = sim_->now();
   machine_start_ = machine_->snapshot_all();  // settles all cores
   for (auto& e : driver_entities_) e.on_cpu_at_start = e.core->on_cpu_time(e.entity);
@@ -259,6 +260,7 @@ void Testbed::begin_measurement() {
 }
 
 ExperimentResult Testbed::finish_measurement() {
+  sim_->sync_lazy();  // ...and closes on every arrival due by now
   if (series_) series_->finish(sim_->now());
   ExperimentResult r;
   const auto machine_end = machine_->snapshot_all();

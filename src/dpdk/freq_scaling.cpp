@@ -59,13 +59,13 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
         last_tx_flush = sim.now();
         continue;
       }
-      const bool notified = co_await ring.arrival_signal().wait_for(wait);
+      const bool notified = co_await ring.wait_arrival_for(wait);
       if (!notified) {
         tx.flush();
         last_tx_flush = sim.now();
       }
     } else {
-      co_await ring.arrival_signal().wait_for(sim::kMillisecond);
+      co_await ring.wait_arrival_for(sim::kMillisecond);
     }
     const auto equivalent_polls =
         static_cast<int>((sim.now() - idle_from) / sim::calib::kEmptyPollCost);

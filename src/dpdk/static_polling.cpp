@@ -42,13 +42,13 @@ sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, si
         last_tx_flush = sim.now();
         continue;
       }
-      const bool notified = co_await ring.arrival_signal().wait_for(wait);
+      const bool notified = co_await ring.wait_arrival_for(wait);
       if (!notified) {
         tx.flush();
         last_tx_flush = sim.now();
       }
     } else {
-      co_await ring.arrival_signal().wait();
+      co_await ring.wait_arrival();
       last_tx_flush = sim.now();
     }
   }

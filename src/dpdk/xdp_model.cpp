@@ -16,7 +16,7 @@ sim::Task xdp_queue_task(sim::Simulation& sim, nic::Port& port, int queue, sim::
   for (;;) {
     // IRQ enabled, core idle: wait for traffic. No CPU is consumed here —
     // this is XDP's key advantage at zero load.
-    if (ring.empty()) co_await ring.arrival_signal().wait();
+    if (ring.empty()) co_await ring.wait_arrival();
 
     // Interrupt mitigation: the NIC coalesces before raising the IRQ.
     co_await sim.sleep_for(cfg.irq_mitigation);

@@ -1,6 +1,7 @@
 #include "nic/port.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace metro::nic {
 
@@ -34,6 +35,26 @@ Port::Port(sim::Simulation& sim, PortConfig cfg, TxCallback on_tx)
   if (cfg.max_pps > 0.0) {
     per_packet_ns_ = static_cast<sim::Time>(1e9 / cfg.max_pps);
   }
+}
+
+Port::~Port() {
+  if (ingress_ != nullptr) sim_.detach_lazy(ingress_.get());
+}
+
+void Port::set_ingress(std::unique_ptr<sim::LazySource> ingress) {
+  if (ingress == nullptr) throw std::invalid_argument("set_ingress: null ingress");
+  if (ingress_ != nullptr) throw std::logic_error("set_ingress: the port already has an ingress");
+  ingress_ = std::move(ingress);
+  for (auto& ring : rx_) ring->set_ingress(ingress_.get());
+  sim_.attach_lazy(ingress_.get());
+  if (has_parked_reader()) ingress_->arm();
+}
+
+bool Port::has_parked_reader() const noexcept {
+  for (const auto& ring : rx_) {
+    if (ring->has_waiters()) return true;
+  }
+  return false;
 }
 
 bool Port::accept(const PacketDesc& pkt) {

@@ -7,6 +7,14 @@
 // already-grouped deliveries, through `rx_burst()`, which runs the whole
 // group through cap accounting and RSS dispatch in one call — and the
 // port tail-drops on full rings.
+//
+// A stream source is installed instead as the port's lazy ingress
+// (set_ingress; tgen::attach does it), which calls rx_burst() itself only
+// when the port's state is looked at: a ring read, a telemetry sample
+// (Simulation::sync_lazy), the end of a run slice, or the kernel event it
+// keeps armed while a reader is parked (see rings.hpp). Each first
+// delivers every group due by now(), so what is read is what it would be
+// had each group arrived at its own instant.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +46,7 @@ PortConfig xl710_config(int n_queues);
 class Port {
  public:
   Port(sim::Simulation& sim, PortConfig cfg, TxCallback on_tx = {});
+  ~Port();
 
   int n_rx_queues() const noexcept { return static_cast<int>(rx_.size()); }
   RxRing& rx_queue(int i) { return *rx_[static_cast<std::size_t>(i)]; }
@@ -56,6 +65,15 @@ class Port {
   /// path, because faults are defined per packet (drop / corrupt / dup /
   /// reorder decisions consume the fault stream in arrival order).
   int rx_burst(const PacketDesc* pkts, int n);
+
+  /// Install the port's lazy ingress (see the file comment) and register
+  /// it with the kernel. When a reader is already parked on a ring, the
+  /// ingress is armed at once. A port takes one ingress; a second throws
+  /// std::logic_error.
+  void set_ingress(std::unique_ptr<sim::LazySource> ingress);
+
+  /// True while a reader is parked on any of the port's rings.
+  bool has_parked_reader() const noexcept;
 
   /// Attach (or detach, with nullptr) the deterministic fault plane.
   /// Plumbs the stall hook into every rx ring as well. The injector must
@@ -87,6 +105,7 @@ class Port {
   std::vector<std::unique_ptr<RxRing>> rx_;
   TxRing tx_ring_;
   fault::FaultInjector* faults_ = nullptr;  // borrowed; nullptr = healthy
+  std::unique_ptr<sim::LazySource> ingress_;  // set_ingress(); nullptr = none
   std::uint64_t total_rx_ = 0;
   std::uint64_t cap_drops_ = 0;
   /// Device pacing: earliest time the NIC can accept the next packet.

@@ -11,6 +11,16 @@
 // latency at low rates (no packet is stranded across a vacation period) at
 // the cost of more MMIO doorbells — the paper measures both settings.
 //
+// When ring state is current: a port with a lazy ingress (a
+// sim::LazySource installed by tgen::attach) delivers arrivals only when
+// something looks. pop_burst(), size() and empty() first deliver each
+// group whose instant is at or before now(); parking through
+// wait_arrival()/wait_arrival_for() keeps a kernel event armed at the next
+// group's instant; and Simulation::run_until() delivers what is due by
+// the slice end. Between those points the counters (what a MetricSet
+// reads) may lag the wire, which is why the telemetry readers call
+// Simulation::sync_lazy() first.
+//
 // Per-packet cost discipline: these two paths run once per simulated
 // packet, so they carry no avoidable per-packet work —
 //   * RxRing::push notifies the arrival signal only on the empty→non-empty
@@ -46,7 +56,8 @@ class RxRing {
   /// a division; the *logical* capacity (full/drop threshold) stays exactly
   /// as requested, matching the configured descriptor count.
   RxRing(sim::Simulation& sim, int capacity)
-      : capacity_(static_cast<std::size_t>(capacity)),
+      : sim_(sim),
+        capacity_(static_cast<std::size_t>(capacity)),
         mask_(std::bit_ceil(static_cast<std::size_t>(capacity)) - 1),
         slots_(mask_ + 1),
         arrival_signal_(sim) {}
@@ -77,6 +88,7 @@ class RxRing {
   /// Driver-side burst retrieval (rte_eth_rx_burst semantics). Copies out
   /// at most two contiguous runs (descriptors are PODs).
   int pop_burst(PacketDesc* out, int max) {
+    sync();
     if (max <= 0) return 0;
     std::size_t n = count_;
     if (n > static_cast<std::size_t>(max)) n = static_cast<std::size_t>(max);
@@ -92,17 +104,40 @@ class RxRing {
     return static_cast<int>(n);
   }
 
-  bool empty() const noexcept { return count_ == 0; }
-  std::size_t size() const noexcept { return count_; }
+  bool empty() const {
+    sync();
+    return count_ == 0;
+  }
+  std::size_t size() const {
+    sync();
+    return count_;
+  }
   std::size_t capacity() const noexcept { return capacity_; }
 
   std::uint64_t total_received() const noexcept { return received_; }
   std::uint64_t total_dropped() const noexcept { return dropped_; }
 
-  /// Awaitable signal fired when an empty ring receives its first packet;
-  /// used by polling drivers to fast-forward idle stretches without
-  /// per-poll events. Wait only with the ring drained (all drivers do).
-  sim::Signal& arrival_signal() noexcept { return arrival_signal_; }
+  /// co_await ring.wait_arrival(): park until this ring receives its next
+  /// packet; wait_arrival_for(t) also resumes after `t` (true when a
+  /// packet woke it). Used by polling drivers to fast-forward idle
+  /// stretches without per-poll events. Park only with the ring drained
+  /// (all drivers do): only the empty→non-empty edge notifies. Parking
+  /// arms the port's ingress first, so its next group wakes the reader at
+  /// that group's instant.
+  auto wait_arrival() {
+    if (ingress_ != nullptr) ingress_->arm();
+    return arrival_signal_.wait();
+  }
+  auto wait_arrival_for(sim::Time timeout) {
+    if (ingress_ != nullptr) ingress_->arm();
+    return arrival_signal_.wait_for(timeout);
+  }
+  /// True while a reader is parked on the ring.
+  bool has_waiters() const noexcept { return arrival_signal_.has_waiters(); }
+
+  /// Route reads through the port's lazy ingress (nullptr detaches); wired
+  /// by Port::set_ingress.
+  void set_ingress(sim::LazySource* ingress) noexcept { ingress_ = ingress; }
 
   /// Attach this ring's counters to `set` under `prefix` (setup only; the
   /// hot path keeps its plain increments).
@@ -116,6 +151,15 @@ class RxRing {
   void set_fault_injector(fault::FaultInjector* faults) noexcept { faults_ = faults; }
 
  private:
+  /// Deliver every ingress group due by now(). The deliveries push into
+  /// this ring through the port, so a const read may update the slots: the
+  /// state it returns is the state eager delivery would have left.
+  void sync() const {
+    if (ingress_ != nullptr) ingress_->deliver_until(sim_.now());
+  }
+
+  sim::Simulation& sim_;
+  sim::LazySource* ingress_ = nullptr;  // the port's lazy ingress, if any
   std::size_t capacity_;  // logical capacity (full threshold)
   std::size_t mask_;      // storage size - 1 (power of two)
   std::vector<PacketDesc> slots_;

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace metro::sim {
@@ -32,28 +33,50 @@ void Simulation::attach_source(EventSource* source) {
   source_ = source;
 }
 
+void Simulation::attach_lazy(LazySource* source) {
+  if (source == nullptr) throw std::invalid_argument("attach_lazy: null source");
+  lazy_.push_back(source);
+}
+
+void Simulation::detach_lazy(LazySource* source) noexcept {
+  std::erase(lazy_, source);
+}
+
 void Simulation::set_tracer(trace::Tracer* t) noexcept {
   tracer_ = t;
   if (wheel_) wheel_->set_tracer(t);
 }
 
 Time Simulation::run_until(Time end) {
+  drain_store(end);
+  if (now_ < end) now_ = end;
+  // Settle the lazy sources at the slice end, so state read between slices
+  // is what eager delivery would have left. This wakes no one: a parked
+  // reader keeps an event of its source armed, and drain_store() has run
+  // every one due by `end`.
+  for (LazySource* s : lazy_) s->deliver_until(end);
+  return now_;
+}
+
+Time Simulation::run() {
+  for (;;) {
+    drain_store(kTimeMax);
+    // The store is dry: apply the earliest lazily held effects at their
+    // instant and go on with whatever they woke.
+    Time due = LazySource::kNever;
+    for (const LazySource* s : lazy_) due = std::min(due, s->due_at());
+    if (due == LazySource::kNever) return now_;
+    if (now_ < due) now_ = due;
+    for (LazySource* s : lazy_) s->deliver_until(now_);
+  }
+}
+
+void Simulation::drain_store(Time end) {
   if (wheel_) {
     drain(*wheel_, end);
   } else {
     drain(heap_, end);
   }
-  if (now_ < end) now_ = end;
-  return now_;
-}
-
-Time Simulation::run() {
-  if (wheel_) {
-    drain(*wheel_, kTimeMax);
-  } else {
-    drain(heap_, kTimeMax);
-  }
-  return now_;
 }
 
 void Simulation::push_wheel(const EventEntry& e) { wheel_->push(e); }

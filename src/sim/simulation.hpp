@@ -7,6 +7,8 @@
 ///     events, chosen at construction — a binary min-heap by default, or a
 ///     timing wheel,
 ///   * optionally one attached EventSource whose own events it merges,
+///   * the registered LazySources, producers it never schedules but
+///     settles at the end of every run slice (a port's grouped ingress),
 ///   * the coroutine frames of all spawned processes,
 ///   * a deterministic RNG shared by models that need randomness.
 ///
@@ -115,6 +117,57 @@ class EventSource {
   std::uint64_t head_seq_ = UINT64_MAX;
 };
 
+/// A producer the kernel does not schedule: it applies its effects when
+/// something looks at them — the way a port's grouped ingress
+/// (tgen/feeder.hpp) puts arrivals into its rings only when a ring is read,
+/// not at one kernel event per group.
+///
+/// The source keeps due_at() at the instant of its earliest unapplied
+/// effect (kNever when none) and applies effects in instant order. Whoever
+/// reads the state it produces calls deliver_until(now) first. The kernel
+/// settles every registered source at the end of each run slice, so state
+/// read between slices is current, and counts pending() (0 or 1) in
+/// pending_events() and idle(). A process that parks until the next
+/// effect calls arm() first, and the source keeps an ordinary kernel event
+/// armed at that effect's instant. Registered with
+/// Simulation::attach_lazy() and unregistered (detach_lazy()) before the
+/// simulation is destroyed.
+class LazySource {
+ public:
+  static constexpr Time kNever = INT64_MAX;
+
+  virtual ~LazySource() = default;
+
+  /// Instant of the earliest effect not yet applied (kNever when none).
+  Time due_at() const noexcept { return due_at_; }
+  /// 1 while the source holds an unapplied effect that no pending kernel
+  /// event of its own stands for, else 0.
+  std::size_t pending() const noexcept { return pending_; }
+
+  /// Apply every effect due at or before `t`, in instant order.
+  void deliver_until(Time t) {
+    if (due_at_ <= t) deliver(t, kNever);
+  }
+
+  /// Apply what a kernel event at `t` that was scheduled at `since` finds
+  /// applied: every effect due before `t`, and each effect due at `t`
+  /// whose own kernel event, had it been scheduled eagerly, would have been
+  /// scheduled before `since` (so would have taken an older sequence
+  /// number). Ties at `since` itself count as later.
+  virtual void deliver(Time t, Time since) = 0;
+
+  /// A process is about to park until the next effect: keep one kernel
+  /// event armed at its instant. Called before the process schedules a
+  /// timeout of its own, so at equal instants the effect wakes it first.
+  virtual void arm() = 0;
+
+ protected:
+  LazySource() = default;
+
+  Time due_at_ = kNever;
+  std::size_t pending_ = 0;
+};
+
 /// The discrete-event kernel.
 ///
 /// The pending-event store is picked at construction: a BinaryHeapBackend
@@ -157,6 +210,8 @@ class Simulation {
   const TimingWheelBackend* wheel() const noexcept { return wheel_ ? &*wheel_ : nullptr; }
   /// Entries in the event store, tombstones included.
   std::size_t stored_events() const noexcept { return wheel_ ? wheel_->size() : heap_.size(); }
+  /// Cancelled entries still in the store.
+  std::size_t tombstones() const noexcept { return tombstones_; }
 
   /// Schedule a callback at absolute virtual time `t` (>= now()).
   /// Returns an id usable with cancel() while the event is pending.
@@ -188,6 +243,23 @@ class Simulation {
   /// Register the one EventSource whose head step_if merges with the
   /// store (see EventSource). A second registration throws.
   void attach_source(EventSource* source);
+
+  /// Register (or unregister) a LazySource: run_until() settles it at the
+  /// end of each slice, run() drains it, idle()/pending_events() count it.
+  void attach_lazy(LazySource* source);
+  void detach_lazy(LazySource* source) noexcept;
+
+  /// Apply every lazily held effect due by now() — for readers of state a
+  /// LazySource produces that are not its own consumers (telemetry
+  /// samples, measurement windows). A reader running inside a kernel event
+  /// that was scheduled at `since` passes it, and effects due at exactly
+  /// now() count only if they would have run before that event
+  /// (LazySource::deliver).
+  void sync_lazy(Time since = LazySource::kNever) {
+    for (LazySource* s : lazy_) {
+      if (s->due_at() <= now_) s->deliver(now_, since);
+    }
+  }
 
   /// Schedule a coroutine resume at absolute virtual time `t`. This is the
   /// hot path: the raw handle rides in the event record, nothing is erased,
@@ -227,6 +299,7 @@ class Simulation {
     if (s.generation != gen) return false;
     s.cb.destroy();
     release_slot(slot);  // the generation bump is what makes dead() flag it
+    ++cancelled_;
     if (++tombstones_ > kPurgeMin && 2 * tombstones_ > stored_events()) purge();
     return true;
   }
@@ -239,23 +312,30 @@ class Simulation {
   }
 
   /// Run until the event queue drains or the clock passes `end`.
-  /// Events at exactly `end` are executed. Returns the final clock value.
+  /// Events at exactly `end` are executed, and every LazySource effect due
+  /// by `end` is applied. Returns the final clock value.
   Time run_until(Time end);
 
-  /// Run until no events remain (all processes finished or are blocked).
+  /// Run until no events remain (all processes finished or are blocked)
+  /// and every LazySource is drained.
   Time run();
 
   /// True when no live event is pending.
   bool idle() const noexcept {
-    return stored_events() == tombstones_ && fifo_empty() && source_armed() == 0;
+    return stored_events() == tombstones_ && fifo_empty() && source_armed() == 0 &&
+           lazy_pending() == 0;
   }
   /// Number of live pending events (store minus tombstones, plus the
-  /// now-FIFO, plus the attached source's armed events).
+  /// now-FIFO, plus the attached source's armed events, plus one per
+  /// LazySource holding undelivered effects).
   std::size_t pending_events() const noexcept {
-    return stored_events() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed();
+    return stored_events() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed() +
+           lazy_pending();
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
+  /// Total callback events cancelled since construction.
+  std::uint64_t events_cancelled() const noexcept { return cancelled_; }
 
   /// Attach (or detach, with nullptr) a trace recorder. Default-off: the
   /// only hot-path cost while detached is one predictable null test per
@@ -395,6 +475,12 @@ class Simulation {
     return source_ != nullptr ? source_->armed() : 0;
   }
 
+  std::size_t lazy_pending() const noexcept {
+    std::size_t n = 0;
+    for (const LazySource* s : lazy_) n += s->pending();
+    return n;
+  }
+
   /// Store one entry in whichever store the simulation runs on. The heap
   /// push inlines; the wheel's stays out of line so it does not bloat
   /// every schedule_* call site.
@@ -440,6 +526,10 @@ class Simulation {
 
   void dispatch(const EventEntry& top);
 
+  /// Execute every live event with at <= end on the store the simulation
+  /// runs on.
+  void drain_store(Time end);
+
   /// Execute every live event with at <= end on `store` (the one the
   /// simulation runs on); simulation.cpp instantiates it per store.
   template <typename Store>
@@ -460,6 +550,7 @@ class Simulation {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t cancelled_ = 0;
   BinaryHeapBackend heap_;                   // the store unless wheel_ is set
   std::optional<TimingWheelBackend> wheel_;  // the store when set
   std::vector<EventEntry> fifo_;  // coroutine resumes at the current instant
@@ -468,6 +559,7 @@ class Simulation {
   std::uint32_t free_head_ = kNilSlot;
   std::size_t tombstones_ = 0;  // cancelled entries still in the store
   EventSource* source_ = nullptr;  // attach_source(); merged by step_if
+  std::vector<LazySource*> lazy_;  // attach_lazy(); settled per slice
   std::vector<std::coroutine_handle<Task::promise_type>> processes_;
   Rng rng_;
   trace::Tracer* tracer_ = nullptr;

@@ -1,6 +1,7 @@
 #include "sim/sleep_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 
@@ -14,7 +15,23 @@ struct Overhead {
   double sd_us;
 };
 
-Overhead interpolate(std::span<const calib::SleepAnchor> anchors, Time requested) {
+/// log10 of each anchor's requested duration, taken once per table rather
+/// than twice per interpolated sleep (the same libm call on the same
+/// inputs, so interpolation stays bit-identical).
+template <std::size_t N>
+std::array<double, N> anchor_logs(const calib::SleepAnchor (&anchors)[N]) {
+  std::array<double, N> logs{};
+  for (std::size_t i = 0; i < N; ++i) {
+    logs[i] = std::log10(static_cast<double>(anchors[i].requested));
+  }
+  return logs;
+}
+
+const auto kHrSleepLogs = anchor_logs(calib::kHrSleepAnchors);
+const auto kNanosleepLogs = anchor_logs(calib::kNanosleepAnchors);
+
+Overhead interpolate(std::span<const calib::SleepAnchor> anchors, std::span<const double> logs,
+                     Time requested) {
   if (requested <= anchors.front().requested) {
     return {anchors.front().overhead_mean_us, anchors.front().overhead_sd_us};
   }
@@ -23,8 +40,8 @@ Overhead interpolate(std::span<const calib::SleepAnchor> anchors, Time requested
   }
   for (std::size_t i = 0; i + 1 < anchors.size(); ++i) {
     if (requested <= anchors[i + 1].requested) {
-      const double x0 = std::log10(static_cast<double>(anchors[i].requested));
-      const double x1 = std::log10(static_cast<double>(anchors[i + 1].requested));
+      const double x0 = logs[i];
+      const double x1 = logs[i + 1];
       const double x = std::log10(static_cast<double>(requested));
       const double t = (x - x0) / (x1 - x0);
       return {anchors[i].overhead_mean_us +
@@ -44,10 +61,12 @@ Time SleepService::sample_timer_latency(Time requested) {
     // Patched fast path: bare syscall entry/exit, no timer programmed.
     return 150_ns + static_cast<Time>(rng.normal(0.0, 15.0));
   }
-  const auto anchors = (cfg_.kind == SleepKind::kHrSleep)
-                           ? std::span<const calib::SleepAnchor>(calib::kHrSleepAnchors)
-                           : std::span<const calib::SleepAnchor>(calib::kNanosleepAnchors);
-  const Overhead oh = interpolate(anchors, std::max<Time>(requested, 1));
+  const bool hr = cfg_.kind == SleepKind::kHrSleep;
+  const auto anchors = hr ? std::span<const calib::SleepAnchor>(calib::kHrSleepAnchors)
+                          : std::span<const calib::SleepAnchor>(calib::kNanosleepAnchors);
+  const auto logs =
+      hr ? std::span<const double>(kHrSleepLogs) : std::span<const double>(kNanosleepLogs);
+  const Overhead oh = interpolate(anchors, logs, std::max<Time>(requested, 1));
   double latency_us = to_micros(requested) + rng.normal(oh.mean_us, oh.sd_us);
   if (cfg_.kind == SleepKind::kNanosleep && cfg_.timer_slack > 0) {
     // Timer coalescing: firing skews late within the slack window.

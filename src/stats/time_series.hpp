@@ -84,9 +84,12 @@ class SeriesRecorder {
   void finish(sim::Time now);
 
   /// Prime at sim.now() and schedule self-re-arming periodic sampling on
-  /// the kernel. The tick callable is 16 bytes — within the kernel's
-  /// inline budget, so arming adds no steady-state allocations. Sampling
-  /// only *reads* metrics; it never alters what the run would have
+  /// the kernel. Each tick first applies the kernel's lazily held effects
+  /// due by its instant (Simulation::sync_lazy), so a window counts every
+  /// arrival a port's ingress owes it and none that eager delivery would
+  /// have made after the tick. The tick callable is 16 bytes — within the
+  /// kernel's inline budget, so arming adds no steady-state allocations.
+  /// Sampling only *reads* metrics; it never alters what the run would have
   /// computed, so final telemetry fingerprints are unchanged.
   template <typename Sim>
   void arm(Sim& sim) {
@@ -95,11 +98,16 @@ class SeriesRecorder {
       Sim* sim;
       void operator()() const {
         if (!rec->armed_) return;  // disarmed mid-flight: stale tick, stop
+        // Arrivals due by now count, except those at this very instant
+        // that an eager feeder would deliver after this tick (scheduled
+        // one interval ago).
+        sim->sync_lazy(sim->now() - rec->cfg_.interval);
         rec->sample(sim->now());
         sim->schedule_after(rec->cfg_.interval, *this);
       }
     };
     static_assert(sizeof(Tick) <= 24, "series tick must stay inline in the kernel");
+    sim.sync_lazy();
     prime(sim.now());
     armed_ = true;
     sim.schedule_after(cfg_.interval, Tick{this, &sim});

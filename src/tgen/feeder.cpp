@@ -10,42 +10,95 @@ namespace metro::tgen {
 
 namespace {
 
-/// A feeder group spans arrivals within this window of its first packet...
-constexpr sim::Time kGroupWindow = 2 * sim::kMicrosecond;
-/// ...and holds at most this many packets.
-constexpr std::size_t kGroupCap = 32;
-
-sim::Task feeder_task(sim::Simulation& sim, nic::Port& port, Generator& gen) {
-  // Pull through next_batch() so hot generators amortise the virtual call
-  // and state reloads; the buffer is a pure prefetch — group boundaries
-  // (window + cap) are identical to a one-next()-at-a-time loop because
-  // next_batch draws the exact next() stream, and a refill happens only
-  // when the grouping needs the next packet.
-  std::vector<nic::PacketDesc> buf;
-  buf.reserve(kGroupCap);
-  std::size_t head = 0;
-  const auto refill = [&] {
-    buf.clear();
-    head = 0;
-    gen.next_batch(buf, kGroupCap);
-    return !buf.empty();
-  };
-  std::vector<nic::PacketDesc> group;
-  group.reserve(kGroupCap);
-  while (head < buf.size() || refill()) {
-    group.clear();
-    const sim::Time window_end = buf[head].arrival + kGroupWindow;
-    group.push_back(buf[head++]);
-    while (group.size() < kGroupCap && (head < buf.size() || refill()) &&
-           buf[head].arrival <= window_end) {
-      group.push_back(buf[head++]);
-    }
-    // Deliver the whole group when its last packet has arrived on the wire
-    // — one port call per group, not one per packet.
-    co_await sim.sleep_until(group.back().arrival);
-    port.rx_burst(group.data(), static_cast<int>(group.size()));
+/// The grouped ingress behind attach(): the port's lazy arrival stream
+/// (see the file comment). No coroutine and no kernel event per group:
+/// `group_` is the next group, `due_at_` its instant, and deliver()
+/// hands every due group to Port::rx_burst in order.
+class GroupedIngress final : public sim::LazySource {
+ public:
+  GroupedIngress(sim::Simulation& sim, nic::Port& port, Generator& gen)
+      : sim_(sim), port_(port), gen_(gen), sched_(sim.now()) {
+    buf_.reserve(kGroupCap);
+    group_.reserve(kGroupCap);
+    next_group();
   }
-}
+  ~GroupedIngress() override {
+    if (armed_) sim_.cancel(fire_);  // the event points back at this ingress
+  }
+
+  void deliver(sim::Time t, sim::Time since) override {
+    while (due_at_ < t || (due_at_ == t && sched_ < since)) {
+      port_.rx_burst(group_.data(), static_cast<int>(group_.size()));
+      // An eager feeder schedules the next group's event while it delivers
+      // this one.
+      sched_ = std::max(sched_, due_at_);
+      next_group();
+    }
+  }
+
+  void arm() override {
+    if (armed_ || due_at_ == kNever) return;
+    armed_ = true;
+    pending_ = 0;  // the armed event stands for the stream
+    fire_ = sim_.schedule_at(due_at_, Fire{this});
+  }
+
+ private:
+  struct Fire {
+    GroupedIngress* self;
+    void operator()() const { self->fire(); }
+  };
+
+  /// The armed event: deliver what is due, and stay armed while a reader
+  /// is still parked (its ring got nothing from this group).
+  void fire() {
+    armed_ = false;
+    deliver_until(sim_.now());
+    pending_ = due_at_ != kNever ? 1 : 0;
+    if (port_.has_parked_reader()) arm();
+  }
+
+  /// Pull the next group into `group_`: the packets within kGroupWindow of
+  /// its first one, at most kGroupCap of them. The buffer is a pure
+  /// prefetch: next_batch() draws the exact next() stream, and a refill
+  /// happens only when the grouping needs the next packet.
+  void next_group() {
+    group_.clear();
+    if (head_ == buf_.size() && !refill()) {
+      due_at_ = kNever;
+      pending_ = 0;
+      return;
+    }
+    const sim::Time window_end = buf_[head_].arrival + kGroupWindow;
+    group_.push_back(buf_[head_++]);
+    while (group_.size() < kGroupCap && (head_ < buf_.size() || refill()) &&
+           buf_[head_].arrival <= window_end) {
+      group_.push_back(buf_[head_++]);
+    }
+    // Visible when its last packet has arrived on the wire.
+    due_at_ = group_.back().arrival;
+    pending_ = armed_ ? 0 : 1;
+  }
+
+  bool refill() {
+    buf_.clear();
+    head_ = 0;
+    gen_.next_batch(buf_, kGroupCap);
+    return !buf_.empty();
+  }
+
+  sim::Simulation& sim_;
+  nic::Port& port_;
+  Generator& gen_;
+  std::vector<nic::PacketDesc> buf_;
+  std::size_t head_ = 0;
+  std::vector<nic::PacketDesc> group_;
+  /// When an eager feeder would have scheduled the next group's event:
+  /// the previous group's instant, or the attach instant for the first.
+  sim::Time sched_;
+  bool armed_ = false;  // fire_ is pending
+  sim::Simulation::EventId fire_ = sim::Simulation::kInvalidEvent;
+};
 
 sim::Task flow_source_task(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                            std::uint32_t flow_id, double mean_gap_ns, PerFlowSourceConfig cfg) {
@@ -80,7 +133,7 @@ void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg) 
 }
 
 void attach(sim::Simulation& sim, nic::Port& port, Generator& gen) {
-  sim.spawn(feeder_task(sim, port, gen));
+  port.set_ingress(std::make_unique<GroupedIngress>(sim, port, gen));
 }
 
 void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,

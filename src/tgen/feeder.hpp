@@ -1,15 +1,28 @@
 // Feeder: drives a Generator's packet stream into a simulated Port.
 //
-// To keep the event count tractable at 10-40 Gbps line rates, arrivals are
-// grouped: the feeder pulls packets whose timestamps fall within a 2 us
-// window (at most 32 of them), sleeps until the *last* arrival of the
-// group, and pushes the group into the port with one rx_burst() call.
-// Per-packet timestamps inside the group are exact, but the ring "sees"
-// each packet up to one window late, and a driver cannot pop a packet
-// before it is visible. Latency therefore carries that delay: at 14.88
-// Mpps on the X520 single-queue testbed the p50 is 17.63 us grouped
-// against 16.13 us with per-packet delivery (0.744 Mpps: 34.98 us
-// either way). CPU %, TS and wake-ups agree within 0.5%.
+// attach() installs the stream as the port's grouped ingress. To keep the
+// cost tractable at 10-40 Gbps line rates, arrivals are grouped: a group
+// is the packets whose timestamps fall within kGroupWindow (2 us) of its
+// first one, at most kGroupCap (32) of them, and it becomes visible at its
+// *last* packet's arrival, through one Port::rx_burst() call. Per-packet
+// timestamps inside the group are exact, but the ring "sees" each packet
+// up to one window late, and a driver cannot pop a packet before it is
+// visible. Latency therefore carries that delay: at 14.88 Mpps on the X520
+// single-queue testbed the p50 is 17.63 us grouped against 16.13 us with
+// per-packet delivery (0.744 Mpps: 34.98 us either way). CPU %, TS and
+// wake-ups agree within 0.5%.
+//
+// The ingress is lazy (a sim::LazySource the port owns) and runs no
+// coroutine: a group goes through rx_burst() only when the port's state is
+// looked at — a ring read, a telemetry sample, the end of a run slice —
+// and then every group due by now() goes, in order. Only while a reader
+// is parked on a drained ring (static polling, frequency scaling, XDP;
+// never Metronome) does the ingress keep one kernel event armed, at the
+// next group's instant. So a Metronome thread that sleeps through a
+// hundred groups costs no kernel event for them. The observables match
+// one kernel event per group: tests/test_ingress.cpp holds the ingress to
+// that eager feeder, kept there as the reference, and every tracked
+// telemetry fingerprint is unchanged.
 //
 // For scenarios where the *population of armed flows* is the point (the
 // fig13 full-stack regime: thousands to millions of concurrently armed
@@ -41,9 +54,15 @@
 
 namespace metro::tgen {
 
-/// Spawn a coroutine that feeds `gen` into `port` in groups (see the file
-/// comment) until exhaustion. The generator must outlive the simulation
-/// run.
+/// An ingress group spans arrivals within this window of its first packet...
+inline constexpr sim::Time kGroupWindow = 2 * sim::kMicrosecond;
+/// ...and holds at most this many packets.
+inline constexpr std::size_t kGroupCap = 32;
+
+/// Install `gen` as the port's grouped ingress (see the file comment),
+/// delivered until exhaustion. The generator must outlive the simulation
+/// run; a port takes one stream (a second attach throws
+/// std::logic_error).
 void attach(sim::Simulation& sim, nic::Port& port, Generator& gen);
 
 /// Per-flow arrival processes (see the file comment).

@@ -136,7 +136,7 @@ sim::Task draining_waiter(sim::Simulation& sim, RxRing& ring, std::uint64_t& dra
   PacketDesc out[64];
   while (drained < target) {
     if (ring.empty()) {
-      co_await ring.arrival_signal().wait();
+      co_await ring.wait_arrival();
       ++wakes;
     }
     int n;
@@ -178,7 +178,7 @@ TEST(RxRingTest, NoNotifyWithoutWaiterStillDeliversLater) {
   ring.push(p);
   ring.push(p);
   EXPECT_EQ(ring.size(), 2u);
-  EXPECT_FALSE(ring.arrival_signal().has_waiters());
+  EXPECT_FALSE(ring.has_waiters());
   PacketDesc out[4];
   EXPECT_EQ(ring.pop_burst(out, 4), 2);
 }

@@ -141,7 +141,7 @@ sim::Task consume_all(sim::Simulation&, nic::RxRing& ring, int& received) {
   for (;;) {
     const int n = ring.pop_burst(buf, 32);
     received += n;
-    if (n == 0) co_await ring.arrival_signal().wait();
+    if (n == 0) co_await ring.wait_arrival();
   }
 }
 
@@ -180,7 +180,7 @@ TEST(FeederTest, ArrivalTimestampsNeverExceedDeliveryTime) {
       for (int i = 0; i < n; ++i) {
         if (buf[i].arrival > s.now()) bad = true;
       }
-      if (n == 0) co_await ring.arrival_signal().wait();
+      if (n == 0) co_await ring.wait_arrival();
     }
   }(sim, port.rx_queue(0), violated));
   sim.run_until(6 * sim::kMillisecond);
@@ -339,7 +339,7 @@ sim::Task digest_all(sim::Simulation& s, nic::RxRing& ring, std::uint64_t& diges
       digest = digest * 1099511628211ull + static_cast<std::uint64_t>(s.now());
       ++count;
     }
-    if (n == 0) co_await ring.arrival_signal().wait();
+    if (n == 0) co_await ring.wait_arrival();
   }
 }
 
