@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 namespace metro::sim {
 
@@ -79,7 +80,7 @@ void Core::deactivate(EntityId id) {
   active_weight_ -= e.weight;
 }
 
-void Core::submit_job(EntityId id, Time work, std::coroutine_handle<> h) {
+bool Core::submit_job(EntityId id, Time work, std::coroutine_handle<> h) {
   settle();
   Entity& e = entities_[static_cast<std::size_t>(id)];
   assert(!e.has_job && "entity already has an outstanding job");
@@ -87,7 +88,23 @@ void Core::submit_job(EntityId id, Time work, std::coroutine_handle<> h) {
   e.remaining = static_cast<double>(work);
   e.waiter = h;
   if (!e.spinning) activate(id);  // spinners are already active
+  if (active_.size() == 1 && completion_event_ == Simulation::kInvalidEvent) {
+    // A lone job: its completion event is the next thing that can happen
+    // on this core. When the kernel proves it is also the next thing that
+    // happens anywhere, run it in place — the body of on_completion_event,
+    // then the resume it would schedule. A job still unserved after the
+    // in-place settle goes on as the completion event's body would.
+    const Time at = sim_.now() + completion_delay();
+    if (sim_.advance_inline(at)) {
+      settle();
+      if (e.remaining <= kWorkEpsilon && sim_.advance_inline(at)) {
+        retire(id);
+        return false;  // the caller goes on at `at`
+      }
+    }
+  }
   reschedule_completion();
+  return true;
 }
 
 void Core::settle() {
@@ -116,20 +133,37 @@ void Core::settle() {
   }
 }
 
+std::coroutine_handle<> Core::retire(EntityId id) {
+  Entity& e = entities_[static_cast<std::size_t>(id)];
+  e.has_job = false;
+  e.remaining = 0.0;
+  const auto h = std::exchange(e.waiter, nullptr);
+  if (!e.spinning) deactivate(id);
+  return h;
+}
+
+Time Core::completion_delay() const {
+  const double total_weight = static_cast<double>(active_weight_);
+  double best_eta = -1.0;
+  for (EntityId id : active_) {
+    const Entity& e = entities_[static_cast<std::size_t>(id)];
+    if (!e.has_job) continue;
+    const double share = e.weight / total_weight;
+    const double eta = e.remaining / (share * freq_ratio_);
+    if (best_eta < 0.0 || eta < best_eta) best_eta = eta;
+  }
+  return best_eta < 0.0 ? -1 : static_cast<Time>(std::ceil(best_eta));
+}
+
 void Core::reschedule_completion() {
   // First retire any jobs that completed at the current instant.
   bool retired = true;
   while (retired) {
     retired = false;
     for (EntityId id : active_) {
-      Entity& e = entities_[static_cast<std::size_t>(id)];
+      const Entity& e = entities_[static_cast<std::size_t>(id)];
       if (e.has_job && e.remaining <= kWorkEpsilon) {
-        e.has_job = false;
-        e.remaining = 0.0;
-        auto h = e.waiter;
-        e.waiter = nullptr;
-        if (!e.spinning) deactivate(id);
-        if (h) sim_.schedule_handle_after(0, h);
+        if (const auto h = retire(id)) sim_.schedule_handle_after(0, h);
         retired = true;
         break;  // active_ mutated; restart scan
       }
@@ -140,19 +174,10 @@ void Core::reschedule_completion() {
     sim_.cancel(completion_event_);
     completion_event_ = Simulation::kInvalidEvent;
   }
-  // Find the earliest completion among remaining jobs.
-  const double total_weight = static_cast<double>(active_weight_);
-  double best_eta = -1.0;
-  for (EntityId id : active_) {
-    const Entity& e = entities_[static_cast<std::size_t>(id)];
-    if (!e.has_job) continue;
-    const double share = e.weight / total_weight;
-    const double eta = e.remaining / (share * freq_ratio_);
-    if (best_eta < 0.0 || eta < best_eta) best_eta = eta;
-  }
-  if (best_eta >= 0.0) {
-    completion_event_ = sim_.schedule_after(static_cast<Time>(std::ceil(best_eta)),
-                                            [this] { on_completion_event(); });
+  // Schedule the earliest completion among remaining jobs.
+  const Time delay = completion_delay();
+  if (delay >= 0) {
+    completion_event_ = sim_.schedule_after(delay, [this] { on_completion_event(); });
   }
 }
 

@@ -13,7 +13,12 @@
 //   * a *job* is a finite amount of work (ns at nominal frequency) submitted
 //     by a coroutine via `co_await core.run_for(id, work)`; the coroutine
 //     resumes when the work completes (its wall-clock duration depends on
-//     competition and on the current frequency);
+//     competition and on the current frequency). A job submitted while its
+//     entity is the core's only active one completes at a known instant;
+//     when the kernel proves nothing else can happen first
+//     (Simulation::advance_inline), the completion and the resume run in
+//     place — same settle, same retirement, same event count — and the
+//     coroutine goes on without suspending;
 //   * a *spinning* entity is always runnable and never completes — this is a
 //     busy-poll loop. It consumes CPU share (slowing everyone else) and
 //     accrues on-CPU time, but needs no events while nothing changes.
@@ -82,7 +87,7 @@ class Core {
       EntityId ent;
       Time work;
       bool await_ready() const noexcept { return work <= 0; }
-      void await_suspend(std::coroutine_handle<> h) { core.submit_job(ent, work, h); }
+      bool await_suspend(std::coroutine_handle<> h) { return core.submit_job(ent, work, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this, id, work};
@@ -133,13 +138,21 @@ class Core {
     int active_pos = -1;   // index into active_, -1 when not runnable
   };
 
-  void submit_job(EntityId id, Time work, std::coroutine_handle<> h);
+  /// Start a job; false when it already ran to completion in place (the
+  /// caller resumes at once, the clock at its completion instant).
+  bool submit_job(EntityId id, Time work, std::coroutine_handle<> h);
   /// O(1) active-set maintenance (swap-remove; total weight kept in sync).
   void activate(EntityId id);
   void deactivate(EntityId id);
   /// Distribute CPU time since last_update_ across active entities.
   void settle();
-  /// (Re)compute and schedule the next job-completion event.
+  /// End `id`'s job (its work is served) and hand back its waiter.
+  std::coroutine_handle<> retire(EntityId id);
+  /// Nanoseconds until the earliest job completes at the current shares
+  /// and frequency, rounded up; -1 when no job is outstanding.
+  Time completion_delay() const;
+  /// Retire the jobs done by now, then (re)compute and schedule the next
+  /// job-completion event.
   void reschedule_completion();
   void on_completion_event();
   void governor_tick();

@@ -72,6 +72,13 @@ Time Simulation::run() {
 }
 
 void Simulation::drain_store(Time end) {
+  // advance_inline() is granted only up to the end of the running slice;
+  // restored on the way out, exceptions included.
+  struct SliceScope {
+    Time& slot;
+    Time saved;
+    ~SliceScope() { slot = saved; }
+  } scope{slice_end_, std::exchange(slice_end_, end)};
   if (wheel_) {
     drain(*wheel_, end);
   } else {

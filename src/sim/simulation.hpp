@@ -26,6 +26,12 @@
 ///     resumes): the raw handle rides inside the event record itself, with
 ///     zero side-table bookkeeping, and same-instant resumes bypass the
 ///     store entirely through a FIFO that is already in execution order;
+///   * an event that nothing can precede need not be stored at all:
+///     advance_inline() moves the clock to its instant in place when no
+///     stored, FIFO or source event could run first and the slice reaches
+///     it. A lone Core job (completion, then resume) and a SleepService
+///     wake-up take this path, so a thread that sleeps, wakes and runs a
+///     few jobs alone on its core costs the store one event per wake-up;
 ///   * the store is tested once per run_until()/run() call, not once per
 ///     event: the step loop is a member template instantiated per store,
 ///     so only the schedule_* pushes branch on the store kind;
@@ -53,6 +59,16 @@
 /// cancel traffic does not pay a full pop per tombstone. Only the spinning
 /// baselines cancel (the next arrival beats their idle Signal timeout);
 /// the single-queue X520 poller stays below the floor, denser ones purge.
+///
+/// Tail-resume invariant: every resume of a process is the last thing its
+/// resumer does (dispatch(), Signal's TimeoutFire, SleepService's timer
+/// callback), and a process that suspends returns straight to it. So when
+/// a process is about to suspend, or a resumer is about to resume, the next
+/// thing to happen is the kernel's next step — and if advance_inline()
+/// proves that step is the event the caller would store, going on in place
+/// runs the same (at, seq) order. A grant takes the event's sequence number
+/// and counts it as processed (the tracer's kernel-fire samples included), so
+/// seq values and events_processed() do not depend on which path ran.
 #pragma once
 
 #include <cassert>
@@ -287,6 +303,29 @@ class Simulation {
     schedule_handle_at(now_ + (delay < 0 ? 0 : delay), h);
   }
 
+  /// Stand in place for one event at `t` (>= now()) that the caller would
+  /// otherwise schedule and that would run next: when no event could run
+  /// before it, move the clock to `t`, take the sequence number and count
+  /// the event as processed, and return true — the caller then runs the
+  /// event's body itself. Granted only inside a run slice (run_until() or
+  /// run()) whose end is at or after `t`, with the now-FIFO empty and both
+  /// the attached source's head and the store's front (a tombstone too)
+  /// strictly later than `t`. On false nothing changed: schedule as usual.
+  /// Only a caller whose next act is to return to the kernel (see the
+  /// tail-resume invariant above) may use it.
+  bool advance_inline(Time t) {
+    assert(t >= now_);
+    // Cheapest first: the source head is due every few tens of ns on
+    // per-flow workloads, and the wheel's peek() may cascade.
+    if (t > slice_end_ || !fifo_empty()) return false;
+    if (source_ != nullptr && source_->head_at() <= t) return false;
+    if (stored_events() != 0 && store_front() <= t) return false;
+    ++next_seq_;
+    ++inlined_;
+    advance(t);
+    return true;
+  }
+
   /// Revoke a pending callback event in amortised O(1): its callable is
   /// destroyed and its stored entry becomes a tombstone that never fires.
   /// Returns false when the id is stale (already fired, already cancelled,
@@ -334,6 +373,8 @@ class Simulation {
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
+  /// Events of events_processed() that advance_inline() ran in place.
+  std::uint64_t events_inlined() const noexcept { return inlined_; }
   /// Total callback events cancelled since construction.
   std::uint64_t events_cancelled() const noexcept { return cancelled_; }
 
@@ -493,6 +534,10 @@ class Simulation {
   }
   void push_wheel(const EventEntry& e);
 
+  /// Instant of the store's front entry, live or not. Precondition: the
+  /// store is not empty.
+  Time store_front() { return wheel_ ? wheel_->peek().at : heap_.peek().at; }
+
   /// Drop every stored tombstone at once (cancel()'s purge).
   void purge();
 
@@ -546,11 +591,15 @@ class Simulation {
   /// store costs O(1) amortised per cancel.
   static constexpr std::size_t kPurgeMin = 64;
   static constexpr Time kTimeMax = INT64_MAX;
+  /// slice_end_ outside any run slice: no advance_inline() is granted.
+  static constexpr Time kNoSlice = INT64_MIN;
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t inlined_ = 0;
+  Time slice_end_ = kNoSlice;  // end of the running drain_store() slice
   BinaryHeapBackend heap_;                   // the store unless wheel_ is set
   std::optional<TimingWheelBackend> wheel_;  // the store when set
   std::vector<EventEntry> fifo_;  // coroutine resumes at the current instant

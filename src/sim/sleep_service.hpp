@@ -90,10 +90,17 @@ class SleepService {
         // wake time (contention is evaluated when the timer fires, not when
         // the sleep starts). The timer callback is 16 bytes and trivially
         // copyable, so it rides inline in the event slot; the final resume
-        // is a raw-handle event — neither phase allocates.
+        // is a raw-handle event — neither phase allocates. The resume is
+        // the callback's last act, so when nothing can run before it the
+        // callback runs it in place instead.
         service->sim_.schedule_after(timer, [service, h] {
-          const Time dispatch = service->sample_dispatch_latency();
-          service->sim_.schedule_handle_after(dispatch, h);
+          Simulation& sim = service->sim_;
+          const Time wake = sim.now() + service->sample_dispatch_latency();
+          if (sim.advance_inline(wake)) {
+            h.resume();
+          } else {
+            sim.schedule_handle_at(wake, h);
+          }
         });
       }
       void await_resume() const noexcept {}

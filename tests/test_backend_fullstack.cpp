@@ -36,6 +36,7 @@ struct FullstackFingerprint {
   std::uint64_t tx = 0;
   std::uint64_t processed = 0;
   std::uint64_t events = 0;
+  std::uint64_t inlined = 0;  // events advance_inline() ran in place
   sim::Time final_clock = 0;
   // Measurement-window result counters.
   std::uint64_t wakeups = 0;
@@ -53,13 +54,21 @@ struct FullstackFingerprint {
   bool operator==(const FullstackFingerprint&) const = default;
 };
 
+/// Run `cfg`'s warm-up and measurement windows, each in run_until() slices
+/// of `slice` ns (0: one slice per window).
 template <typename Sim>
-FullstackFingerprint run_fullstack(const ExperimentConfig& cfg) {
+FullstackFingerprint run_fullstack(const ExperimentConfig& cfg, sim::Time slice = 0) {
   BasicTestbed<Sim> bed(cfg);
+  const auto run_to = [&](sim::Time from, sim::Time to) {
+    if (slice > 0) {
+      for (sim::Time t = from + slice; t < to; t += slice) bed.run_until(t);
+    }
+    bed.run_until(to);
+  };
   bed.start();
-  bed.run_until(cfg.warmup);
+  run_to(0, cfg.warmup);
   bed.begin_measurement();
-  bed.run_until(cfg.warmup + cfg.measure);
+  run_to(cfg.warmup, cfg.warmup + cfg.measure);
   const ExperimentResult r = bed.finish_measurement();
 
   FullstackFingerprint fp;
@@ -69,6 +78,7 @@ FullstackFingerprint run_fullstack(const ExperimentConfig& cfg) {
   fp.tx = bed.port().tx().total_transmitted();
   fp.processed = bed.packets_processed();
   fp.events = bed.sim().events_processed();
+  fp.inlined = bed.sim().events_inlined();
   fp.final_clock = bed.sim().now();
   fp.wakeups = r.wakeups;
   const stats::Histogram& h = bed.latency_histogram();
@@ -132,6 +142,32 @@ TEST(BackendFullstackTest, PerFlowSourcesIdenticalAcrossBackends) {
   const auto wheel = run_fullstack<sim::WheelSimulation>(cfg);
   ASSERT_GT(heap.processed, 50000u);
   EXPECT_EQ(heap, wheel);
+}
+
+TEST(BackendFullstackTest, InPlaceEventsAreSliceInvariant) {
+  // Metronome alone on an X520 at 0.744 Mpps (Fig. 10's lowest rate): the
+  // thread sleeps, wakes and runs a few jobs, alone on its core, so most
+  // of its events run in place (advance_inline). A grant never reaches past
+  // the running slice, so 7 us slices refuse some of them — and must still
+  // compute the same run, counting the same events.
+  ExperimentConfig cfg;
+  cfg.driver = DriverKind::kMetronome;
+  cfg.workload.rate_mpps = 0.744;
+  cfg.warmup = 2 * sim::kMillisecond;
+  cfg.measure = 8 * sim::kMillisecond;
+  const auto whole = run_fullstack<sim::Simulation>(cfg);
+  const auto sliced = run_fullstack<sim::Simulation>(cfg, 7 * sim::kMicrosecond);
+  ASSERT_GT(whole.processed, 5000u) << "scenario must do real work";
+  EXPECT_EQ(whole.telemetry, sliced.telemetry);
+  EXPECT_EQ(whole.events, sliced.events);
+  EXPECT_EQ(whole.final_clock, sliced.final_clock);
+  EXPECT_EQ(whole.latency_bins, sliced.latency_bins);
+  EXPECT_GT(sliced.inlined, 0u);
+  EXPECT_LE(sliced.inlined, whole.inlined);
+  // The canary: if the in-place path silently died, every wake-up and
+  // job would go back through the store.
+  EXPECT_GT(2 * whole.inlined, whole.events)
+      << whole.inlined << " of " << whole.events << " events ran in place";
 }
 
 template <typename Sim>

@@ -1,6 +1,8 @@
 // Core model: processor sharing, CFS weights, governors, power accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/cpu.hpp"
 #include "sim/simulation.hpp"
 
@@ -184,6 +186,56 @@ TEST(CoreTest, BusyCoreConsumesMorePowerThanIdle) {
   // Sanity: 1 s of a fully busy core at nominal f = static + dynamic watts.
   EXPECT_NEAR(busy.energy_joules(), calib::kCoreStaticWatts + calib::kCoreDynamicWatts, 0.01);
   EXPECT_NEAR(idle.energy_joules(), calib::kCoreIdleWatts, 0.01);
+}
+
+/// What a lone job leaves behind, for comparing its two kernel paths.
+struct LoneJobRun {
+  Time finished = -1;
+  Time on_cpu = 0;
+  Time busy = 0;
+  double joules = 0.0;
+  std::uint64_t events = 0;
+  std::uint64_t inlined = 0;
+};
+
+/// One job alone on its core, after an idle stretch and at a frequency
+/// that makes its ETA non-integral. With `park_noop` a no-op callback sits
+/// inside the job's window, so the completion and the resume go through
+/// the store; alone, both run in place.
+LoneJobRun run_lone_job(bool park_noop) {
+  Simulation sim;
+  CoreConfig cfg;
+  cfg.governor = Governor::kUserspace;
+  Core core(sim, 0, cfg);
+  core.request_freq(0.73);
+  const auto ent = core.add_entity("a");
+  LoneJobRun r;
+  sim.spawn([](Simulation& s, Core& c, Core::EntityId e, Time& t) -> Task {
+    co_await s.sleep_for(777);
+    co_await c.run_for(e, 12345);
+    t = s.now();
+  }(sim, core, ent, r.finished));
+  if (park_noop) sim.schedule_at(5000, [] {});
+  sim.run();
+  r.on_cpu = core.on_cpu_time(ent);
+  r.busy = core.busy_time();
+  r.joules = core.energy_joules();
+  r.events = sim.events_processed();
+  r.inlined = sim.events_inlined();
+  return r;
+}
+
+TEST(CoreTest, InPlaceJobMatchesTheStorePath) {
+  const LoneJobRun alone = run_lone_job(false);
+  const LoneJobRun stored = run_lone_job(true);
+  EXPECT_EQ(alone.inlined, 2u) << "the completion and the resume ran in place";
+  EXPECT_EQ(stored.inlined, 0u) << "the parked no-op forces the store path";
+  EXPECT_EQ(alone.finished, 777 + 16911);  // ceil(12345 / 0.73)
+  EXPECT_EQ(alone.finished, stored.finished);
+  EXPECT_EQ(alone.on_cpu, stored.on_cpu);
+  EXPECT_EQ(alone.busy, stored.busy);
+  EXPECT_EQ(alone.joules, stored.joules);  // bit for bit, not near
+  EXPECT_EQ(alone.events + 1, stored.events) << "the paths differ by the no-op alone";
 }
 
 TEST(MachineTest, WindowStatsAggregateCoresAndPackage) {

@@ -3,8 +3,10 @@
 // kernel's: a cancelled callback stays stored as a tombstone that the
 // kernel discards when it reaches the front or purges once tombstones
 // dominate the store, so the observable contract is identical on both. The
-// last cases merge an attached EventSource with coroutine and callback
-// events and pin their shared (at, seq) order.
+// middle cases merge an attached EventSource with coroutine and callback
+// events and pin their shared (at, seq) order. The last ones pin when
+// advance_inline() may stand in for an event: never while a stored, FIFO
+// or source event could run first, and never past the running slice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -479,6 +481,99 @@ TEST_P(EventCancelTest, OnlyOneSourceAttaches) {
   TagSource source(sim, log);
   EXPECT_THROW(sim.attach_source(&source), std::logic_error);
   EXPECT_THROW(sim.attach_source(nullptr), std::invalid_argument);
+}
+
+/// advance_inline() asked from inside a callback at 10 ns, on both stores.
+class AdvanceInlineTest : public StoreTest {
+ protected:
+  /// Schedule the asking callback, which runs `setup` first, then asks for
+  /// each instant of `ts` in turn and records the answers; run until `end`.
+  template <typename F>
+  std::vector<bool> ask(std::vector<Time> ts, F setup, Time end = 1'000'000) {
+    std::vector<bool> granted;
+    sim().schedule_at(10, [this, ts, setup, &granted] {
+      setup();
+      for (const Time t : ts) granted.push_back(sim().advance_inline(t));
+    });
+    sim().run_until(end);
+    return granted;
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Store, AdvanceInlineTest, kStores, store_name);
+
+Task finish_at_once() { co_return; }
+
+TEST_P(AdvanceInlineTest, GrantMovesTheClockTakesASeqAndCountsAnEvent) {
+  Simulation& sim = this->sim();
+  std::uint64_t seq_before = 0, seq_after = 0;
+  Time at = -1;
+  sim.schedule_at(10, [&] {
+    seq_before = sim.take_seq();
+    EXPECT_TRUE(sim.advance_inline(500));
+    at = sim.now();
+    seq_after = sim.take_seq();
+  });
+  sim.run();
+  EXPECT_EQ(at, 500);
+  EXPECT_EQ(seq_after, seq_before + 2) << "the grant took the stood-for event's seq";
+  EXPECT_EQ(sim.events_processed(), 2u) << "the callback and the event it stood for";
+  EXPECT_EQ(sim.events_inlined(), 1u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedOutsideARun) {
+  Simulation& sim = this->sim();
+  EXPECT_FALSE(sim.advance_inline(0));
+  EXPECT_FALSE(sim.advance_inline(100));
+  sim.schedule_at(10, [] {});
+  sim.run();
+  EXPECT_FALSE(sim.advance_inline(20)) << "a finished run() leaves no slice open";
+  sim.run_until(50);
+  EXPECT_FALSE(sim.advance_inline(50)) << "nor does a finished run_until()";
+  EXPECT_EQ(sim.now(), 50);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.events_inlined(), 0u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedPastTheSliceEnd) {
+  EXPECT_EQ(ask({101, 100}, [] {}, 100), (std::vector<bool>{false, true}))
+      << "the slice's end itself is granted";
+  EXPECT_EQ(sim().now(), 100);
+  EXPECT_EQ(sim().events_inlined(), 1u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedWhileTheFifoHoldsAResume) {
+  Simulation& sim = this->sim();
+  EXPECT_EQ(ask({500}, [&sim] { sim.spawn(finish_at_once()); }), std::vector<bool>{false});
+  EXPECT_EQ(sim.events_processed(), 2u) << "the callback and the spawned resume";
+  EXPECT_EQ(sim.events_inlined(), 0u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedWhenTheSourceHeadIsDue) {
+  MixedOrderLog log;
+  TagSource source(sim(), log);
+  source.arm(500);
+  // A head at t itself was armed first, so it runs first.
+  EXPECT_EQ(ask({500, 499}, [] {}), (std::vector<bool>{false, true}));
+  EXPECT_EQ(log.fired, (std::vector<std::pair<Time, std::uint32_t>>{{500, 0}}));
+  EXPECT_EQ(sim().events_inlined(), 1u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedWhenTheStoreFrontIsDue) {
+  Simulation& sim = this->sim();
+  Time fired = -1;
+  sim.schedule_at(500, [&] { fired = sim.now(); });
+  EXPECT_EQ(ask({500, 499}, [] {}), (std::vector<bool>{false, true}));
+  EXPECT_EQ(fired, 500);
+  EXPECT_EQ(sim.events_inlined(), 1u);
+}
+
+TEST_P(AdvanceInlineTest, RefusedBehindATombstone) {
+  Simulation& sim = this->sim();
+  sim.cancel(sim.schedule_at(500, [] { ADD_FAILURE() << "cancelled"; }));
+  ASSERT_EQ(sim.tombstones(), 1u);
+  // Conservative: the dead front blocks until it is popped.
+  EXPECT_EQ(ask({600, 499}, [] {}), (std::vector<bool>{false, true}));
+  EXPECT_EQ(sim.events_inlined(), 1u);
 }
 
 }  // namespace

@@ -76,10 +76,16 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1.0, 7.44, 14.88),   // rate (Mpps)
                        ::testing::Values(false, true)),       // CBR / Poisson
     [](const ::testing::TestParamInfo<Params>& info) {
-      return "M" + std::to_string(std::get<0>(info.param)) + "_V" +
-             std::to_string(static_cast<int>(std::get<1>(info.param))) + "_R" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 100)) +
-             (std::get<3>(info.param) ? "_poisson" : "_cbr");
+      // Appended into one string: chained operator+ temporaries make GCC
+      // warn (-Wrestrict) inside char_traits.
+      std::string name = "M";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_V";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+      name += "_R";
+      name += std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+      name += std::get<3>(info.param) ? "_poisson" : "_cbr";
+      return name;
     });
 
 class MultiqueueInvariantSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -116,8 +122,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, MultiqueueInvariantSweep,
                          ::testing::Combine(::testing::Values(2, 3, 4),   // queues
                                             ::testing::Values(4, 6, 8)),  // threads
                          [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-                           return "Q" + std::to_string(std::get<0>(info.param)) + "_M" +
-                                  std::to_string(std::get<1>(info.param));
+                           std::string name = "Q";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_M";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Sleep-service models: calibrated overheads, slack, dispatch jitter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/simulation.hpp"
 #include "sim/sleep_service.hpp"
 #include "stats/summary.hpp"
@@ -109,6 +111,41 @@ TEST(SleepServiceTest, DispatchTailFiresRarely) {
 Task do_sleep(Simulation& sim, SleepService& svc, Time req, Time& woke) {
   co_await svc.sleep(req);
   woke = sim.now();
+}
+
+/// What one sleep leaves behind, for comparing its two kernel paths.
+struct LoneSleepRun {
+  Time woke = -1;
+  std::uint64_t events = 0;
+  std::uint64_t inlined = 0;
+  std::uint64_t rng_after = 0;
+};
+
+/// One 10 us sleep, alone in the kernel or (noop_at >= 0) with a no-op
+/// callback parked at `noop_at`.
+LoneSleepRun run_lone_sleep(Time noop_at) {
+  Simulation sim(11);
+  SleepService svc(sim);
+  LoneSleepRun r;
+  sim.spawn(do_sleep(sim, svc, 10_us, r.woke));
+  if (noop_at >= 0) sim.schedule_at(noop_at, [] {});
+  sim.run();
+  r.events = sim.events_processed();
+  r.inlined = sim.events_inlined();
+  r.rng_after = sim.rng().next_u64();
+  return r;
+}
+
+TEST(SleepServiceTest, InPlaceWakeUpMatchesTheStorePath) {
+  const LoneSleepRun alone = run_lone_sleep(-1);
+  // 1 ns before the wake-up is after the timer fired (dispatch takes at
+  // least kDispatchBase), so only the resume is forced through the store.
+  const LoneSleepRun stored = run_lone_sleep(alone.woke - 1);
+  EXPECT_EQ(alone.inlined, 1u) << "the timer callback resumed the sleeper in place";
+  EXPECT_EQ(stored.inlined, 0u);
+  EXPECT_EQ(alone.woke, stored.woke);
+  EXPECT_EQ(alone.rng_after, stored.rng_after) << "both paths drew the same samples";
+  EXPECT_EQ(alone.events + 1, stored.events) << "the paths differ by the no-op alone";
 }
 
 TEST(SleepServiceTest, AwaitableSleepResumesNearRequestPlusOverhead) {
