@@ -1,7 +1,9 @@
 #include "nic/port.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace metro::nic {
 
@@ -23,9 +25,34 @@ PortConfig xl710_config(int n_queues) {
   return cfg;
 }
 
+namespace {
+
+/// `cfg`, or std::invalid_argument naming the first field out of range.
+const PortConfig& checked(const PortConfig& cfg) {
+  if (cfg.n_rx_queues < 1 || static_cast<std::size_t>(cfg.n_rx_queues) > RssReta::kSize) {
+    throw std::invalid_argument("PortConfig: n_rx_queues must be in [1, " +
+                                std::to_string(RssReta::kSize) + "] (the RETA size), got " +
+                                std::to_string(cfg.n_rx_queues));
+  }
+  if (cfg.rx_ring_size < 1) {
+    throw std::invalid_argument("PortConfig: rx_ring_size must be >= 1, got " +
+                                std::to_string(cfg.rx_ring_size));
+  }
+  // The cap becomes a per-packet gap of 1e9 / max_pps ns, cast to Time.
+  if (!std::isfinite(cfg.max_pps) || cfg.max_pps < 0.0 ||
+      (cfg.max_pps > 0.0 && 1e9 / cfg.max_pps >= 0x1p63)) {
+    throw std::invalid_argument(
+        "PortConfig: max_pps must be 0 (uncapped) or a finite rate whose per-packet gap fits "
+        "in sim::Time");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Port::Port(sim::Simulation& sim, PortConfig cfg, TxCallback on_tx)
     : sim_(sim),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       reta_(cfg.n_rx_queues),
       tx_ring_(sim, cfg.tx_batch, on_tx) {
   rx_.reserve(static_cast<std::size_t>(cfg.n_rx_queues));

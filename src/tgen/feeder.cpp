@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace metro::tgen {
@@ -165,8 +167,19 @@ constexpr std::size_t kRefillBuckets = 4;
 /// more, so a sparse ring does not push the run far ahead of time.
 constexpr std::int64_t kRefillScan = 16;
 /// Initial run capacity (records); a refill of kRefillBuckets buckets
-/// holds ~32.
+/// holds ~38 (perflow_24k).
 constexpr std::size_t kRunReserve = 256;
+/// A refill keys each record by the 1/2^kSubBits slice of its bucket...
+constexpr std::uint32_t kSubBits = 4;
+constexpr std::size_t kRefillKeys = kRefillBuckets << kSubBits;
+/// ...and falls back to std::sort when a slice holds more records than
+/// this: an insertion pass over a crowded slice would be quadratic.
+constexpr std::uint32_t kSliceCap = 16;
+
+/// The calendar's total order on run records.
+constexpr auto earlier = [](const auto& a, const auto& b) noexcept {
+  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+};
 
 }  // namespace
 
@@ -209,10 +222,13 @@ void PerFlowSourceArena::bootstrap() {
   heads_.assign(
       std::bit_ceil(static_cast<std::size_t>(std::clamp(span, 1.0, static_cast<double>(max_buckets)))),
       kNil);
-  cur_ = sim_.now() >> shift_;
+  // The ring starts past now's bucket: an arm clamped to now always lands
+  // behind cur_, in the run, where its clamped instant is kept.
+  cur_ = (sim_.now() >> shift_) + 1;
   seq_.resize(n);
   link_.resize(n);
   run_.reserve(std::min<std::size_t>(n, kRunReserve));
+  scatter_.reserve(run_.capacity());
   // Batched arming, two sequential passes over the lanes. Pass 1 streams
   // the uniform phase draws into the next-fire lane — flow order, the
   // order attach_per_flow_sources' tasks resume in (the now-FIFO
@@ -237,13 +253,16 @@ void PerFlowSourceArena::bootstrap() {
 void PerFlowSourceArena::arm(std::uint32_t flow, sim::Time at) {
   const sim::Time t = std::max(at, sim_.now());
   const std::uint64_t seq = sim_.take_seq();
-  next_at_[flow] = t;
+  // The lane keeps the planned instant: the next gap is drawn from it, as
+  // the coroutine's `next += gap` does, even when the arm clamps.
+  next_at_[flow] = at;
   seq_[flow] = seq;
   ++armed_;
   const std::int64_t b = t >> shift_;
   if (b < cur_) {
-    // Behind the loaded buckets: straight into the sorted run. The new
-    // seq is the largest taken so far, so it goes after every equal `at`.
+    // Behind the loaded buckets (a clamped arm always is): straight into
+    // the run, which records the clamped instant. The new seq is the
+    // largest taken so far, so it goes after every equal `at`.
     const auto pos = std::upper_bound(
         run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(), t,
         [](sim::Time v, const Pending& p) { return v < p.at; });
@@ -299,35 +318,75 @@ void PerFlowSourceArena::refill() {
   }
   // Take up to kRefillBuckets non-empty buckets, stopping at the horizon
   // (every chained flow sits before it) or a short scan past the first.
+  // Each keeps its load index, pre-shifted into the key's high bits.
   std::uint32_t chains[kRefillBuckets];
+  std::uint32_t bases[kRefillBuckets];
   std::size_t live = 0;
   const std::int64_t horizon = cur_ + ring;
   for (std::int64_t scanned = 0; live < kRefillBuckets && cur_ < horizon; ++scanned) {
     if (live != 0 && scanned >= kRefillScan) break;
     std::uint32_t& head = heads_[static_cast<std::size_t>(cur_++) & (heads_.size() - 1)];
     if (head != kNil) {
+      bases[live] = static_cast<std::uint32_t>(live) << kSubBits;
       chains[live++] = head;
       head = kNil;
     }
   }
+  const std::size_t keys = live << kSubBits;
   // Walk the chains round-robin: each step's three lane loads for one
-  // chain do not depend on the other chains' loads.
+  // chain do not depend on the other chains' loads. Key and count each
+  // record on the way: its bucket's load index, then the slice of the
+  // bucket its arrival falls in.
+  const sim::Time in_bucket = (sim::Time{1} << shift_) - 1;
+  std::uint32_t count[kRefillKeys] = {};
   while (live != 0) {
     for (std::size_t i = 0; i < live;) {
       const std::uint32_t f = chains[i];
-      run_.push_back(Pending{next_at_[f], seq_[f], f});
+      const sim::Time at = next_at_[f];
+      const auto key =
+          bases[i] | static_cast<std::uint32_t>(((at & in_bucket) << kSubBits) >> shift_);
+      ++count[key];
+      run_.push_back(Pending{at, seq_[f], f, key});
       chains[i] = link_[f];
       if (chains[i] == kNil) {
-        chains[i] = chains[--live];
+        --live;
+        chains[i] = chains[live];
+        bases[i] = bases[live];
       } else {
         ++i;
       }
     }
   }
   in_buckets_ -= run_.size();
-  std::sort(run_.begin(), run_.end(), [](const Pending& a, const Pending& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  });
+  order_run(std::span(count, keys));
+  assert(std::is_sorted(run_.begin(), run_.end(), earlier));
+}
+
+void PerFlowSourceArena::order_run(std::span<std::uint32_t> count) {
+  // Counts to start offsets, unless a slice is crowded.
+  std::uint32_t start = 0;
+  for (std::uint32_t& c : count) {
+    if (c > kSliceCap) {
+      std::sort(run_.begin(), run_.end(), earlier);
+      return;
+    }
+    start += std::exchange(c, start);
+  }
+  // Scatter by key (stable) into the second buffer and swap: every
+  // inversion left lies inside one slice...
+  scatter_.resize(run_.size());
+  for (const Pending& p : run_) scatter_[count[p.key]++] = p;
+  run_.swap(scatter_);
+  // ...so the insertion pass that decides the order rarely moves a record.
+  for (std::size_t i = 1; i < run_.size(); ++i) {
+    if (!earlier(run_[i], run_[i - 1])) continue;
+    const Pending p = run_[i];
+    std::size_t j = i;
+    do {
+      run_[j] = run_[j - 1];
+    } while (--j != 0 && earlier(p, run_[j - 1]));
+    run_[j] = p;
+  }
 }
 
 void PerFlowSourceArena::fire() {
@@ -353,7 +412,7 @@ void PerFlowSourceArena::fire() {
   ++fired_;
   ++emitted_[flow];
   const double gap = cfg_.poisson ? sim_.rng().exponential(mean_gap_ns_) : mean_gap_ns_;
-  const auto next = sim_.now() + std::max<sim::Time>(1, static_cast<sim::Time>(gap));
+  const auto next = next_at_[flow] + std::max<sim::Time>(1, static_cast<sim::Time>(gap));
   if (next > end_) {
     next_at_[flow] = kIdle;  // retired: the coroutine's loop bound
   } else {

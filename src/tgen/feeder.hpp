@@ -44,7 +44,9 @@
 //     tests/test_tgen.cpp).
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nic/port.hpp"
@@ -99,8 +101,10 @@ void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSe
 ///   * rss hash (4 B)       — the precomputed RSS hash, contiguous so the
 ///                            fire path touches one dense cache line per
 ///                            16 flows instead of a FlowSet stride;
-///   * next-fire time (8 B) — the instant of the flow's armed arrival
-///                            (kIdle once the flow retires past its end);
+///   * next-fire time (8 B) — the planned instant of the flow's armed
+///                            arrival (kIdle once the flow retires past
+///                            its end); an arm planned behind now fires
+///                            at now but keeps this phase;
 ///   * draw state (4 B)     — packets this flow has emitted, i.e. the
 ///                            gap draws it has consumed from the shared
 ///                            RNG (per-flow accounting for the at-scale
@@ -120,12 +124,24 @@ void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSe
 ///     the horizon reaches its earliest entry (or jumped to when the
 ///     buckets run dry);
 ///   * a short run of {at, seq, flow} records: the next few non-empty
-///     buckets, sorted. Its front is the head the kernel merges. The
-///     chains are walked interleaved, so beyond the LLC the walk pays
-///     for several independent cache misses at once instead of one
-///     dependent miss per step. An arm that lands before the end of the
-///     loaded buckets (rare: a gap shorter than a few buckets) goes
-///     straight into the run in order.
+///     buckets, in (at, seq) order. Its front is the head the kernel
+///     merges. The chains are walked interleaved, so beyond the LLC the
+///     walk pays for several independent cache misses at once instead of
+///     one dependent miss per step. An arm that lands before the end of
+///     the loaded buckets (rare: a gap shorter than a few buckets), or is
+///     clamped to now, goes straight into the run in order.
+///
+/// A refill orders the run without a comparison sort. The loaded buckets
+/// are disjoint in time and loaded in time order, so the walk keys each
+/// record by its bucket's load index and the 1/16 slice of the bucket its
+/// arrival falls in, and counts the keys. A counting-sort scatter by key
+/// then leaves only inversions inside one slice (a record or two at the
+/// usual ~8 arrivals per bucket), and one insertion pass on (at, seq)
+/// removes them. That pass alone decides the order; the key only makes
+/// it short. A slice holding more than 16 records (many arrivals at one
+/// instant, as sub-ns per-flow gaps give) sends the whole refill to
+/// std::sort instead, since an insertion pass over a long LIFO chain of
+/// ties would be quadratic.
 ///
 /// A fire touches the firing flow's lane entries plus the run — no
 /// coroutine frame, no kernel store push, pop or cascade, and no
@@ -142,7 +158,8 @@ void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSe
 /// same order as the coroutine path (phase draws in flow order at t=now,
 /// then one gap draw per arrival in event order), and every arm takes its
 /// kernel sequence number (sim.take_seq()) at the point the coroutine's
-/// resume would have been scheduled, with the same `t < now -> now` clamp.
+/// resume would have been scheduled, with the same `t < now -> now` clamp,
+/// and draws the next gap from the planned instant, not the clamped one.
 /// The kernel merges the calendar's head with its own events by
 /// (at, seq), so the merged order is the order the per-flow events would
 /// have had in the store. The emitted packet stream — every field, every
@@ -174,17 +191,23 @@ class PerFlowSourceArena final : public sim::EventSource {
   // --- per-flow lane accessors (accounting tests and diagnostics) -------
   /// True while `flow` has an arrival armed.
   bool flow_armed(std::uint32_t flow) const noexcept { return next_at_[flow] != kIdle; }
-  /// The armed arrival's instant, or kIdle when the flow retired.
-  sim::Time next_fire_at(std::uint32_t flow) const noexcept { return next_at_[flow]; }
+  /// The armed arrival's instant, or kIdle when the flow retired. (A
+  /// clamped arm fires at the instant it was armed, and the clock cannot
+  /// pass that instant while the arm is pending.)
+  sim::Time next_fire_at(std::uint32_t flow) const noexcept {
+    return next_at_[flow] == kIdle ? kIdle : std::max(next_at_[flow], sim_.now());
+  }
   /// Packets this flow emitted (== gap draws it consumed).
   std::uint32_t flow_fired(std::uint32_t flow) const noexcept { return emitted_[flow]; }
 
  private:
-  /// One armed arrival in the sorted run.
+  /// One armed arrival in the run. `key` is its refill sort key (load
+  /// index and slice; see the class comment); it fills the padding.
   struct Pending {
     sim::Time at;
     std::uint64_t seq;
     std::uint32_t flow;
+    std::uint32_t key = 0;
   };
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
@@ -199,8 +222,11 @@ class PerFlowSourceArena final : public sim::EventSource {
   void chain(std::uint32_t flow, std::int64_t b);
   /// Make the run's front the earliest armed arrival and publish it.
   void publish_head();
-  /// Load the next non-empty buckets into the (empty) run, sorted.
+  /// Load the next non-empty buckets into the (empty) run, in order.
   void refill();
+  /// Put the freshly loaded run in (at, seq) order. `count` holds each
+  /// key's record count; it is overwritten.
+  void order_run(std::span<std::uint32_t> count);
   /// Move overflow entries now inside the horizon into their buckets.
   void absorb_overflow();
 
@@ -224,8 +250,9 @@ class PerFlowSourceArena final : public sim::EventSource {
   std::size_t in_buckets_ = 0;        ///< flows chained in the ring
   std::uint32_t overflow_ = kNil;     ///< overflow chain head
   std::int64_t overflow_min_ = INT64_MAX;  ///< earliest overflow bucket
-  std::vector<Pending> run_;          ///< sorted; consumed from run_head_
+  std::vector<Pending> run_;          ///< in order; consumed from run_head_
   std::size_t run_head_ = 0;
+  std::vector<Pending> scatter_;      ///< order_run's second run buffer
 };
 
 }  // namespace metro::tgen

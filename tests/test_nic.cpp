@@ -1,6 +1,10 @@
 // NIC model: Toeplitz RSS, rings, port dispatch, device caps.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "nic/port.hpp"
 #include "nic/rings.hpp"
 #include "nic/rss.hpp"
@@ -287,6 +291,53 @@ TEST(PortTest, TotalDroppedAggregatesRings) {
   PacketDesc p;
   for (int i = 0; i < 10; ++i) port.rx(p);
   EXPECT_EQ(port.total_dropped(), 6u);
+}
+
+// --- fail-fast port configs ------------------------------------------------
+
+/// The Port constructor rejects `cfg` with a message naming `field`.
+void expect_port_rejects(const PortConfig& cfg, const std::string& field) {
+  sim::Simulation sim;
+  try {
+    Port port(sim, cfg);
+    ADD_FAILURE() << "a port with a bad " << field << " was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(PortConfigTest, RxQueuesBelowOneAreRejected) {
+  for (int n : {0, -1}) {
+    PortConfig cfg = x520_config(1);
+    cfg.n_rx_queues = n;
+    expect_port_rejects(cfg, "n_rx_queues");
+  }
+}
+
+TEST(PortConfigTest, RxQueuesBeyondTheRetaAreRejected) {
+  PortConfig cfg = x520_config(static_cast<int>(RssReta::kSize) + 1);
+  expect_port_rejects(cfg, "n_rx_queues");
+  cfg.n_rx_queues = static_cast<int>(RssReta::kSize);
+  sim::Simulation sim;
+  EXPECT_EQ(Port(sim, cfg).n_rx_queues(), static_cast<int>(RssReta::kSize));
+}
+
+TEST(PortConfigTest, RingSizeBelowOneIsRejected) {
+  for (int size : {0, -1}) {
+    PortConfig cfg = x520_config(1);
+    cfg.rx_ring_size = size;
+    expect_port_rejects(cfg, "rx_ring_size");
+  }
+}
+
+TEST(PortConfigTest, NonFiniteNegativeOrVanishingMaxPpsIsRejected) {
+  // 1e-12 pps: a per-packet gap of 1e21 ns, past sim::Time's range.
+  for (double pps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0, 1e-12}) {
+    PortConfig cfg = xl710_config(1);
+    cfg.max_pps = pps;
+    expect_port_rejects(cfg, "max_pps");
+  }
 }
 
 }  // namespace

@@ -359,6 +359,9 @@ struct PerFlowCase {
                           .start = 0,
                           .duration = 20 * sim::kMillisecond};
   Time run_until = 25 * sim::kMillisecond;
+  /// The sources attach once the simulation reaches this instant.
+  Time attach_at = 0;
+  nic::PortConfig port = nic::x520_config(1);
 };
 
 /// Attach functions for run_per_flow. Each returns what must stay alive
@@ -381,10 +384,11 @@ struct AttachArena {
 template <typename Sim, typename AttachFn>
 PerFlowRun run_per_flow(AttachFn&& attach_fn, const PerFlowCase& c = {}) {
   Sim sim(7);
-  nic::Port port(sim, nic::x520_config(1));
+  nic::Port port(sim, c.port);
   FlowSet flows(c.flows, 11);
   PerFlowRun r;
   sim.spawn(digest_all(sim, port.rx_queue(0), r.digest, r.count));
+  sim.run_until(c.attach_at);
   [[maybe_unused]] const auto keep = attach_fn(sim, port, flows, c.cfg);
   sim.run_until(c.run_until);
   r.events = sim.events_processed();
@@ -474,6 +478,51 @@ TEST(PerFlowArenaTest, ManyFlowsOverSeveralHorizonRevolutionsMatchOracle) {
   c.cfg.duration = 420 * sim::kMillisecond;
   c.run_until = 430 * sim::kMillisecond;
   expect_arena_matches_oracle(c, 1'500'000);
+}
+
+TEST(PerFlowArenaTest, ClampedArmsMatchOracle) {
+  // 2^16 flows attached at 20 ms, past start + the 16.4 ms mean per-flow
+  // gap: every phase arm clamps to the attach instant, and the flows
+  // whose planned phase + gap is still behind it fire again there. Each
+  // next gap is drawn from the planned instant, as the coroutine does.
+  PerFlowCase c;
+  c.flows = std::size_t{1} << 16;
+  c.cfg.total_rate_pps = 4e6;
+  c.cfg.duration = 40 * sim::kMillisecond;
+  c.run_until = 45 * sim::kMillisecond;
+  c.attach_at = 20 * sim::kMillisecond;
+  expect_arena_matches_oracle(c, 60'000);
+}
+
+TEST(PerFlowArenaTest, NanosecondBucketsMatchOracle) {
+  // 4096 flows at 8 Gpps: a 512 ns mean per-flow gap and 1 ns buckets
+  // (a bucket width below the 16 slices of a refill key), so every
+  // record of a bucket shares its instant: ~8 equal-`at` ties per bucket,
+  // ordered by seq alone.
+  PerFlowCase c;
+  c.flows = 4096;
+  c.cfg.total_rate_pps = 8e9;
+  c.cfg.duration = 100 * sim::kMicrosecond;
+  c.run_until = 110 * sim::kMicrosecond;
+  expect_arena_matches_oracle(c, 700'000);
+}
+
+TEST(PerFlowArenaTest, SubNanosecondGapsMatchOracle) {
+  // 2^14 flows at 10^14 pps: a 0.16 ns mean per-flow gap, so every phase
+  // truncates to `start` and nearly every gap to 1 ns. So a refilled
+  // 1 ns bucket holds thousands of records at one instant, chained in
+  // reverse seq order: one slice far over the cap, which the refill must
+  // hand to std::sort (an insertion pass over it would be quadratic). The
+  // port ring holds a whole instant, so every packet's order reaches the
+  // digest.
+  PerFlowCase c;
+  c.port.rx_ring_size = 1 << 15;
+  c.flows = std::size_t{1} << 14;
+  c.cfg.total_rate_pps = 1e14;
+  c.cfg.start = 1000;
+  c.cfg.duration = 40;
+  c.run_until = 2000;
+  expect_arena_matches_oracle(c, 600'000);
 }
 
 // --- fail-fast per-flow configs --------------------------------------------
