@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   tgen::FlowSet flows(256, 7);
   tgen::RampProfile ramp(0.5e6, 14e6, step, total);
   tgen::ProfileGenerator gen(ramp, total, 64, flows,
-                             std::make_unique<tgen::UniformFlowPicker>(256));
+                             tgen::FlowPicker(256));
   bed.start();
   tgen::attach(bed.sim(), bed.port(), gen);
   // The window is the whole run; with --series this arms the recorder

@@ -31,7 +31,7 @@ Row run_freq_scaling(double mpps, const bench::Windows& w) {
   tgen::StreamConfig stream;
   stream.rate_pps = mpps * 1e6;
   stream.duration = w.warmup + w.measure + 50 * sim::kMillisecond;
-  tgen::StreamGenerator gen(stream, flows, std::make_unique<tgen::UniformFlowPicker>(256));
+  tgen::StreamGenerator gen(stream, flows, tgen::FlowPicker(256));
   dpdk::FreqScalingStats stats;
   const auto ent =
       dpdk::spawn_freq_scaling_lcore(sim, port, 0, machine.core(0), {}, stats);

@@ -43,7 +43,7 @@ int main() {
   apps::FloWatcher monitor(1 << 14);
   tgen::FlowSet flows(1000, 42);
   sim::Rng rng(42);
-  tgen::UnbalancedFlowPicker picker(0, 0.30, 1000);
+  const tgen::FlowPicker picker(1000, 0, 0.30);
   for (int i = 0; i < 500000; ++i) {
     const auto flow_id = picker.pick(rng);
     monitor.observe_flow(flows.tuple(flow_id), 64, i);

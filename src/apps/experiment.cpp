@@ -84,20 +84,11 @@ Testbed::Testbed(const ExperimentConfig& cfg, bool wheel) : cfg_(cfg) {
   flows_ = std::make_unique<tgen::FlowSet>(cfg.workload.n_flows, cfg.workload.seed);
   const Time gen_duration = cfg.warmup + cfg.measure + 100 * sim::kMillisecond;
   const auto n_flows = static_cast<std::uint32_t>(cfg.workload.n_flows);
-  const auto uniform_picker = [n_flows] {
-    return std::make_unique<tgen::UniformFlowPicker>(n_flows);
-  };
   switch (cfg.workload.model) {
     case ArrivalModel::kPerFlow:
       break;  // no pull generator; sources are spawned in start()
     case ArrivalModel::kStream: {
-      std::unique_ptr<tgen::FlowPicker> picker;
-      if (cfg.workload.heavy_share > 0.0) {
-        picker = std::make_unique<tgen::UnbalancedFlowPicker>(0, cfg.workload.heavy_share,
-                                                              n_flows);
-      } else {
-        picker = uniform_picker();
-      }
+      const tgen::FlowPicker picker(n_flows, 0, cfg.workload.heavy_share);
       tgen::StreamConfig stream;
       stream.rate_pps = cfg.workload.rate_mpps * 1e6;
       stream.wire_size = cfg.workload.wire_size;
@@ -105,7 +96,7 @@ Testbed::Testbed(const ExperimentConfig& cfg, bool wheel) : cfg_(cfg) {
       stream.poisson = cfg.workload.poisson;
       stream.seed = cfg.workload.seed;
       stream.duration = gen_duration;
-      generator_ = std::make_unique<tgen::StreamGenerator>(stream, *flows_, std::move(picker));
+      generator_ = std::make_unique<tgen::StreamGenerator>(stream, *flows_, picker);
       break;
     }
     case ArrivalModel::kMmpp: {
@@ -115,7 +106,7 @@ Testbed::Testbed(const ExperimentConfig& cfg, bool wheel) : cfg_(cfg) {
       mmpp.wire_size = cfg.workload.wire_size;
       mmpp.duration = gen_duration;
       mmpp.seed = cfg.workload.seed;
-      generator_ = std::make_unique<tgen::MmppGenerator>(mmpp, *flows_, uniform_picker());
+      generator_ = std::make_unique<tgen::MmppGenerator>(mmpp, *flows_, tgen::FlowPicker(n_flows));
       break;
     }
     case ArrivalModel::kParetoTrain: {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -174,6 +175,21 @@ struct ExperimentResult {
   std::vector<QueueDetail> queues;
 };
 
+/// The testbed's Tx hook, bound into the port's Tx ring as a non-owning
+/// nic::TxCallback: adds each flushed packet's MoonGen-style end-to-end
+/// latency (software dwell time plus the fixed DMA/PCIe/timestamping
+/// path), in microseconds, to `hist`, in send order — the same values in
+/// the same order as one add per packet, so bins and Summary are
+/// bit-identical to a per-packet hook.
+struct LatencyRecorder {
+  stats::Histogram* hist = nullptr;
+  void operator()(std::span<const nic::PacketDesc> pkts, sim::Time tx_time) const {
+    for (const nic::PacketDesc& pkt : pkts) {
+      hist->add(sim::to_micros(tx_time - pkt.arrival + sim::calib::kFixedPathLatency));
+    }
+  }
+};
+
 /// The live simulation testbed, for benches needing time series (Fig. 9)
 /// or bespoke sequencing (Fig. 12). run_experiment() is built on this.
 class Testbed {
@@ -244,16 +260,6 @@ class Testbed {
     Core* core;
     Core::EntityId entity;
     sim::Time on_cpu_at_start = 0;
-  };
-
-  /// Bound into the Tx ring as a non-owning TxCallback: records the
-  /// MoonGen-style end-to-end latency (software dwell time plus the fixed
-  /// DMA/PCIe/timestamping path) into the histogram.
-  struct LatencyRecorder {
-    stats::Histogram* hist = nullptr;
-    void operator()(const nic::PacketDesc& pkt, sim::Time tx_time) const {
-      hist->add(sim::to_micros(tx_time - pkt.arrival + sim::calib::kFixedPathLatency));
-    }
   };
 
   ExperimentConfig cfg_;

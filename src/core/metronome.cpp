@@ -99,7 +99,7 @@ sim::Task Metronome::thread_task(int thread_id) {
       if (cfg_.packet_work) {
         for (int i = 0; i < n; ++i) cfg_.packet_work(burst[static_cast<std::size_t>(i)]);
       }
-      for (int i = 0; i < n; ++i) port_.tx().send(burst[static_cast<std::size_t>(i)]);
+      port_.tx().send(burst.data(), n);
       q.packets += static_cast<std::uint64_t>(n);
     }
     // The final poll that finds the queue empty ends the busy period.

@@ -30,7 +30,7 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
         ++stats.freq_jumps_up;
       }
       co_await core.run_for(ent, static_cast<sim::Time>(n) * cfg.per_packet_cost);
-      for (int i = 0; i < n; ++i) tx.send(burst[static_cast<std::size_t>(i)]);
+      tx.send(burst.data(), n);
       stats.packets_processed += static_cast<std::uint64_t>(n);
       if (tx.pending() == 0) last_tx_flush = sim.now();
       continue;

@@ -25,7 +25,7 @@ sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, si
       if (cfg.packet_work) {
         for (int i = 0; i < n; ++i) cfg.packet_work(burst[static_cast<std::size_t>(i)]);
       }
-      for (int i = 0; i < n; ++i) tx.send(burst[static_cast<std::size_t>(i)]);
+      tx.send(burst.data(), n);
       stats.packets_processed += static_cast<std::uint64_t>(n);
       if (tx.pending() == 0) last_tx_flush = sim.now();
       continue;

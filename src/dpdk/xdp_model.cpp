@@ -32,7 +32,7 @@ sim::Task xdp_queue_task(sim::Simulation& sim, nic::Port& port, int queue, sim::
       if (n == 0) break;  // drained: re-enable IRQ
       ++stats.napi_polls;
       co_await core.run_for(ent, static_cast<sim::Time>(n) * cfg.per_packet_cost);
-      for (int i = 0; i < n; ++i) tx.send(burst[static_cast<std::size_t>(i)]);
+      tx.send(burst.data(), n);
       stats.packets_processed += static_cast<std::uint64_t>(n);
     }
     tx.flush();  // XDP transmits per NAPI cycle; nothing lingers

@@ -21,20 +21,23 @@
 // reads) may lag the wire, which is why the telemetry readers call
 // Simulation::sync_lazy() first.
 //
-// Per-packet cost discipline: these two paths run once per simulated
-// packet, so they carry no avoidable per-packet work —
-//   * RxRing::push notifies the arrival signal only on the empty→non-empty
-//     edge (waiters block only on an empty ring, so notifies at depth 2, 3,
-//     ... could never wake anyone — they were pure loop overhead);
-//   * TxRing's transmit callback is a non-owning FunctionRef (one indirect
-//     call, no std::function machinery) and flush() tests it once per
-//     flush, not once per packet.
+// Per-packet cost discipline: these two paths move every simulated
+// packet, so they work a burst at a time and carry no avoidable
+// per-packet work —
+//   * RxRing::push inlines into Port::rx_burst's loop; the arrival signal
+//     is notified out of line, and only on the empty→non-empty edge
+//     (waiters block only on an empty ring, so notifies at depth 2, 3,
+//     ... could never wake anyone);
+//   * TxRing::send takes a driver's whole drained burst, and its transmit
+//     callback is a non-owning FunctionRef (no std::function machinery)
+//     invoked once per flush with the flushed span, not once per packet.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -45,10 +48,12 @@
 
 namespace metro::nic {
 
-/// Per-packet transmit hook `on_tx(pkt, tx_time)`, invoked at flush time —
-/// the experiment harness binds its latency-histogram recorder here. Non-
-/// owning: the callable must outlive the ring (the harness owns both).
-using TxCallback = util::FunctionRef<void(const PacketDesc&, sim::Time)>;
+/// Transmit hook `on_tx(pkts, tx_time)`, invoked once per flush with the
+/// flushed descriptors in send order — the experiment harness binds its
+/// latency-histogram recorder here. The span is valid only during the
+/// call. Non-owning: the callable must outlive the ring (the harness owns
+/// both).
+using TxCallback = util::FunctionRef<void(std::span<const PacketDesc>, sim::Time)>;
 
 class RxRing {
  public:
@@ -81,7 +86,7 @@ class RxRing {
     slots_[tail_ & mask_] = pkt;
     ++tail_;
     ++received_;
-    if (count_++ == 0) arrival_signal_.notify_all();
+    if (count_++ == 0) notify_arrival();
     return true;
   }
 
@@ -151,6 +156,11 @@ class RxRing {
   void set_fault_injector(fault::FaultInjector* faults) noexcept { faults_ = faults; }
 
  private:
+  /// Out of line so that push() stays small enough to inline into
+  /// Port::rx_burst: the edge is rare, the per-packet rest is a store and
+  /// three increments.
+  [[gnu::noinline]] void notify_arrival() { arrival_signal_.notify_all(); }
+
   /// Deliver every ingress group due by now(). The deliveries push into
   /// this ring through the port, so a const read may update the slots: the
   /// state it returns is the state eager delivery would have left.
@@ -174,36 +184,37 @@ class RxRing {
 
 class TxRing {
  public:
-  /// Per-packet transmit hook (see nic::TxCallback). Kept as a member
-  /// alias so existing `TxRing::TxCallback` spellings stay valid.
-  using TxCallback = nic::TxCallback;
-
   TxRing(sim::Simulation& sim, int batch_threshold, TxCallback on_tx = {})
       : sim_(sim), batch_(batch_threshold < 1 ? 1 : batch_threshold), on_tx_(on_tx) {
-    // send() fills at most `batch_` entries before flushing, so one warm-up
-    // reservation makes the steady-state path allocation-free.
+    // send() holds fewer than `batch_` entries between calls, so one
+    // warm-up reservation makes the steady-state path allocation-free.
     pending_.reserve(static_cast<std::size_t>(batch_));
   }
 
-  /// Queue one descriptor for transmission; flushes when the batch fills.
-  void send(const PacketDesc& pkt) {
-    pending_.push_back(pkt);
-    if (static_cast<int>(pending_.size()) >= batch_) flush();
+  /// Queue `n` descriptors for transmission, in order: each time the
+  /// pending batch fills it is flushed, so the callback sees exactly the
+  /// flushes n one-packet sends would make, all at now(). A full batch
+  /// with nothing pending goes out straight from `pkts`, uncopied.
+  void send(const PacketDesc* pkts, int n) {
+    const auto batch = static_cast<std::size_t>(batch_);
+    auto left = static_cast<std::size_t>(n < 0 ? 0 : n);
+    if (!pending_.empty()) {
+      const std::size_t take = std::min(left, batch - pending_.size());
+      pending_.insert(pending_.end(), pkts, pkts + take);
+      pkts += take;
+      left -= take;
+      if (pending_.size() < batch) return;
+      flush();
+    }
+    for (; left >= batch; pkts += batch, left -= batch) emit({pkts, batch});
+    pending_.insert(pending_.end(), pkts, pkts + left);
   }
 
-  /// Force out whatever is pending (used by the Tx-drain ablation). The
-  /// callback test is hoisted out of the per-packet loop.
+  /// Force out whatever is pending (the Tx drain of the polling drivers
+  /// and XDP's per-NAPI-cycle flush).
   void flush() {
-    if (trace::Tracer* t = sim_.tracer(); t != nullptr) [[unlikely]] {
-      if (!pending_.empty()) {
-        t->instant(trace::id::kTxFlush, sim_.now(), pending_.size());
-      }
-    }
-    transmitted_ += pending_.size();
-    if (on_tx_) {
-      const sim::Time now = sim_.now();
-      for (const PacketDesc& p : pending_) on_tx_(p, now);
-    }
+    if (pending_.empty()) return;
+    emit(pending_);
     pending_.clear();
   }
 
@@ -217,6 +228,15 @@ class TxRing {
   }
 
  private:
+  /// Put one non-empty flush on the wire at now().
+  void emit(std::span<const PacketDesc> pkts) {
+    if (trace::Tracer* t = sim_.tracer(); t != nullptr) [[unlikely]] {
+      t->instant(trace::id::kTxFlush, sim_.now(), pkts.size());
+    }
+    transmitted_ += pkts.size();
+    if (on_tx_) on_tx_(pkts, sim_.now());
+  }
+
   sim::Simulation& sim_;
   int batch_;
   TxCallback on_tx_;

@@ -9,11 +9,10 @@ using sim::Time;
 
 // --- MMPP -------------------------------------------------------------------
 
-MmppGenerator::MmppGenerator(MmppConfig cfg, const FlowSet& flows,
-                             std::unique_ptr<FlowPicker> picker)
+MmppGenerator::MmppGenerator(MmppConfig cfg, const FlowSet& flows, FlowPicker picker)
     : cfg_(cfg),
       flows_(flows),
-      picker_(std::move(picker)),
+      picker_(picker),
       rng_(cfg.seed),
       t_(cfg.start),
       state_end_(cfg.start) {}
@@ -47,7 +46,7 @@ std::optional<nic::PacketDesc> MmppGenerator::next() {
     if (t_ >= end) break;  // the dwell ran past the horizon mid-gap
     nic::PacketDesc pkt;
     pkt.arrival = t_;
-    pkt.flow_id = picker_->pick(rng_);
+    pkt.flow_id = picker_.pick(rng_);
     pkt.rss_hash = flows_.rss_hash(pkt.flow_id);
     pkt.wire_size = cfg_.wire_size;
     return pkt;

@@ -56,14 +56,14 @@ struct MmppConfig {
 /// 2-state MMPP / ON-OFF arrival process over a flow set.
 class MmppGenerator final : public Generator {
  public:
-  MmppGenerator(MmppConfig cfg, const FlowSet& flows, std::unique_ptr<FlowPicker> picker);
+  MmppGenerator(MmppConfig cfg, const FlowSet& flows, FlowPicker picker);
 
   std::optional<nic::PacketDesc> next() override;
 
  private:
   MmppConfig cfg_;
   const FlowSet& flows_;
-  std::unique_ptr<FlowPicker> picker_;
+  FlowPicker picker_;
   sim::Rng rng_;
   sim::Time t_;
   sim::Time state_end_;

@@ -14,14 +14,15 @@ namespace {
 
 /// The grouped ingress behind attach(): the port's lazy arrival stream
 /// (see the file comment). No coroutine and no kernel event per group:
-/// `group_` is the next group, `due_at_` its instant, and deliver()
-/// hands every due group to Port::rx_burst in order.
+/// the next group is the range [group_, group_end_) of the prefetch
+/// buffer, `due_at_` its instant, and deliver() hands every due group to
+/// Port::rx_burst in order, straight from the buffer.
 class GroupedIngress final : public sim::LazySource {
  public:
   GroupedIngress(sim::Simulation& sim, nic::Port& port, Generator& gen)
       : sim_(sim), port_(port), gen_(gen), sched_(sim.now()) {
-    buf_.reserve(kGroupCap);
-    group_.reserve(kGroupCap);
+    // The first top-up grows the buffer to kPrefetch; erase() keeps that
+    // capacity, so later top-ups do not allocate.
     next_group();
   }
   ~GroupedIngress() override {
@@ -30,7 +31,7 @@ class GroupedIngress final : public sim::LazySource {
 
   void deliver(sim::Time t, sim::Time since) override {
     while (due_at_ < t || (due_at_ == t && sched_ < since)) {
-      port_.rx_burst(group_.data(), static_cast<int>(group_.size()));
+      port_.rx_burst(buf_.data() + group_, static_cast<int>(group_end_ - group_));
       // An eager feeder schedules the next group's event while it delivers
       // this one.
       sched_ = std::max(sched_, due_at_);
@@ -60,41 +61,45 @@ class GroupedIngress final : public sim::LazySource {
     if (port_.has_parked_reader()) arm();
   }
 
-  /// Pull the next group into `group_`: the packets within kGroupWindow of
-  /// its first one, at most kGroupCap of them. The buffer is a pure
-  /// prefetch: next_batch() draws the exact next() stream, and a refill
-  /// happens only when the grouping needs the next packet.
+  /// Make the next group current: the packets within kGroupWindow of its
+  /// first one, at most kGroupCap of them. Before grouping, the buffer is
+  /// topped up so it holds the group and the one packet after it, which
+  /// decides where the group ends; only a stream that has run dry can
+  /// leave it shorter.
   void next_group() {
-    group_.clear();
-    if (head_ == buf_.size() && !refill()) {
+    group_ = group_end_;
+    if (buf_.size() - group_ <= kGroupCap) top_up();
+    if (group_ == buf_.size()) {
       due_at_ = kNever;
       pending_ = 0;
       return;
     }
-    const sim::Time window_end = buf_[head_].arrival + kGroupWindow;
-    group_.push_back(buf_[head_++]);
-    while (group_.size() < kGroupCap && (head_ < buf_.size() || refill()) &&
-           buf_[head_].arrival <= window_end) {
-      group_.push_back(buf_[head_++]);
-    }
+    const std::size_t cap_end = std::min(buf_.size(), group_ + kGroupCap);
+    const sim::Time window_end = buf_[group_].arrival + kGroupWindow;
+    group_end_ = group_ + 1;
+    while (group_end_ < cap_end && buf_[group_end_].arrival <= window_end) ++group_end_;
     // Visible when its last packet has arrived on the wire.
-    due_at_ = group_.back().arrival;
+    due_at_ = buf_[group_end_ - 1].arrival;
     pending_ = armed_ ? 0 : 1;
   }
 
-  bool refill() {
-    buf_.clear();
-    head_ = 0;
-    gen_.next_batch(buf_, kGroupCap);
-    return !buf_.empty();
+  /// Move the unread tail to the front and refill the buffer behind it.
+  /// next_batch() draws the exact next() stream from the generator's own
+  /// RNG, so how far ahead the buffer reads is not observable.
+  void top_up() {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(group_));
+    group_ = 0;
+    group_end_ = 0;
+    while (buf_.size() < kPrefetch && gen_.next_batch(buf_, kPrefetch - buf_.size()) > 0) {
+    }
   }
 
   sim::Simulation& sim_;
   nic::Port& port_;
   Generator& gen_;
-  std::vector<nic::PacketDesc> buf_;
-  std::size_t head_ = 0;
-  std::vector<nic::PacketDesc> group_;
+  std::vector<nic::PacketDesc> buf_;  ///< prefetched packets, kPrefetch at most
+  std::size_t group_ = 0;             ///< the current group: [group_, group_end_)
+  std::size_t group_end_ = 0;
   /// When an eager feeder would have scheduled the next group's event:
   /// the previous group's instant, or the attach instant for the first.
   sim::Time sched_;

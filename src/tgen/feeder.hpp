@@ -15,7 +15,11 @@
 // The ingress is lazy (a sim::LazySource the port owns) and runs no
 // coroutine: a group goes through rx_burst() only when the port's state is
 // looked at — a ring read, a telemetry sample, the end of a run slice —
-// and then every group due by now() goes, in order. Only while a reader
+// and then every group due by now() goes, in order. It reads the stream
+// kPrefetch packets at a time into one buffer and hands each group to
+// rx_burst() as a range of that buffer, uncopied; the unread tail moves to
+// the front only when it can no longer hold a full group plus the packet
+// that ends it. Only while a reader
 // is parked on a drained ring (static polling, frequency scaling, XDP;
 // never Metronome) does the ingress keep one kernel event armed, at the
 // next group's instant. So a Metronome thread that sleeps through a
@@ -60,6 +64,9 @@ namespace metro::tgen {
 inline constexpr sim::Time kGroupWindow = 2 * sim::kMicrosecond;
 /// ...and holds at most this many packets.
 inline constexpr std::size_t kGroupCap = 32;
+/// The grouped ingress reads the stream this many packets at a time into
+/// a prefetch buffer and delivers each group straight from it.
+inline constexpr std::size_t kPrefetch = 8 * kGroupCap;
 
 /// Install `gen` as the port's grouped ingress (see the file comment),
 /// delivered until exhaustion. The generator must outlive the simulation

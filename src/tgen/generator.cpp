@@ -3,6 +3,7 @@
 #include "tgen/trace.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace metro::tgen {
 
@@ -50,11 +51,31 @@ double RampProfile::rate_at(Time t) const {
   return r < floor_ ? floor_ : r;
 }
 
-StreamGenerator::StreamGenerator(StreamConfig cfg, const FlowSet& flows,
-                                 std::unique_ptr<FlowPicker> picker)
-    : cfg_(cfg),
+namespace {
+
+/// `cfg`, or std::invalid_argument naming the first field out of range.
+const StreamConfig& checked(const StreamConfig& cfg) {
+  if (!std::isfinite(cfg.rate_pps) || cfg.rate_pps < 0.0) {
+    throw std::invalid_argument("StreamConfig: rate_pps must be finite and >= 0");
+  }
+  if (cfg.duration < 0) {
+    throw std::invalid_argument("StreamConfig: duration must not be negative");
+  }
+  // The rate becomes a gap of 1e9 / rate_pps ns, cast to Time.
+  if (cfg.rate_pps > 0.0 && 1e9 / cfg.rate_pps >= 0x1p63) {
+    throw std::invalid_argument(
+        "StreamConfig: rate_pps is so small that its 1e9 / rate_pps ns gap does not fit in "
+        "sim::Time");
+  }
+  return cfg;
+}
+
+}  // namespace
+
+StreamGenerator::StreamGenerator(StreamConfig cfg, const FlowSet& flows, FlowPicker picker)
+    : cfg_(checked(cfg)),
       flows_(flows),
-      picker_(std::move(picker)),
+      picker_(picker),
       rng_(cfg.seed),
       t_(cfg.start),
       gap_(cfg.rate_pps > 0 ? static_cast<Time>(1e9 / cfg.rate_pps) : 0) {}
@@ -64,7 +85,7 @@ std::optional<nic::PacketDesc> StreamGenerator::next() {
   if (t_ >= cfg_.start + cfg_.duration) return std::nullopt;
   nic::PacketDesc pkt;
   pkt.arrival = t_;
-  pkt.flow_id = picker_->pick(rng_);
+  pkt.flow_id = picker_.pick(rng_);
   pkt.rss_hash = flows_.rss_hash(pkt.flow_id);
   pkt.wire_size = cfg_.imix ? ImixSizes{}.next(rng_) : cfg_.wire_size;
   if (cfg_.poisson) {
@@ -78,36 +99,40 @@ std::optional<nic::PacketDesc> StreamGenerator::next() {
 std::size_t StreamGenerator::next_batch(std::vector<nic::PacketDesc>& out, std::size_t max) {
   if (cfg_.rate_pps <= 0.0) return 0;
   const Time end = cfg_.start + cfg_.duration;
-  // Hoist the loop-invariant state; write t_ back once. The draw sequence
-  // per packet (pick, optional imix size, optional exponential gap) is
-  // byte-identical to next()'s.
+  // Hoist the loop-invariant state and keep the clock and the RNG in
+  // locals, written back once. The draw sequence per packet (pick,
+  // optional imix size, optional exponential gap) is byte-identical to
+  // next()'s.
+  const FlowPicker picker = picker_;
+  sim::Rng rng = rng_;
   Time t = t_;
   std::size_t n = 0;
   for (; n < max && t < end; ++n) {
     nic::PacketDesc pkt;
     pkt.arrival = t;
-    pkt.flow_id = picker_->pick(rng_);
+    pkt.flow_id = picker.pick(rng);
     pkt.rss_hash = flows_.rss_hash(pkt.flow_id);
-    pkt.wire_size = cfg_.imix ? ImixSizes{}.next(rng_) : cfg_.wire_size;
+    pkt.wire_size = cfg_.imix ? ImixSizes{}.next(rng) : cfg_.wire_size;
     if (cfg_.poisson) {
-      t += static_cast<Time>(rng_.exponential(static_cast<double>(gap_)));
+      t += static_cast<Time>(rng.exponential(static_cast<double>(gap_)));
     } else {
       t += gap_;
     }
     out.push_back(pkt);
   }
+  rng_ = rng;
   t_ = t;
   return n;
 }
 
 ProfileGenerator::ProfileGenerator(const RateProfile& profile, Time duration,
                                    std::uint16_t wire_size, const FlowSet& flows,
-                                   std::unique_ptr<FlowPicker> picker, std::uint64_t seed)
+                                   FlowPicker picker, std::uint64_t seed)
     : profile_(profile),
       duration_(duration),
       wire_size_(wire_size),
       flows_(flows),
-      picker_(std::move(picker)),
+      picker_(picker),
       rng_(seed) {}
 
 std::optional<nic::PacketDesc> ProfileGenerator::next() {
@@ -119,7 +144,7 @@ std::optional<nic::PacketDesc> ProfileGenerator::next() {
     }
     nic::PacketDesc pkt;
     pkt.arrival = t_;
-    pkt.flow_id = picker_->pick(rng_);
+    pkt.flow_id = picker_.pick(rng_);
     pkt.rss_hash = flows_.rss_hash(pkt.flow_id);
     pkt.wire_size = wire_size_;
     t_ += static_cast<Time>(1e9 / rate);

@@ -59,47 +59,43 @@ class Generator {
   /// Append up to `max` packets to `out`; returns the number appended
   /// (0 = exhausted). Draws the exact stream next() would — the batched
   /// path is an amortisation, never a different workload (enforced by
-  /// tests/test_tgen.cpp for every generator). The default loops next();
-  /// hot generators override it to hoist the per-call virtual dispatch
-  /// and state reloads out of the loop.
+  /// tests/test_tgen.cpp for every generator). The grouped feeder calls it
+  /// with `max` up to its whole prefetch buffer (8 x kGroupCap), so a
+  /// generator must not depend on how far ahead of the simulation clock
+  /// it is read: each draws only from its own state and RNG. The default
+  /// loops next(); hot generators override it to hoist the per-call
+  /// virtual dispatch and state reloads out of the loop.
   virtual std::size_t next_batch(std::vector<nic::PacketDesc>& out, std::size_t max);
 };
 
-/// Picks flow ids for successive packets.
-class FlowPicker {
+/// Picks flow ids for successive packets: uniform over `n_flows`, or, with
+/// a positive `heavy_share`, one heavy flow with that probability and
+/// uniform otherwise — the §V-F.4 unbalanced trace. A value class with an
+/// inline pick(), so a generator's per-packet loop makes no call for it.
+class FlowPicker final {
  public:
-  virtual ~FlowPicker() = default;
-  virtual std::uint32_t pick(sim::Rng& rng) = 0;
-};
-
-/// Uniform over the flow set.
-class UniformFlowPicker final : public FlowPicker {
- public:
-  explicit UniformFlowPicker(std::uint32_t n_flows) : n_(n_flows) {}
-  std::uint32_t pick(sim::Rng& rng) override {
-    return static_cast<std::uint32_t>(rng.uniform_u64(n_));
-  }
-
- private:
-  std::uint32_t n_;
-};
-
-/// One heavy flow with probability `heavy_share`, uniform otherwise —
-/// the §V-F.4 unbalanced trace.
-class UnbalancedFlowPicker final : public FlowPicker {
- public:
-  UnbalancedFlowPicker(std::uint32_t heavy_flow, double heavy_share, std::uint32_t n_flows)
+  /// Uniform over [0, n_flows).
+  explicit FlowPicker(std::uint32_t n_flows) : n_(n_flows) {}
+  /// `heavy_flow` with probability `heavy_share`, uniform otherwise. A
+  /// share that is not positive picks uniformly and draws no Bernoulli.
+  FlowPicker(std::uint32_t n_flows, std::uint32_t heavy_flow, double heavy_share)
       : heavy_(heavy_flow), share_(heavy_share), n_(n_flows) {}
-  std::uint32_t pick(sim::Rng& rng) override {
-    if (rng.chance(share_)) return heavy_;
+
+  std::uint32_t pick(sim::Rng& rng) const {
+    if (share_ > 0.0 && rng.chance(share_)) return heavy_;
     return static_cast<std::uint32_t>(rng.uniform_u64(n_));
   }
 
  private:
-  std::uint32_t heavy_;
-  double share_;
+  std::uint32_t heavy_ = 0;
+  double share_ = 0.0;
   std::uint32_t n_;
 };
+
+/// Kept for metrobench, which builds its stream with
+/// `std::make_unique<UniformFlowPicker>(n)`: the uniform picker's former
+/// class name.
+using UniformFlowPicker = FlowPicker;
 
 /// Time-varying rate profile (packets per second) for ramp workloads.
 class RateProfile {
@@ -140,17 +136,24 @@ struct StreamConfig {
 /// CBR or Poisson stream over a flow set.
 class StreamGenerator final : public Generator {
  public:
-  StreamGenerator(StreamConfig cfg, const FlowSet& flows, std::unique_ptr<FlowPicker> picker);
+  /// Throws std::invalid_argument, naming the field, for a stream no run
+  /// can honour: a rate_pps that is not finite or is negative, a negative
+  /// duration, or a rate so small that its 1e9 / rate_pps ns gap does not
+  /// fit in sim::Time. A zero rate is valid: it offers no traffic.
+  StreamGenerator(StreamConfig cfg, const FlowSet& flows, FlowPicker picker);
+  /// Kept for metrobench, which hands over a heap-built picker.
+  StreamGenerator(StreamConfig cfg, const FlowSet& flows, std::unique_ptr<FlowPicker> picker)
+      : StreamGenerator(cfg, flows, *picker) {}
 
   std::optional<nic::PacketDesc> next() override;
-  /// Bulk variant with the per-packet draw sequence of next(), minus the
-  /// per-packet virtual call — the feeder's steady-state path.
+  /// Bulk variant with the per-packet draw sequence of next(), with the
+  /// pick inlined and the RNG in a local — the feeder's steady-state path.
   std::size_t next_batch(std::vector<nic::PacketDesc>& out, std::size_t max) override;
 
  private:
   StreamConfig cfg_;
   const FlowSet& flows_;
-  std::unique_ptr<FlowPicker> picker_;
+  FlowPicker picker_;
   sim::Rng rng_;
   sim::Time t_;
   sim::Time gap_;
@@ -161,8 +164,7 @@ class StreamGenerator final : public Generator {
 class ProfileGenerator final : public Generator {
  public:
   ProfileGenerator(const RateProfile& profile, sim::Time duration, std::uint16_t wire_size,
-                   const FlowSet& flows, std::unique_ptr<FlowPicker> picker,
-                   std::uint64_t seed = 42);
+                   const FlowSet& flows, FlowPicker picker, std::uint64_t seed = 42);
 
   std::optional<nic::PacketDesc> next() override;
 
@@ -171,7 +173,7 @@ class ProfileGenerator final : public Generator {
   sim::Time duration_;
   std::uint16_t wire_size_;
   const FlowSet& flows_;
-  std::unique_ptr<FlowPicker> picker_;
+  FlowPicker picker_;
   sim::Rng rng_;
   sim::Time t_ = 0;
 };

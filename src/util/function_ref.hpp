@@ -6,10 +6,11 @@
 /// virtual dispatch, no std::function small-buffer machinery. It does NOT
 /// own the referenced callable, so the callable must outlive every use of
 /// the ref; binding a temporary is a dangling reference. This is the
-/// callback type of the per-packet NIC paths (TxRing's on-transmit hook,
-/// shared with the experiment harness's latency-histogram recorder), where
-/// a std::function's type-erased call and potential allocation are
-/// measurable per-packet overhead.
+/// callback type of the NIC data path: TxRing's on-transmit hook, called
+/// once per flush with the flushed span (the experiment harness binds its
+/// latency-histogram recorder there), and the drivers' per-packet work
+/// hook, where a std::function's type-erased call and potential allocation
+/// would be measurable overhead.
 #pragma once
 
 #include <memory>

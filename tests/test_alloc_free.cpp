@@ -5,8 +5,8 @@
 // asserts that a hot-loop window of the event kernel — coroutine sleeps,
 // SleepService two-phase wake-ups, Signal waits racing timeouts, Core job
 // completions, per-flow arena timers feeding a port, a stream's grouped
-// ingress feeding Metronome — performs ZERO heap allocations once the
-// pools are warm.
+// ingress feeding Metronome at low load and at line rate — performs ZERO
+// heap allocations once the pools are warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "apps/experiment.hpp"
 #include "nic/port.hpp"
 #include "nic/rings.hpp"
+#include "scenario/registry.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sleep_service.hpp"
@@ -334,6 +335,34 @@ TEST(AllocFreeTest, StreamIngressWithMetronomeDoesNotAllocate) {
   EXPECT_GT(bed.port().total_rx() - rx_before, 100000u) << "window did real work";
   EXPECT_GT(bed.packets_processed() - processed_before, 100000u)
       << "Metronome drained the ring";
+}
+
+// Fig. 13's line-rate testbed (XL710, 2 queues, 37 Mpps CBR, M = 4):
+// groups fill to kGroupCap, so the ingress compacts and refills its
+// prefetch buffer, Metronome hands full bursts to the Tx ring, and the
+// latency recorder takes whole flushes — all on storage reserved at
+// construction.
+TEST(AllocFreeTest, LineRateStreamIngressDoesNotAllocate) {
+  apps::ExperimentConfig cfg = scenario::fig13_testbed();
+  cfg.warmup = 20 * kMillisecond;
+  cfg.measure = 30 * kMillisecond;
+  apps::Testbed bed(cfg);
+  bed.start();
+  bed.run_until(cfg.warmup);
+  bed.begin_measurement();
+
+  const std::uint64_t rx_before = bed.port().total_rx();
+  const std::uint64_t tx_before = bed.port().tx().total_transmitted();
+  const std::uint64_t before = g_allocations.load();
+  bed.run_until(cfg.warmup + cfg.measure);
+  const std::uint64_t after = g_allocations.load();
+
+  EXPECT_EQ(after - before, 0u)
+      << "line-rate ingress, burst Tx or the latency recorder allocated during the "
+         "steady-state window";
+  EXPECT_GT(bed.port().total_rx() - rx_before, 1'000'000u) << "window ran at line rate";
+  EXPECT_GT(bed.port().tx().total_transmitted() - tx_before, 1'000'000u)
+      << "Metronome transmitted the window";
 }
 
 TEST(AllocFreeTest, OversizedCallbacksStillWork) {

@@ -59,7 +59,7 @@ struct FreqScalingBed {
             s.duration = 2 * sim::kSecond;
             return s;
           }(),
-          flows, std::make_unique<tgen::UniformFlowPicker>(64));
+          flows, tgen::FlowPicker(64));
       generator = std::move(gen);
       tgen::attach(sim, port, *generator);
     }
@@ -101,7 +101,7 @@ TEST(FreqScalingTest, SavesEnergyAtLowLoadVsPlainPolling) {
   tgen::StreamConfig s;
   s.rate_pps = 0.05e6;
   s.duration = 2 * sim::kSecond;
-  tgen::StreamGenerator gen(s, flows2, std::make_unique<tgen::UniformFlowPicker>(64));
+  tgen::StreamGenerator gen(s, flows2, tgen::FlowPicker(64));
   dpdk::DriverStats pstats;
   dpdk::spawn_static_lcore(sim2, port2, 0, plain, dpdk::StaticPollingConfig{}, pstats);
   tgen::attach(sim2, port2, gen);

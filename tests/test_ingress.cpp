@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -71,7 +72,9 @@ struct WorkProbe {
 struct TxProbe {
   const nic::RssReta* reta = nullptr;
   Digest digest;
-  void operator()(const nic::PacketDesc& p, Time at) { digest.packet(p, *reta, at); }
+  void operator()(std::span<const nic::PacketDesc> pkts, Time at) {
+    for (const nic::PacketDesc& p : pkts) digest.packet(p, *reta, at);
+  }
 };
 
 struct Outcome {
@@ -114,7 +117,7 @@ Outcome run_testbed(apps::ExperimentConfig cfg, Feeder feeder) {
 
   tgen::FlowSet flows(w.n_flows, w.seed);
   tgen::StreamGenerator gen(stream_of(w, cfg.warmup + cfg.measure + sim::kMillisecond), flows,
-                            std::make_unique<tgen::UniformFlowPicker>(
+                            tgen::FlowPicker(
                                 static_cast<std::uint32_t>(w.n_flows)));
   attach_with(feeder, bed.sim(), bed.port(), gen);
   bed.start();
@@ -236,7 +239,7 @@ std::vector<std::uint64_t> series_windows(Time interval, Feeder feeder) {
   apps::Testbed bed(cfg);
   tgen::FlowSet flows(w.n_flows, w.seed);
   tgen::StreamGenerator gen(stream_of(w, cfg.warmup + cfg.measure + sim::kMillisecond), flows,
-                            std::make_unique<tgen::UniformFlowPicker>(
+                            tgen::FlowPicker(
                                 static_cast<std::uint32_t>(w.n_flows)));
   attach_with(feeder, bed.sim(), bed.port(), gen);
   bed.start();
@@ -280,7 +283,7 @@ struct Rig {
     sc.poisson = true;
     sc.duration = duration;
     gen = std::make_unique<tgen::StreamGenerator>(sc, flows,
-                                                  std::make_unique<tgen::UniformFlowPicker>(64));
+                                                  tgen::FlowPicker(64));
   }
 
   Outcome outcome() const {
@@ -348,7 +351,7 @@ struct Unread {
               sc.duration = duration;
               return sc;
             }(),
-            flows, std::make_unique<tgen::UniformFlowPicker>(16)) {
+            flows, tgen::FlowPicker(16)) {
     attach_with(feeder, sim, port, gen);
   }
 };
@@ -406,7 +409,7 @@ Outcome run_parked_before_attach(Feeder feeder) {
   sc.start = 2 * sim::kMillisecond;
   sc.duration = 3 * sim::kMillisecond;
   rig.gen = std::make_unique<tgen::StreamGenerator>(sc, rig.flows,
-                                                    std::make_unique<tgen::UniformFlowPicker>(64));
+                                                    tgen::FlowPicker(64));
   attach_with(feeder, rig.sim, rig.port, *rig.gen);
   rig.sim.run_until(6 * sim::kMillisecond);
   Outcome o = rig.outcome();

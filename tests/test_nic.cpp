@@ -1,15 +1,22 @@
 // NIC model: Toeplitz RSS, rings, port dispatch, device caps.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "apps/experiment.hpp"
 #include "nic/port.hpp"
 #include "nic/rings.hpp"
 #include "nic/rss.hpp"
 #include "sim/simulation.hpp"
+#include "sim/rng.hpp"
 #include "sim/task.hpp"
+#include "stats/histogram.hpp"
 
 namespace metro::nic {
 namespace {
@@ -96,13 +103,15 @@ TEST(TxRingTest, BatchThresholdDefersFlush) {
   std::vector<Time> tx_times;
   // TxCallback is non-owning: the callable must be a named object that
   // outlives the ring (here, declared before it).
-  auto record = [&](const PacketDesc&, Time t) { tx_times.push_back(t); };
+  auto record = [&](std::span<const PacketDesc> pkts, Time t) {
+    tx_times.insert(tx_times.end(), pkts.size(), t);
+  };
   TxRing tx(sim, 4, record);
   PacketDesc p;
-  for (int i = 0; i < 3; ++i) tx.send(p);
+  for (int i = 0; i < 3; ++i) tx.send(&p, 1);
   EXPECT_TRUE(tx_times.empty());
   EXPECT_EQ(tx.pending(), 3u);
-  tx.send(p);  // fourth fills the batch
+  tx.send(&p, 1);  // fourth fills the batch
   EXPECT_EQ(tx_times.size(), 4u);
   EXPECT_EQ(tx.pending(), 0u);
 }
@@ -110,24 +119,153 @@ TEST(TxRingTest, BatchThresholdDefersFlush) {
 TEST(TxRingTest, BatchOfOneTransmitsImmediately) {
   sim::Simulation sim;
   int sent = 0;
-  auto record = [&](const PacketDesc&, Time) { ++sent; };
+  int calls = 0;
+  auto record = [&](std::span<const PacketDesc> pkts, Time) {
+    sent += static_cast<int>(pkts.size());
+    ++calls;
+  };
   TxRing tx(sim, 1, record);
-  PacketDesc p;
-  tx.send(p);
+  PacketDesc p[3];
+  tx.send(p, 1);
   EXPECT_EQ(sent, 1);
+  tx.send(p, 3);  // one flush per packet
+  EXPECT_EQ(sent, 4);
+  EXPECT_EQ(calls, 4);
 }
 
 TEST(TxRingTest, ExplicitFlushDrainsPending) {
   sim::Simulation sim;
   int sent = 0;
-  auto record = [&](const PacketDesc&, Time) { ++sent; };
+  auto record = [&](std::span<const PacketDesc> pkts, Time) {
+    sent += static_cast<int>(pkts.size());
+  };
   TxRing tx(sim, 32, record);
-  PacketDesc p;
-  tx.send(p);
-  tx.send(p);
+  PacketDesc p[2];
+  tx.send(p, 2);
   tx.flush();
   EXPECT_EQ(sent, 2);
   EXPECT_EQ(tx.total_transmitted(), 2u);
+  tx.flush();  // nothing pending: no callback
+  EXPECT_EQ(sent, 2);
+}
+
+/// Every callback a TxRing makes: its packets' flow ids and its instant.
+struct FlushLog {
+  struct Flush {
+    std::vector<std::uint32_t> flows;
+    Time at;
+    bool operator==(const Flush&) const = default;
+  };
+  std::vector<Flush> flushes;
+  void operator()(std::span<const PacketDesc> pkts, Time at) {
+    Flush f{{}, at};
+    for (const PacketDesc& p : pkts) f.flows.push_back(p.flow_id);
+    flushes.push_back(std::move(f));
+  }
+};
+
+std::vector<PacketDesc> numbered(std::uint32_t first, int n) {
+  std::vector<PacketDesc> pkts(static_cast<std::size_t>(n));
+  for (auto& p : pkts) p.flow_id = first++;
+  return pkts;
+}
+
+// The burst contract: a burst of 10 at batch 4 flushes twice at the send
+// instant, 4 packets each in send order, and leaves 2 for flush().
+TEST(TxRingTest, BurstSendFlushesEachFilledBatch) {
+  sim::Simulation sim;
+  FlushLog log;
+  TxRing tx(sim, 4, log);
+  const auto pkts = numbered(0, 10);
+  sim.schedule_at(100, [&] { tx.send(pkts.data(), 10); });
+  sim.schedule_at(250, [&] { tx.flush(); });
+  sim.run_until(200);
+  ASSERT_EQ(log.flushes.size(), 2u);
+  EXPECT_EQ(log.flushes[0], (FlushLog::Flush{{0, 1, 2, 3}, 100}));
+  EXPECT_EQ(log.flushes[1], (FlushLog::Flush{{4, 5, 6, 7}, 100}));
+  EXPECT_EQ(tx.pending(), 2u);
+  EXPECT_EQ(tx.total_transmitted(), 8u);
+  sim.run_until(300);
+  ASSERT_EQ(log.flushes.size(), 3u);
+  EXPECT_EQ(log.flushes[2], (FlushLog::Flush{{8, 9}, 250}));
+  EXPECT_EQ(tx.pending(), 0u);
+  EXPECT_EQ(tx.total_transmitted(), 10u);
+}
+
+// Bursts of any size, with packets left pending between them, make the
+// flushes one-packet sends make: same sizes, same order, same instants.
+TEST(TxRingTest, BurstSendMatchesPerPacketSends) {
+  for (const int batch : {1, 3, 4, 32}) {
+    sim::Simulation sim;
+    FlushLog burst_log;
+    FlushLog single_log;
+    TxRing burst_tx(sim, batch, burst_log);
+    TxRing single_tx(sim, batch, single_log);
+    std::uint32_t next = 0;
+    Time at = 0;
+    for (const int n : {0, 1, 2, 5, 7, 3, 32, 31, 33, 64, 1, 10}) {
+      const auto pkts = numbered(next, n);
+      next += static_cast<std::uint32_t>(n);
+      at += 10;
+      sim.schedule_at(at, [&burst_tx, &single_tx, pkts] {
+        burst_tx.send(pkts.data(), static_cast<int>(pkts.size()));
+        for (const PacketDesc& p : pkts) single_tx.send(&p, 1);
+      });
+    }
+    sim.run();
+    burst_tx.flush();
+    single_tx.flush();
+    EXPECT_EQ(burst_log.flushes, single_log.flushes) << "batch " << batch;
+    EXPECT_EQ(burst_tx.total_transmitted(), next) << "batch " << batch;
+  }
+}
+
+// The testbed's latency recorder over whole flushes fills its histogram
+// exactly as one add per packet does: same bins, same Summary bits.
+TEST(TxRingTest, LatencyRecorderMatchesPerPacketAdds) {
+  stats::Histogram by_flush(0.05, 5000.0);
+  stats::Histogram by_packet(0.05, 5000.0);
+  struct Probe {
+    apps::LatencyRecorder recorder;
+    stats::Histogram* per_packet;
+    void operator()(std::span<const PacketDesc> pkts, Time at) const {
+      recorder(pkts, at);
+      for (const PacketDesc& p : pkts) {
+        per_packet->add(sim::to_micros(at - p.arrival + sim::calib::kFixedPathLatency));
+      }
+    }
+  } probe{{&by_flush}, &by_packet};
+  sim::Simulation sim;
+  TxRing tx(sim, 32, probe);
+  sim::Rng rng(5);
+  Time at = 0;
+  for (int round = 0; round < 400; ++round) {
+    at += static_cast<Time>(rng.uniform_u64(20000)) + 1;
+    std::vector<PacketDesc> pkts(rng.uniform_u64(40) + 1);
+    for (auto& p : pkts) p.arrival = at - static_cast<Time>(rng.uniform_u64(200000));
+    const bool drain = rng.chance(0.3);
+    sim.schedule_at(at, [&tx, pkts, drain] {
+      tx.send(pkts.data(), static_cast<int>(pkts.size()));
+      if (drain) tx.flush();
+    });
+  }
+  sim.run();
+  tx.flush();
+  ASSERT_GT(by_flush.count(), 5000u);
+  ASSERT_EQ(by_flush.count(), tx.total_transmitted());
+  ASSERT_EQ(by_flush.touched_bins(), by_packet.touched_bins());
+  for (std::size_t i = 0; i < by_flush.touched_bins(); ++i) {
+    ASSERT_EQ(by_flush.bin_count(i), by_packet.bin_count(i)) << "bin " << i;
+  }
+  EXPECT_EQ(by_flush.overflow(), by_packet.overflow());
+  const stats::Summary& a = by_flush.summary();
+  const stats::Summary& b = by_packet.summary();
+  EXPECT_EQ(a.count(), b.count());
+  for (const auto& [x, y] : {std::pair{a.mean(), b.mean()}, std::pair{a.variance(), b.variance()},
+                             std::pair{a.sum(), b.sum()}, std::pair{a.min(), b.min()},
+                             std::pair{a.max(), b.max()}}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x), std::bit_cast<std::uint64_t>(y));
+  }
 }
 
 // Regression for the edge-triggered arrival notification: push() now

@@ -107,10 +107,10 @@ TEST(BurstyGeneratorTest, MmppIsDeterministicAndMonotone) {
   cfg.mean_rate_pps = 5e6;
   cfg.duration = 20 * sim::kMillisecond;
   cfg.seed = 77;
-  tgen::MmppGenerator a(cfg, flows, std::make_unique<tgen::UniformFlowPicker>(64));
-  tgen::MmppGenerator b(cfg, flows, std::make_unique<tgen::UniformFlowPicker>(64));
+  tgen::MmppGenerator a(cfg, flows, tgen::FlowPicker(64));
+  tgen::MmppGenerator b(cfg, flows, tgen::FlowPicker(64));
   expect_identical_streams(a, b, 20000);
-  tgen::MmppGenerator c(cfg, flows, std::make_unique<tgen::UniformFlowPicker>(64));
+  tgen::MmppGenerator c(cfg, flows, tgen::FlowPicker(64));
   expect_monotone_arrivals(c, 20000);
 }
 
@@ -120,7 +120,7 @@ TEST(BurstyGeneratorTest, MmppLongRunRateTracksMean) {
   cfg.mean_rate_pps = 5e6;
   cfg.duration = 200 * sim::kMillisecond;
   cfg.seed = 5;
-  tgen::MmppGenerator g(cfg, flows, std::make_unique<tgen::UniformFlowPicker>(64));
+  tgen::MmppGenerator g(cfg, flows, tgen::FlowPicker(64));
   std::uint64_t n = 0;
   while (g.next().has_value()) ++n;
   const double measured = static_cast<double>(n) / sim::to_seconds(cfg.duration);

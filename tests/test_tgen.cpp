@@ -1,13 +1,17 @@
 // Traffic generation: CBR/Poisson streams, ramp profile, flow mixes, feeder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "apps/experiment.hpp"
 #include "nic/port.hpp"
 #include "sim/simulation.hpp"
 #include "tgen/bursty.hpp"
@@ -50,7 +54,7 @@ TEST(StreamGeneratorTest, CbrGapsAreExact) {
   StreamConfig cfg;
   cfg.rate_pps = 1e6;  // 1 us gap
   cfg.duration = 100 * sim::kMicrosecond;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(8));
+  StreamGenerator gen(cfg, flows, FlowPicker(8));
   Time prev = -1;
   int count = 0;
   while (auto pkt = gen.next()) {
@@ -69,7 +73,7 @@ TEST(StreamGeneratorTest, PoissonMeanRateMatches) {
   cfg.rate_pps = 1e6;
   cfg.poisson = true;
   cfg.duration = 100 * sim::kMillisecond;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(8));
+  StreamGenerator gen(cfg, flows, FlowPicker(8));
   int count = 0;
   while (gen.next()) ++count;
   EXPECT_NEAR(count, 100000, 2000);
@@ -79,7 +83,7 @@ TEST(StreamGeneratorTest, ZeroRateProducesNothing) {
   FlowSet flows(8, 1);
   StreamConfig cfg;
   cfg.rate_pps = 0.0;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(8));
+  StreamGenerator gen(cfg, flows, FlowPicker(8));
   EXPECT_FALSE(gen.next().has_value());
 }
 
@@ -88,7 +92,7 @@ TEST(StreamGeneratorTest, RssHashMatchesFlowSet) {
   StreamConfig cfg;
   cfg.duration = 10 * sim::kMicrosecond;
   cfg.rate_pps = 1e6;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(4));
+  StreamGenerator gen(cfg, flows, FlowPicker(4));
   while (auto pkt = gen.next()) {
     EXPECT_EQ(pkt->rss_hash, flows.rss_hash(pkt->flow_id));
   }
@@ -96,7 +100,7 @@ TEST(StreamGeneratorTest, RssHashMatchesFlowSet) {
 
 TEST(UnbalancedPickerTest, HeavyShareRespected) {
   sim::Rng rng(2);
-  UnbalancedFlowPicker picker(0, 0.3, 1000);
+  const FlowPicker picker(1000, 0, 0.3);
   int heavy = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
@@ -127,7 +131,7 @@ TEST(RampProfileTest, StepwiseConstantWithinStep) {
 TEST(ProfileGeneratorTest, FollowsProfileRate) {
   FlowSet flows(8, 1);
   RampProfile ramp(1e6, 5e6, 100 * sim::kMillisecond, sim::kSecond);
-  ProfileGenerator gen(ramp, sim::kSecond, 64, flows, std::make_unique<UniformFlowPicker>(8));
+  ProfileGenerator gen(ramp, sim::kSecond, 64, flows, FlowPicker(8));
   // Count packets in the first 100 ms (low rate) vs around the peak.
   std::map<int, int> per_bucket;
   while (auto pkt = gen.next()) {
@@ -152,7 +156,7 @@ TEST(FeederTest, DeliversEverythingToThePort) {
   StreamConfig cfg;
   cfg.rate_pps = 2e6;
   cfg.duration = 50 * sim::kMillisecond;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(16));
+  StreamGenerator gen(cfg, flows, FlowPicker(16));
   int received = 0;
   sim.spawn(consume_all(sim, port.rx_queue(0), received));
   attach(sim, port, gen);
@@ -170,7 +174,7 @@ TEST(FeederTest, ArrivalTimestampsNeverExceedDeliveryTime) {
   StreamConfig cfg;
   cfg.rate_pps = 14.88e6;
   cfg.duration = 5 * sim::kMillisecond;
-  StreamGenerator gen(cfg, flows, std::make_unique<UniformFlowPicker>(4));
+  StreamGenerator gen(cfg, flows, FlowPicker(4));
   attach(sim, port, gen);
   bool violated = false;
   sim.spawn([](sim::Simulation& s, nic::RxRing& ring, bool& bad) -> sim::Task {
@@ -206,8 +210,10 @@ void expect_same_stream(const std::vector<nic::PacketDesc>& got,
   }
 }
 
-/// `make` builds a fresh, identically-seeded generator on every call.
-void check_batched_equivalence(const std::function<std::unique_ptr<Generator>()>& make) {
+/// `make` builds a fresh, identically-seeded generator on every call;
+/// each of `chunks` is one next_batch() size.
+void check_batched_equivalence(const std::function<std::unique_ptr<Generator>()>& make,
+                               std::initializer_list<std::size_t> chunks = {1, 7, 32}) {
   std::vector<nic::PacketDesc> reference;
   {
     auto gen = make();
@@ -215,7 +221,7 @@ void check_batched_equivalence(const std::function<std::unique_ptr<Generator>()>
   }
   ASSERT_GT(reference.size(), 100u) << "workload too small to exercise batching";
 
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
+  for (const std::size_t chunk : chunks) {
     auto gen = make();
     std::vector<nic::PacketDesc> got;
     while (gen->next_batch(got, chunk) > 0) {
@@ -243,7 +249,7 @@ TEST(NextBatchTest, StreamCbrMatchesUnbatched) {
     cfg.rate_pps = 1e6;
     cfg.duration = 2 * sim::kMillisecond;
     return std::make_unique<StreamGenerator>(cfg, flows,
-                                             std::make_unique<UniformFlowPicker>(32));
+                                             FlowPicker(32));
   });
 }
 
@@ -256,8 +262,23 @@ TEST(NextBatchTest, StreamPoissonImixMatchesUnbatched) {
     cfg.poisson = true;
     cfg.imix = true;
     return std::make_unique<StreamGenerator>(
-        cfg, flows, std::make_unique<UnbalancedFlowPicker>(0, 0.3, 32));
+        cfg, flows, FlowPicker(32, 0, 0.3));
   });
+}
+
+// The grouped ingress reads a whole prefetch buffer per call; chunks on
+// either side of its depth, and one spanning several, draw the same
+// stream, heavy-flow Bernoulli included.
+TEST(NextBatchTest, StreamUnbalancedMatchesUnbatched) {
+  FlowSet flows(32, 3);
+  check_batched_equivalence(
+      [&] {
+        StreamConfig cfg;
+        cfg.rate_pps = 1e6;
+        cfg.duration = 2 * sim::kMillisecond;
+        return std::make_unique<StreamGenerator>(cfg, flows, FlowPicker(32, 0, 0.3));
+      },
+      {1, 7, 32, kPrefetch - 1, kPrefetch, kPrefetch + 1, 3 * kPrefetch + 5});
 }
 
 TEST(NextBatchTest, ProfileMatchesUnbatched) {
@@ -265,7 +286,7 @@ TEST(NextBatchTest, ProfileMatchesUnbatched) {
   static const RampProfile ramp(0.2e6, 2e6, 2 * sim::kMillisecond, 10 * sim::kMillisecond);
   check_batched_equivalence([&] {
     return std::make_unique<ProfileGenerator>(ramp, 10 * sim::kMillisecond, 64, flows,
-                                              std::make_unique<UniformFlowPicker>(16));
+                                              FlowPicker(16));
   });
 }
 
@@ -275,7 +296,7 @@ TEST(NextBatchTest, MmppMatchesUnbatched) {
     MmppConfig cfg;
     cfg.mean_rate_pps = 1e6;
     cfg.duration = 2 * sim::kMillisecond;
-    return std::make_unique<MmppGenerator>(cfg, flows, std::make_unique<UniformFlowPicker>(32));
+    return std::make_unique<MmppGenerator>(cfg, flows, FlowPicker(32));
   });
 }
 
@@ -523,6 +544,136 @@ TEST(PerFlowArenaTest, SubNanosecondGapsMatchOracle) {
   c.cfg.duration = 40;
   c.run_until = 2000;
   expect_arena_matches_oracle(c, 600'000);
+}
+
+// --- golden streams ---------------------------------------------------------
+//
+// The first 10,000 packets of two seed-42 streams, digested when each
+// picker was still its own virtual class. The flow picker's draw sequence
+// (the Bernoulli only with a positive heavy share, then Lemire) must not
+// move, through next() or a prefetch-sized next_batch().
+
+std::uint64_t golden_digest(const std::vector<nic::PacketDesc>& pkts) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (const nic::PacketDesc& p : pkts) {
+    add(static_cast<std::uint64_t>(p.arrival));
+    add(p.flow_id);
+    add(p.rss_hash);
+    add(p.wire_size);
+  }
+  return h;
+}
+
+void expect_golden(const std::function<std::unique_ptr<Generator>()>& make,
+                   std::uint64_t golden) {
+  constexpr std::size_t kPackets = 10'000;
+  auto by_packet = make();
+  std::vector<nic::PacketDesc> pkts;
+  while (pkts.size() < kPackets) pkts.push_back(by_packet->next().value());
+  EXPECT_EQ(golden_digest(pkts), golden) << "next()";
+  auto by_batch = make();
+  pkts.clear();
+  while (pkts.size() < kPackets) {
+    ASSERT_GT(by_batch->next_batch(pkts, std::min(kPrefetch, kPackets - pkts.size())), 0u);
+  }
+  EXPECT_EQ(golden_digest(pkts), golden) << "next_batch()";
+}
+
+TEST(GoldenStreamTest, UniformCbr) {
+  const FlowSet flows(4096, 42);
+  expect_golden(
+      [&] {
+        StreamConfig cfg;
+        cfg.rate_pps = 37e6;
+        cfg.seed = 42;
+        return std::make_unique<StreamGenerator>(cfg, flows, FlowPicker(4096));
+      },
+      0xa954be9450731ebdull);
+}
+
+TEST(GoldenStreamTest, UnbalancedPoissonImix) {
+  const FlowSet flows(1000, 42);
+  expect_golden(
+      [&] {
+        StreamConfig cfg;
+        cfg.rate_pps = 14.88e6;
+        cfg.seed = 42;
+        cfg.poisson = true;
+        cfg.imix = true;
+        return std::make_unique<StreamGenerator>(cfg, flows, FlowPicker(1000, 0, 0.3));
+      },
+      0xf65133632ba38092ull);
+}
+
+// --- fail-fast stream configs ----------------------------------------------
+
+/// StreamGenerator's constructor throws std::invalid_argument whose
+/// message names `field`.
+void expect_stream_rejected(const StreamConfig& cfg, const std::string& field) {
+  const FlowSet flows(4, 1);
+  try {
+    StreamGenerator gen(cfg, flows, FlowPicker(4));
+    ADD_FAILURE() << "accepted a stream with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(StreamConfigTest, NanRateIsRejected) {
+  StreamConfig cfg;
+  cfg.rate_pps = std::numeric_limits<double>::quiet_NaN();
+  expect_stream_rejected(cfg, "rate_pps");
+}
+
+TEST(StreamConfigTest, InfiniteRateIsRejected) {
+  StreamConfig cfg;
+  cfg.rate_pps = std::numeric_limits<double>::infinity();
+  expect_stream_rejected(cfg, "rate_pps");
+}
+
+TEST(StreamConfigTest, NegativeRateIsRejected) {
+  StreamConfig cfg;
+  cfg.rate_pps = -1.0;
+  expect_stream_rejected(cfg, "rate_pps");
+}
+
+TEST(StreamConfigTest, NegativeDurationIsRejected) {
+  StreamConfig cfg;
+  cfg.duration = -1;
+  expect_stream_rejected(cfg, "duration");
+}
+
+TEST(StreamConfigTest, GapMustFitInTime) {
+  // 1e9 / 1e-10 = 1e19 ns overflows sim::Time; 0.2 pps (a 5 s gap) fits.
+  StreamConfig cfg;
+  cfg.rate_pps = 1e-10;
+  expect_stream_rejected(cfg, "rate_pps");
+  cfg.rate_pps = 0.2;
+  const FlowSet flows(4, 1);
+  StreamGenerator gen(cfg, flows, FlowPicker(4));
+  EXPECT_EQ(gen.next()->arrival, 0);
+}
+
+TEST(StreamConfigTest, ZeroRateOffersNoTraffic) {
+  StreamConfig cfg;
+  cfg.rate_pps = 0.0;
+  const FlowSet flows(4, 1);
+  StreamGenerator gen(cfg, flows, FlowPicker(4));
+  EXPECT_FALSE(gen.next().has_value());
+  std::vector<nic::PacketDesc> out;
+  EXPECT_EQ(gen.next_batch(out, 8), 0u);
+}
+
+// A testbed whose stream rate is NaN fails at construction instead of
+// emitting every packet at its first instant.
+TEST(StreamConfigTest, TestbedRejectsNanRate) {
+  apps::ExperimentConfig cfg;
+  cfg.workload.rate_mpps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(apps::Testbed bed(cfg), std::invalid_argument);
 }
 
 // --- fail-fast per-flow configs --------------------------------------------
