@@ -148,13 +148,12 @@ void Testbed::start() {
       src.poisson = cfg_.workload.poisson;
       src.wire_size = cfg_.workload.wire_size;
       src.duration = cfg_.warmup + cfg_.measure + 100 * sim::kMillisecond;
-      // Arena form, not one coroutine per flow: at fig13_fullstack_1m+
-      // scale (2^20..2^24 flows) the spawn loop and its millions of
-      // frames would dominate setup, and each flow would keep an event in
-      // the kernel store; the arena's lanes are 28 B per flow and its
-      // calendar keeps the arrivals out of the store. Bit-identical
-      // stream either way (test_tgen).
-      flow_arena_ = std::make_unique<tgen::PerFlowSourceArena>(*sim_, *port_, *flows_, src);
+      src.seed = cfg_.workload.seed;
+      // The arena's lanes are 28 B per flow, and its calendar keeps the
+      // arrivals out of the kernel store: at fig13_fullstack_1m+ scale
+      // (2^20..2^24 flows) one coroutine frame and one pending event per
+      // flow would dominate setup and the store.
+      flow_arena_ = &tgen::attach_per_flow(*sim_, *port_, *flows_, src);
     } else if (generator_ != nullptr) {
       tgen::attach(*sim_, *port_, *generator_);
     }

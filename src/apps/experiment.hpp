@@ -52,9 +52,9 @@ enum class ArrivalModel {
   kStream,
   /// One arrival process per flow instead of the grouped stream feeder:
   /// n_flows flows with one arrival armed each, kept in the per-flow
-  /// arena's own calendar rather than the kernel's event store (see
-  /// tgen/feeder.hpp). Costs one event per packet; leave off unless the
-  /// armed-flow population is the point.
+  /// arena's own calendar and delivered lazily, each packet at its own
+  /// arrival (see tgen/feeder.hpp). Each flow's gaps are drawn from the
+  /// seed alone, so every driver is offered the same packets.
   /// Honours poisson (per-flow gaps); flows are uniform by construction,
   /// so imix and heavy_share do not apply.
   kPerFlow,
@@ -246,7 +246,7 @@ class Testbed {
   /// ArrivalModel::kPerFlow). Exposes the lane accessors —
   /// flow_count()/armed()/fired() and the per-flow lanes — for scale
   /// diagnostics.
-  const tgen::PerFlowSourceArena* flow_arena() const { return flow_arena_.get(); }
+  const tgen::PerFlowSourceArena* flow_arena() const { return flow_arena_; }
 
  protected:
   /// Build the kernel on the timing-wheel store when `wheel` is set
@@ -271,7 +271,7 @@ class Testbed {
   std::unique_ptr<nic::Port> port_;
   std::unique_ptr<tgen::FlowSet> flows_;
   std::unique_ptr<tgen::Generator> generator_;
-  std::unique_ptr<tgen::PerFlowSourceArena> flow_arena_;  // kPerFlow only
+  const tgen::PerFlowSourceArena* flow_arena_ = nullptr;  // kPerFlow only; port_ owns it
   std::unique_ptr<core::Metronome> metronome_;
   std::vector<std::unique_ptr<dpdk::DriverStats>> polling_stats_;
   std::vector<std::unique_ptr<dpdk::XdpStats>> xdp_stats_;

@@ -16,8 +16,8 @@
 ///     events beyond the top level's horizon. O(1) insert, and each event
 ///     cascades at most once per level — built for very large stored
 ///     populations. The per-flow arrival timers that once made up such
-///     populations now live in the arena's own calendar (an EventSource,
-///     simulation.hpp), so no registry scenario keeps more than a handful
+///     populations now live in the arena's own calendar (a lazy source,
+///     tgen/feeder.hpp), so no registry scenario keeps more than a handful
 ///     of events in either store.
 ///
 /// ## Store contract
@@ -333,8 +333,6 @@ class TimingWheelBackend {
     }
     return n;
   }
-  /// Everything stored strictly below this time sits sorted in bottom.
-  Time wheel_floor() const noexcept { return floor_; }
   /// Start of this epoch's overflow region (beyond the top horizon).
   Time overflow_floor() const noexcept { return overflow_floor_; }
   /// Entries in the overflow pool.

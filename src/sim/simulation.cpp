@@ -27,10 +27,20 @@ Simulation::~Simulation() {
   }
 }
 
-void Simulation::attach_source(EventSource* source) {
-  if (source == nullptr) throw std::invalid_argument("attach_source: null source");
-  if (source_ != nullptr) throw std::logic_error("attach_source: a source is already attached");
-  source_ = source;
+LazySource::~LazySource() {
+  if (armed_) sim_.cancel(fire_);
+}
+
+void LazySource::arm() {
+  if (armed_ || due_at_ == kNever) return;
+  armed_ = true;
+  fire_ = sim_.schedule_at(due_at_, [this] { fire(); });
+}
+
+void LazySource::fire() {
+  armed_ = false;
+  deliver_until(sim_.now());
+  if (stay_armed()) arm();
 }
 
 void Simulation::attach_lazy(LazySource* source) {
@@ -114,8 +124,8 @@ void Simulation::dispatch(const EventEntry& top) {
 }
 
 /// Tombstones at the store's front are discarded first, so the merge below
-/// only ever sees a live store minimum. Three sorted streams meet here by
-/// (at, seq): the store, the now-FIFO and the source head.
+/// only ever sees a live store minimum. Two sorted streams meet here by
+/// (at, seq): the store and the now-FIFO.
 template <typename Store>
 [[gnu::always_inline]] inline bool Simulation::step_if(Store& store, Time end) {
   while (tombstones_ != 0 && dead(store.peek())) {
@@ -123,9 +133,8 @@ template <typename Store>
     --tombstones_;
   }
   if (fifo_empty()) {
-    if (store.empty()) return step_source(end);
+    if (store.empty()) return false;
     const EventEntry top = store.peek();
-    if (source_first(top)) return step_source(end);
     if (top.at > end) return false;
     // Start pulling the coroutine frame in while the pop runs; resume()
     // needs it a few dozen cycles from now.
@@ -138,13 +147,11 @@ template <typename Store>
   // a single instant); merge it with the store's minimum by (at, seq).
   if (store.empty() || event_precedes(fifo_[fifo_head_], store.peek())) {
     const EventEntry top = fifo_[fifo_head_];
-    if (source_first(top)) return step_source(end);
     if (top.at > end) return false;
     fifo_pop();
     dispatch(top);
   } else {
     const EventEntry top = store.peek();
-    if (source_first(top)) return step_source(end);
     if (top.at > end) return false;
     store.pop_min();
     dispatch(top);

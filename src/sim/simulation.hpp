@@ -6,16 +6,15 @@
 ///   * a pending-event store (see event_queue.hpp) holding timestamped
 ///     events, chosen at construction — a binary min-heap by default, or a
 ///     timing wheel,
-///   * optionally one attached EventSource whose own events it merges,
 ///   * the registered LazySources, producers it never schedules but
-///     settles at the end of every run slice (a port's grouped ingress),
+///     settles at the end of every run slice (a port's ingress: a grouped
+///     stream or the per-flow arrival arena),
 ///   * the coroutine frames of all spawned processes,
 ///   * a deterministic RNG shared by models that need randomness.
 ///
 /// Events inserted at equal timestamps run in insertion order (a strictly
-/// increasing sequence number breaks ties, merged across the store, the
-/// now-FIFO and the attached EventSource), which keeps runs bit-for-bit
-/// reproducible — on either store.
+/// increasing sequence number breaks ties, merged across the store and the
+/// now-FIFO), which keeps runs bit-for-bit reproducible — on either store.
 ///
 /// The event path is allocation-free in steady state and built for
 /// throughput:
@@ -28,20 +27,13 @@
 ///     store entirely through a FIFO that is already in execution order;
 ///   * an event that nothing can precede need not be stored at all:
 ///     advance_inline() moves the clock to its instant in place when no
-///     stored, FIFO or source event could run first and the slice reaches
-///     it. A lone Core job (completion, then resume) and a SleepService
-///     wake-up take this path, so a thread that sleeps, wakes and runs a
-///     few jobs alone on its core costs the store one event per wake-up;
+///     stored or FIFO event could run first and the slice reaches it. A
+///     lone Core job (completion, then resume) and a SleepService wake-up
+///     take this path, so a thread that sleeps, wakes and runs a few jobs
+///     alone on its core costs the store one event per wake-up;
 ///   * the store is tested once per run_until()/run() call, not once per
 ///     event: the step loop is a member template instantiated per store,
 ///     so only the schedule_* pushes branch on the store kind;
-///   * an attached EventSource (at most one: the per-flow arrival
-///     calendar of PerFlowSourceArena) keeps its armed events in its own
-///     structure and publishes only its earliest (at, seq); step_if merges
-///     that head with the store and the now-FIFO, so N per-flow timers
-///     cost the store nothing. The source takes its sequence numbers from
-///     take_seq(), so its events interleave with scheduled ones exactly as
-///     if they had been scheduled;
 ///   * callback events (governor ticks, cancellable timeouts, test
 ///     fixtures) live in a pooled slot with a small-buffer-optimised
 ///     callable and a stable EventId, so pending timers can be *cancelled*
@@ -66,9 +58,9 @@
 /// a process is about to suspend, or a resumer is about to resume, the next
 /// thing to happen is the kernel's next step — and if advance_inline()
 /// proves that step is the event the caller would store, going on in place
-/// runs the same (at, seq) order. A grant takes the event's sequence number
-/// and counts it as processed (the tracer's kernel-fire samples included), so
-/// seq values and events_processed() do not depend on which path ran.
+/// runs the same (at, seq) order. A grant counts the event as processed (the
+/// tracer's kernel-fire samples included), so events_processed() does not
+/// depend on which path ran.
 #pragma once
 
 #include <cassert>
@@ -88,77 +80,36 @@
 
 namespace metro::sim {
 
-/// A private store of events the kernel merges into its own (at, seq)
-/// order — the way a subsystem with its own timer structure (the per-flow
-/// arrival calendar, tgen/feeder.hpp) keeps N timers without putting N
-/// events into the kernel's store.
-///
-/// The source publishes the (at, seq) of its earliest armed event through
-/// set_head(), and keeps armed() current; the kernel reads both inline on
-/// every step. Each armed event takes its seq from
-/// Simulation::take_seq() when it is armed, so it orders against
-/// scheduled events exactly as if it had been scheduled. When the head is
-/// the earliest pending event the kernel sets now() to head_at(), counts
-/// the event as processed and calls fire(), which must consume the head
-/// (and may arm more events) and publish the new head before returning.
-/// The kernel never touches the source outside step_if, so it need only
-/// outlive the runs it takes part in. Never deleted through this
-/// interface.
-class EventSource {
- public:
-  /// (at, seq) of the earliest armed event. With nothing armed the head
-  /// is (INT64_MAX, UINT64_MAX), which no stored event can follow.
-  Time head_at() const noexcept { return head_at_; }
-  std::uint64_t head_seq() const noexcept { return head_seq_; }
-  /// Events armed in the source; counted by pending_events()/idle().
-  std::size_t armed() const noexcept { return armed_; }
-
-  /// Run the head event (the kernel has set now() to head_at()).
-  virtual void fire() = 0;
-
- protected:
-  EventSource() = default;
-  ~EventSource() = default;
-
-  void set_head(Time at, std::uint64_t seq) noexcept {
-    head_at_ = at;
-    head_seq_ = seq;
-  }
-  void clear_head() noexcept { set_head(INT64_MAX, UINT64_MAX); }
-
-  std::size_t armed_ = 0;
-
- private:
-  Time head_at_ = INT64_MAX;
-  std::uint64_t head_seq_ = UINT64_MAX;
-};
+class Simulation;
 
 /// A producer the kernel does not schedule: it applies its effects when
-/// something looks at them — the way a port's grouped ingress
-/// (tgen/feeder.hpp) puts arrivals into its rings only when a ring is read,
-/// not at one kernel event per group.
+/// something looks at them — the way a port's ingress (tgen/feeder.hpp)
+/// puts arrivals into its rings only when a ring is read, not at one
+/// kernel event per arrival.
 ///
-/// The source keeps due_at() at the instant of its earliest unapplied
-/// effect (kNever when none) and applies effects in instant order. Whoever
-/// reads the state it produces calls deliver_until(now) first. The kernel
-/// settles every registered source at the end of each run slice, so state
-/// read between slices is current, and counts pending() (0 or 1) in
-/// pending_events() and idle(). A process that parks until the next
-/// effect calls arm() first, and the source keeps an ordinary kernel event
-/// armed at that effect's instant. Registered with
-/// Simulation::attach_lazy() and unregistered (detach_lazy()) before the
-/// simulation is destroyed.
+/// The source keeps due_at() at its earliest unapplied effect (set_due())
+/// and applies effects in instant order. Whoever reads the state it
+/// produces calls deliver_until(now) first; the kernel settles it at the
+/// end of each run slice and counts pending() in pending_events() and
+/// idle(). A process that parks until the next effect calls arm() first:
+/// one kernel event is then kept armed at that effect's instant, which
+/// delivers what is due and arms again while stay_armed() holds.
+/// Registered with Simulation::attach_lazy() and unregistered
+/// (detach_lazy()) before the simulation is destroyed.
 class LazySource {
  public:
   static constexpr Time kNever = INT64_MAX;
 
-  virtual ~LazySource() = default;
+  /// Cancels the armed event, which points back at the source.
+  virtual ~LazySource();
+  LazySource(const LazySource&) = delete;
+  LazySource& operator=(const LazySource&) = delete;
 
   /// Instant of the earliest effect not yet applied (kNever when none).
   Time due_at() const noexcept { return due_at_; }
   /// 1 while the source holds an unapplied effect that no pending kernel
   /// event of its own stands for, else 0.
-  std::size_t pending() const noexcept { return pending_; }
+  std::size_t pending() const noexcept { return due_at_ != kNever && !armed_ ? 1 : 0; }
 
   /// Apply every effect due at or before `t`, in instant order.
   void deliver_until(Time t) {
@@ -175,13 +126,27 @@ class LazySource {
   /// A process is about to park until the next effect: keep one kernel
   /// event armed at its instant. Called before the process schedules a
   /// timeout of its own, so at equal instants the effect wakes it first.
-  virtual void arm() = 0;
+  void arm();
 
  protected:
-  LazySource() = default;
+  explicit LazySource(Simulation& sim) : sim_(sim) {}
+
+  /// Whether the armed event, having delivered what was due, arms again
+  /// (a reader is still parked).
+  virtual bool stay_armed() const = 0;
+
+  /// Record the instant of the earliest unapplied effect.
+  void set_due(Time at) noexcept { due_at_ = at; }
+
+  Simulation& sim_;
+
+ private:
+  /// The armed event: deliver what is due, and arm again while stay_armed().
+  void fire();
 
   Time due_at_ = kNever;
-  std::size_t pending_ = 0;
+  bool armed_ = false;       // fire_ is pending
+  std::uint64_t fire_ = 0;   // the armed event's Simulation::EventId
 };
 
 /// The discrete-event kernel.
@@ -251,15 +216,6 @@ class Simulation {
     return schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Hand out the next sequence number, exactly as scheduling an event
-  /// does. An EventSource takes one per armed event so that its events and
-  /// the scheduled ones share one (at, seq) order.
-  std::uint64_t take_seq() noexcept { return next_seq_++; }
-
-  /// Register the one EventSource whose head step_if merges with the
-  /// store (see EventSource). A second registration throws.
-  void attach_source(EventSource* source);
-
   /// Register (or unregister) a LazySource: run_until() settles it at the
   /// end of each slice, run() drains it, idle()/pending_events() count it.
   void attach_lazy(LazySource* source);
@@ -305,22 +261,19 @@ class Simulation {
 
   /// Stand in place for one event at `t` (>= now()) that the caller would
   /// otherwise schedule and that would run next: when no event could run
-  /// before it, move the clock to `t`, take the sequence number and count
-  /// the event as processed, and return true — the caller then runs the
-  /// event's body itself. Granted only inside a run slice (run_until() or
-  /// run()) whose end is at or after `t`, with the now-FIFO empty and both
-  /// the attached source's head and the store's front (a tombstone too)
-  /// strictly later than `t`. On false nothing changed: schedule as usual.
+  /// before it, move the clock to `t` and count the event as processed,
+  /// and return true — the caller then runs the event's body itself.
+  /// Granted only inside a run slice (run_until() or run()) whose end is at
+  /// or after `t`, with the now-FIFO empty and the store's front (a
+  /// tombstone too) strictly later than `t`. On false nothing changed:
+  /// schedule as usual.
   /// Only a caller whose next act is to return to the kernel (see the
   /// tail-resume invariant above) may use it.
   bool advance_inline(Time t) {
     assert(t >= now_);
-    // Cheapest first: the source head is due every few tens of ns on
-    // per-flow workloads, and the wheel's peek() may cascade.
+    // Cheapest first: the wheel's peek() may cascade.
     if (t > slice_end_ || !fifo_empty()) return false;
-    if (source_ != nullptr && source_->head_at() <= t) return false;
     if (stored_events() != 0 && store_front() <= t) return false;
-    ++next_seq_;
     ++inlined_;
     advance(t);
     return true;
@@ -361,15 +314,12 @@ class Simulation {
 
   /// True when no live event is pending.
   bool idle() const noexcept {
-    return stored_events() == tombstones_ && fifo_empty() && source_armed() == 0 &&
-           lazy_pending() == 0;
+    return stored_events() == tombstones_ && fifo_empty() && lazy_pending() == 0;
   }
   /// Number of live pending events (store minus tombstones, plus the
-  /// now-FIFO, plus the attached source's armed events, plus one per
-  /// LazySource holding undelivered effects).
+  /// now-FIFO, plus one per LazySource holding undelivered effects).
   std::size_t pending_events() const noexcept {
-    return stored_events() - tombstones_ + (fifo_.size() - fifo_head_) + source_armed() +
-           lazy_pending();
+    return stored_events() - tombstones_ + (fifo_.size() - fifo_head_) + lazy_pending();
   }
   /// Total events executed since construction (throughput accounting).
   std::uint64_t events_processed() const noexcept { return processed_; }
@@ -512,10 +462,6 @@ class Simulation {
     }
   }
 
-  std::size_t source_armed() const noexcept {
-    return source_ != nullptr ? source_->armed() : 0;
-  }
-
   std::size_t lazy_pending() const noexcept {
     std::size_t n = 0;
     for (const LazySource* s : lazy_) n += s->pending();
@@ -552,21 +498,6 @@ class Simulation {
         tracer_->instant(trace::id::kKernelFire, at, processed_);
       }
     }
-  }
-
-  /// True when the attached source's head precedes `e` in (at, seq).
-  bool source_first(const EventEntry& e) const noexcept {
-    if (source_ == nullptr) return false;
-    const Time at = source_->head_at();
-    return at < e.at || (at == e.at && source_->head_seq() < e.seq);
-  }
-
-  /// Fire the source's head if it is armed and due by `end`.
-  bool step_source(Time end) {
-    if (source_ == nullptr || source_->armed() == 0 || source_->head_at() > end) return false;
-    advance(source_->head_at());
-    source_->fire();
-    return true;
   }
 
   void dispatch(const EventEntry& top);
@@ -607,7 +538,6 @@ class Simulation {
   std::vector<CallbackSlot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t tombstones_ = 0;  // cancelled entries still in the store
-  EventSource* source_ = nullptr;  // attach_source(); merged by step_if
   std::vector<LazySource*> lazy_;  // attach_lazy(); settled per slice
   std::vector<std::coroutine_handle<Task::promise_type>> processes_;
   Rng rng_;

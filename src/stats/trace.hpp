@@ -123,7 +123,6 @@ class Tracer {
   const TraceEvent& event(std::size_t i) const { return buf_[i]; }
 
   const NameInfo& name_info(std::uint32_t id) const { return names_[id]; }
-  std::size_t n_names() const noexcept { return names_.size(); }
 
   /// Recorded events carrying intern id `name` (export sanity checks).
   std::size_t count(std::uint32_t name) const noexcept;
@@ -154,8 +153,6 @@ class WallSpan {
 
   WallSpan(const WallSpan&) = delete;
   WallSpan& operator=(const WallSpan&) = delete;
-
-  void set_arg(std::uint64_t arg) noexcept { arg_ = arg; }
 
   ~WallSpan() {
     if (t_ == nullptr) return;

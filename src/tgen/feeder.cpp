@@ -20,46 +20,26 @@ namespace {
 class GroupedIngress final : public sim::LazySource {
  public:
   GroupedIngress(sim::Simulation& sim, nic::Port& port, Generator& gen)
-      : sim_(sim), port_(port), gen_(gen), sched_(sim.now()) {
+      : LazySource(sim), port_(port), gen_(gen), sched_(sim.now()) {
     // The first top-up grows the buffer to kPrefetch; erase() keeps that
     // capacity, so later top-ups do not allocate.
     next_group();
   }
-  ~GroupedIngress() override {
-    if (armed_) sim_.cancel(fire_);  // the event points back at this ingress
-  }
 
   void deliver(sim::Time t, sim::Time since) override {
-    while (due_at_ < t || (due_at_ == t && sched_ < since)) {
+    while (due_at() < t || (due_at() == t && sched_ < since)) {
       port_.rx_burst(buf_.data() + group_, static_cast<int>(group_end_ - group_));
       // An eager feeder schedules the next group's event while it delivers
       // this one.
-      sched_ = std::max(sched_, due_at_);
+      sched_ = std::max(sched_, due_at());
       next_group();
     }
   }
 
-  void arm() override {
-    if (armed_ || due_at_ == kNever) return;
-    armed_ = true;
-    pending_ = 0;  // the armed event stands for the stream
-    fire_ = sim_.schedule_at(due_at_, Fire{this});
-  }
-
  private:
-  struct Fire {
-    GroupedIngress* self;
-    void operator()() const { self->fire(); }
-  };
-
-  /// The armed event: deliver what is due, and stay armed while a reader
-  /// is still parked (its ring got nothing from this group).
-  void fire() {
-    armed_ = false;
-    deliver_until(sim_.now());
-    pending_ = due_at_ != kNever ? 1 : 0;
-    if (port_.has_parked_reader()) arm();
-  }
+  /// The armed event stays armed while a reader is still parked (its ring
+  /// got nothing from this group).
+  bool stay_armed() const override { return port_.has_parked_reader(); }
 
   /// Make the next group current: the packets within kGroupWindow of its
   /// first one, at most kGroupCap of them. Before grouping, the buffer is
@@ -70,8 +50,7 @@ class GroupedIngress final : public sim::LazySource {
     group_ = group_end_;
     if (buf_.size() - group_ <= kGroupCap) top_up();
     if (group_ == buf_.size()) {
-      due_at_ = kNever;
-      pending_ = 0;
+      set_due(kNever);
       return;
     }
     const std::size_t cap_end = std::min(buf_.size(), group_ + kGroupCap);
@@ -79,8 +58,7 @@ class GroupedIngress final : public sim::LazySource {
     group_end_ = group_ + 1;
     while (group_end_ < cap_end && buf_[group_end_].arrival <= window_end) ++group_end_;
     // Visible when its last packet has arrived on the wire.
-    due_at_ = buf_[group_end_ - 1].arrival;
-    pending_ = armed_ ? 0 : 1;
+    set_due(buf_[group_end_ - 1].arrival);
   }
 
   /// Move the unread tail to the front and refill the buffer behind it.
@@ -94,7 +72,6 @@ class GroupedIngress final : public sim::LazySource {
     }
   }
 
-  sim::Simulation& sim_;
   nic::Port& port_;
   Generator& gen_;
   std::vector<nic::PacketDesc> buf_;  ///< prefetched packets, kPrefetch at most
@@ -103,27 +80,7 @@ class GroupedIngress final : public sim::LazySource {
   /// When an eager feeder would have scheduled the next group's event:
   /// the previous group's instant, or the attach instant for the first.
   sim::Time sched_;
-  bool armed_ = false;  // fire_ is pending
-  sim::Simulation::EventId fire_ = sim::Simulation::kInvalidEvent;
 };
-
-sim::Task flow_source_task(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
-                           std::uint32_t flow_id, double mean_gap_ns, PerFlowSourceConfig cfg) {
-  const sim::Time end = cfg.start + cfg.duration;
-  // Uniform phase offset so the N sources decorrelate from t = start.
-  sim::Time next = cfg.start + static_cast<sim::Time>(sim.rng().uniform(0.0, mean_gap_ns));
-  nic::PacketDesc pkt;
-  pkt.flow_id = flow_id;
-  pkt.rss_hash = flows.rss_hash(flow_id);
-  pkt.wire_size = cfg.wire_size;
-  while (next <= end) {
-    co_await sim.sleep_until(next);
-    pkt.arrival = sim.now();
-    port.rx(pkt);
-    const double gap = cfg.poisson ? sim.rng().exponential(mean_gap_ns) : mean_gap_ns;
-    next += std::max<sim::Time>(1, static_cast<sim::Time>(gap));
-  }
-}
 
 }  // namespace
 
@@ -137,21 +94,30 @@ void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg) 
   if (n_flows >= 0xffffffffu) {
     throw std::invalid_argument("per-flow sources: at most 2^32 - 2 flows");
   }
+  // The longest gap a draw gives is 53 ln 2 (under 37) mean gaps.
+  const double longest_gap_ns = 37e9 * static_cast<double>(n_flows) / cfg.total_rate_pps;
+  if (cfg.total_rate_pps > 0.0 && longest_gap_ns >= 0x1p63) {
+    throw std::invalid_argument("per-flow sources: total_rate_pps too small for its gaps to fit");
+  }
 }
 
 void attach(sim::Simulation& sim, nic::Port& port, Generator& gen) {
   port.set_ingress(std::make_unique<GroupedIngress>(sim, port, gen));
 }
 
-void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
-                             PerFlowSourceConfig cfg) {
+PerFlowDraws::PerFlowDraws(std::size_t n_flows, const PerFlowSourceConfig& cfg)
+    : seed_mix_(util::splitmix64(cfg.seed)),
+      mean_gap_ns_(1e9 * static_cast<double>(n_flows) / cfg.total_rate_pps),
+      start_(cfg.start),
+      poisson_(cfg.poisson) {}
+
+PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
+                                    PerFlowSourceConfig cfg) {
   check_per_flow_config(flows.size(), cfg);
-  const auto n = flows.size();
-  if (n == 0 || cfg.total_rate_pps <= 0.0) return;
-  const double mean_gap_ns = 1e9 * static_cast<double>(n) / cfg.total_rate_pps;
-  for (std::size_t f = 0; f < n; ++f) {
-    sim.spawn(flow_source_task(sim, port, flows, static_cast<std::uint32_t>(f), mean_gap_ns, cfg));
-  }
+  std::unique_ptr<PerFlowSourceArena> arena(new PerFlowSourceArena(sim, port, flows, cfg));
+  PerFlowSourceArena& ref = *arena;
+  port.set_ingress(std::move(arena));
+  return ref;
 }
 
 namespace {
@@ -190,8 +156,12 @@ constexpr auto earlier = [](const auto& a, const auto& b) noexcept {
 
 PerFlowSourceArena::PerFlowSourceArena(sim::Simulation& sim, nic::Port& port,
                                        const FlowSet& flows, PerFlowSourceConfig cfg)
-    : sim_(sim), port_(port), cfg_(cfg) {
-  check_per_flow_config(flows.size(), cfg);
+    : LazySource(sim),
+      port_(port),
+      draws_(flows.size(), cfg),
+      wire_size_(cfg.wire_size),
+      attach_(sim.now()),
+      end_(cfg.start + cfg.duration) {
   const auto n = flows.size();
   if (n == 0 || cfg.total_rate_pps <= 0.0) return;
   // Exact-size lane fills: at 2^24 flows a reserve-less push_back loop
@@ -202,64 +172,49 @@ PerFlowSourceArena::PerFlowSourceArena(sim::Simulation& sim, nic::Port& port,
   }
   next_at_.assign(n, kIdle);
   emitted_.assign(n, 0);
-  mean_gap_ns_ = 1e9 * static_cast<double>(n) / cfg.total_rate_pps;
-  end_ = cfg.start + cfg.duration;
-  sim_.attach_source(this);
-  // One bootstrap callback in place of n spawns. It lands in the now-FIFO
-  // exactly where the coroutine path's n task handles would, so the phase
-  // draws happen at the same point of the event order.
-  sim_.schedule_at(sim_.now(), [this] { bootstrap(); });
+  // The bootstrap is the first effect, at the attach instant: the first
+  // delivery, not the attach, pays for the calendar and the phase draws.
+  set_due(attach_);
 }
 
 void PerFlowSourceArena::bootstrap() {
+  booted_ = true;
   const auto n = static_cast<std::uint32_t>(rss_.size());
-  // The calendar: built here rather than in the constructor, so setup
-  // pays for it where it arms the flows. Bucket width: the power of two
-  // of ns at or above kArrivalsPerBucket aggregate gaps...
-  const double width = std::ceil(kArrivalsPerBucket * mean_gap_ns_ / n);
+  const double mean_gap = draws_.mean_gap_ns();
+  // The calendar. Bucket width: the power of two of ns at or above
+  // kArrivalsPerBucket aggregate gaps...
+  const double width = std::ceil(kArrivalsPerBucket * mean_gap / n);
   shift_ = width >= std::ldexp(1.0, kMaxShift)
                ? kMaxShift
                : static_cast<std::uint32_t>(std::bit_width(static_cast<std::uint64_t>(width) - 1));
   // ...and a power-of-two ring of buckets spanning kHorizonGaps mean
   // per-flow gaps.
-  const double span = std::ceil(kHorizonGaps * mean_gap_ns_ / std::ldexp(1.0, shift_));
+  const double span = std::ceil(kHorizonGaps * mean_gap / std::ldexp(1.0, shift_));
   const std::size_t max_buckets = std::min(kMaxBuckets, std::bit_ceil(rss_.size()));
   heads_.assign(
       std::bit_ceil(static_cast<std::size_t>(std::clamp(span, 1.0, static_cast<double>(max_buckets)))),
       kNil);
-  // The ring starts past now's bucket: an arm clamped to now always lands
-  // behind cur_, in the run, where its clamped instant is kept.
-  cur_ = (sim_.now() >> shift_) + 1;
+  // The ring starts past the attach instant's bucket: an arm clamped to
+  // that instant always lands behind cur_, in the run, where its clamped
+  // instant is kept.
+  cur_ = (attach_ >> shift_) + 1;
   seq_.resize(n);
   link_.resize(n);
   run_.reserve(std::min<std::size_t>(n, kRunReserve));
   scatter_.reserve(run_.capacity());
-  // Batched arming, two sequential passes over the lanes. Pass 1 streams
-  // the uniform phase draws into the next-fire lane — flow order, the
-  // order attach_per_flow_sources' tasks resume in (the now-FIFO
-  // preserves spawn order), so the draws consume the shared RNG
-  // identically. Pass 2 arms the flows, also in flow order. Splitting the
-  // passes cannot change the execution: draws consume no sequence
-  // numbers, so each arm still takes the sequence number the interleaved
-  // form would have handed it.
+  // One sequential pass arms the phases in flow order, the order one
+  // process per flow would arm them in; a phase past the end never arrives.
   for (std::uint32_t f = 0; f < n; ++f) {
-    next_at_[f] = cfg_.start + static_cast<sim::Time>(sim_.rng().uniform(0.0, mean_gap_ns_));
-  }
-  for (std::uint32_t f = 0; f < n; ++f) {
-    if (next_at_[f] > end_) {
-      next_at_[f] = kIdle;  // the coroutine's `while (next <= end)` bound
-    } else {
-      arm(f, next_at_[f]);
-    }
+    if (const sim::Time phase = draws_.phase(f); phase <= end_) arm_flow(f, phase);
   }
   publish_head();
 }
 
-void PerFlowSourceArena::arm(std::uint32_t flow, sim::Time at) {
-  const sim::Time t = std::max(at, sim_.now());
-  const std::uint64_t seq = sim_.take_seq();
-  // The lane keeps the planned instant: the next gap is drawn from it, as
-  // the coroutine's `next += gap` does, even when the arm clamps.
+void PerFlowSourceArena::arm_flow(std::uint32_t flow, sim::Time at) {
+  const sim::Time t = std::max(at, attach_);
+  const std::uint64_t seq = next_seq_++;
+  // The lane keeps the planned instant: the next gap is added to it, even
+  // when the arrival clamps.
   next_at_[flow] = at;
   seq_[flow] = seq;
   ++armed_;
@@ -292,11 +247,7 @@ void PerFlowSourceArena::chain(std::uint32_t flow, std::int64_t b) {
 
 void PerFlowSourceArena::publish_head() {
   if (run_head_ == run_.size() && armed_ != 0) refill();
-  if (run_head_ == run_.size()) {
-    clear_head();
-  } else {
-    set_head(run_[run_head_].at, run_[run_head_].seq);
-  }
+  set_due(run_head_ == run_.size() ? kNever : run_[run_head_].at);
 }
 
 void PerFlowSourceArena::absorb_overflow() {
@@ -394,35 +345,68 @@ void PerFlowSourceArena::order_run(std::span<std::uint32_t> count) {
   }
 }
 
-void PerFlowSourceArena::fire() {
-  // The fire path touches only the firing flow's lane entries (rss read,
-  // draw-state bump, next-fire/seq/link writes) plus the run and the
-  // shared config/RNG — no neighbouring flow state comes into the
-  // working set.
-  const std::uint32_t flow = run_[run_head_++].flow;
-  if (run_head_ + 1 < run_.size()) {
-    // Two fires ahead: start pulling that flow's read lanes in (past the
-    // LLC at the 4M+ rungs, each is a cold line).
-    const std::uint32_t ahead = run_[run_head_ + 1].flow;
-    __builtin_prefetch(&rss_[ahead]);
-    __builtin_prefetch(&emitted_[ahead], 1);
+PerFlowSourceArena::~PerFlowSourceArena() {
+  // The same-instant events point back at the arena.
+  for (const auto& [flow, event] : same_instant_) sim_.cancel(event);
+}
+
+void PerFlowSourceArena::deliver(sim::Time t, sim::Time since) {
+  if (!booted_) bootstrap();
+  while (due_at() < t ||
+         (due_at() == t && (since == kNever || scheduled_at(run_[run_head_]) < since))) {
+    const Pending p = run_[run_head_++];
+    if (run_head_ + 1 < run_.size()) {
+      // Two arrivals ahead: start pulling that flow's read lanes in (past
+      // the LLC at the 4M+ rungs, each is a cold line).
+      const std::uint32_t ahead = run_[run_head_ + 1].flow;
+      __builtin_prefetch(&rss_[ahead]);
+      __builtin_prefetch(&emitted_[ahead], 1);
+    }
+    emit(p.flow, p.at);
+    publish_head();
   }
+}
+
+sim::Time PerFlowSourceArena::scheduled_at(const Pending& p) const noexcept {
+  // Arrival k was armed by arrival k - 1, which arrived at its planned
+  // instant (the current one less gap k), or at the attach instant if
+  // that is later; a phase was armed at the attach instant.
+  const std::uint32_t k = emitted_[p.flow];
+  if (k == 0) return attach_;
+  return std::max(next_at_[p.flow] - draws_.gap(p.flow, k), attach_);
+}
+
+void PerFlowSourceArena::emit(std::uint32_t flow, sim::Time at) {
+  // Touches only the flow's lane entries (rss read, draw-state bump,
+  // next-fire/seq/link writes) plus the run — no neighbouring flow state
+  // comes into the working set.
   --armed_;
   nic::PacketDesc pkt;
   pkt.flow_id = flow;
   pkt.rss_hash = rss_[flow];
-  pkt.wire_size = cfg_.wire_size;
-  pkt.arrival = sim_.now();
+  pkt.wire_size = wire_size_;
+  pkt.arrival = at;
   port_.rx(pkt);
   ++fired_;
-  ++emitted_[flow];
-  const double gap = cfg_.poisson ? sim_.rng().exponential(mean_gap_ns_) : mean_gap_ns_;
-  const auto next = next_at_[flow] + std::max<sim::Time>(1, static_cast<sim::Time>(gap));
+  const sim::Time next = next_at_[flow] + draws_.gap(flow, ++emitted_[flow]);
   if (next > end_) {
-    next_at_[flow] = kIdle;  // retired: the coroutine's loop bound
+    next_at_[flow] = kIdle;  // retired: planned past the end
+  } else if (std::max(next, attach_) == at && sim_.now() == at) {
+    // Clamped to the attach instant while the clock stands there: the
+    // process's resume would be a new event here, behind whatever this
+    // packet woke (see the class comment).
+    next_at_[flow] = next;
+    ++armed_;
+    same_instant_.emplace_back(flow, sim_.schedule_at(at, [this] { emit_same_instant(); }));
   } else {
-    arm(flow, next);
+    arm_flow(flow, next);
   }
+}
+
+void PerFlowSourceArena::emit_same_instant() {
+  const std::uint32_t flow = same_instant_.front().first;
+  same_instant_.pop_front();
+  emit(flow, sim_.now());
   publish_head();
 }
 

@@ -28,35 +28,25 @@
 // that eager feeder, kept there as the reference, and every tracked
 // telemetry fingerprint is unchanged.
 //
-// For scenarios where the *population of armed flows* is the point (the
-// fig13 full-stack regime: thousands to millions of concurrently armed
-// flow timers), the per-flow entry points keep one arrival armed per flow.
-// One event per packet; use the grouped feeder when simulation speed
-// matters more than population realism. Two implementations share the
-// exact event stream:
-//
-//   * attach_per_flow_sources() — one coroutine per flow, each a pending
-//     kernel event. The readable reference; a heap-allocated frame per
-//     flow makes it unaffordable at the million-flow mark.
-//   * PerFlowSourceArena — the same processes as a structure-of-arrays
-//     arena that keeps its own timers: a private (at, seq) calendar the
-//     kernel merges as its one sim::EventSource. 28 bytes of arena state
-//     per flow across five packed lanes plus ~4 bytes of calendar bucket,
-//     no kernel event per flow, steady-state allocation-free, and
-//     construction is a few vector fills instead of millions of coroutine
-//     frames. Emits the byte-identical event stream (enforced by
-//     tests/test_tgen.cpp).
+// Where the *population of armed flows* is the point (the fig13 full-stack
+// regime: up to millions of armed flow timers), attach_per_flow() installs
+// a PerFlowSourceArena as the port's ingress instead: one arrival armed
+// per flow, each packet visible at its own arrival (no grouping), lazy in
+// the same way as a stream.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nic/port.hpp"
 #include "sim/simulation.hpp"
-#include "sim/task.hpp"
 #include "tgen/generator.hpp"
+#include "util/seed_mix.hpp"
 
 namespace metro::tgen {
 
@@ -81,47 +71,83 @@ struct PerFlowSourceConfig {
   std::uint16_t wire_size = 64;
   sim::Time start = 0;
   sim::Time duration = sim::kSecond;
+  std::uint64_t seed = 1;  ///< keys every flow's draws (PerFlowDraws)
 };
 
 /// Throw std::invalid_argument for a per-flow config no run can honour: a
 /// non-finite total_rate_pps (NaN would reach an undefined float-to-time
-/// cast, infinity makes every gap 1 ns), a negative duration, or
-/// 2^32 - 1 flows or more (flow ids are 32-bit and the arena reserves
-/// the top value as its nil link). Both per-flow entry points call it
-/// before touching the simulation. A non-positive finite rate is valid:
-/// it offers no traffic.
+/// cast, infinity makes every gap 1 ns), a positive rate so small that a
+/// gap could overflow sim::Time, a negative duration, or 2^32 - 1 flows
+/// or more (flow ids are 32-bit and the arena reserves the top value as
+/// its nil link). attach_per_flow() calls it before
+/// touching the simulation. A non-positive finite rate is valid: it
+/// offers no traffic.
 void check_per_flow_config(std::size_t n_flows, const PerFlowSourceConfig& cfg);
 
-/// Spawn one arrival process per flow of `flows` (flows.size() concurrent
-/// pending kernel events). All randomness is drawn from the owning
-/// simulation's RNG in event order, so runs stay bit-identical on either
-/// event store. The flow set must outlive the simulation run. Throws as
-/// check_per_flow_config.
-void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
-                             PerFlowSourceConfig cfg);
+/// Flow arrival schedules as a pure function of the seed: draw k of flow f
+/// is output k of a SplitMix64 generator seeded with
+/// util::mix_seed(cfg.seed, f). Draw 0 gives the phase, draw k the gap
+/// after the flow's k-th packet. Nothing comes from the simulation's RNG,
+/// so what consumes the packets cannot change them.
+class PerFlowDraws {
+ public:
+  PerFlowDraws(std::size_t n_flows, const PerFlowSourceConfig& cfg);
 
-/// Arena-backed per-flow arrival processes: the multi-million-flow form
-/// of attach_per_flow_sources. The arena is a structure of arrays — five
-/// packed lanes, 28 bytes per flow in total, sized exactly (no growth
-/// slack at 2^24 flows):
+  double mean_gap_ns() const noexcept { return mean_gap_ns_; }
+  /// start plus a uniform offset in [0, mean gap).
+  sim::Time phase(std::uint32_t flow) const noexcept {
+    return start_ + static_cast<sim::Time>(unit(flow, 0) * mean_gap_ns_);
+  }
+  /// Exponential or constant with the mean gap, truncated, at least 1 ns.
+  sim::Time gap(std::uint32_t flow, std::uint64_t k) const noexcept {
+    // 1 - unit lies in (0, 1], so the log is finite.
+    const double g = poisson_ ? -mean_gap_ns_ * std::log(1.0 - unit(flow, k)) : mean_gap_ns_;
+    return std::max<sim::Time>(1, static_cast<sim::Time>(g));
+  }
+
+ private:
+  /// Draw `k` of the flow's stream, uniform in [0, 1).
+  double unit(std::uint32_t flow, std::uint64_t k) const noexcept {
+    const std::uint64_t key = util::splitmix64(seed_mix_ ^ flow);
+    const std::uint64_t x = util::splitmix64(key + k * 0x9e3779b97f4a7c15ULL);
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
+  std::uint64_t seed_mix_;  ///< splitmix64(seed): mix_seed's first step, hoisted
+  double mean_gap_ns_;
+  sim::Time start_;
+  bool poisson_;
+};
+
+class PerFlowSourceArena;
+
+/// Install a PerFlowSourceArena for `flows` as the port's ingress; the
+/// port owns it, the flow set must outlive the run. Throws as
+/// check_per_flow_config, or std::logic_error if the port has an ingress.
+PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
+                                    PerFlowSourceConfig cfg);
+
+/// Per-flow arrival processes as a structure of arrays — five packed
+/// lanes, 28 bytes per flow in total, sized exactly (no growth slack at
+/// 2^24 flows):
 ///
 ///   * rss hash (4 B)       — the precomputed RSS hash, contiguous so the
-///                            fire path touches one dense cache line per
-///                            16 flows instead of a FlowSet stride;
+///                            delivery path touches one dense cache line
+///                            per 16 flows instead of a FlowSet stride;
 ///   * next-fire time (8 B) — the planned instant of the flow's armed
 ///                            arrival (kIdle once the flow retires past
-///                            its end); an arm planned behind now fires
-///                            at now but keeps this phase;
-///   * draw state (4 B)     — packets this flow has emitted, i.e. the
-///                            gap draws it has consumed from the shared
-///                            RNG (per-flow accounting for the at-scale
-///                            invariant tests);
-///   * seq (8 B)            — the kernel sequence number its arm took;
+///                            its end); an arrival planned before the
+///                            attach instant arrives at that instant but
+///                            keeps this phase;
+///   * draw state (4 B)     — packets this flow has emitted, which is also
+///                            the counter of its next gap draw;
+///   * seq (8 B)            — the arena's arm counter when the arrival was
+///                            armed: it orders arrivals at one instant;
 ///   * link (4 B)           — the intrusive calendar-chain link.
 ///
-/// The arena owns its timers: it is the kernel's sim::EventSource, and
-/// the kernel's event store holds nothing per flow. Armed flows wait in a
-/// calendar queue (Brown, CACM 31(10), 1988) keyed by (at, seq):
+/// The arena is a sim::LazySource: it schedules nothing per arrival.
+/// Armed flows wait in a calendar queue (Brown, CACM 31(10), 1988) keyed
+/// by (at, seq):
 ///
 ///   * buckets a power of two of ns wide, about 8 aggregate arrivals each,
 ///     with enough of them to cover about 8 mean per-flow gaps — both
@@ -131,12 +157,12 @@ void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSe
 ///     the horizon reaches its earliest entry (or jumped to when the
 ///     buckets run dry);
 ///   * a short run of {at, seq, flow} records: the next few non-empty
-///     buckets, in (at, seq) order. Its front is the head the kernel
-///     merges. The chains are walked interleaved, so beyond the LLC the
-///     walk pays for several independent cache misses at once instead of
-///     one dependent miss per step. An arm that lands before the end of
-///     the loaded buckets (rare: a gap shorter than a few buckets), or is
-///     clamped to now, goes straight into the run in order.
+///     buckets, in (at, seq) order. Its front is due_at(). The chains are
+///     walked interleaved, so beyond the LLC the walk pays for several
+///     independent cache misses at once instead of one dependent miss per
+///     step. An arm that lands before the end of the loaded buckets (rare:
+///     a gap shorter than a few buckets), or at the attach instant, goes
+///     straight into the run in order.
 ///
 /// A refill orders the run without a comparison sort. The loaded buckets
 /// are disjoint in time and loaded in time order, so the walk keys each
@@ -150,64 +176,51 @@ void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port, const FlowSe
 /// std::sort instead, since an insertion pass over a long LIFO chain of
 /// ties would be quadratic.
 ///
-/// A fire touches the firing flow's lane entries plus the run — no
-/// coroutine frame, no kernel store push, pop or cascade, and no
-/// per-arrival allocation.
+/// deliver() pops the due run records in order and hands their packets to
+/// the port: no coroutine frame, kernel event or allocation per arrival
+/// (a parked reader keeps the one armed event of sim::LazySource). The
+/// first delivery builds the calendar and arms the phases.
 ///
-/// Arming is batched where the population is batched: constructing the
-/// arena schedules a single bootstrap callback that builds the calendar,
-/// streams the uniform phase draws into the next-fire lane (one
-/// sequential pass, flow order) and then arms the flows in a second
-/// sequential pass — a handful of lane fills, not millions of interleaved
-/// draw/spawn round trips through cold kernel structures.
-///
-/// Equivalence contract: the arena consumes the simulation RNG in the
-/// same order as the coroutine path (phase draws in flow order at t=now,
-/// then one gap draw per arrival in event order), and every arm takes its
-/// kernel sequence number (sim.take_seq()) at the point the coroutine's
-/// resume would have been scheduled, with the same `t < now -> now` clamp,
-/// and draws the next gap from the planned instant, not the clamped one.
-/// The kernel merges the calendar's head with its own events by
-/// (at, seq), so the merged order is the order the per-flow events would
-/// have had in the store. The emitted packet stream — every field, every
-/// delivery instant, and hence every downstream observable — is
-/// bit-identical to attach_per_flow_sources on either event store
-/// (tests/test_tgen.cpp pins this). Only the kernel's internal event
-/// count differs: one bootstrap event replaces the n spawn resumes.
-///
-/// The arena must outlive the simulation run; it is pinned (the kernel
-/// and its bootstrap callback point at `this`). Throws as
-/// check_per_flow_config.
-class PerFlowSourceArena final : public sim::EventSource {
+/// Equivalence contract: what a reader sees is what one process per flow
+/// would leave — plan `phase`, then `next += gap` after each packet,
+/// arrive at max(planned, attach instant) until the plan passes
+/// start + duration — each arrival a kernel event scheduled at its flow's
+/// previous arrival (the `since` rule's schedule instant). Only an arena
+/// attached after `start` re-arms a flow at the instant it is delivering;
+/// while the clock stands there, that arrival gets a kernel event of its
+/// own, as the process's resume would. tests/test_tgen.cpp holds the
+/// arena to that reference (tests/per_flow_oracle.hpp) on either store.
+class PerFlowSourceArena final : public sim::LazySource {
  public:
   /// next_fire_at() value of a flow with no armed arrival (retired past
   /// `start + duration`, or not yet bootstrapped).
   static constexpr sim::Time kIdle = -1;
 
-  PerFlowSourceArena(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
-                     PerFlowSourceConfig cfg);
-  PerFlowSourceArena(const PerFlowSourceArena&) = delete;
-  PerFlowSourceArena& operator=(const PerFlowSourceArena&) = delete;
+  ~PerFlowSourceArena() override;
 
   std::size_t flow_count() const noexcept { return rss_.size(); }
-  /// Packets emitted so far. (armed(), from sim::EventSource, counts the
-  /// flows with an arrival pending: 0 once every flow passed
-  /// `start + duration`.)
+  /// Packets handed to the port so far.
   std::uint64_t fired() const noexcept { return fired_; }
+  /// Flows with an arrival armed: 0 before the bootstrap and once every
+  /// flow passed `start + duration`.
+  std::size_t armed() const noexcept { return armed_; }
 
   // --- per-flow lane accessors (accounting tests and diagnostics) -------
-  /// True while `flow` has an arrival armed.
-  bool flow_armed(std::uint32_t flow) const noexcept { return next_at_[flow] != kIdle; }
-  /// The armed arrival's instant, or kIdle when the flow retired. (A
-  /// clamped arm fires at the instant it was armed, and the clock cannot
-  /// pass that instant while the arm is pending.)
+  // They read the delivered state: an arrival due but not yet delivered
+  // still counts as armed.
+  /// The armed arrival's instant, or kIdle when the flow retired.
   sim::Time next_fire_at(std::uint32_t flow) const noexcept {
-    return next_at_[flow] == kIdle ? kIdle : std::max(next_at_[flow], sim_.now());
+    return next_at_[flow] == kIdle ? kIdle : std::max(next_at_[flow], attach_);
   }
   /// Packets this flow emitted (== gap draws it consumed).
   std::uint32_t flow_fired(std::uint32_t flow) const noexcept { return emitted_[flow]; }
 
+  void deliver(sim::Time t, sim::Time since) override;
+
  private:
+  friend PerFlowSourceArena& attach_per_flow(sim::Simulation&, nic::Port&, const FlowSet&,
+                                             PerFlowSourceConfig);
+
   /// One armed arrival in the run. `key` is its refill sort key (load
   /// index and slice; see the class comment); it fills the padding.
   struct Pending {
@@ -218,16 +231,26 @@ class PerFlowSourceArena final : public sim::EventSource {
   };
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  PerFlowSourceArena(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
+                     PerFlowSourceConfig cfg);
+
+  bool stay_armed() const override { return port_.has_parked_reader(); }
+
   void bootstrap();
-  /// The head flow's arrival is due: emit its packet, draw its next gap,
-  /// re-arm it, publish the new head.
-  void fire() override;
-  /// Arm `flow` at `at` (clamped to now) under a fresh kernel seq.
-  void arm(std::uint32_t flow, sim::Time at);
+  /// Hand `flow`'s arrival at `at` to the port, draw the flow's next gap
+  /// and re-arm it, or retire it past its end.
+  void emit(std::uint32_t flow, sim::Time at);
+  /// The kernel event of the oldest same-instant arrival: emit it.
+  void emit_same_instant();
+  /// The `since` rule's schedule instant of a run record.
+  sim::Time scheduled_at(const Pending& p) const noexcept;
+  /// Arm `flow` at `at` (arriving at max(at, attach instant)).
+  void arm_flow(std::uint32_t flow, sim::Time at);
   /// Chain `flow`, armed in bucket `b >= cur_`, into its ring bucket, or
   /// into overflow when `b` lies past the ring.
   void chain(std::uint32_t flow, std::int64_t b);
-  /// Make the run's front the earliest armed arrival and publish it.
+  /// Make the run's front the earliest armed arrival and publish it as
+  /// due_at().
   void publish_head();
   /// Load the next non-empty buckets into the (empty) run, in order.
   void refill();
@@ -237,18 +260,21 @@ class PerFlowSourceArena final : public sim::EventSource {
   /// Move overflow entries now inside the horizon into their buckets.
   void absorb_overflow();
 
-  sim::Simulation& sim_;
   nic::Port& port_;
   // The SoA lanes (28 B per flow; see the class comment).
   std::vector<std::uint32_t> rss_;      ///< RSS hash lane
   std::vector<sim::Time> next_at_;      ///< next-fire lane (kIdle = retired)
   std::vector<std::uint32_t> emitted_;  ///< draw-state lane (packets emitted)
-  std::vector<std::uint64_t> seq_;      ///< kernel seq of the armed arrival
+  std::vector<std::uint64_t> seq_;      ///< arm counter of the armed arrival
   std::vector<std::uint32_t> link_;     ///< calendar chain link
-  PerFlowSourceConfig cfg_;
-  double mean_gap_ns_ = 0.0;
+  PerFlowDraws draws_;
+  std::uint16_t wire_size_;
+  sim::Time attach_;  ///< construction instant: the earliest arrival
   sim::Time end_ = 0;
+  bool booted_ = false;
+  std::size_t armed_ = 0;
   std::uint64_t fired_ = 0;
+  std::uint64_t next_seq_ = 0;
   // The calendar (see the class comment). Buckets are absolute indices
   // `at >> shift_`; the ring holds [cur_, cur_ + ring size).
   std::vector<std::uint32_t> heads_;  ///< bucket chain heads (ring)
@@ -260,6 +286,9 @@ class PerFlowSourceArena final : public sim::EventSource {
   std::vector<Pending> run_;          ///< in order; consumed from run_head_
   std::size_t run_head_ = 0;
   std::vector<Pending> scatter_;      ///< order_run's second run buffer
+  /// Flows re-armed at the attach instant while it is being delivered,
+  /// each with the kernel event that will emit it, oldest first.
+  std::deque<std::pair<std::uint32_t, sim::Simulation::EventId>> same_instant_;
 };
 
 }  // namespace metro::tgen

@@ -254,9 +254,9 @@ struct ArenaWindow {
 };
 
 /// A PerFlowSourceArena of 4096 flows feeds an X520 port and a consumer
-/// coroutine drains it; returns what the 150-200 ms window did. Every fire
-/// is one calendar pop, a port rx() and a re-arm into the arena's own
-/// calendar — the kernel's event store holds nothing per flow.
+/// coroutine drains it; returns what the 150-200 ms window did. Every
+/// arrival is one calendar pop, a port rx() and a re-arm into the arena's
+/// own calendar — the kernel's event store holds nothing per flow.
 ///
 /// 1,953,125 pps over 4096 flows is a per-flow gap of exactly 2^21 ns, so
 /// the calendar has 4096 ns buckets of ~8 arrivals each. Constant gaps
@@ -276,7 +276,7 @@ ArenaWindow arena_window(Store store, bool poisson) {
   cfg.duration = kSecond;
   std::uint64_t drained = 0;
   sim.spawn(drain(port.rx_queue(0), drained));
-  tgen::PerFlowSourceArena arena(sim, port, flows, cfg);
+  const tgen::PerFlowSourceArena& arena = tgen::attach_per_flow(sim, port, flows, cfg);
   sim.run_until(150 * kMillisecond);
 
   ArenaWindow w;

@@ -173,8 +173,8 @@ TEST(BackendFullstackTest, InPlaceEventsAreSliceInvariant) {
 template <typename Sim>
 void expect_flow_timers_outside_the_store() {
   // The per-flow mode keeps one arrival armed per flow, and the arena's
-  // calendar holds them all: pending_events() counts them, the kernel's
-  // event store never sees them.
+  // calendar holds them all: the kernel sees one lazy source, pending as
+  // one event at most, and its event store never holds a flow.
   auto cfg = small_metronome_config();
   cfg.workload.model = ArrivalModel::kPerFlow;
   cfg.workload.n_flows = 2048;
@@ -186,7 +186,8 @@ void expect_flow_timers_outside_the_store() {
   for (sim::Time t = 250 * sim::kMicrosecond; t <= cfg.warmup + cfg.measure;
        t += 250 * sim::kMicrosecond) {
     bed.run_until(t);
-    EXPECT_GE(bed.sim().pending_events(), 2048u) << "at " << t << " ns";
+    EXPECT_EQ(bed.flow_arena()->armed(), 2048u) << "at " << t << " ns";
+    EXPECT_LE(bed.sim().pending_events(), bed.sim().stored_events() + 1) << "at " << t << " ns";
     EXPECT_LE(bed.sim().stored_events(), 64u) << "at " << t << " ns";
   }
   EXPECT_GT(bed.packets_processed(), 10000u) << "scenario must do real work";

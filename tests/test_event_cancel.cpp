@@ -3,10 +3,10 @@
 // kernel's: a cancelled callback stays stored as a tombstone that the
 // kernel discards when it reaches the front or purges once tombstones
 // dominate the store, so the observable contract is identical on both. The
-// middle cases merge an attached EventSource with coroutine and callback
-// events and pin their shared (at, seq) order. The last ones pin when
-// advance_inline() may stand in for an event: never while a stored, FIFO
-// or source event could run first, and never past the running slice.
+// middle case merges stored, now-FIFO and cancelled events and pins their
+// shared (at, seq) order. The last ones pin when advance_inline() may
+// stand in for an event: never while a stored or FIFO event could run
+// first, and never past the running slice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -316,12 +316,12 @@ TEST_P(EventCancelTest, ChurnWhileRunning) {
   EXPECT_GT(fired, 1000u) << "churn must do real work";
 }
 
-// --- an event source merged into one order --------------------------------
+// --- stored, FIFO and cancelled events merged into one order ---------------
 //
-// Every schedule or arm call below first takes a tag from
-// MixedOrderLog::note(), with no other schedule in between, so tags are
-// handed out in the kernel's seq order and the expected execution is the
-// live (at, tag) pairs sorted.
+// Every schedule call below first takes a tag from MixedOrderLog::note(),
+// with no other schedule in between, so tags are handed out in the
+// kernel's seq order and the expected execution is the live (at, tag)
+// pairs sorted.
 
 struct MixedOrderLog {
   std::vector<std::pair<Time, std::uint32_t>> expected;  // (at, tag) per live event
@@ -334,52 +334,6 @@ struct MixedOrderLog {
   }
 };
 
-/// The smallest EventSource: a sorted vector of (at, seq, tag). Each arm
-/// takes a kernel seq; each fire logs (now, tag).
-class TagSource final : public EventSource {
- public:
-  TagSource(Simulation& sim, MixedOrderLog& log) : sim_(sim), log_(log) { sim.attach_source(this); }
-
-  void arm(Time at) {
-    const std::uint32_t tag = log_.note(at);
-    const Armed a{at, sim_.take_seq(), tag};
-    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), a,
-                                     [](const Armed& x, const Armed& y) {
-                                       return std::pair{x.at, x.seq} < std::pair{y.at, y.seq};
-                                     }),
-                    a);
-    ++armed_;
-    publish();
-  }
-
-  void fire() override {
-    EXPECT_EQ(sim_.now(), pending_.front().at);
-    log_.fired.emplace_back(sim_.now(), pending_.front().tag);
-    pending_.erase(pending_.begin());
-    --armed_;
-    publish();
-  }
-
- private:
-  struct Armed {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t tag;
-  };
-
-  void publish() {
-    if (pending_.empty()) {
-      clear_head();
-    } else {
-      set_head(pending_.front().at, pending_.front().seq);
-    }
-  }
-
-  Simulation& sim_;
-  MixedOrderLog& log_;
-  std::vector<Armed> pending_;
-};
-
 /// Logs its first resume under `resume_tag`, then sleeps until `at` and
 /// logs the wake-up under the tag it takes just before suspending.
 Task tag_sleeper(Simulation& sim, MixedOrderLog& log, std::uint32_t resume_tag, Time at) {
@@ -389,11 +343,9 @@ Task tag_sleeper(Simulation& sim, MixedOrderLog& log, std::uint32_t resume_tag, 
   log.fired.emplace_back(sim.now(), tag);
 }
 
-TEST_P(EventCancelTest, SourceEventsMergeIntoOneOrder) {
+TEST_P(EventCancelTest, EventsMergeIntoOneOrder) {
   Simulation& sim = this->sim();
   MixedOrderLog log;
-  TagSource source(sim, log);
-  const auto source_at = [&](Time at) { source.arm(at); };
   const auto callback_at = [&](Time at) {
     const std::uint32_t tag = log.note(at);
     const auto id =
@@ -408,43 +360,35 @@ TEST_P(EventCancelTest, SourceEventsMergeIntoOneOrder) {
     const std::uint32_t tag = log.note(sim.now());
     sim.spawn(tag_sleeper(sim, log, tag, at));
   };
-  // Every live event noted so far and not yet run is pending — the
-  // source's armed events too.
+  // Every live event noted so far and not yet run is pending.
   const auto expect_pending = [&] {
     EXPECT_EQ(sim.pending_events(), log.expected.size() - log.fired.size());
     EXPECT_EQ(sim.idle(), log.expected.size() == log.fired.size());
   };
 
   // On the wheel (1024 ns level-0 ticks) everything in [2048, 3072) shares
-  // one level-0 slot: source events, live callbacks, a store-held
-  // coroutine wake-up and the tombstones of two cancelled callbacks, at
-  // equal and at distinct times.
-  source_at(2900);
-  source_at(2500);
+  // one level-0 slot: live callbacks, a store-held coroutine wake-up and
+  // the tombstones of two cancelled callbacks, at equal and at distinct
+  // times.
   callback_at(2500);
-  source_at(2100);  // alone at its instant: run_until(2100) ends on it
+  callback_at(2100);  // alone at its instant: run_until(2100) ends on it
   const auto doomed_a = callback_at(2200);
-  source_at(2500);
   const auto doomed_b = callback_at(2500);
   callback_at(2700);
-  source_at(2200);
   spawn_now(2500);  // first resume at 0 via the now-FIFO, wakes at 2500
   // Far enough out to sit in a level-1 slot, next to a tombstone.
-  source_at(400'000);
   const auto doomed_c = callback_at(400'100);
-  source_at(400'100);
   callback_at(400'100);
-  source_at(500'000);  // the last pending event is the source's
-  // At 1000 ns the hook interleaves now-FIFO spawns, source arms and a
-  // callback, all at now(): they run in the order they were taken.
+  callback_at(500'000);  // the last pending event
+  // At 1000 ns the hook interleaves now-FIFO spawns and stored callbacks,
+  // all at now(): they run in the order they were taken.
   const std::uint32_t hook = log.note(1000);
   sim.schedule_at(1000, [&, hook] {
     log.fired.emplace_back(sim.now(), hook);
     spawn_now(2300);
-    source_at(sim.now());
+    callback_at(sim.now());
     spawn_now(2600);
     callback_at(sim.now());
-    source_at(sim.now());
   });
   cancel(doomed_a);
   cancel(doomed_b);
@@ -452,14 +396,14 @@ TEST_P(EventCancelTest, SourceEventsMergeIntoOneOrder) {
   expect_pending();
 
   sim.run_until(2000);
-  EXPECT_EQ(log.fired.size(), 7u) << "the 0 ns resume, the hook and its five events";
+  EXPECT_EQ(log.fired.size(), 6u) << "the 0 ns resume, the hook and its four events";
   expect_pending();
   sim.run_until(2100);
-  EXPECT_EQ(log.fired.back(), (std::pair<Time, std::uint32_t>{2100, 3}))
-      << "a source head at exactly run_until's end fires";
+  EXPECT_EQ(log.fired.back(), (std::pair<Time, std::uint32_t>{2100, 1}))
+      << "an event at exactly run_until's end runs";
   expect_pending();
   sim.run_until(400'200);
-  EXPECT_EQ(sim.pending_events(), 1u) << "only the source's 500 us event is left";
+  EXPECT_EQ(sim.pending_events(), 1u) << "only the 500 us callback is left";
   expect_pending();
   sim.run();
   expect_pending();
@@ -471,16 +415,8 @@ TEST_P(EventCancelTest, SourceEventsMergeIntoOneOrder) {
   // Equal vectors: every live event ran exactly once, at its time, in
   // (at, seq) order; no cancelled callback ran.
   EXPECT_EQ(log.fired, want);
-  EXPECT_EQ(want.size(), 21u);
-  EXPECT_EQ(sim.events_processed(), 21u) << "source fires count as processed events";
-}
-
-TEST_P(EventCancelTest, OnlyOneSourceAttaches) {
-  Simulation& sim = this->sim();
-  MixedOrderLog log;
-  TagSource source(sim, log);
-  EXPECT_THROW(sim.attach_source(&source), std::logic_error);
-  EXPECT_THROW(sim.attach_source(nullptr), std::invalid_argument);
+  EXPECT_EQ(want.size(), 14u);
+  EXPECT_EQ(sim.events_processed(), 14u);
 }
 
 /// advance_inline() asked from inside a callback at 10 ns, on both stores.
@@ -503,19 +439,15 @@ INSTANTIATE_TEST_SUITE_P(Store, AdvanceInlineTest, kStores, store_name);
 
 Task finish_at_once() { co_return; }
 
-TEST_P(AdvanceInlineTest, GrantMovesTheClockTakesASeqAndCountsAnEvent) {
+TEST_P(AdvanceInlineTest, GrantMovesTheClockAndCountsAnEvent) {
   Simulation& sim = this->sim();
-  std::uint64_t seq_before = 0, seq_after = 0;
   Time at = -1;
   sim.schedule_at(10, [&] {
-    seq_before = sim.take_seq();
     EXPECT_TRUE(sim.advance_inline(500));
     at = sim.now();
-    seq_after = sim.take_seq();
   });
   sim.run();
   EXPECT_EQ(at, 500);
-  EXPECT_EQ(seq_after, seq_before + 2) << "the grant took the stood-for event's seq";
   EXPECT_EQ(sim.events_processed(), 2u) << "the callback and the event it stood for";
   EXPECT_EQ(sim.events_inlined(), 1u);
 }
@@ -546,16 +478,6 @@ TEST_P(AdvanceInlineTest, RefusedWhileTheFifoHoldsAResume) {
   EXPECT_EQ(ask({500}, [&sim] { sim.spawn(finish_at_once()); }), std::vector<bool>{false});
   EXPECT_EQ(sim.events_processed(), 2u) << "the callback and the spawned resume";
   EXPECT_EQ(sim.events_inlined(), 0u);
-}
-
-TEST_P(AdvanceInlineTest, RefusedWhenTheSourceHeadIsDue) {
-  MixedOrderLog log;
-  TagSource source(sim(), log);
-  source.arm(500);
-  // A head at t itself was armed first, so it runs first.
-  EXPECT_EQ(ask({500, 499}, [] {}), (std::vector<bool>{false, true}));
-  EXPECT_EQ(log.fired, (std::vector<std::pair<Time, std::uint32_t>>{{500, 0}}));
-  EXPECT_EQ(sim().events_inlined(), 1u);
 }
 
 TEST_P(AdvanceInlineTest, RefusedWhenTheStoreFrontIsDue) {

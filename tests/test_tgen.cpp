@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <initializer_list>
 #include <limits>
@@ -9,15 +10,19 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/experiment.hpp"
 #include "nic/port.hpp"
+#include "per_flow_oracle.hpp"
+#include "scenario/registry.hpp"
 #include "sim/simulation.hpp"
 #include "tgen/bursty.hpp"
 #include "tgen/feeder.hpp"
 #include "tgen/generator.hpp"
 #include "tgen/trace.hpp"
+#include "util/seed_mix.hpp"
 
 namespace metro::tgen {
 namespace {
@@ -339,13 +344,13 @@ TEST(NextBatchTest, TraceMatchesUnbatched) {
 
 // --- arena vs coroutine per-flow sources --------------------------------
 //
-// PerFlowSourceArena is the million-flow form of attach_per_flow_sources:
-// packed SoA lanes and a private arrival calendar merged into the kernel's
-// order instead of one coroutine frame and one pending kernel event per
-// flow. The contract is bit-identical execution — the consumer below
-// digests every delivered packet (fields and delivery instant), and the
-// digest and the delivery count must match between the two attach paths,
-// on either event store.
+// PerFlowSourceArena is the million-flow form of the coroutine per-flow
+// sources (per_flow_oracle.hpp): packed SoA lanes and a private arrival
+// calendar, delivered lazily, instead of one coroutine frame and one
+// pending kernel event per flow. The contract is bit-identical execution —
+// the consumer below digests every delivered packet (fields and delivery
+// instant), and the digest and the delivery count must match between the
+// two attach paths, on either event store.
 
 sim::Task digest_all(sim::Simulation& s, nic::RxRing& ring, std::uint64_t& digest,
                      std::uint64_t& count) {
@@ -390,15 +395,14 @@ struct PerFlowCase {
 struct AttachCoroutines {
   int operator()(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                  PerFlowSourceConfig cfg) const {
-    attach_per_flow_sources(sim, port, flows, cfg);
+    testing::attach_per_flow_sources(sim, port, flows, cfg);
     return 0;
   }
 };
 struct AttachArena {
-  std::unique_ptr<PerFlowSourceArena> operator()(sim::Simulation& sim, nic::Port& port,
-                                                 const FlowSet& flows,
-                                                 PerFlowSourceConfig cfg) const {
-    return std::make_unique<PerFlowSourceArena>(sim, port, flows, cfg);
+  const PerFlowSourceArena* operator()(sim::Simulation& sim, nic::Port& port,
+                                       const FlowSet& flows, PerFlowSourceConfig cfg) const {
+    return &attach_per_flow(sim, port, flows, cfg);  // the port owns it
   }
 };
 
@@ -423,18 +427,19 @@ TEST(PerFlowArenaTest, MatchesCoroutineSourcesExactly) {
   std::uint64_t arena_fired = 0;
   const auto arena = run_per_flow<sim::Simulation>(
       [&](auto& sim, auto& port, const FlowSet& flows, PerFlowSourceConfig cfg) {
-        auto holder = AttachArena{}(sim, port, flows, cfg);
-        sim.schedule_at(24 * sim::kMillisecond, [&, a = holder.get()] {
+        const PerFlowSourceArena* a = AttachArena{}(sim, port, flows, cfg);
+        sim.schedule_at(24 * sim::kMillisecond, [&, a] {
           arena_flows = a->flow_count();
           arena_armed = a->armed();
           arena_fired = a->fired();
         });
-        return holder;
+        return a;
       });
   EXPECT_GT(coroutine.count, 10000u);
   // The delivered packet stream — fields and delivery instants — is
-  // bit-identical. events_processed legitimately differs: one bootstrap
-  // event replaces the n per-flow spawn resumes.
+  // bit-identical. events_processed legitimately differs: the arena keeps
+  // no event per flow or per packet, only one armed while the consumer is
+  // parked.
   EXPECT_EQ(arena.digest, coroutine.digest);
   EXPECT_EQ(arena.count, coroutine.count);
   EXPECT_LT(arena.events, coroutine.events);
@@ -544,6 +549,196 @@ TEST(PerFlowArenaTest, SubNanosecondGapsMatchOracle) {
   c.cfg.duration = 40;
   c.run_until = 2000;
   expect_arena_matches_oracle(c, 600'000);
+}
+
+TEST(PerFlowDrawsTest, DrawsAreCountersOfTheFlowsMixedSeed) {
+  // Flow f's draw k is output k of a SplitMix64 generator seeded with
+  // util::mix_seed(seed, f): draw 0 the phase, draw k >= 1 the k-th gap.
+  PerFlowSourceConfig cfg;
+  cfg.total_rate_pps = 1e6;
+  cfg.start = 5000;
+  cfg.seed = 42;
+  const PerFlowDraws draws(100, cfg);
+  const double mean = 1e9 * 100 / cfg.total_rate_pps;
+  const auto unit = [&](std::uint32_t f, std::uint64_t k) {
+    const std::uint64_t key = util::mix_seed(cfg.seed, f);
+    const std::uint64_t x = util::splitmix64(key + k * 0x9e3779b97f4a7c15ULL);
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  for (const std::uint32_t f : {0u, 1u, 99u}) {
+    EXPECT_EQ(draws.phase(f), cfg.start + static_cast<Time>(unit(f, 0) * mean));
+    for (const std::uint64_t k : {1u, 2u, 1000u}) {
+      EXPECT_EQ(draws.gap(f, k), static_cast<Time>(-mean * std::log(1.0 - unit(f, k))));
+    }
+  }
+  cfg.seed = 43;
+  EXPECT_NE(PerFlowDraws(100, cfg).phase(0), draws.phase(0)) << "the seed keys the draws";
+}
+
+// --- a per-flow arrival tied with a parked reader's timeout -----------------
+//
+// A reader on queue 0 parks with a timeout after every drain, and per-flow
+// arrivals land on the very nanosecond of its timeouts, in either
+// scheduling order of the tie:
+//   * arrival first — the arrival's own event (one process per flow) was
+//     scheduled before the timeout, so it wakes the reader and the timeout
+//     never fires;
+//   * timeout first — the timeout was scheduled before the arrival's own
+//     event, so the timeout fires first and the reader reads its ring
+//     before the arrival is handled. Only an arrival that woke nobody can
+//     have been armed while the reader was parked, so this flow sends to
+//     queue 1, whose reader parks without a timeout.
+// Each case runs against the coroutine oracle, the arena on both stores.
+
+struct TieRun {
+  std::uint64_t digest = 0;  ///< both readers' packets and reader 0's wake-ups
+  std::uint64_t count = 0;
+  std::uint64_t notified_at_timeout = 0;  ///< a packet woke reader 0 at its timeout
+  std::uint64_t timeouts = 0;             ///< reader 0's timeout fired
+  bool operator==(const TieRun&) const = default;
+};
+
+/// From `start`, drain the ring and park for at most `timeout`, folding
+/// every packet and every wake-up (instant, and whether a packet woke it)
+/// into the digest.
+sim::Task timed_reader(sim::Simulation& s, nic::RxRing& ring, Time start, Time timeout,
+                       TieRun& r) {
+  co_await s.sleep_until(start);
+  nic::PacketDesc buf[32];
+  for (;;) {
+    const int n = ring.pop_burst(buf, 32);
+    for (int i = 0; i < n; ++i) {
+      r.digest = r.digest * 1099511628211ull + static_cast<std::uint64_t>(buf[i].arrival);
+      r.digest = r.digest * 1099511628211ull + static_cast<std::uint64_t>(s.now());
+      ++r.count;
+    }
+    if (n != 0) continue;
+    const Time parked = s.now();
+    const bool woke = co_await ring.wait_arrival_for(timeout);
+    r.digest = r.digest * 1099511628211ull + static_cast<std::uint64_t>(s.now()) * 2 + woke;
+    if (!woke) ++r.timeouts;
+    if (woke && s.now() == parked + timeout) ++r.notified_at_timeout;
+  }
+}
+
+/// One tie case: `flows` under `cfg`, reader 0 from `start` with `timeout`.
+struct TieCase {
+  FlowSet flows{1, 11};
+  int queues = 1;
+  PerFlowSourceConfig cfg{.total_rate_pps = 1e6,
+                          .poisson = false,
+                          .wire_size = 64,
+                          .start = 0,
+                          .duration = 2 * sim::kMillisecond};
+  Time start = 0;
+  Time timeout = sim::kMicrosecond;
+};
+
+template <typename Sim, typename AttachFn>
+TieRun run_tie(AttachFn&& attach_fn, const TieCase& c) {
+  Sim sim(7);
+  nic::Port port(sim, nic::x520_config(c.queues));
+  TieRun r;
+  sim.spawn(timed_reader(sim, port.rx_queue(0), c.start, c.timeout, r));
+  std::uint64_t other = 0;
+  std::uint64_t other_count = 0;
+  if (c.queues > 1) sim.spawn(digest_all(sim, port.rx_queue(1), other, other_count));
+  [[maybe_unused]] const auto keep = attach_fn(sim, port, c.flows, c.cfg);
+  sim.run_until(c.cfg.duration + sim::kMillisecond);
+  r.digest ^= other;
+  r.count += other_count;
+  return r;
+}
+
+void expect_tie_matches_oracle(const TieCase& c) {
+  const TieRun oracle = run_tie<sim::Simulation>(AttachCoroutines{}, c);
+  EXPECT_EQ(run_tie<sim::Simulation>(AttachArena{}, c), oracle) << "heap";
+  EXPECT_EQ(run_tie<sim::WheelSimulation>(AttachArena{}, c), oracle) << "wheel";
+}
+
+TEST(PerFlowArenaTest, ArrivalArmedBeforeATimeoutWakesTheReader) {
+  // One CBR flow with a 1 us gap on one queue; the reader's 1 us timeout,
+  // armed when it parks after each packet, ends on the next arrival, which
+  // the packet before armed.
+  const TieCase c;
+  const TieRun oracle = run_tie<sim::Simulation>(AttachCoroutines{}, c);
+  EXPECT_GE(oracle.notified_at_timeout, 1990u) << "every arrival after the first is a tie";
+  EXPECT_EQ(oracle.count, 2000u);
+  expect_tie_matches_oracle(c);
+}
+
+TEST(PerFlowArenaTest, TimeoutArmedBeforeAnArrivalFiresFirst) {
+  // One CBR flow with a 1 us gap, sent to queue 1. Reader 0 starts at the
+  // flow's phase and parks with a 2 us timeout, so every timeout lands on
+  // an arrival armed while the reader was parked, 1 us after its park.
+  TieCase c;
+  c.queues = 2;
+  std::uint64_t seed = 1;
+  const nic::RssReta reta(2);
+  while (reta.queue_for(FlowSet(1, seed).rss_hash(0)) != 1) ++seed;
+  c.flows = FlowSet(1, seed);
+  c.start = PerFlowDraws(1, c.cfg).phase(0);
+  c.timeout = 2 * sim::kMicrosecond;
+  const TieRun oracle = run_tie<sim::Simulation>(AttachCoroutines{}, c);
+  EXPECT_GE(oracle.timeouts, 999u) << "a timeout every 2 us, each on an arrival while it runs";
+  EXPECT_EQ(oracle.count, 2000u) << "queue 1's reader got every packet";
+  expect_tie_matches_oracle(c);
+}
+
+// --- offered traffic independent of the driver -----------------------------
+//
+// Every flow's arrivals are drawn from the seed alone, so Metronome,
+// static polling and XDP are offered the same packets.
+
+/// The packets a testbed's per-flow arena offered by the end of a short
+/// run: (arrival, flow, RSS hash) of each, flow by flow, rebuilt from the
+/// packets each flow emitted, where its next arrival stands and the
+/// seed's draws; plus the device-cap drops, which depend on the offered
+/// packets alone.
+std::uint64_t offered_digest(apps::ExperimentConfig cfg, apps::DriverKind driver) {
+  cfg.driver = driver;
+  cfg.warmup = sim::kMillisecond;
+  cfg.measure = 4 * sim::kMillisecond;
+  apps::Testbed bed(cfg);
+  bed.start();
+  bed.run_until(cfg.warmup + cfg.measure);
+  const PerFlowSourceArena& arena = *bed.flow_arena();
+  const FlowSet flows(cfg.workload.n_flows, cfg.workload.seed);
+  PerFlowSourceConfig src;
+  src.total_rate_pps = cfg.workload.rate_mpps * 1e6;
+  src.poisson = cfg.workload.poisson;
+  src.seed = cfg.workload.seed;
+  const PerFlowDraws draws(flows.size(), src);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (std::uint32_t f = 0; f < flows.size(); ++f) {
+    Time at = draws.phase(f);
+    for (std::uint32_t k = 1; k <= arena.flow_fired(f); ++k) {
+      add(static_cast<std::uint64_t>(at));
+      add(f);
+      add(flows.rss_hash(f));
+      at += draws.gap(f, k);
+    }
+    add(static_cast<std::uint64_t>(arena.next_fire_at(f)));
+  }
+  add(arena.fired());
+  add(bed.telemetry().snapshot().counter("port.cap_drops"));
+  return h;
+}
+
+void expect_offered_independent_of_driver(std::string_view scenario) {
+  const apps::ExperimentConfig& cfg = scenario::find_scenario(scenario)->config;
+  const std::uint64_t metronome = offered_digest(cfg, apps::DriverKind::kMetronome);
+  EXPECT_EQ(offered_digest(cfg, apps::DriverKind::kStaticPolling), metronome) << scenario;
+  EXPECT_EQ(offered_digest(cfg, apps::DriverKind::kXdp), metronome) << scenario;
+}
+
+TEST(PerFlowArenaTest, OfferedPacketsIndependentOfTheDriver) {
+  expect_offered_independent_of_driver("perflow_poisson");
+  expect_offered_independent_of_driver("fig13_fullstack_perflow");
 }
 
 // --- golden streams ---------------------------------------------------------
@@ -708,6 +903,17 @@ TEST(PerFlowConfigTest, NegativeDurationIsRejected) {
   expect_rejected(AttachCoroutines{}, cfg);
 }
 
+TEST(PerFlowConfigTest, GapsMustFitInTime) {
+  // 4 flows at 1e-10 pps: a 4e19 ns mean gap, past sim::Time, where the
+  // cast of a phase or gap is undefined. 1 pps (a 4 s mean gap) fits.
+  PerFlowSourceConfig cfg;
+  cfg.total_rate_pps = 1e-10;
+  expect_rejected(AttachArena{}, cfg);
+  expect_rejected(AttachCoroutines{}, cfg);
+  cfg.total_rate_pps = 1.0;
+  EXPECT_NO_THROW(check_per_flow_config(4, cfg));
+}
+
 TEST(PerFlowConfigTest, FlowIdsMustLeaveTheNilLink) {
   // Both entry points call check_per_flow_config first; a FlowSet of
   // 2^32 - 1 flows would take ~80 GB, so the bound is tested there.
@@ -733,7 +939,7 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
   std::uint64_t digest = 0;
   std::uint64_t count = 0;
   sim.spawn(digest_all(sim, port.rx_queue(0), digest, count));
-  PerFlowSourceArena arena(sim, port, flows, cfg);
+  const PerFlowSourceArena& arena = attach_per_flow(sim, port, flows, cfg);
   EXPECT_EQ(arena.flow_count(), n);
   EXPECT_EQ(arena.armed(), 0u) << "bootstrap has not run yet";
   EXPECT_EQ(arena.fired(), 0u);
@@ -742,11 +948,12 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
     std::size_t armed_flows = 0;
     std::uint64_t emitted_sum = 0;
     for (std::uint32_t f = 0; f < n; ++f) {
-      if (arena.flow_armed(f)) {
+      if (arena.next_fire_at(f) != PerFlowSourceArena::kIdle) {
         ++armed_flows;
-        // A pending timer is never in the past (same-instant sampling is
-        // safe: this probe was scheduled before bootstrap, so it holds
-        // the lower sequence number and runs first).
+        // A pending arrival is never in the past: the parked consumer
+        // keeps the arena's event armed, so everything due before now was
+        // delivered, and this probe was scheduled before any armed event
+        // at its instant, so it runs first.
         EXPECT_GE(arena.next_fire_at(f), sim.now());
       } else {
         EXPECT_EQ(arena.next_fire_at(f), (PerFlowSourceArena::kIdle));
@@ -763,7 +970,7 @@ TEST(PerFlowArenaTest, LaneAccountingInvariantsAtScale) {
   std::size_t armed_flows = 0;
   std::uint64_t emitted_sum = 0;
   for (std::uint32_t f = 0; f < n; ++f) {
-    if (arena.flow_armed(f)) ++armed_flows;
+    if (arena.next_fire_at(f) != PerFlowSourceArena::kIdle) ++armed_flows;
     emitted_sum += arena.flow_fired(f);
   }
   EXPECT_EQ(arena.armed(), 0u) << "every flow retired past its end";
