@@ -1,5 +1,5 @@
 // Shared helpers for the bench binaries: the one flag parser, report
-// writers, trial statistics and the identity gate.
+// writers, trial statistics, the identity gate and the sweep driver.
 //
 // bench_paper regenerates the paper's grid-shaped §V figures and tables
 // from one table of figures (bench/paper_figures.hpp); the other binaries
@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -33,10 +34,6 @@
 
 namespace metro::bench {
 
-/// Event-queue backend selection; kAll is every backend the kernel has
-/// (heap and wheel).
-enum class BackendChoice { kHeap, kWheel, kAll };
-
 /// How the ipsec bench path treats per-packet crypto. kCalibrated charges
 /// calib::kIpsecPerPacketCost only (the historical behaviour; simulated
 /// results are the reference). kLive additionally executes the real ESP
@@ -44,14 +41,6 @@ enum class BackendChoice { kHeap, kWheel, kAll };
 /// stay bit-identical, but wall time now contains the crypto substrate, so
 /// wall-clock simulated-packets/s measures it end to end.
 enum class CryptoMode { kCalibrated, kLive };
-
-/// The enabled backends as SweepRunner shard kinds, heap first.
-inline std::vector<scenario::BackendKind> backend_kinds(BackendChoice c) {
-  std::vector<scenario::BackendKind> out;
-  if (c != BackendChoice::kWheel) out.push_back(scenario::BackendKind::kHeap);
-  if (c != BackendChoice::kHeap) out.push_back(scenario::BackendKind::kWheel);
-  return out;
-}
 
 /// Default worker count for benches whose sweeps run through
 /// scenario::SweepRunner: half the hardware threads (each shard is a
@@ -63,11 +52,9 @@ inline int default_jobs() {
 }
 
 /// The shared flag set, parsed once per bench (the one place --fast /
-/// --backend / --jobs / --trace / --list / --only / --deadline spellings
-/// live).
+/// --jobs / --trace / --list / --only / --deadline spellings live).
 struct Args {
   bool fast = false;
-  BackendChoice backend = BackendChoice::kHeap;
   int jobs = 1;
   std::string trace;  ///< external pcap for kTrace scenarios; empty = synthesise
   bool list = false;  ///< print the selectable names and exit
@@ -82,7 +69,6 @@ struct Args {
 inline const char* usage_text() {
   return "flags:\n"
          "  --fast               shrink measurement windows (CI smoke mode)\n"
-         "  --backend=heap|wheel|all\n"
          "  --jobs=N             sweep worker threads (1..1024)\n"
          "  --trace=<file>       external pcap for kTrace scenarios\n"
          "  --list               print the scenario (or figure) names and exit\n"
@@ -101,14 +87,12 @@ inline const char* usage_text() {
 /// Strict single-pass parser behind parse_args(): every argv entry must
 /// be a recognised flag with a well-formed value. Returns false (with a
 /// one-line reason in `error`) on the first unknown flag or malformed
-/// numeric — a typo like --backed=wheel or --jobs=abc must never
-/// silently run defaults, which is how a misconfigured overnight sweep
-/// produces wrong-but-plausible numbers. Split from parse_args so tests
-/// can exercise the policy without exiting.
-inline bool try_parse_args(int argc, char** argv, BackendChoice def_backend, int def_jobs,
-                           Args& out, std::string& error) {
+/// numeric — a typo like --jbos=4 or --jobs=abc must never silently run
+/// defaults, which is how a misconfigured overnight sweep produces
+/// wrong-but-plausible numbers. Split from parse_args so tests can
+/// exercise the policy without exiting.
+inline bool try_parse_args(int argc, char** argv, int def_jobs, Args& out, std::string& error) {
   out = Args{};
-  out.backend = def_backend;
   out.jobs = def_jobs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -116,18 +100,6 @@ inline bool try_parse_args(int argc, char** argv, BackendChoice def_backend, int
       out.fast = true;
     } else if (arg == "--list") {
       out.list = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string v = arg.substr(10);
-      if (v == "heap") {
-        out.backend = BackendChoice::kHeap;
-      } else if (v == "wheel") {
-        out.backend = BackendChoice::kWheel;
-      } else if (v == "all") {
-        out.backend = BackendChoice::kAll;
-      } else {
-        error = "unknown --backend value '" + v + "' (heap|wheel|all)";
-        return false;
-      }
     } else if (arg.rfind("--jobs=", 0) == 0) {
       const std::string v = arg.substr(7);
       char* end = nullptr;
@@ -209,10 +181,10 @@ inline bool try_parse_args(int argc, char** argv, BackendChoice def_backend, int
   return true;
 }
 
-inline Args parse_args(int argc, char** argv, BackendChoice def_backend, int def_jobs) {
+inline Args parse_args(int argc, char** argv, int def_jobs) {
   Args a;
   std::string error;
-  if (!try_parse_args(argc, argv, def_backend, def_jobs, a, error)) {
+  if (!try_parse_args(argc, argv, def_jobs, a, error)) {
     std::cerr << error << "\n" << usage_text();
     std::exit(2);
   }
@@ -315,9 +287,7 @@ inline void write_sweep_trace(const std::string& path,
   std::vector<trace::TraceProcess> lanes;
   for (std::size_t i = 0; i < shards.size() && i < results.size(); ++i) {
     if (results[i].trace == nullptr) continue;
-    lanes.push_back(trace::TraceProcess{"shard " + std::to_string(i) + ": " +
-                                            shards[i].scenario + "/" +
-                                            scenario::backend_name(shards[i].backend),
+    lanes.push_back(trace::TraceProcess{"shard " + std::to_string(i) + ": " + shards[i].scenario,
                                         results[i].trace.get()});
   }
   for (std::size_t w = 0; w < runner.wall_tracers().size(); ++w) {
@@ -335,12 +305,12 @@ struct GateRun {
   const scenario::ShardResult* result;
 };
 
-/// The identity gate every cross-run check shares (cross-backend, trial
-/// to trial, calibrated vs live crypto). Each run is compared with the
-/// first run of its key on the telemetry fingerprint (every registered
-/// counter, summary and histogram bin) and the final kernel clock. Prints
-/// one DIVERGENCE line per mismatch to `err` and returns the mismatch
-/// count. Failed shards have no telemetry and are skipped; callers count
+/// The identity gate every cross-run check shares (cross-store and trial
+/// to trial in the kernel bench, calibrated vs live crypto). Each run is
+/// compared with the first run of its key on the telemetry fingerprint
+/// (every registered counter, summary and histogram bin) and the final
+/// kernel clock. Prints one DIVERGENCE line per mismatch to `err` and
+/// returns the mismatch count. Failed shards have no telemetry and are skipped; callers count
 /// them through scenario::failed_count.
 inline std::size_t identity_gate(const std::vector<GateRun>& runs, std::ostream& err = std::cerr) {
   const auto describe = [](const GateRun& g) {
@@ -367,16 +337,78 @@ inline std::size_t identity_gate(const std::vector<GateRun>& runs, std::ostream&
   return mismatches;
 }
 
-/// identity_gate over a sweep: shards with the same label are one point
-/// run on several backends.
-inline std::size_t identity_gate(const std::vector<scenario::Shard>& shards,
-                                 const std::vector<scenario::ShardResult>& results,
-                                 std::ostream& err = std::cerr) {
-  std::vector<GateRun> runs;
-  for (std::size_t i = 0; i < shards.size() && i < results.size(); ++i) {
-    runs.push_back({shards[i].scenario, scenario::backend_name(shards[i].backend), &results[i]});
+/// The jobs gate of run_sweep: the --jobs run and the one-worker rerun
+/// of `shards` must give byte-identical report_json(…, false) — every
+/// shard's fingerprint, counters and metrics, failures included. Prints
+/// the verdict, a determinism line to `out` or a SWEEP NONDETERMINISM
+/// line to `err`, and returns whether the reports matched.
+inline bool jobs_identical(const std::vector<scenario::Shard>& shards,
+                           const std::vector<scenario::ShardResult>& parallel,
+                           const std::vector<scenario::ShardResult>& serial, int jobs,
+                           std::ostream& out = std::cout, std::ostream& err = std::cerr) {
+  if (scenario::report_json(shards, parallel, false) ==
+      scenario::report_json(shards, serial, false)) {
+    out << "determinism check: --jobs=" << jobs << " and --jobs=1 reports are byte-identical\n";
+    return true;
   }
-  return identity_gate(runs, err);
+  err << "SWEEP NONDETERMINISM: merged report differs between --jobs=" << jobs
+      << " and --jobs=1\n";
+  return false;
+}
+
+/// What run_sweep hands its printer: the --jobs run's results in shard
+/// order, and that run's wall time in seconds.
+using SweepPrinter = std::function<void(const std::vector<scenario::ShardResult>&, double)>;
+
+/// The sweep driver of bench_paper and bench_scenario_matrix. Runs
+/// `shards` on --jobs workers, with --deadline's per-shard watchdog and,
+/// under --trace-out, a small trace ring per shard (breadth over depth:
+/// the merged Chrome export stays loadable across a whole matrix, and
+/// drops are counted). Hands the results to `print`, then gates them:
+///   * every failed shard is listed on stderr;
+///   * with --jobs > 1 the shards run again on one worker, and the two
+///     runs must pass jobs_identical. The rerun is untraced, so the gate
+///     also proves tracing never perturbs results.
+/// Writes the timed report (report_json with per-worker counters) to
+/// `report_path` when one is given, then the --trace-out file. Returns
+/// the exit status: 1 on a failed shard or a jobs mismatch, else 0.
+inline int run_sweep(const std::vector<scenario::Shard>& shards, const Args& args,
+                     const SweepPrinter& print, const std::string& report_path = {}) {
+  const auto t0 = std::chrono::steady_clock::now();
+  scenario::SweepRunner runner(args.jobs);
+  runner.set_shard_deadline(args.deadline_s);
+  if (!args.trace_out.empty()) runner.set_tracing(1u << 10);
+  // The hardened runner captures per-shard exceptions into the results, so
+  // a shard that cannot even be assembled is reported and counted below
+  // instead of taking the whole sweep down.
+  const std::vector<scenario::ShardResult> results = runner.run(shards);
+  print(results, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+
+  const std::size_t n_failed = scenario::failed_count(results);
+  if (n_failed > 0) {
+    std::cerr << "\n" << n_failed << " shard(s) failed:\n"
+              << scenario::failure_summary(shards, results);
+  }
+  bool nondeterministic = false;
+  if (args.jobs > 1 && !shards.empty()) {
+    // Same runner configuration, one worker: failure capture included —
+    // a deterministic failure must produce the identical `failures`
+    // section on any worker count.
+    scenario::SweepRunner serial_runner(1);
+    serial_runner.set_shard_deadline(args.deadline_s);
+    nondeterministic = !jobs_identical(shards, results, serial_runner.run(shards), args.jobs);
+  }
+  if (!report_path.empty()) {
+    write_report(report_path, scenario::report_json(shards, results, true, &runner));
+    std::cout << "wrote " << report_path << "\n";
+  }
+  if (!args.trace_out.empty()) write_sweep_trace(args.trace_out, shards, results, runner);
+  if (!nondeterministic && n_failed == 0) return 0;
+  std::cerr << "\nFAIL:";
+  if (nondeterministic) std::cerr << " nondeterministic sweep merge";
+  if (n_failed > 0) std::cerr << " " << n_failed << " failed shard(s)";
+  std::cerr << "\n";
+  return 1;
 }
 
 inline void header(const std::string& title, const std::string& paper_expectation) {

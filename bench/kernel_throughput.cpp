@@ -11,7 +11,7 @@
 //   * kernel scenarios, legacy vs heap vs wheel — a faithful copy of the
 //     pre-refactor kernel (std::function events in a std::priority_queue,
 //     shared_ptr-token Signal) is embedded below under `legacy::` and runs
-//     the *same* scenarios as both event-queue backends
+//     the *same* scenarios as both event stores
 //     (src/sim/event_queue.hpp), so the JSON records the speedup of the
 //     allocation-free kernel over its predecessor on the same machine,
 //     same build, same run. Those ratios are what make cross-host gating
@@ -27,20 +27,23 @@
 //                            where a binary heap pays log n per operation;
 //   * fig13_fullstack_1m/4m/16m — the registered full-stack scale ladder
 //     (2^20, 2^22 and 2^24 per-flow sources) at its registry windows,
-//     repeated over several trials per backend; the JSON records median/
+//     repeated over several trials per store; the JSON records median/
 //     IQR wall time and packet rate and the wheel's speedup over the heap.
 //     The flows' arrivals live in the arena's own calendar, not in either
 //     event store, so that ratio sits near 1.
-//     Every trial of every backend must produce one and the same telemetry
+//     Every trial on either store must produce one and the same telemetry
 //     fingerprint (exit 1 otherwise).
 //
-// --backend=heap|wheel|all picks the backends (default all). --fast runs
-// the kernel scenarios at a quarter of the iterations, 2 ladder trials
+// This is the one bench that compares the two event stores; it always
+// runs both. Each ladder trial goes through scenario::measure_shard, the
+// sweep's own measuring code, once on apps::Testbed (the heap) and once
+// on the apps::BasicTestbed<sim::WheelSimulation> shim. --fast runs the
+// kernel scenarios at a quarter of the iterations, 2 ladder trials
 // instead of 3 and drops the 16M rung; the rungs keep their registry
 // windows, so the wheel-vs-heap ratio means the same thing in both modes.
 // --flows=N swaps the ladder for one custom population built on the 1M
-// rung's testbed. The ladder's shards run sequentially regardless of
-// --jobs: wall time is the metric, and concurrent shards would contend
+// rung's testbed. The ladder's trials run sequentially regardless of
+// --jobs: wall time is the metric, and concurrent trials would contend
 // for cache and memory bandwidth.
 #include <array>
 #include <chrono>
@@ -59,6 +62,7 @@
 #include "apps/experiment.hpp"
 #include "common.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "stats/json_writer.hpp"
@@ -279,7 +283,7 @@ void signal_timeout(Sim& sim, Sig& sig, std::uint64_t waiters, std::uint64_t ite
 // concurrently pending per-flow timers (the >10k regime where a binary
 // heap pays ~14 levels per op), 2 queue signals, 4 metronome-style threads
 // on 15 us timed waits, notifies at burst cadence. Workload is identical
-// on every backend (pure kernel objects, fixed iteration counts).
+// on every kernel (pure kernel objects, fixed iteration counts).
 constexpr std::uint64_t kFig13Flows = 12288;
 
 template <typename Sim, typename Sig>
@@ -313,7 +317,6 @@ void fig13_multiqueue_kernel(Sim& sim, Sig& q0, Sig& q1, std::uint64_t scale) {
 struct Run {
   double wall = 0.0;           // seconds for the fixed workload
   std::uint64_t events = 0;    // events the kernel processed to do it
-  bool ran = false;
 };
 
 template <typename Fn>
@@ -322,7 +325,6 @@ Run measure(Fn&& run_kernel) {
   const auto t0 = std::chrono::steady_clock::now();
   r.events = run_kernel();
   r.wall = wall_seconds(t0);
-  r.ran = true;
   return r;
 }
 
@@ -364,13 +366,14 @@ std::array<Run, 4> run_scenarios(std::uint64_t scale) {
 // timeout events as no-ops (they count towards its raw event number but do
 // no useful work); events/sec is therefore normalised to the useful-event
 // count (the new kernel's, which fires no stale events) on every side.
+/// The two event stores, in report order; `store` arrays index by it.
+constexpr std::array<const char*, 2> kStores = {"heap", "wheel"};
+
 struct ScenarioResult {
-  Run base;                    // legacy kernel (baseline)
-  std::array<Run, 2> backend;  // indexed by BackendKind: heap, wheel
-  // Useful-event count: both backends process the same useful events.
-  double useful() const {
-    return static_cast<double>(backend[0].ran ? backend[0].events : backend[1].events);
-  }
+  Run base;                  // legacy kernel (baseline)
+  std::array<Run, 2> store;  // heap, wheel (kStores order)
+  // Useful-event count: both stores process the same useful events.
+  double useful() const { return static_cast<double>(store[0].events); }
   double eps(const Run& run) const { return run.wall > 0 ? useful() / run.wall : 0.0; }
   double speedup(const Run& run) const { return run.wall > 0 ? base.wall / run.wall : 0.0; }
   double baseline_raw_eps() const {
@@ -378,7 +381,7 @@ struct ScenarioResult {
   }
 };
 
-// One backend's samples on one scale-ladder population.
+// One store's samples on one scale-ladder population.
 struct ScaleSamples {
   std::vector<double> wall;
   std::vector<double> pps;  // simulated packets / wall second
@@ -389,21 +392,28 @@ struct PopulationResult {
   std::string name;                   // scenario (or synthetic --flows label)
   metro::apps::ExperimentConfig cfg;  // registry windows, --flows applied
   int trials = 0;
-  std::array<ScaleSamples, 2> backend;  // indexed by BackendKind: heap, wheel
+  std::array<ScaleSamples, 2> store;  // heap, wheel (kStores order)
   bool diverged = false;
   double wheel_vs_heap() const {
-    return metro::bench::sample_of(backend[0].wall).median /
-           metro::bench::sample_of(backend[1].wall).median;
+    return metro::bench::sample_of(store[0].wall).median /
+           metro::bench::sample_of(store[1].wall).median;
   }
 };
+
+/// One ladder trial of `shard` on a `Bed` built here: the sweep's own
+/// measuring code, timed from the bed's construction as a sweep shard is.
+template <typename Bed>
+metro::scenario::ShardResult ladder_trial(const metro::scenario::Shard& shard) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Bed bed(shard.config);
+  return metro::scenario::measure_shard(bed, shard, t0);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = metro::bench::parse_args(argc, argv, metro::bench::BackendChoice::kAll, 1);
+  const auto args = metro::bench::parse_args(argc, argv, 1);
   const bool fast = args.fast;
-  const auto kinds = metro::bench::backend_kinds(args.backend);
-  const bool both = kinds.size() == 2;
   const std::uint64_t scale = fast ? 1 : 4;
   using metro::bench::num;
   using metro::bench::sample_of;
@@ -414,19 +424,12 @@ int main(int argc, char** argv) {
       "per-flow arena keeps its arrivals out of the event store, so heap and "
       "wheel should run the scale ladder at about the same wall time");
 
-  // --- kernel scenarios: legacy baseline, then every enabled backend ----
+  // --- kernel scenarios: legacy baseline, then both stores -------------
   std::array<ScenarioResult, 4> scen;
   const auto base = run_scenarios<legacy::Simulation, legacy::Signal>(scale);
-  for (std::size_t i = 0; i < scen.size(); ++i) scen[i].base = base[i];
-  for (const auto kind : kinds) {
-    const auto runs =
-        kind == metro::scenario::BackendKind::kHeap
-            ? run_scenarios<metro::sim::Simulation, metro::sim::Signal>(scale)
-            : run_scenarios<metro::sim::WheelSimulation, metro::sim::Signal>(scale);
-    for (std::size_t i = 0; i < scen.size(); ++i) {
-      scen[i].backend[static_cast<std::size_t>(kind)] = runs[i];
-    }
-  }
+  const auto heap = run_scenarios<metro::sim::Simulation, metro::sim::Signal>(scale);
+  const auto wheel = run_scenarios<metro::sim::WheelSimulation, metro::sim::Signal>(scale);
+  for (std::size_t i = 0; i < scen.size(); ++i) scen[i] = {base[i], {heap[i], wheel[i]}};
   // Overall: geometric mean across the three classic scenarios
   // (fig13_multiqueue_kernel is reported separately as the
   // large-population scenario).
@@ -435,14 +438,13 @@ int main(int argc, char** argv) {
   };
   const double overall_base = geomean3([](const ScenarioResult& r) { return r.eps(r.base); });
   std::array<double, 2> overall{};
-  for (const auto kind : kinds) {
-    const auto k = static_cast<std::size_t>(kind);
-    overall[k] = geomean3([k](const ScenarioResult& r) { return r.eps(r.backend[k]); });
+  for (std::size_t k = 0; k < kStores.size(); ++k) {
+    overall[k] = geomean3([k](const ScenarioResult& r) { return r.eps(r.store[k]); });
   }
 
   // --- full-stack scale ladder ------------------------------------------
-  // Wall time is noisy at these run lengths, so every enabled backend is
-  // repeated over several trials.
+  // Wall time is noisy at these run lengths, so each store is repeated
+  // over several trials.
   std::vector<PopulationResult> pops;
   {
     std::vector<std::pair<const char*, int>> plan;  // scenario, trials
@@ -470,21 +472,22 @@ int main(int argc, char** argv) {
   }
   bool scale_diverged = false;
   for (auto& pr : pops) {
-    std::vector<metro::scenario::Shard> shards;
+    const metro::scenario::Shard shard{pr.name, pr.cfg};
+    std::vector<metro::scenario::ShardResult> out;
     for (int trial = 0; trial < pr.trials; ++trial) {
-      for (const auto kind : kinds) shards.push_back({pr.name, kind, pr.cfg});
+      out.push_back(ladder_trial<metro::apps::Testbed>(shard));
+      out.push_back(ladder_trial<metro::apps::BasicTestbed<metro::sim::WheelSimulation>>(shard));
     }
-    const auto out = metro::scenario::SweepRunner(1).run(shards);
     std::vector<metro::bench::GateRun> runs;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
       const auto& r = out[i];
-      auto& b = pr.backend[static_cast<std::size_t>(shards[i].backend)];
+      auto& b = pr.store[i % kStores.size()];
       b.wall.push_back(r.wall_seconds);
       b.pps.push_back(static_cast<double>(r.counters.processed) / r.wall_seconds);
       b.pending = r.pending_at_measure;
       runs.push_back({pr.name,
-                      std::string(metro::scenario::backend_name(shards[i].backend)) +
-                          " trial " + std::to_string(i / kinds.size()),
+                      std::string(kStores[i % kStores.size()]) + " trial " +
+                          std::to_string(i / kStores.size()),
                       &r});
     }
     pr.diverged = metro::bench::identity_gate(runs) > 0;
@@ -497,41 +500,34 @@ int main(int argc, char** argv) {
     std::cout << "  " << kScenarioNames[i] << ": legacy " << num(r.eps(r.base) / 1e6)
               << " M useful events/s (raw " << num(r.baseline_raw_eps() / 1e6)
               << " incl. stale no-ops)";
-    for (const auto kind : kinds) {
-      const auto& run = r.backend[static_cast<std::size_t>(kind)];
-      std::cout << " | " << metro::scenario::backend_name(kind) << " "
-                << num(r.eps(run) / 1e6) << " M/s (x" << num(r.speedup(run)) << ")";
+    for (std::size_t k = 0; k < kStores.size(); ++k) {
+      std::cout << " | " << kStores[k] << " " << num(r.eps(r.store[k]) / 1e6) << " M/s (x"
+                << num(r.speedup(r.store[k])) << ")";
     }
     std::cout << "\n";
   }
   std::cout << "  overall (geomean of first three): legacy " << num(overall_base / 1e6) << " M/s";
-  for (const auto kind : kinds) {
-    const auto k = static_cast<std::size_t>(kind);
-    std::cout << " | " << metro::scenario::backend_name(kind) << " " << num(overall[k] / 1e6)
-              << " M/s (x" << num(overall[k] / overall_base) << ")";
+  for (std::size_t k = 0; k < kStores.size(); ++k) {
+    std::cout << " | " << kStores[k] << " " << num(overall[k] / 1e6) << " M/s (x"
+              << num(overall[k] / overall_base) << ")";
   }
   std::cout << "\n";
   const auto& fig13k = scen[3];
-  if (both) {
-    std::cout << "  fig13 kernel scenario, wheel vs heap: x"
-              << num(fig13k.backend[0].wall / fig13k.backend[1].wall) << " wall (" << kFig13Flows
-              << "+ pending events)\n";
-  }
+  const double fig13k_wheel_vs_heap = fig13k.store[0].wall / fig13k.store[1].wall;
+  std::cout << "  fig13 kernel scenario, wheel vs heap: x" << num(fig13k_wheel_vs_heap)
+            << " wall (" << kFig13Flows << "+ pending events)\n";
   for (const auto& pr : pops) {
     std::cout << "\n  " << pr.name << " (" << pr.cfg.workload.n_flows << " per-flow sources, "
-              << pr.trials << " trials per backend):\n";
-    for (const auto kind : kinds) {
-      const auto& b = pr.backend[static_cast<std::size_t>(kind)];
+              << pr.trials << " trials per store):\n";
+    for (std::size_t k = 0; k < kStores.size(); ++k) {
+      const auto& b = pr.store[k];
       const auto wall = sample_of(b.wall);
-      std::cout << "    " << metro::scenario::backend_name(kind) << ": wall median "
-                << num(wall.median) << " s (IQR " << num(wall.iqr) << "), "
-                << num(sample_of(b.pps).median / 1e6) << " M simulated packets/s, " << b.pending
-                << " pending events\n";
+      std::cout << "    " << kStores[k] << ": wall median " << num(wall.median) << " s (IQR "
+                << num(wall.iqr) << "), " << num(sample_of(b.pps).median / 1e6)
+                << " M simulated packets/s, " << b.pending << " pending events\n";
     }
-    if (both) {
-      std::cout << "    wheel vs heap: x" << num(pr.wheel_vs_heap())
-                << (pr.diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)") << "\n";
-    }
+    std::cout << "    wheel vs heap: x" << num(pr.wheel_vs_heap())
+              << (pr.diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)") << "\n";
   }
 
   // --- BENCH_kernel.json (schema in docs/BENCHMARKS.md) -----------------
@@ -541,7 +537,7 @@ int main(int argc, char** argv) {
   w.kv("bench", "kernel_throughput");
   w.kv("fast_mode", fast);
   w.key("backends").begin_array();
-  for (const auto kind : kinds) w.value(metro::scenario::backend_name(kind));
+  for (const char* store : kStores) w.value(store);
   w.end_array();
   w.key("scenarios").begin_object();
   for (std::size_t i = 0; i < scen.size(); ++i) {
@@ -550,9 +546,9 @@ int main(int argc, char** argv) {
     w.kv("baseline_events_per_sec", r.eps(r.base));
     w.kv("baseline_raw_events_per_sec", r.baseline_raw_eps());
     w.kv("baseline_wall_seconds", r.base.wall);
-    for (const auto kind : kinds) {
-      const auto& run = r.backend[static_cast<std::size_t>(kind)];
-      w.key(metro::scenario::backend_name(kind)).begin_object();
+    for (std::size_t k = 0; k < kStores.size(); ++k) {
+      const auto& run = r.store[k];
+      w.key(kStores[k]).begin_object();
       w.kv("events_per_sec", r.eps(run));
       w.kv("wall_seconds", run.wall);
       w.kv("speedup_vs_legacy", r.speedup(run));
@@ -563,16 +559,13 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("overall").begin_object();
   w.kv("baseline_events_per_sec", overall_base);
-  for (const auto kind : kinds) {
-    const auto k = static_cast<std::size_t>(kind);
-    const std::string name = metro::scenario::backend_name(kind);
+  for (std::size_t k = 0; k < kStores.size(); ++k) {
+    const std::string name = kStores[k];
     w.kv((name + "_events_per_sec").c_str(), overall[k]);
     w.kv((name + "_speedup").c_str(), overall[k] / overall_base);
   }
   w.end_object();
-  if (both) {
-    w.kv("fig13_kernel_wheel_vs_heap_speedup", fig13k.backend[0].wall / fig13k.backend[1].wall);
-  }
+  w.kv("fig13_kernel_wheel_vs_heap_speedup", fig13k_wheel_vs_heap);
   w.key("fig13_fullstack_scale").begin_object();
   w.key("populations").begin_object();
   for (const auto& pr : pops) {
@@ -580,11 +573,11 @@ int main(int argc, char** argv) {
     w.kv("n_flows", static_cast<std::uint64_t>(pr.cfg.workload.n_flows));
     w.kv("per_flow_sources", true);
     w.kv("trials", static_cast<std::uint64_t>(pr.trials));
-    for (const auto kind : kinds) {
-      const auto& b = pr.backend[static_cast<std::size_t>(kind)];
+    for (std::size_t k = 0; k < kStores.size(); ++k) {
+      const auto& b = pr.store[k];
       const auto wall = sample_of(b.wall);
       const auto pps = sample_of(b.pps);
-      w.key(metro::scenario::backend_name(kind)).begin_object();
+      w.key(kStores[k]).begin_object();
       w.kv("wall_seconds_median", wall.median);
       w.kv("wall_seconds_iqr", wall.iqr);
       w.kv("simulated_packets_per_sec_median", pps.median);
@@ -592,7 +585,7 @@ int main(int argc, char** argv) {
       w.kv("pending_events", static_cast<std::uint64_t>(b.pending));
       w.end_object();
     }
-    if (both) w.kv("wheel_vs_heap_speedup", pr.wheel_vs_heap());
+    w.kv("wheel_vs_heap_speedup", pr.wheel_vs_heap());
     w.kv("telemetry_identical", !pr.diverged);
     w.end_object();
   }

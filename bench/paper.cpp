@@ -1,8 +1,8 @@
-// bench_paper: every figure of bench/paper_figures.hpp through one
-// SweepRunner. Each selected figure's grid becomes one shard per point and
-// backend (figure-major, then backend, then grid order); each figure then
-// prints its header and one set of tables per backend. A failed shard or,
-// with several backends, any identity-gate divergence exits 1.
+// bench_paper: every figure of bench/paper_figures.hpp through the sweep
+// driver. Each selected figure's grid becomes one shard per point
+// (figure-major, then grid order); each figure then prints its header and
+// tables. A failed shard or, with --jobs > 1, a one-worker rerun whose
+// report differs exits 1.
 //
 // --crypto=live replaces fig16's tables by the live-crypto IPsec run: the
 // real ESP gateway executes per drained packet, the simulated results must
@@ -23,15 +23,15 @@ using scenario::ShardResult;
 
 namespace {
 
-/// One selected figure's slice of the sweep: its grid, repeated per
-/// backend starting at shard `first`.
+/// One selected figure's slice of the sweep: its grid, starting at shard
+/// `first`.
 struct Block {
   const Figure* fig;
   std::vector<Point> points;
   std::size_t first = 0;
 };
 
-/// Print one backend's tables of a figure (see Point::section).
+/// Print a figure's tables (see Point::section).
 void print_tables(const Figure& fig, const std::vector<Point>& points, const ShardResult* results) {
   stats::Table table(fig.columns);
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -61,11 +61,9 @@ int run_live_crypto(const Figure& fig16, const bench::Args& args) {
                 "wall time now contains the crypto substrate");
 
   std::vector<Shard> shards;
-  for (const auto backend : bench::backend_kinds(args.backend)) {
-    for (const Point& p : fig16.grid(args.fast)) {
-      if (p.section != bench::figures::kIpsecTitle) continue;
-      shards.push_back(Shard{"fig16-live#" + std::to_string(shards.size()), backend, p.config});
-    }
+  for (const Point& p : fig16.grid(args.fast)) {
+    if (p.section != bench::figures::kIpsecTitle) continue;
+    shards.push_back(Shard{"fig16-live#" + std::to_string(shards.size()), p.config});
   }
   // Live workers are stateful and wall time is the headline, so both
   // sweeps run sequentially regardless of --jobs.
@@ -85,15 +83,14 @@ int run_live_crypto(const Figure& fig16, const bench::Args& args) {
             << scenario::failure_summary(live_shards, live);
 
   std::vector<bench::GateRun> runs;
-  stats::Table table({"backend", "rate (Mpps)", "driver", "CPU (%)", "calib wall (s)",
-                      "live wall (s)", "live sim-pkt/s", "slowdown"});
+  stats::Table table({"rate (Mpps)", "driver", "CPU (%)", "calib wall (s)", "live wall (s)",
+                      "live sim-pkt/s", "slowdown"});
   for (std::size_t i = 0; i < shards.size(); ++i) {
     runs.push_back({shards[i].scenario, "calibrated", &calibrated[i]});
     runs.push_back({shards[i].scenario, "live", &live[i]});
     const double pkt_per_s = static_cast<double>(live[i].counters.processed) /
                              live[i].wall_seconds;
-    table.add_row({scenario::backend_name(shards[i].backend),
-                   bench::num(shards[i].config.workload.rate_mpps, 2),
+    table.add_row({bench::num(shards[i].config.workload.rate_mpps, 2),
                    bench::figures::driver_name(shards[i].config.driver),
                    bench::num(live[i].result.cpu_percent, 1),
                    bench::num(calibrated[i].wall_seconds, 3),
@@ -115,8 +112,7 @@ int run_live_crypto(const Figure& fig16, const bench::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv, bench::BackendChoice::kHeap,
-                                      bench::default_jobs());
+  const auto args = bench::parse_args(argc, argv, bench::default_jobs());
   std::vector<const Figure*> chosen;
   for (const Figure& f : bench::paper_figures()) {
     if (args.list) std::cout << f.name << "\n";
@@ -147,70 +143,34 @@ int main(int argc, char** argv) {
     chosen.erase(it);
   }
 
-  // Expand figure-major, then backend, then grid order: the print order.
-  const auto backends = bench::backend_kinds(args.backend);
+  // Expand figure-major, then grid order: the print order.
   std::vector<Block> blocks;
   std::vector<Shard> shards;
   for (const Figure* f : chosen) {
     Block block{f, f->grid(args.fast), shards.size()};
-    for (const auto backend : backends) {
-      for (std::size_t i = 0; i < block.points.size(); ++i) {
-        Shard s{std::string(f->name) + "#" + std::to_string(i), backend, block.points[i].config};
-        if (args.series_us > 0.0) s.config.series_interval = sim::from_micros(args.series_us);
-        shards.push_back(std::move(s));
-      }
+    for (std::size_t i = 0; i < block.points.size(); ++i) {
+      Shard s{std::string(f->name) + "#" + std::to_string(i), block.points[i].config};
+      if (args.series_us > 0.0) s.config.series_interval = sim::from_micros(args.series_us);
+      shards.push_back(std::move(s));
     }
     blocks.push_back(std::move(block));
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  scenario::SweepRunner runner(args.jobs);
-  runner.set_shard_deadline(args.deadline_s);
-  // Breadth over depth: one small ring per shard keeps the merged Chrome
-  // export loadable across the whole grid (drops are counted per lane).
-  if (!args.trace_out.empty()) runner.set_tracing(1u << 10);
-  const auto results = runner.run(shards);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  for (const Block& b : blocks) {
-    bench::header(b.fig->title, b.fig->expectation);
-    for (std::size_t k = 0; k < backends.size(); ++k) {
-      if (backends.size() > 1) {
-        std::cout << "--- backend: " << scenario::backend_name(backends[k]) << " ---\n";
-      }
-      print_tables(*b.fig, b.points, &results[b.first + k * b.points.size()]);
-      std::cout << "\n";
-    }
-  }
-
-  std::map<std::string, double> wall_by_backend;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    wall_by_backend[scenario::backend_name(shards[i].backend)] += results[i].wall_seconds;
-  }
-  for (const auto& [backend, wall] : wall_by_backend) {
-    std::cout << "total simulation wall time, " << backend << ": " << bench::num(wall, 2)
-              << " s (CPU-seconds across shards)\n";
-  }
-  if (!shards.empty()) {
-    std::cout << "elapsed: " << bench::num(elapsed, 2) << " s on " << args.jobs << " job(s)\n";
-  }
-
-  int status = 0;
-  if (const std::size_t failed = scenario::failed_count(results); failed > 0) {
-    std::cerr << "\n" << failed << " shard(s) failed:\n"
-              << scenario::failure_summary(shards, results);
-    status = 1;
-  }
-  if (bench::identity_gate(shards, results) > 0) {
-    std::cerr << "\nFAIL: event-queue backends must produce bit-identical executions\n";
-    status = 1;
-  } else if (backends.size() > 1 && !shards.empty()) {
-    std::cout << "cross-backend check: all " << shards.size() / backends.size()
-              << " configurations produced identical telemetry fingerprints on "
-              << backends.size() << " backends\n";
-  }
-  if (!args.trace_out.empty()) bench::write_sweep_trace(args.trace_out, shards, results, runner);
+  int status = bench::run_sweep(
+      shards, args, [&](const std::vector<ShardResult>& results, double elapsed) {
+        double wall = 0.0;
+        for (const ShardResult& r : results) wall += r.wall_seconds;
+        for (const Block& b : blocks) {
+          bench::header(b.fig->title, b.fig->expectation);
+          print_tables(*b.fig, b.points, &results[b.first]);
+          std::cout << "\n";
+        }
+        if (shards.empty()) return;
+        std::cout << "total simulation wall time: " << bench::num(wall, 2)
+                  << " s (CPU-seconds across shards)\n"
+                  << "elapsed: " << bench::num(elapsed, 2) << " s on " << args.jobs
+                  << " job(s)\n";
+      });
   if (live_fig16 != nullptr) {
     if (!blocks.empty()) std::cout << "\n";
     if (run_live_crypto(*live_fig16, args) != 0) status = 1;

@@ -34,7 +34,7 @@ Row run_freq_scaling(double mpps, const bench::Windows& w) {
   tgen::StreamGenerator gen(stream, flows, tgen::FlowPicker(256));
   dpdk::FreqScalingStats stats;
   const auto ent =
-      dpdk::spawn_freq_scaling_lcore(sim, port, 0, machine.core(0), {}, stats);
+      dpdk::spawn_freq_scaling_lcore(sim, port, 0, machine.core(0), stats);
   if (mpps > 0) tgen::attach(sim, port, gen);
 
   sim.run_until(w.warmup);

@@ -187,7 +187,7 @@ void Testbed::start() {
       for (int q = 0; q < port_->n_rx_queues(); ++q) {
         auto stats = std::make_unique<dpdk::XdpStats>();
         Core& core = machine_->core(q);
-        const auto ent = dpdk::spawn_xdp_queue(*sim_, *port_, q, core, cfg_.xdp, *stats);
+        const auto ent = dpdk::spawn_xdp_queue(*sim_, *port_, q, core, *stats);
         driver_entities_.push_back(EntitySnapshot{&core, ent, 0});
         xdp_stats_.push_back(std::move(stats));
       }

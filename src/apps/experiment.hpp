@@ -115,7 +115,6 @@ struct ExperimentConfig {
   DriverKind driver = DriverKind::kMetronome;
   core::MetronomeConfig met{};
   dpdk::StaticPollingConfig polling{};
-  dpdk::XdpConfig xdp{};
 
   int n_queues = 1;
   bool xl710 = false;  // X520 (10 GbE) by default

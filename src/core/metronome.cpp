@@ -7,6 +7,13 @@ namespace metro::core {
 using sim::Time;
 namespace calib = sim::calib;
 
+namespace {
+
+/// EWMA weight of the rho estimator, eq. (11).
+constexpr double kRhoAlpha = 0.05;
+
+}  // namespace
+
 Metronome::Metronome(sim::Simulation& sim, nic::Port& port, std::vector<sim::Core*> cores,
                      MetronomeConfig cfg)
     : sim_(sim), port_(port), cores_(std::move(cores)), cfg_(cfg) {
@@ -14,7 +21,7 @@ Metronome::Metronome(sim::Simulation& sim, nic::Port& port, std::vector<sim::Cor
   queues_.reserve(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) {
     auto state = std::make_unique<QueueState>();
-    state->rho = Ewma(cfg_.alpha);
+    state->rho = Ewma(kRhoAlpha);
     // Initial TS: no load observed yet, so the low-load setting M/N * V-bar.
     state->ts = compute_ts(*state);
     queues_.push_back(std::move(state));
@@ -47,7 +54,7 @@ sim::Task Metronome::thread_task(int thread_id) {
   const auto ent = threads_[static_cast<std::size_t>(thread_id)].entity;
   sim::SleepService& sleeper = *sleepers_[static_cast<std::size_t>(thread_id)];
   const int n_queues = port_.n_rx_queues();
-  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg_.burst));
+  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(calib::kBurstSize));
 
   // Start staggered so wake-up times are decorrelated from the outset.
   int curr = thread_id % n_queues;
@@ -92,7 +99,7 @@ sim::Task Metronome::thread_task(int thread_id) {
     std::uint64_t drained = 0;
 
     int n;
-    while ((n = ring.pop_burst(burst.data(), cfg_.burst)) > 0) {
+    while ((n = ring.pop_burst(burst.data(), calib::kBurstSize)) > 0) {
       drained += static_cast<std::uint64_t>(n);
       q.burst_fill.add(static_cast<double>(n));
       co_await core.run_for(ent, static_cast<Time>(n) * cfg_.per_packet_cost);

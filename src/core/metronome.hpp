@@ -44,11 +44,9 @@ struct MetronomeConfig {
   sim::Time target_vacation = 10 * sim::kMicrosecond;
   /// TL: backup (long) timeout (paper default 500 us).
   sim::Time long_timeout = 500 * sim::kMicrosecond;
-  /// EWMA weight for the rho estimator, eq. (11).
-  double alpha = 0.05;
-  /// Per-packet retrieval+processing cost of the hosted application.
+  /// Per-packet retrieval+processing cost of the hosted application
+  /// (drained in bursts of sim::calib::kBurstSize).
   sim::Time per_packet_cost = sim::calib::kL3fwdPerPacketCost;
-  int burst = sim::calib::kBurstSize;
   /// Optional real per-packet work run for every drained descriptor after
   /// its cost is charged (wall-clock only — simulated time and telemetry
   /// are unaffected). Unset by default; the fig16 --crypto=live bench mode

@@ -3,16 +3,27 @@
 #include <string>
 #include <vector>
 
+#include "dpdk/static_polling.hpp"
+
 namespace metro::dpdk {
 
 namespace {
 
+using sim::calib::kBurstSize;
+
+/// Consecutive empty polls before stepping the frequency down one notch
+/// (l3fwd-power uses a similar hysteresis).
+constexpr int kIdlePollsPerStepDown = 256;
+/// Queue occupancy (in bursts) that triggers an immediate jump to max.
+constexpr int kBusyBurstsForMax = 2;
+/// Frequency step as a fraction of nominal.
+constexpr double kFreqStep = 0.125;
+
 sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, sim::Core& core,
-                            sim::Core::EntityId ent, FreqScalingConfig cfg,
-                            FreqScalingStats& stats) {
+                            sim::Core::EntityId ent, FreqScalingStats& stats) {
   nic::RxRing& ring = port.rx_queue(queue);
   nic::TxRing& tx = port.tx();
-  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg.burst));
+  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(kBurstSize));
   sim::Time last_tx_flush = sim.now();
   int idle_streak = 0;
   double freq = 1.0;
@@ -20,25 +31,25 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
 
   core.set_spinning(ent, true);  // still a busy-wait loop: 100% CPU
   for (;;) {
-    const int n = ring.pop_burst(burst.data(), cfg.burst);
+    const int n = ring.pop_burst(burst.data(), kBurstSize);
     if (n > 0) {
       idle_streak = 0;
       // Burst pressure: jump straight to max, as l3fwd-power does.
-      if (static_cast<int>(ring.size()) >= cfg.busy_bursts_for_max * cfg.burst && freq < 1.0) {
+      if (static_cast<int>(ring.size()) >= kBusyBurstsForMax * kBurstSize && freq < 1.0) {
         freq = 1.0;
         core.request_freq(freq);
         ++stats.freq_jumps_up;
       }
-      co_await core.run_for(ent, static_cast<sim::Time>(n) * cfg.per_packet_cost);
+      co_await core.run_for(ent, static_cast<sim::Time>(n) * sim::calib::kL3fwdPerPacketCost);
       tx.send(burst.data(), n);
       stats.packets_processed += static_cast<std::uint64_t>(n);
       if (tx.pending() == 0) last_tx_flush = sim.now();
       continue;
     }
 
-    if (++idle_streak >= cfg.idle_polls_per_step_down) {
+    if (++idle_streak >= kIdlePollsPerStepDown) {
       idle_streak = 0;
-      const double next = freq - cfg.freq_step;
+      const double next = freq - kFreqStep;
       if (next >= 0.0) {
         freq = next;
         core.request_freq(freq);  // clamps at the floor P-state
@@ -52,7 +63,7 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
     // what drives l3fwd-power's step-down hysteresis.
     const sim::Time idle_from = sim.now();
     if (tx.pending() > 0) {
-      const sim::Time due = last_tx_flush + cfg.tx_drain_interval;
+      const sim::Time due = last_tx_flush + kTxDrainInterval;
       const sim::Time wait = due - sim.now();
       if (wait <= 0) {
         tx.flush();
@@ -70,9 +81,9 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
     const auto equivalent_polls =
         static_cast<int>((sim.now() - idle_from) / sim::calib::kEmptyPollCost);
     idle_streak += equivalent_polls;
-    while (idle_streak >= cfg.idle_polls_per_step_down) {
-      idle_streak -= cfg.idle_polls_per_step_down;
-      const double next = freq - cfg.freq_step;
+    while (idle_streak >= kIdlePollsPerStepDown) {
+      idle_streak -= kIdlePollsPerStepDown;
+      const double next = freq - kFreqStep;
       if (next < 0.0) {
         idle_streak = 0;
         break;
@@ -87,10 +98,9 @@ sim::Task freq_scaling_task(sim::Simulation& sim, nic::Port& port, int queue, si
 }  // namespace
 
 sim::Core::EntityId spawn_freq_scaling_lcore(sim::Simulation& sim, nic::Port& port, int queue,
-                                             sim::Core& core, const FreqScalingConfig& cfg,
-                                             FreqScalingStats& stats) {
+                                             sim::Core& core, FreqScalingStats& stats) {
   const auto ent = core.add_entity("l3fwd-power-q" + std::to_string(queue), 0);
-  sim.spawn(freq_scaling_task(sim, port, queue, core, ent, cfg, stats));
+  sim.spawn(freq_scaling_task(sim, port, queue, core, ent, stats));
   return ent;
 }
 

@@ -17,29 +17,16 @@
 
 namespace metro::dpdk {
 
-struct FreqScalingConfig {
-  sim::Time per_packet_cost = sim::calib::kL3fwdPerPacketCost;
-  int burst = sim::calib::kBurstSize;
-  sim::Time tx_drain_interval = 100 * sim::kMicrosecond;
-  /// Consecutive empty polls before stepping the frequency down one notch
-  /// (l3fwd-power uses a similar hysteresis).
-  int idle_polls_per_step_down = 256;
-  /// Queue occupancy (in bursts) that triggers an immediate jump to max.
-  int busy_bursts_for_max = 2;
-  /// Frequency step as a fraction of nominal.
-  double freq_step = 0.125;
-};
-
 struct FreqScalingStats {
   std::uint64_t packets_processed = 0;
   std::uint64_t freq_steps_down = 0;
   std::uint64_t freq_jumps_up = 0;
 };
 
-/// Spawn the frequency-scaling lcore for `queue` on `core`. The core should
-/// be configured with Governor::kUserspace.
+/// Spawn the frequency-scaling lcore for `queue` on `core`: l3fwd's
+/// per-packet cost and burst size, the plain poller's Tx drain interval.
+/// The core should be configured with Governor::kUserspace.
 sim::Core::EntityId spawn_freq_scaling_lcore(sim::Simulation& sim, nic::Port& port, int queue,
-                                             sim::Core& core, const FreqScalingConfig& cfg,
-                                             FreqScalingStats& stats);
+                                             sim::Core& core, FreqScalingStats& stats);
 
 }  // namespace metro::dpdk

@@ -12,12 +12,12 @@ sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, si
                             DriverStats& stats) {
   nic::RxRing& ring = port.rx_queue(queue);
   nic::TxRing& tx = port.tx();
-  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(cfg.burst));
+  std::vector<nic::PacketDesc> burst(static_cast<std::size_t>(sim::calib::kBurstSize));
   sim::Time last_tx_flush = sim.now();
 
   core.set_spinning(ent, true);  // busy-wait: always runnable
   for (;;) {
-    const int n = ring.pop_burst(burst.data(), cfg.burst);
+    const int n = ring.pop_burst(burst.data(), sim::calib::kBurstSize);
     ++stats.polls;
     if (n > 0) {
       // Process the burst; wall time depends on CPU share and frequency.
@@ -35,7 +35,7 @@ sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, si
     // it stays accounted as busy). If Tx descriptors are pending, wake in
     // time for the periodic drain, as l3fwd's main loop does.
     if (tx.pending() > 0) {
-      const sim::Time due = last_tx_flush + cfg.tx_drain_interval;
+      const sim::Time due = last_tx_flush + kTxDrainInterval;
       const sim::Time wait = due - sim.now();
       if (wait <= 0) {
         tx.flush();
@@ -59,7 +59,7 @@ sim::Task static_lcore_task(sim::Simulation& sim, nic::Port& port, int queue, si
 sim::Core::EntityId spawn_static_lcore(sim::Simulation& sim, nic::Port& port, int queue,
                                        sim::Core& core, const StaticPollingConfig& cfg,
                                        DriverStats& stats) {
-  const auto ent = core.add_entity("dpdk-poll-q" + std::to_string(queue), cfg.nice);
+  const auto ent = core.add_entity("dpdk-poll-q" + std::to_string(queue), 0);
   sim.spawn(static_lcore_task(sim, port, queue, core, ent, cfg, stats));
   return ent;
 }

@@ -23,11 +23,13 @@
 
 namespace metro::dpdk {
 
+/// l3fwd's BURST_TX_DRAIN_US: how long Tx descriptors may wait for a
+/// flush while the poller finds its ring empty.
+inline constexpr sim::Time kTxDrainInterval = 100 * sim::kMicrosecond;
+
+/// The poller takes bursts of sim::calib::kBurstSize at nice 0.
 struct StaticPollingConfig {
   sim::Time per_packet_cost = sim::calib::kL3fwdPerPacketCost;
-  int burst = sim::calib::kBurstSize;
-  sim::Time tx_drain_interval = 100 * sim::kMicrosecond;  // BURST_TX_DRAIN_US
-  int nice = 0;
   // Optional real per-packet work run after each burst's cost is charged
   // (wall-clock only; simulated results are unaffected). See
   // nic::PacketWork.

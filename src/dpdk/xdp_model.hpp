@@ -21,14 +21,6 @@
 
 namespace metro::dpdk {
 
-struct XdpConfig {
-  sim::Time irq_overhead = sim::calib::kXdpIrqOverhead;
-  sim::Time per_packet_cost = sim::calib::kXdpPerPacketCost;
-  int napi_budget = sim::calib::kXdpNapiBudget;
-  sim::Time irq_mitigation = sim::calib::kXdpIrqMitigation;
-  sim::Time softirq_latency = sim::calib::kXdpSoftirqLatency;
-};
-
 struct XdpStats {
   std::uint64_t interrupts = 0;
   std::uint64_t napi_polls = 0;
@@ -42,8 +34,9 @@ struct XdpStats {
   }
 };
 
-/// Spawn the IRQ+NAPI handler for `queue` of `port` on `core`.
+/// Spawn the IRQ+NAPI handler for `queue` of `port` on `core`, with the
+/// sim::calib::kXdp* costs, budget and latencies.
 sim::Core::EntityId spawn_xdp_queue(sim::Simulation& sim, nic::Port& port, int queue,
-                                    sim::Core& core, const XdpConfig& cfg, XdpStats& stats);
+                                    sim::Core& core, XdpStats& stats);
 
 }  // namespace metro::dpdk

@@ -4,9 +4,9 @@
 /// A scenario is a named, fully-assembled ExperimentConfig — app, driver,
 /// queue count, workload shape, rate, windows, seed — the value type the
 /// sweep runner (sweep.hpp) expands into parameter matrices and the
-/// scenario-matrix bench runs across event-queue backends. Registering a
-/// workload here is what makes it sweepable, cross-backend-checked in CI,
-/// and addressable by name from any bench.
+/// scenario-matrix bench runs. Registering a workload here is what makes
+/// it sweepable, determinism-checked in CI, and addressable by name from
+/// any bench.
 ///
 /// The shipped registry covers the paper's staples (CBR, Poisson, IMIX,
 /// the §V-F.4 unbalanced mix) plus the bursty/heavy-tail additions

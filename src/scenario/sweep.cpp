@@ -13,19 +13,12 @@
 
 namespace metro::scenario {
 
-const char* backend_name(BackendKind kind) noexcept {
-  switch (kind) {
-    case BackendKind::kHeap: return "heap";
-    case BackendKind::kWheel: return "wheel";
-  }
-  return "unknown";
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Run `shard` on `bed`, which was built at wall time `t0`.
+}  // namespace
+
 ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_point t0,
                           double deadline_s, std::size_t trace_capacity) {
   std::shared_ptr<trace::Tracer> tracer;
@@ -51,9 +44,8 @@ ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_po
       if (Clock::now() > deadline) {
         // Deterministic text (no timing values): failed reports must stay
         // byte-identical across worker counts.
-        throw std::runtime_error(std::string("shard wall-clock deadline exceeded (scenario '") +
-                                 shard.scenario + "', backend " + backend_name(shard.backend) +
-                                 ")");
+        throw std::runtime_error("shard wall-clock deadline exceeded (scenario '" +
+                                 shard.scenario + "')");
       }
     }
   };
@@ -66,8 +58,8 @@ ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_po
   out.result = bed.finish_measurement();
   // The full telemetry set *is* the shard's observable state: snapshot it
   // once, fingerprint it (order-sensitive over every counter, summary and
-  // histogram bin — what cross-backend identity means),
-  // and derive the headline counter view from the same snapshot.
+  // histogram bin — what cross-run identity means), and derive the
+  // headline counter view from the same snapshot.
   out.telemetry = bed.telemetry().snapshot();
   out.fingerprint = out.telemetry.fingerprint();
   out.counters = ShardCounters{out.telemetry.counter("port.rx"),
@@ -86,18 +78,6 @@ ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_po
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
 }
-
-ShardResult run_shard(const Shard& shard, double deadline_s, std::size_t trace_capacity) {
-  const auto t0 = Clock::now();
-  if (shard.backend == BackendKind::kWheel) {
-    apps::BasicTestbed<sim::WheelSimulation> bed(shard.config);
-    return measure_shard(bed, shard, t0, deadline_s, trace_capacity);
-  }
-  apps::Testbed bed(shard.config);
-  return measure_shard(bed, shard, t0, deadline_s, trace_capacity);
-}
-
-}  // namespace
 
 ShardSeries compact_series(const stats::SeriesRecorder& sr, int n_queues) {
   ShardSeries out;
@@ -127,7 +107,6 @@ ShardSeries compact_series(const stats::SeriesRecorder& sr, int n_queues) {
 
 std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
   std::vector<Shard> shards;
-  std::uint64_t point_index = 0;
   for (const auto& name : matrix.scenarios) {
     const ScenarioSpec* spec = find_scenario(name);
     if (spec == nullptr) {
@@ -138,16 +117,10 @@ std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
     if (matrix.measure >= 0) cfg.measure = matrix.measure;
     if (matrix.series_interval > 0) cfg.series_interval = matrix.series_interval;
     if (matrix.base_seed != 0) {
-      // A *point* is one scenario: the backends of one point share the
-      // seed, because the backend is a pure speed knob — same point ->
-      // same execution is exactly what the divergence checks assert.
-      cfg.seed = util::mix_seed(matrix.base_seed, point_index);
+      cfg.seed = util::mix_seed(matrix.base_seed, shards.size());
       cfg.workload.seed = util::mix_seed(cfg.seed, 1);
     }
-    ++point_index;
-    for (const BackendKind backend : matrix.backends) {
-      shards.push_back(Shard{spec->name, backend, cfg});
-    }
+    shards.push_back(Shard{spec->name, cfg});
   }
   return shards;
 }
@@ -161,7 +134,9 @@ ShardResult SweepRunner::execute(const Shard& shard) const {
   const int max_attempts = 1 + max_retries_;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     try {
-      out = run_shard(shard, deadline_s_, trace_capacity_);
+      const auto t0 = Clock::now();
+      apps::Testbed bed(shard.config);
+      out = measure_shard(bed, shard, t0, deadline_s_, trace_capacity_);
       out.attempts = attempt;
       return out;
     } catch (const std::exception& e) {
@@ -246,8 +221,7 @@ std::string failure_summary(const std::vector<Shard>& shards,
   std::ostringstream os;
   for (std::size_t i = 0; i < shards.size() && i < results.size(); ++i) {
     if (!results[i].failed) continue;
-    os << "shard " << i << " [" << shards[i].scenario << "/" << backend_name(shards[i].backend)
-       << " @ " << shards[i].config.workload.rate_mpps << " Mpps] failed after "
+    os << "shard " << i << " [" << shards[i].scenario << " @ " << shards[i].config.workload.rate_mpps << " Mpps] failed after "
        << results[i].attempts << (results[i].attempts == 1 ? " attempt: " : " attempts: ")
        << results[i].error << "\n";
   }
@@ -359,7 +333,6 @@ std::string report_json(const std::vector<Shard>& shards,
     const ShardResult& r = results[i];
     w.begin_object();
     w.kv("scenario", s.scenario);
-    w.kv("backend", backend_name(s.backend));
     w.kv("rate_mpps", s.config.workload.rate_mpps);
     w.kv("seed", s.config.seed);
     w.key("counters").begin_object();
@@ -402,7 +375,6 @@ std::string report_json(const std::vector<Shard>& shards,
     w.begin_object();
     w.kv("shard", static_cast<std::uint64_t>(i));
     w.kv("scenario", s.scenario);
-    w.kv("backend", backend_name(s.backend));
     w.kv("rate_mpps", s.config.workload.rate_mpps);
     w.kv("seed", s.config.seed);
     w.kv("attempts", results[i].attempts);
@@ -421,7 +393,6 @@ std::string report_json(const std::vector<Shard>& shards,
     w.begin_object();
     w.kv("shard", static_cast<std::uint64_t>(i));
     w.kv("scenario", s.scenario);
-    w.kv("backend", backend_name(s.backend));
     w.kv("rate_mpps", s.config.workload.rate_mpps);
     w.kv("telemetry_fingerprint", r.fingerprint);
     for (const char* name : {"dropped", "corrupted", "dup", "reordered", "link_down_ns",
@@ -463,8 +434,7 @@ std::string report_json(const std::vector<Shard>& shards,
     w.end_object();
   }
   // Whole-sweep totals: every shard's telemetry union-merged in shard
-  // order. Backends of one point both contribute (a sweep total, not a
-  // deduplicated workload total).
+  // order.
   w.key("totals");
   merge_telemetry(results).write_json(w);
   w.end_object();

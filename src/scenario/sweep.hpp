@@ -1,23 +1,21 @@
 /// \file sweep.hpp
 /// Parallel parameter-matrix sweep runner.
 ///
-/// The paper's evaluation is a matrix of testbed configurations run on
-/// each event-queue backend. SweepRunner expands a matrix (or takes a
-/// hand-built shard list, as bench_paper does) into independent
-/// *shards* (one complete Testbed run each: own Simulation, own RNG,
-/// own results), executes them on a pool of std::thread workers, and
-/// merges the results in shard order.
+/// The paper's evaluation is a matrix of testbed configurations.
+/// SweepRunner expands a matrix (or takes a hand-built shard list, as
+/// bench_paper does) into independent *shards* (one complete Testbed run
+/// each: own Simulation, own RNG, own results), executes them on a pool
+/// of std::thread workers, and merges the results in shard order.
 ///
 /// Determinism contract: each shard is a pure function of its
 /// ExperimentConfig (seeds included), shards share no mutable state, and
 /// the merged result vector is indexed by shard order — so results (and
 /// the JSON report, timing fields aside) are bit-identical for any worker
 /// count. Per-shard seeds are derived with util::mix_seed from the matrix
-/// base seed and the *point* index (backend excluded), so the same point
-/// run on different backends gets the same seed and must produce the same
-/// execution.
+/// base seed and the scenario's index in the matrix.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -32,16 +30,9 @@
 
 namespace metro::scenario {
 
-/// Which event-queue backend a shard runs on.
-enum class BackendKind { kHeap, kWheel };
-
-/// Stable display/JSON name of a backend.
-const char* backend_name(BackendKind kind) noexcept;
-
-/// One unit of sweep work: a complete experiment on one backend.
+/// One unit of sweep work: a complete experiment.
 struct Shard {
   std::string scenario;  ///< label for reports (registry name or bench key)
-  BackendKind backend = BackendKind::kHeap;
   apps::ExperimentConfig config;
 };
 
@@ -96,10 +87,10 @@ struct ShardResult {
   /// samples are not in here). The merge/report path operates on this,
   /// not on copied fields.
   stats::MetricSnapshot telemetry;
-  /// Order-sensitive digest of `telemetry` — the cross-backend /
-  /// cross-jobs identity check. Subsumes the old latency-bin digest and
-  /// ShardCounters comparison: any single counter or bin diverging
-  /// changes this value.
+  /// Order-sensitive digest of `telemetry` — the cross-run (cross-jobs,
+  /// cross-store, trial-to-trial) identity check. Subsumes the old
+  /// latency-bin digest and ShardCounters comparison: any single counter
+  /// or bin diverging changes this value.
   std::uint64_t fingerprint = 0;
   ShardCounters counters;              ///< headline view (see ShardCounters)
   std::uint64_t events = 0;            ///< kernel events over the whole run
@@ -120,7 +111,7 @@ struct ShardResult {
   bool failed = false;
   /// what() of the last attempt's exception; deterministic for
   /// deterministic failures (configuration errors throw the same text on
-  /// every worker count and backend).
+  /// every worker count).
   std::string error;
   /// How many times the shard was attempted (1 = first try succeeded).
   int attempts = 1;
@@ -130,16 +121,28 @@ struct ShardResult {
 /// "scenario default" (one implicit point on that axis).
 struct SweepMatrix {
   std::vector<std::string> scenarios;   ///< registry names (see registry.hpp)
-  std::vector<BackendKind> backends = {BackendKind::kHeap};
   sim::Time warmup = -1;   ///< window override; < 0 keeps the scenario's
   sim::Time measure = -1;  ///< window override; < 0 keeps the scenario's
-  /// != 0: derive per-point seeds as mix_seed(base_seed, point_index)
-  /// (backends of one point share the seed). 0 keeps scenario seeds.
+  /// != 0: derive per-scenario seeds as mix_seed(base_seed, index), the
+  /// scenario's index in `scenarios`. 0 keeps scenario seeds.
   std::uint64_t base_seed = 0;
   /// > 0: every shard samples its telemetry at this sim-time interval
   /// (ExperimentConfig::series_interval override; see ShardSeries).
   sim::Time series_interval = 0;
 };
+
+/// Run `shard` on `bed`, a testbed built from shard.config whose
+/// construction began at wall time `t0`: start it, run the warm-up, open
+/// the measurement window, run it and snapshot everything the shard
+/// reports. Every sweep shard runs through here; so does any bench that
+/// times one configuration on a testbed it builds itself (the kernel
+/// bench's scale ladder, on either event store). `deadline_s` > 0 arms the
+/// cooperative watchdog (SweepRunner::set_shard_deadline; throws
+/// std::runtime_error past it) and `trace_capacity` > 0 traces the bed
+/// into a ring of that many events (SweepRunner::set_tracing).
+ShardResult measure_shard(apps::Testbed& bed, const Shard& shard,
+                          std::chrono::steady_clock::time_point t0, double deadline_s = 0.0,
+                          std::size_t trace_capacity = 0);
 
 /// Expands matrices and runs shard lists on a worker pool.
 class SweepRunner {
@@ -147,9 +150,7 @@ class SweepRunner {
   /// \param jobs worker-thread count; <= 1 runs inline on the caller.
   explicit SweepRunner(int jobs = 1) : jobs_(jobs < 1 ? 1 : jobs) {}
 
-  /// Expand a matrix into shards, one point per scenario in matrix order,
-  /// with the shards of one point adjacent in matrix.backends order: one
-  /// shard per backend.
+  /// Expand a matrix into shards, one per scenario in matrix order.
   /// Throws std::invalid_argument on an unknown scenario name.
   static std::vector<Shard> expand(const SweepMatrix& matrix);
 
@@ -224,7 +225,7 @@ class SweepRunner {
 /// Number of shards whose every attempt failed.
 std::size_t failed_count(const std::vector<ShardResult>& results);
 
-/// Human-readable per-shard failure lines ("shard 3 [cbr_lossy/wheel @
+/// Human-readable per-shard failure lines ("shard 3 [cbr_lossy @
 /// 10 Mpps] failed after 2 attempts: ..."), empty when nothing failed.
 /// Benches print this to stderr before exiting nonzero.
 std::string failure_summary(const std::vector<Shard>& shards,

@@ -114,6 +114,9 @@ PerFlowDraws::PerFlowDraws(std::size_t n_flows, const PerFlowSourceConfig& cfg)
 PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                                     PerFlowSourceConfig cfg) {
   check_per_flow_config(flows.size(), cfg);
+  if (cfg.start < sim.now()) {
+    throw std::invalid_argument("per-flow sources: start must not lie before the attach instant");
+  }
   std::unique_ptr<PerFlowSourceArena> arena(new PerFlowSourceArena(sim, port, flows, cfg));
   PerFlowSourceArena& ref = *arena;
   port.set_ingress(std::move(arena));
@@ -194,10 +197,7 @@ void PerFlowSourceArena::bootstrap() {
   heads_.assign(
       std::bit_ceil(static_cast<std::size_t>(std::clamp(span, 1.0, static_cast<double>(max_buckets)))),
       kNil);
-  // The ring starts past the attach instant's bucket: an arm clamped to
-  // that instant always lands behind cur_, in the run, where its clamped
-  // instant is kept.
-  cur_ = (attach_ >> shift_) + 1;
+  cur_ = attach_ >> shift_;
   seq_.resize(n);
   link_.resize(n);
   run_.reserve(std::min<std::size_t>(n, kRunReserve));
@@ -211,22 +211,18 @@ void PerFlowSourceArena::bootstrap() {
 }
 
 void PerFlowSourceArena::arm_flow(std::uint32_t flow, sim::Time at) {
-  const sim::Time t = std::max(at, attach_);
   const std::uint64_t seq = next_seq_++;
-  // The lane keeps the planned instant: the next gap is added to it, even
-  // when the arrival clamps.
   next_at_[flow] = at;
   seq_[flow] = seq;
   ++armed_;
-  const std::int64_t b = t >> shift_;
+  const std::int64_t b = at >> shift_;
   if (b < cur_) {
-    // Behind the loaded buckets (a clamped arm always is): straight into
-    // the run, which records the clamped instant. The new seq is the
+    // Behind the loaded buckets: straight into the run. The new seq is the
     // largest taken so far, so it goes after every equal `at`.
     const auto pos = std::upper_bound(
-        run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(), t,
+        run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(), at,
         [](sim::Time v, const Pending& p) { return v < p.at; });
-    run_.insert(pos, Pending{t, seq, flow});
+    run_.insert(pos, Pending{at, seq, flow});
   } else {
     chain(flow, b);
   }
@@ -345,11 +341,6 @@ void PerFlowSourceArena::order_run(std::span<std::uint32_t> count) {
   }
 }
 
-PerFlowSourceArena::~PerFlowSourceArena() {
-  // The same-instant events point back at the arena.
-  for (const auto& [flow, event] : same_instant_) sim_.cancel(event);
-}
-
 void PerFlowSourceArena::deliver(sim::Time t, sim::Time since) {
   if (!booted_) bootstrap();
   while (due_at() < t ||
@@ -368,12 +359,10 @@ void PerFlowSourceArena::deliver(sim::Time t, sim::Time since) {
 }
 
 sim::Time PerFlowSourceArena::scheduled_at(const Pending& p) const noexcept {
-  // Arrival k was armed by arrival k - 1, which arrived at its planned
-  // instant (the current one less gap k), or at the attach instant if
-  // that is later; a phase was armed at the attach instant.
+  // Arrival k was armed by arrival k - 1, at its instant (the current one
+  // less gap k); a phase was armed at the attach instant.
   const std::uint32_t k = emitted_[p.flow];
-  if (k == 0) return attach_;
-  return std::max(next_at_[p.flow] - draws_.gap(p.flow, k), attach_);
+  return k == 0 ? attach_ : next_at_[p.flow] - draws_.gap(p.flow, k);
 }
 
 void PerFlowSourceArena::emit(std::uint32_t flow, sim::Time at) {
@@ -388,26 +377,13 @@ void PerFlowSourceArena::emit(std::uint32_t flow, sim::Time at) {
   pkt.arrival = at;
   port_.rx(pkt);
   ++fired_;
-  const sim::Time next = next_at_[flow] + draws_.gap(flow, ++emitted_[flow]);
+  // Every gap is at least 1 ns, so the next arrival is always later.
+  const sim::Time next = at + draws_.gap(flow, ++emitted_[flow]);
   if (next > end_) {
     next_at_[flow] = kIdle;  // retired: planned past the end
-  } else if (std::max(next, attach_) == at && sim_.now() == at) {
-    // Clamped to the attach instant while the clock stands there: the
-    // process's resume would be a new event here, behind whatever this
-    // packet woke (see the class comment).
-    next_at_[flow] = next;
-    ++armed_;
-    same_instant_.emplace_back(flow, sim_.schedule_at(at, [this] { emit_same_instant(); }));
   } else {
     arm_flow(flow, next);
   }
-}
-
-void PerFlowSourceArena::emit_same_instant() {
-  const std::uint32_t flow = same_instant_.front().first;
-  same_instant_.pop_front();
-  emit(flow, sim_.now());
-  publish_head();
 }
 
 }  // namespace metro::tgen

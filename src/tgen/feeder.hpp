@@ -37,10 +37,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "nic/port.hpp"
@@ -123,7 +121,9 @@ class PerFlowSourceArena;
 
 /// Install a PerFlowSourceArena for `flows` as the port's ingress; the
 /// port owns it, the flow set must outlive the run. Throws as
-/// check_per_flow_config, or std::logic_error if the port has an ingress.
+/// check_per_flow_config, std::invalid_argument when `cfg.start` lies
+/// before now (no arrival may be due before the attach), or
+/// std::logic_error if the port has an ingress.
 PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const FlowSet& flows,
                                     PerFlowSourceConfig cfg);
 
@@ -134,11 +134,8 @@ PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const
 ///   * rss hash (4 B)       — the precomputed RSS hash, contiguous so the
 ///                            delivery path touches one dense cache line
 ///                            per 16 flows instead of a FlowSet stride;
-///   * next-fire time (8 B) — the planned instant of the flow's armed
-///                            arrival (kIdle once the flow retires past
-///                            its end); an arrival planned before the
-///                            attach instant arrives at that instant but
-///                            keeps this phase;
+///   * next-fire time (8 B) — the instant of the flow's armed arrival
+///                            (kIdle once the flow retires past its end);
 ///   * draw state (4 B)     — packets this flow has emitted, which is also
 ///                            the counter of its next gap draw;
 ///   * seq (8 B)            — the arena's arm counter when the arrival was
@@ -161,8 +158,8 @@ PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const
 ///     walked interleaved, so beyond the LLC the walk pays for several
 ///     independent cache misses at once instead of one dependent miss per
 ///     step. An arm that lands before the end of the loaded buckets (rare:
-///     a gap shorter than a few buckets), or at the attach instant, goes
-///     straight into the run in order.
+///     a gap shorter than a few buckets) goes straight into the run in
+///     order.
 ///
 /// A refill orders the run without a comparison sort. The loaded buckets
 /// are disjoint in time and loaded in time order, so the walk keys each
@@ -182,21 +179,18 @@ PerFlowSourceArena& attach_per_flow(sim::Simulation& sim, nic::Port& port, const
 /// first delivery builds the calendar and arms the phases.
 ///
 /// Equivalence contract: what a reader sees is what one process per flow
-/// would leave — plan `phase`, then `next += gap` after each packet,
-/// arrive at max(planned, attach instant) until the plan passes
-/// start + duration — each arrival a kernel event scheduled at its flow's
-/// previous arrival (the `since` rule's schedule instant). Only an arena
-/// attached after `start` re-arms a flow at the instant it is delivering;
-/// while the clock stands there, that arrival gets a kernel event of its
-/// own, as the process's resume would. tests/test_tgen.cpp holds the
-/// arena to that reference (tests/per_flow_oracle.hpp) on either store.
+/// would leave — arrive at `phase`, then `next += gap` after each packet,
+/// until the plan passes start + duration — each arrival a kernel event
+/// scheduled at its flow's previous arrival, or at the attach instant for
+/// a phase (the `since` rule's schedule instant). Every gap is at least
+/// 1 ns, so a flow is never re-armed at the instant it is delivering.
+/// tests/test_tgen.cpp holds the arena to that reference
+/// (tests/per_flow_oracle.hpp) on either store.
 class PerFlowSourceArena final : public sim::LazySource {
  public:
   /// next_fire_at() value of a flow with no armed arrival (retired past
   /// `start + duration`, or not yet bootstrapped).
   static constexpr sim::Time kIdle = -1;
-
-  ~PerFlowSourceArena() override;
 
   std::size_t flow_count() const noexcept { return rss_.size(); }
   /// Packets handed to the port so far.
@@ -209,9 +203,7 @@ class PerFlowSourceArena final : public sim::LazySource {
   // They read the delivered state: an arrival due but not yet delivered
   // still counts as armed.
   /// The armed arrival's instant, or kIdle when the flow retired.
-  sim::Time next_fire_at(std::uint32_t flow) const noexcept {
-    return next_at_[flow] == kIdle ? kIdle : std::max(next_at_[flow], attach_);
-  }
+  sim::Time next_fire_at(std::uint32_t flow) const noexcept { return next_at_[flow]; }
   /// Packets this flow emitted (== gap draws it consumed).
   std::uint32_t flow_fired(std::uint32_t flow) const noexcept { return emitted_[flow]; }
 
@@ -240,11 +232,9 @@ class PerFlowSourceArena final : public sim::LazySource {
   /// Hand `flow`'s arrival at `at` to the port, draw the flow's next gap
   /// and re-arm it, or retire it past its end.
   void emit(std::uint32_t flow, sim::Time at);
-  /// The kernel event of the oldest same-instant arrival: emit it.
-  void emit_same_instant();
   /// The `since` rule's schedule instant of a run record.
   sim::Time scheduled_at(const Pending& p) const noexcept;
-  /// Arm `flow` at `at` (arriving at max(at, attach instant)).
+  /// Arm `flow` at `at`.
   void arm_flow(std::uint32_t flow, sim::Time at);
   /// Chain `flow`, armed in bucket `b >= cur_`, into its ring bucket, or
   /// into overflow when `b` lies past the ring.
@@ -269,7 +259,7 @@ class PerFlowSourceArena final : public sim::LazySource {
   std::vector<std::uint32_t> link_;     ///< calendar chain link
   PerFlowDraws draws_;
   std::uint16_t wire_size_;
-  sim::Time attach_;  ///< construction instant: the earliest arrival
+  sim::Time attach_;  ///< construction instant: when the phases were armed
   sim::Time end_ = 0;
   bool booted_ = false;
   std::size_t armed_ = 0;
@@ -286,9 +276,6 @@ class PerFlowSourceArena final : public sim::LazySource {
   std::vector<Pending> run_;          ///< in order; consumed from run_head_
   std::size_t run_head_ = 0;
   std::vector<Pending> scatter_;      ///< order_run's second run buffer
-  /// Flows re-armed at the attach instant while it is being delivered,
-  /// each with the kernel event that will emit it, oldest first.
-  std::deque<std::pair<std::uint32_t, sim::Simulation::EventId>> same_instant_;
 };
 
 }  // namespace metro::tgen

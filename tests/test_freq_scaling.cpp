@@ -50,7 +50,7 @@ struct FreqScalingBed {
         }()},
         core(std::make_unique<sim::Core>(sim, 0, core_cfg)),
         port(sim, nic::x520_config(1)) {
-    ent = dpdk::spawn_freq_scaling_lcore(sim, port, 0, *core, dpdk::FreqScalingConfig{}, stats);
+    ent = dpdk::spawn_freq_scaling_lcore(sim, port, 0, *core, stats);
     if (rate_mpps > 0) {
       auto gen = std::make_unique<tgen::StreamGenerator>(
           [&] {

@@ -299,7 +299,7 @@ struct Rig {
 Outcome run_xdp(Feeder feeder) {
   Rig rig(nic::x520_config(1), 2.0, 10 * sim::kMillisecond);
   dpdk::XdpStats stats;
-  dpdk::spawn_xdp_queue(rig.sim, rig.port, 0, *rig.core, dpdk::XdpConfig{}, stats);
+  dpdk::spawn_xdp_queue(rig.sim, rig.port, 0, *rig.core, stats);
   attach_with(feeder, rig.sim, rig.port, *rig.gen);
   rig.sim.run_until(12 * sim::kMillisecond);
   Outcome o = rig.outcome();
@@ -317,8 +317,7 @@ TEST(IngressIdentityTest, XdpTxDigest) {
 Outcome run_freq_scaling(Feeder feeder) {
   Rig rig(nic::x520_config(1), 0.5, 10 * sim::kMillisecond);
   dpdk::FreqScalingStats stats;
-  dpdk::spawn_freq_scaling_lcore(rig.sim, rig.port, 0, *rig.core, dpdk::FreqScalingConfig{},
-                                 stats);
+  dpdk::spawn_freq_scaling_lcore(rig.sim, rig.port, 0, *rig.core, stats);
   attach_with(feeder, rig.sim, rig.port, *rig.gen);
   rig.sim.run_until(12 * sim::kMillisecond);
   Outcome o = rig.outcome();
@@ -430,7 +429,7 @@ TEST(IngressKernelTest, GeneratorExhaustionLeavesNothingPending) {
   for (const Feeder f : {Feeder::kLazy, Feeder::kEager}) {
     Rig rig(nic::x520_config(1), 1.0, 2 * sim::kMillisecond);
     dpdk::XdpStats stats;
-    dpdk::spawn_xdp_queue(rig.sim, rig.port, 0, *rig.core, dpdk::XdpConfig{}, stats);
+    dpdk::spawn_xdp_queue(rig.sim, rig.port, 0, *rig.core, stats);
     attach_with(f, rig.sim, rig.port, *rig.gen);
     // XDP parks without a timeout, so once the stream is exhausted and
     // drained the simulation runs dry.

@@ -1,15 +1,13 @@
 // pcap read/write and trace-based workload generation.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "apps/experiment.hpp"
 #include "net/packet_builder.hpp"
 #include "net/pcap.hpp"
 #include "nic/port.hpp"
-#include "scenario/sweep.hpp"
 #include "tgen/trace.hpp"
 
 namespace metro {
@@ -136,40 +134,6 @@ TEST(TraceTest, GeneratorLoopsTheTraceAtRate) {
     ++count;
   }
   EXPECT_EQ(count, 25);
-}
-
-// The --trace=<file> path: an *external* on-disk pcap replayed through the
-// kTrace arrival model must drive a full experiment, and stay as
-// cross-backend deterministic as the synthesised trace.
-TEST(TraceTest, ExternalPcapFileReplaysThroughTestbed) {
-  const std::string path = ::testing::TempDir() + "metro_external_trace.pcap";
-  {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.is_open());
-    PcapWriter writer(out);
-    for (const auto& rec : tgen::synthesise_unbalanced_trace(200, 0.4, 21)) writer.write(rec);
-  }
-
-  apps::ExperimentConfig cfg;
-  cfg.driver = apps::DriverKind::kMetronome;
-  cfg.n_queues = 1;
-  cfg.n_cores = 2;
-  cfg.met.n_threads = 2;
-  cfg.workload.model = apps::ArrivalModel::kTrace;
-  cfg.workload.trace.path = path;
-  cfg.workload.rate_mpps = 2.0;
-  cfg.warmup = sim::kMillisecond;
-  cfg.measure = 4 * sim::kMillisecond;
-
-  const auto run = [&](scenario::BackendKind backend) {
-    return scenario::SweepRunner(1).run({scenario::Shard{"ext_trace", backend, cfg}}).at(0);
-  };
-  const auto heap = run(scenario::BackendKind::kHeap);
-  const auto wheel = run(scenario::BackendKind::kWheel);
-  EXPECT_GT(heap.counters.processed, 1000u) << "external trace must drive real traffic";
-  EXPECT_EQ(heap.fingerprint, wheel.fingerprint);
-  EXPECT_EQ(heap.final_clock, wheel.final_clock);
-  std::remove(path.c_str());
 }
 
 TEST(TraceTest, MissingExternalPcapFailsLoudly) {

@@ -1,12 +1,12 @@
-// Scenario subsystem: registry sanity, generator determinism,
-// cross-backend bit-identity of every new workload shape, and
-// SweepRunner merge determinism across worker counts.
+// Scenario subsystem: registry sanity, generator determinism, and
+// SweepRunner expansion and merge determinism across worker counts
+// (each arrival model's cross-store identity lives with the other
+// cross-store tests, in test_backend_fullstack.cpp).
 //
 // The identity fingerprints here are deliberately deep (counters, event
-// totals, final clock, raw latency-histogram digest) — the same level the
-// fullstack backend test uses — because the scenario layer's whole claim
-// is that a scenario is a pure function of its config, on any backend,
-// under any parallelism.
+// totals, final clock, raw latency-histogram digest), because the
+// scenario layer's whole claim is that a scenario is a pure function of
+// its config under any parallelism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,6 @@ namespace metro {
 namespace {
 
 using apps::ArrivalModel;
-using scenario::BackendKind;
 
 // --- seed mixer -------------------------------------------------------------
 
@@ -199,7 +198,7 @@ TEST(BurstyGeneratorTest, IncastEpochsAreSynchronizedBursts) {
   }
 }
 
-// --- cross-backend bit-identity for every arrival model --------------------
+// --- sweep runner -----------------------------------------------------------
 
 struct Fingerprint {
   std::uint64_t telemetry = 0;  ///< full MetricSet digest (all layers)
@@ -214,73 +213,27 @@ Fingerprint fingerprint_of(const scenario::ShardResult& r) {
   return Fingerprint{r.fingerprint, r.counters, r.events, r.final_clock, r.latency_count};
 }
 
-apps::ExperimentConfig small_config(ArrivalModel model) {
-  apps::ExperimentConfig cfg;
-  cfg.driver = apps::DriverKind::kMetronome;
-  cfg.xl710 = true;
-  cfg.n_queues = 2;
-  cfg.n_cores = 3;
-  cfg.met.n_threads = 3;
-  cfg.met.target_vacation = 15 * sim::kMicrosecond;
-  cfg.workload.model = model;
-  cfg.workload.rate_mpps = 8.0;
-  cfg.workload.n_flows = 256;
-  cfg.warmup = 4 * sim::kMillisecond;
-  cfg.measure = 10 * sim::kMillisecond;
-  return cfg;
-}
-
-Fingerprint run_model(ArrivalModel model, BackendKind backend) {
-  const scenario::Shard shard{"t", backend, small_config(model)};
-  const auto results = scenario::SweepRunner(1).run({shard});
-  return fingerprint_of(results.at(0));
-}
-
-class ArrivalModelBackendTest : public ::testing::TestWithParam<ArrivalModel> {};
-
-TEST_P(ArrivalModelBackendTest, BitIdenticalAcrossBackends) {
-  const auto heap = run_model(GetParam(), BackendKind::kHeap);
-  const auto wheel = run_model(GetParam(), BackendKind::kWheel);
-  ASSERT_GT(heap.counters.processed, 10000u) << "scenario must do real work";
-  EXPECT_EQ(heap, wheel);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModels, ArrivalModelBackendTest,
-                         ::testing::Values(ArrivalModel::kMmpp, ArrivalModel::kParetoTrain,
-                                           ArrivalModel::kIncast, ArrivalModel::kTrace),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case ArrivalModel::kMmpp: return "Mmpp";
-                             case ArrivalModel::kParetoTrain: return "ParetoTrain";
-                             case ArrivalModel::kIncast: return "Incast";
-                             case ArrivalModel::kTrace: return "Trace";
-                             default: return "Other";
-                           }
-                         });
-
-// --- sweep runner -----------------------------------------------------------
-
 scenario::SweepMatrix small_matrix() {
   scenario::SweepMatrix m;
   m.scenarios = {"cbr_uniform", "mmpp_bursty", "incast_sync"};
-  m.backends = {BackendKind::kHeap, BackendKind::kWheel};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
   m.base_seed = 99;
   return m;
 }
 
-TEST(SweepRunnerTest, ExpandDerivesPointSeedsSharedAcrossBackends) {
-  const auto shards = scenario::SweepRunner::expand(small_matrix());
-  ASSERT_EQ(shards.size(), 6u);  // 3 scenarios x 2 backends
-  std::set<std::uint64_t> point_seeds;
-  for (std::size_t i = 0; i < shards.size(); i += 2) {
-    EXPECT_EQ(shards[i].config.seed, shards[i + 1].config.seed)
-        << "backends of one point must share the seed";
-    EXPECT_EQ(shards[i].scenario, shards[i + 1].scenario);
-    point_seeds.insert(shards[i].config.seed);
+TEST(SweepRunnerTest, ExpandGivesOneShardPerScenarioWithMixedSeeds) {
+  const scenario::SweepMatrix m = small_matrix();
+  const auto shards = scenario::SweepRunner::expand(m);
+  ASSERT_EQ(shards.size(), m.scenarios.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    EXPECT_EQ(shards[i].scenario, m.scenarios[i]) << "matrix order";
+    EXPECT_EQ(shards[i].config.seed, util::mix_seed(m.base_seed, i)) << shards[i].scenario;
+    EXPECT_EQ(shards[i].config.workload.seed, util::mix_seed(shards[i].config.seed, 1))
+        << shards[i].scenario;
+    EXPECT_EQ(shards[i].config.warmup, m.warmup);
+    EXPECT_EQ(shards[i].config.measure, m.measure);
   }
-  EXPECT_EQ(point_seeds.size(), 3u) << "distinct points get distinct seeds";
 }
 
 TEST(SweepRunnerTest, ExpandRejectsUnknownScenario) {

@@ -271,7 +271,7 @@ TEST(TelemetryDivergenceTest, FingerprintCatchesWhatHandPickedCountersMissed) {
   cfg.warmup = 2 * sim::kMillisecond;
   cfg.measure = 5 * sim::kMillisecond;
 
-  const scenario::Shard shard{"t", scenario::BackendKind::kHeap, cfg};
+  const scenario::Shard shard{"t", cfg};
   const auto r = scenario::SweepRunner(1).run({shard}).at(0);
   ASSERT_GT(r.counters.processed, 1000u) << "shard must do real work";
   ASSERT_GT(r.telemetry.counter("met.q0.busy_tries") + r.telemetry.counter("met.q1.busy_tries"),

@@ -385,8 +385,6 @@ struct PerFlowCase {
                           .start = 0,
                           .duration = 20 * sim::kMillisecond};
   Time run_until = 25 * sim::kMillisecond;
-  /// The sources attach once the simulation reaches this instant.
-  Time attach_at = 0;
   nic::PortConfig port = nic::x520_config(1);
 };
 
@@ -413,7 +411,6 @@ PerFlowRun run_per_flow(AttachFn&& attach_fn, const PerFlowCase& c = {}) {
   FlowSet flows(c.flows, 11);
   PerFlowRun r;
   sim.spawn(digest_all(sim, port.rx_queue(0), r.digest, r.count));
-  sim.run_until(c.attach_at);
   [[maybe_unused]] const auto keep = attach_fn(sim, port, flows, c.cfg);
   sim.run_until(c.run_until);
   r.events = sim.events_processed();
@@ -506,18 +503,21 @@ TEST(PerFlowArenaTest, ManyFlowsOverSeveralHorizonRevolutionsMatchOracle) {
   expect_arena_matches_oracle(c, 1'500'000);
 }
 
-TEST(PerFlowArenaTest, ClampedArmsMatchOracle) {
-  // 2^16 flows attached at 20 ms, past start + the 16.4 ms mean per-flow
-  // gap: every phase arm clamps to the attach instant, and the flows
-  // whose planned phase + gap is still behind it fire again there. Each
-  // next gap is drawn from the planned instant, as the coroutine does.
-  PerFlowCase c;
-  c.flows = std::size_t{1} << 16;
-  c.cfg.total_rate_pps = 4e6;
-  c.cfg.duration = 40 * sim::kMillisecond;
-  c.run_until = 45 * sim::kMillisecond;
-  c.attach_at = 20 * sim::kMillisecond;
-  expect_arena_matches_oracle(c, 60'000);
+TEST(PerFlowArenaTest, AttachAfterTheStartIsRejected) {
+  // An arena attached at 20 ms whose flows start at 0 would owe every
+  // arrival planned before 20 ms at once; attach_per_flow refuses it
+  // before touching the port or the kernel. Attaching at the start
+  // itself is fine.
+  sim::Simulation sim(7);
+  nic::Port port(sim, nic::x520_config(1));
+  FlowSet flows(16, 11);
+  PerFlowSourceConfig cfg;
+  cfg.start = 0;
+  sim.run_until(20 * sim::kMillisecond);
+  EXPECT_THROW(attach_per_flow(sim, port, flows, cfg), std::invalid_argument);
+  EXPECT_TRUE(sim.idle()) << "nothing was scheduled before the throw";
+  cfg.start = sim.now();
+  EXPECT_NO_THROW(attach_per_flow(sim, port, flows, cfg)) << "the port took no ingress before";
 }
 
 TEST(PerFlowArenaTest, NanosecondBucketsMatchOracle) {
