@@ -6,8 +6,8 @@
 //      Pareto trains, incast, trace replay, per-flow populations) is
 //      exercised end to end.
 //   2. *Sweep determinism* — the matrix is executed twice, on --jobs
-//      workers and again single-threaded, and the two merged JSON
-//      reports (timing excluded) must be byte-identical: every shard's
+//      workers and again single-threaded, and the two JSON reports
+//      (timing excluded) must be byte-identical: every shard's
 //      telemetry fingerprint (every registered counter, summary and
 //      latency-histogram bin across every layer) included. A scheduling
 //      dependence in the runner or any shared mutable state in the app
@@ -21,11 +21,12 @@
 // Hardened execution: a shard that throws is captured into the report's
 // `failures` section (and retried once) instead of terminating the
 // process; the bench prints a per-shard failure summary to stderr and
-// exits nonzero. Fault-bearing scenarios additionally appear in the
-// report's `fault_matrix` block, and are held to the same determinism
-// gate as healthy ones.
+// exits nonzero. Fault-bearing scenarios are held to the same determinism
+// gate as healthy ones; their `fault.*` counters are in their rows'
+// `metrics` objects.
 //
-// Writes the merged report (timing included) to BENCH_scenarios.json.
+// Writes the report (one row per shard, timing included) to
+// BENCH_scenarios.json.
 #include <iostream>
 
 #include "common.hpp"

@@ -3,8 +3,8 @@
 // Mirrors the parts of rte_mbuf the applications need: a fixed-capacity
 // data room with headroom (so tunnel encapsulation can prepend headers
 // without copying the payload), a wire length, and metadata (arrival
-// timestamp, RSS hash, input queue). Buffers are pool-allocated
-// (mempool.hpp) and never own heap memory themselves.
+// timestamp, RSS hash, input queue). A Packet never owns heap memory
+// itself.
 #pragma once
 
 #include <cassert>
@@ -20,7 +20,7 @@ class Packet {
 
   Packet() { reset(); }
 
-  /// Restore the pristine state (called by the mempool on free).
+  /// Restore the pristine state.
   void reset() {
     data_off_ = kHeadroom;
     data_len_ = 0;

@@ -9,13 +9,15 @@
 #include <thread>
 
 #include "stats/json_writer.hpp"
-#include "util/seed_mix.hpp"
 
 namespace metro::scenario {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Attempts per shard: the first plus one deterministic retry.
+constexpr int kMaxAttempts = 2;
 
 }  // namespace
 
@@ -116,23 +118,17 @@ std::vector<Shard> SweepRunner::expand(const SweepMatrix& matrix) {
     if (matrix.warmup >= 0) cfg.warmup = matrix.warmup;
     if (matrix.measure >= 0) cfg.measure = matrix.measure;
     if (matrix.series_interval > 0) cfg.series_interval = matrix.series_interval;
-    if (matrix.base_seed != 0) {
-      cfg.seed = util::mix_seed(matrix.base_seed, shards.size());
-      cfg.workload.seed = util::mix_seed(cfg.seed, 1);
-    }
     shards.push_back(Shard{spec->name, cfg});
   }
   return shards;
 }
 
 ShardResult SweepRunner::execute(const Shard& shard) const {
-  // Exception isolation + retry: any throw (configuration error, merge
-  // mismatch, deadline) is captured into the result instead of unwinding
-  // into the worker (which, pre-hardening, std::terminated the process
-  // when a second shard threw, and killed the whole sweep either way).
+  // Exception isolation + retry: any throw (configuration error,
+  // deadline) is captured into the result instead of unwinding into the
+  // worker, where it would std::terminate the process.
   ShardResult out;
-  const int max_attempts = 1 + max_retries_;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     try {
       const auto t0 = Clock::now();
       apps::Testbed bed(shard.config);
@@ -228,70 +224,22 @@ std::string failure_summary(const std::vector<Shard>& shards,
   return os.str();
 }
 
-stats::MetricSnapshot merge_telemetry(const std::vector<ShardResult>& results) {
-  stats::MetricSnapshot total;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].failed) continue;  // nothing to merge; listed in `failures`
-    try {
-      total.merge(results[i].telemetry);
-    } catch (const std::exception& e) {
-      // Shard index context on top of the metric-name context added by
-      // MetricSnapshot::merge — the pair makes a geometry mismatch in a
-      // 100-shard sweep directly actionable.
-      throw std::invalid_argument("merge_telemetry: shard " + std::to_string(i) + ": " + e.what());
-    }
-  }
-  return total;
-}
-
-ShardSeries merge_timeseries(const std::vector<ShardResult>& results) {
-  ShardSeries merged;
-  for (const ShardResult& r : results) {
-    if (r.failed || r.series.interval <= 0) continue;
-    if (merged.interval == 0) merged.interval = r.series.interval;
-    merged.dropped_windows += r.series.dropped_windows;
-    if (r.series.windows.size() > merged.windows.size()) {
-      merged.windows.resize(r.series.windows.size());
-    }
-    for (std::size_t k = 0; k < r.series.windows.size(); ++k) {
-      const SeriesWindow& w = r.series.windows[k];
-      SeriesWindow& m = merged.windows[k];
-      m.t_end = std::max(m.t_end, w.t_end);
-      // FNV-1a-style chain over the shard fingerprints of window k: order-
-      // sensitive in shard order, which run() fixes independently of --jobs.
-      m.fingerprint = (m.fingerprint ^ w.fingerprint) * 1099511628211ULL;
-      m.rx += w.rx;
-      m.tx += w.tx;
-      m.dropped += w.dropped;
-      m.latency_count += w.latency_count;
-      m.latency_sum_us += w.latency_sum_us;
-      m.wakeups += w.wakeups;
-    }
-  }
-  return merged;
-}
-
 namespace {
 
-/// Measurement-window packet totals carried next to a `timeseries` block:
-/// with no windows dropped, the per-window arrays sum to exactly these
-/// (the self-check CI runs against the report).
-struct SeriesTotals {
-  std::uint64_t rx = 0;
-  std::uint64_t tx = 0;
-  std::uint64_t dropped = 0;
-};
-
-/// The per-shard / merged `timeseries` JSON object: interval + drop count
-/// + parallel per-window arrays (schema documented in docs/BENCHMARKS.md).
-void write_series_json(stats::JsonWriter& w, const ShardSeries& s, const SeriesTotals& totals) {
+/// A shard's `timeseries` JSON object: interval + drop count + the
+/// shard's measurement-window packet totals (with no windows dropped, the
+/// per-window arrays sum to exactly these — the self-check CI runs against
+/// the report) + parallel per-window arrays (schema documented in
+/// docs/BENCHMARKS.md).
+void write_series_json(stats::JsonWriter& w, const ShardSeries& s,
+                       const apps::ExperimentResult& totals) {
   w.begin_object();
   w.kv("interval_ns", static_cast<std::int64_t>(s.interval));
   w.kv("dropped_windows", s.dropped_windows);
   w.kv("n_windows", static_cast<std::uint64_t>(s.windows.size()));
-  w.kv("window_rx", totals.rx);
-  w.kv("window_tx", totals.tx);
-  w.kv("window_dropped", totals.dropped);
+  w.kv("window_rx", totals.rx_packets);
+  w.kv("window_tx", totals.tx_packets);
+  w.kv("window_dropped", totals.dropped_packets);
   w.key("t_end_ns").begin_array();
   for (const SeriesWindow& win : s.windows) w.value(static_cast<std::int64_t>(win.t_end));
   w.end_array();
@@ -356,9 +304,7 @@ std::string report_json(const std::vector<Shard>& shards,
     if (include_timing) w.kv("wall_seconds", r.wall_seconds);
     if (r.series.interval > 0) {
       w.key("timeseries");
-      write_series_json(w, r.series,
-                        SeriesTotals{r.result.rx_packets, r.result.tx_packets,
-                                     r.result.dropped_packets});
+      write_series_json(w, r.series, r.result);
     }
     w.key("metrics");
     r.telemetry.write_json(w);
@@ -382,41 +328,6 @@ std::string report_json(const std::vector<Shard>& shards,
     w.end_object();
   }
   w.end_array();
-  // Fault-plane read-out for every fault-bearing shard: the six injector
-  // counters next to the shard's identity and fingerprint. Always
-  // present, empty when no shard carries a FaultSpec.
-  w.key("fault_matrix").begin_array();
-  for (std::size_t i = 0; i < shards.size() && i < results.size(); ++i) {
-    const Shard& s = shards[i];
-    const ShardResult& r = results[i];
-    if (!s.config.workload.fault.any() || r.failed) continue;
-    w.begin_object();
-    w.kv("shard", static_cast<std::uint64_t>(i));
-    w.kv("scenario", s.scenario);
-    w.kv("rate_mpps", s.config.workload.rate_mpps);
-    w.kv("telemetry_fingerprint", r.fingerprint);
-    for (const char* name : {"dropped", "corrupted", "dup", "reordered", "link_down_ns",
-                             "stall_ns"}) {
-      const auto* entry = r.telemetry.find(std::string("fault.") + name);
-      w.kv(name, entry != nullptr ? entry->counter : 0);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  // Whole-sweep time series (see merge_timeseries), present only when at
-  // least one shard recorded one.
-  const ShardSeries merged_series = merge_timeseries(results);
-  if (merged_series.interval > 0) {
-    SeriesTotals merged_totals;
-    for (const ShardResult& r : results) {
-      if (r.failed || r.series.interval <= 0) continue;
-      merged_totals.rx += r.result.rx_packets;
-      merged_totals.tx += r.result.tx_packets;
-      merged_totals.dropped += r.result.dropped_packets;
-    }
-    w.key("timeseries_merged");
-    write_series_json(w, merged_series, merged_totals);
-  }
   // Per-worker sweep execution counters (`sweep.tN.*`). Wall-clock
   // observability: the shard->worker assignment races for jobs > 1, so
   // this block rides the include_timing path and stays out of every
@@ -433,10 +344,6 @@ std::string report_json(const std::vector<Shard>& shards,
     }
     w.end_object();
   }
-  // Whole-sweep totals: every shard's telemetry union-merged in shard
-  // order.
-  w.key("totals");
-  merge_telemetry(results).write_json(w);
   w.end_object();
   w.finish();
   return os.str();

@@ -5,14 +5,13 @@
 /// SweepRunner expands a matrix (or takes a hand-built shard list, as
 /// bench_paper does) into independent *shards* (one complete Testbed run
 /// each: own Simulation, own RNG, own results), executes them on a pool
-/// of std::thread workers, and merges the results in shard order.
+/// of std::thread workers, and returns the results in shard order.
 ///
 /// Determinism contract: each shard is a pure function of its
 /// ExperimentConfig (seeds included), shards share no mutable state, and
-/// the merged result vector is indexed by shard order — so results (and
+/// the result vector is indexed by shard order — so results (and
 /// the JSON report, timing fields aside) are bit-identical for any worker
-/// count. Per-shard seeds are derived with util::mix_seed from the matrix
-/// base seed and the scenario's index in the matrix.
+/// count. Each shard runs on its scenario's registered seeds.
 #pragma once
 
 #include <chrono>
@@ -84,8 +83,8 @@ struct ShardResult {
   /// driver statistics, the latency histogram), snapshotted at the end of
   /// the run. Counters are whole-run totals; summaries/histograms are
   /// *measurement-window* values (begin_measurement resets them — warmup
-  /// samples are not in here). The merge/report path operates on this,
-  /// not on copied fields.
+  /// samples are not in here). The report path operates on this, not on
+  /// copied fields.
   stats::MetricSnapshot telemetry;
   /// Order-sensitive digest of `telemetry` — the cross-run (cross-jobs,
   /// cross-store, trial-to-trial) identity check. Subsumes the old
@@ -123,9 +122,6 @@ struct SweepMatrix {
   std::vector<std::string> scenarios;   ///< registry names (see registry.hpp)
   sim::Time warmup = -1;   ///< window override; < 0 keeps the scenario's
   sim::Time measure = -1;  ///< window override; < 0 keeps the scenario's
-  /// != 0: derive per-scenario seeds as mix_seed(base_seed, index), the
-  /// scenario's index in `scenarios`. 0 keeps scenario seeds.
-  std::uint64_t base_seed = 0;
   /// > 0: every shard samples its telemetry at this sim-time interval
   /// (ExperimentConfig::series_interval override; see ShardSeries).
   sim::Time series_interval = 0;
@@ -150,8 +146,9 @@ class SweepRunner {
   /// \param jobs worker-thread count; <= 1 runs inline on the caller.
   explicit SweepRunner(int jobs = 1) : jobs_(jobs < 1 ? 1 : jobs) {}
 
-  /// Expand a matrix into shards, one per scenario in matrix order.
-  /// Throws std::invalid_argument on an unknown scenario name.
+  /// Expand a matrix into shards, one per scenario in matrix order, each
+  /// on its scenario's registered seeds. Throws std::invalid_argument on
+  /// an unknown scenario name.
   static std::vector<Shard> expand(const SweepMatrix& matrix);
 
   /// Run every shard (in parallel up to the job count) and return results
@@ -160,13 +157,11 @@ class SweepRunner {
   /// Hardened execution: a shard that throws no longer takes down the
   /// sweep (or, worse, std::terminates the process from a worker thread).
   /// The exception is captured into ShardResult::failed/error, the shard
-  /// is retried up to max_retries() times (a deterministic failure fails
-  /// identically; a wall-clock deadline may clear on a quieter machine),
+  /// is retried once (a deterministic failure fails identically; a
+  /// wall-clock deadline may clear on a quieter machine),
   /// and every *other* shard still runs to completion. Callers decide the
   /// exit status from failed_count().
   std::vector<ShardResult> run(const std::vector<Shard>& shards) const;
-
-  int jobs() const noexcept { return jobs_; }
 
   /// Per-shard wall-clock deadline in seconds; <= 0 (the default)
   /// disables the watchdog. Enforced cooperatively: the shard's virtual-
@@ -176,11 +171,6 @@ class SweepRunner {
   /// equivalent (events fire at the same virtual times), so the watchdog
   /// never perturbs results.
   void set_shard_deadline(double seconds) noexcept { deadline_s_ = seconds; }
-  double shard_deadline() const noexcept { return deadline_s_; }
-
-  /// Retries per failed shard (default 1, the "one deterministic retry").
-  void set_max_retries(int retries) noexcept { max_retries_ = retries < 0 ? 0 : retries; }
-  int max_retries() const noexcept { return max_retries_; }
 
   /// Enable per-shard tracing: every shard gets its own trace::Tracer of
   /// `capacity` events (attached through Testbed::set_tracer and kept
@@ -188,7 +178,6 @@ class SweepRunner {
   /// sweep/shard span per shard it runs. 0 turns tracing back off.
   /// Tracing is a pure observer; shard results stay bit-identical.
   void set_tracing(std::size_t capacity) noexcept { trace_capacity_ = capacity; }
-  std::size_t trace_capacity() const noexcept { return trace_capacity_; }
 
   /// Per-worker execution statistics from the most recent run(). The
   /// counters are deterministic only for jobs <= 1 (shard->worker
@@ -214,7 +203,6 @@ class SweepRunner {
 
   int jobs_;
   double deadline_s_ = 0.0;
-  int max_retries_ = 1;
   std::size_t trace_capacity_ = 0;
   // run() is logically const (pure function of the shard list); the
   // bookkeeping below is observability output, refreshed per run.
@@ -231,39 +219,19 @@ std::size_t failed_count(const std::vector<ShardResult>& results);
 std::string failure_summary(const std::vector<Shard>& shards,
                             const std::vector<ShardResult>& results);
 
-/// Deterministically merge every shard's telemetry into one snapshot, in
-/// shard order (union by name: counters add, summaries/histograms merge —
-/// see stats::MetricSnapshot::merge). Shards of different shapes (other
-/// drivers, other queue counts) union cleanly; a same-named histogram
-/// with a different geometry throws, with the shard index and metric name
-/// in the message. Failed shards are skipped (their telemetry is empty).
-stats::MetricSnapshot merge_telemetry(const std::vector<ShardResult>& results);
-
-/// Deterministically merge every non-failed shard's time series, window
-/// index by window index (window k of the merge sums window k of every
-/// shard that has one): counters add, per-window fingerprints chain in
-/// shard order (FNV-style), t_end takes the latest closer. Returns an
-/// empty series when no shard recorded one. The merge is a pure fold in
-/// shard order, so it is bit-identical for any --jobs value.
-ShardSeries merge_timeseries(const std::vector<ShardResult>& results);
-
-/// Merge shards + results into one JSON report (shard order preserved),
-/// emitted through stats::JsonWriter — the single JSON path. Per shard:
-/// the identifying axes, headline counters, `telemetry_fingerprint`,
-/// `failed`/`attempts` (plus `error` when failed) and the full `metrics`
-/// object; a trailing `failures` array lists every failed shard, a
-/// `fault_matrix` array summarises the fault-plane counters of every
-/// fault-bearing shard, and a `totals` object carries merge_telemetry()
-/// over all shards. `include_timing` adds per-shard wall_seconds — the
-/// one nondeterministic field; leave it off when comparing reports across
-/// worker counts. Shards that recorded a time series additionally carry a
-/// `timeseries` object (interval + parallel per-window arrays, schema in
-/// docs/BENCHMARKS.md), and the report then ends with a
-/// `timeseries_merged` object (merge_timeseries over all shards).
-/// `runner`, when given together with include_timing, appends a
-/// `sweep_workers` object with the per-thread `sweep.tN.*` counters —
-/// wall-clock observability, deliberately absent from the deterministic
-/// report shape.
+/// One JSON report over shards + results, emitted through
+/// stats::JsonWriter — the single JSON path. A `shards` array has one row
+/// per shard, in shard order: the identifying axes, headline counters,
+/// `telemetry_fingerprint`, `failed`/`attempts` (plus `error` when failed)
+/// and the full `metrics` object; shards that recorded a time series also
+/// carry a `timeseries` object (interval + parallel per-window arrays,
+/// schema in docs/BENCHMARKS.md). A trailing `failures` array lists every
+/// failed shard. Nothing is aggregated across shards. `include_timing`
+/// adds per-shard wall_seconds — the one nondeterministic field; leave it
+/// off when comparing reports across worker counts. `runner`, when given
+/// together with include_timing, appends a `sweep_workers` object with
+/// the per-thread `sweep.tN.*` counters — wall-clock observability,
+/// deliberately absent from the deterministic report shape.
 std::string report_json(const std::vector<Shard>& shards,
                         const std::vector<ShardResult>& results, bool include_timing,
                         const SweepRunner* runner = nullptr);

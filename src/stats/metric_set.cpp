@@ -141,36 +141,6 @@ MetricSnapshot MetricSnapshot::delta(const MetricSnapshot& start) const {
   return out;
 }
 
-void MetricSnapshot::merge(const MetricSnapshot& other) {
-  for (const Entry& o : other.entries_) {
-    Entry* mine = nullptr;
-    for (Entry& e : entries_) {
-      if (e.name == o.name) {
-        mine = &e;
-        break;
-      }
-    }
-    if (mine == nullptr) {
-      entries_.push_back(o);
-      continue;
-    }
-    if (mine->kind != o.kind) throw_kind_mismatch(o.name, mine->kind, o.kind);
-    try {
-      switch (o.kind) {
-        case MetricKind::kCounter: mine->counter += o.counter; break;
-        case MetricKind::kGauge: mine->gauge += o.gauge; break;
-        case MetricKind::kSummary: mine->summary.merge(o.summary); break;
-        case MetricKind::kHistogram: mine->histogram->merge(*o.histogram); break;
-      }
-    } catch (const std::exception& e) {
-      // Name the diverging metric: "Histogram::merge: bin_width mismatch"
-      // alone is useless in a sweep failure report with dozens of
-      // registered histograms.
-      throw std::invalid_argument("MetricSnapshot::merge: metric '" + o.name + "': " + e.what());
-    }
-  }
-}
-
 std::uint64_t MetricSnapshot::fingerprint() const {
   std::uint64_t h = util::splitmix64(entries_.size());
   for (const Entry& e : entries_) {

@@ -16,11 +16,6 @@
 ///     values and resets distributions; `delta(start)` subtracts counters
 ///     so a measurement window is two calls, not a hand-copied
 ///     `*_at_start_` field per counter;
-///   * **deterministic merge** — `MetricSnapshot::merge` unions two
-///     snapshots by name: counters/gauges add, `Summary`s add their
-///     shifted sums, `Histogram`s merge bin-wise (geometry
-///     mismatches throw). Shard results merge without anyone hand-picking
-///     a field subset;
 ///   * **order-sensitive fingerprint()** — one 64-bit SplitMix64-chained
 ///     digest over every name, kind and value (histograms bin for bin).
 ///     Two runs fingerprint equal iff every registered observable is
@@ -28,8 +23,8 @@
 ///     checks mean by "the same execution".
 ///
 /// Adding an observable to a layer is one `attach_*` line; it then shows
-/// up in snapshots, window deltas, merges, fingerprints and the JSON
-/// report with no further edits anywhere.
+/// up in snapshots, window deltas, fingerprints and the JSON report with
+/// no further edits anywhere.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +54,7 @@ const char* metric_kind_name(MetricKind kind) noexcept;
 
 /// A point-in-time copy of a MetricSet's values, in registration order.
 /// Snapshots own their data: they outlive the set, subtract (window
-/// deltas), merge (shard aggregation) and fingerprint independently.
+/// deltas) and fingerprint independently.
 class MetricSnapshot {
  public:
   struct Entry {
@@ -95,17 +90,6 @@ class MetricSnapshot {
   /// std::invalid_argument unless `start` has the identical shape (same
   /// names, kinds and order).
   MetricSnapshot delta(const MetricSnapshot& start) const;
-
-  /// Deterministic union-merge by name: entries present in both must
-  /// agree on kind (else std::invalid_argument) and combine — counters
-  /// add, Summary::merge, Histogram::merge (geometry checked); entries
-  /// only in `other` append in `other`'s order. Gauges also *add*: right
-  /// for per-shard levels that total across shards (rates, backlogs),
-  /// deliberately not an average — intensive quantities (a ρ, a CPU%)
-  /// must be re-derived from merged counters, not merged themselves.
-  /// Merging the same snapshots in the same order always yields the same
-  /// result, regardless of how many workers produced them.
-  void merge(const MetricSnapshot& other);
 
   /// Order-sensitive digest over every name, kind and value — same
   /// algorithm as MetricSet::fingerprint(), so a snapshot fingerprints

@@ -1,5 +1,5 @@
-// Packet substrate: byte order, headers, checksums, packet buffer, mempool,
-// flow extraction.
+// Packet substrate: byte order, headers, checksums, packet buffer, flow
+// extraction.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -7,7 +7,6 @@
 #include "net/byteorder.hpp"
 #include "net/flow.hpp"
 #include "net/headers.hpp"
-#include "net/mempool.hpp"
 #include "net/packet.hpp"
 
 namespace metro::net {
@@ -118,42 +117,6 @@ TEST(PacketTest, ResetRestoresHeadroom) {
   p.reset();
   EXPECT_EQ(p.size(), 0u);
   EXPECT_EQ(p.headroom(), Packet::kHeadroom);
-}
-
-TEST(MempoolTest, AllocFreeCycle) {
-  Mempool pool(4);
-  EXPECT_EQ(pool.available(), 4u);
-  Packet* a = pool.alloc();
-  Packet* b = pool.alloc();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.in_use(), 2u);
-  pool.free(a);
-  pool.free(b);
-  EXPECT_EQ(pool.available(), 4u);
-}
-
-TEST(MempoolTest, ExhaustionReturnsNull) {
-  Mempool pool(2);
-  Packet* a = pool.alloc();
-  Packet* b = pool.alloc();
-  EXPECT_NE(a, nullptr);
-  EXPECT_NE(b, nullptr);
-  EXPECT_EQ(pool.alloc(), nullptr);
-  EXPECT_EQ(pool.alloc_failures(), 1u);
-  pool.free(a);
-  EXPECT_NE(pool.alloc(), nullptr);
-}
-
-TEST(MempoolTest, FreeResetsBuffer) {
-  Mempool pool(1);
-  Packet* p = pool.alloc();
-  p->fill(7, 99);
-  pool.free(p);
-  Packet* again = pool.alloc();
-  EXPECT_EQ(again, p);
-  EXPECT_EQ(again->size(), 0u);
 }
 
 TEST(FlowTest, ExtractFiveTupleFromUdp) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apps/experiment.hpp"
@@ -218,21 +219,22 @@ scenario::SweepMatrix small_matrix() {
   m.scenarios = {"cbr_uniform", "mmpp_bursty", "incast_sync"};
   m.warmup = 2 * sim::kMillisecond;
   m.measure = 5 * sim::kMillisecond;
-  m.base_seed = 99;
   return m;
 }
 
-TEST(SweepRunnerTest, ExpandGivesOneShardPerScenarioWithMixedSeeds) {
-  const scenario::SweepMatrix m = small_matrix();
+TEST(SweepRunnerTest, ExpandKeepsRegisteredSeedsAndAppliesOverrides) {
+  scenario::SweepMatrix m = small_matrix();
+  m.series_interval = sim::kMillisecond;
   const auto shards = scenario::SweepRunner::expand(m);
   ASSERT_EQ(shards.size(), m.scenarios.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
+    const apps::ExperimentConfig& registered = scenario::find_scenario(m.scenarios[i])->config;
     EXPECT_EQ(shards[i].scenario, m.scenarios[i]) << "matrix order";
-    EXPECT_EQ(shards[i].config.seed, util::mix_seed(m.base_seed, i)) << shards[i].scenario;
-    EXPECT_EQ(shards[i].config.workload.seed, util::mix_seed(shards[i].config.seed, 1))
-        << shards[i].scenario;
+    EXPECT_EQ(shards[i].config.seed, registered.seed) << shards[i].scenario;
+    EXPECT_EQ(shards[i].config.workload.seed, registered.workload.seed) << shards[i].scenario;
     EXPECT_EQ(shards[i].config.warmup, m.warmup);
     EXPECT_EQ(shards[i].config.measure, m.measure);
+    EXPECT_EQ(shards[i].config.series_interval, m.series_interval);
   }
 }
 
@@ -250,9 +252,48 @@ TEST(SweepRunnerTest, MergedResultsIdenticalForAnyWorkerCount) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(fingerprint_of(serial[i]), fingerprint_of(parallel[i])) << "shard " << i;
   }
-  // And the merged JSON (timing excluded) is byte-identical.
+  // And the JSON report (timing excluded) is byte-identical.
   EXPECT_EQ(scenario::report_json(shards, serial, false),
             scenario::report_json(shards, parallel, false));
+}
+
+/// The keys of a JSON document's outermost object, in order.
+std::vector<std::string> top_level_keys(const std::string& json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == '"') {
+      const std::size_t start = i + 1;
+      for (++i; json[i] != '"'; ++i) {
+        if (json[i] == '\\') ++i;
+      }
+      const std::size_t next = json.find_first_not_of(" \n", i + 1);
+      if (depth == 1 && next != std::string::npos && json[next] == ':') {
+        keys.push_back(json.substr(start, i - start));
+      }
+    }
+  }
+  return keys;
+}
+
+TEST(SweepRunnerTest, ReportIsOneRowPerShardPlusFailures) {
+  scenario::SweepMatrix m = small_matrix();
+  m.scenarios.push_back("cbr_lossy");
+  m.series_interval = sim::kMillisecond;
+  const auto shards = scenario::SweepRunner::expand(m);
+  scenario::SweepRunner runner(1);
+  const auto results = runner.run(shards);
+  // Nothing is aggregated across shards, fault and series shards included.
+  EXPECT_EQ(top_level_keys(scenario::report_json(shards, results, false)),
+            (std::vector<std::string>{"shards", "failures"}));
+  // The per-worker counters ride only the timing path.
+  EXPECT_EQ(top_level_keys(scenario::report_json(shards, results, true, &runner)),
+            (std::vector<std::string>{"shards", "failures", "sweep_workers"}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Telemetry layer: MetricSet registration/window/merge/fingerprint
+// Telemetry layer: MetricSet registration/window/fingerprint
 // semantics, the JsonWriter emission path, and the end-to-end claim the
 // refactor makes: the full-set fingerprint catches divergences the old
 // hand-picked counter comparison was blind to.
@@ -87,41 +87,6 @@ TEST(MetricSetTest, WindowDeltaSubtractsCountersAndResetsDistributions) {
   stats::MetricSet other;
   other.counter("events");
   EXPECT_THROW(other.delta(start), std::invalid_argument);
-}
-
-// --- merge ------------------------------------------------------------------
-
-TEST(MetricSnapshotTest, MergeUnionsByNameAndCombines) {
-  stats::MetricSet a;
-  a.counter("shared") = 10;
-  a.summary("s").add(1.0);
-
-  stats::MetricSet b;
-  b.counter("shared") = 5;
-  b.summary("s").add(3.0);
-  b.counter("only_b") = 2;
-
-  auto merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.counter("shared"), 15u);
-  EXPECT_EQ(merged.summary("s").count(), 2u);
-  EXPECT_DOUBLE_EQ(merged.summary("s").mean(), 2.0);
-  EXPECT_EQ(merged.counter("only_b"), 2u) << "unmatched entries append";
-  EXPECT_EQ(merged.size(), 3u);
-
-  // Same name, different kind: refuse rather than fabricate.
-  stats::MetricSet c;
-  c.gauge("shared");
-  EXPECT_THROW(merged.merge(c.snapshot()), std::invalid_argument);
-}
-
-TEST(MetricSnapshotTest, HistogramMergeGeometryMismatchThrows) {
-  stats::MetricSet a;
-  a.histogram("h", 1.0, 10.0);
-  stats::MetricSet b;
-  b.histogram("h", 2.0, 10.0);  // different bin width
-  auto snap = a.snapshot();
-  EXPECT_THROW(snap.merge(b.snapshot()), std::invalid_argument);
 }
 
 // --- fingerprint ------------------------------------------------------------

@@ -5,12 +5,11 @@
 // the three properties that make them safe to leave on in CI:
 //   1. the per-window deltas obey the documented per-kind algebra (window
 //      sums reconstruct the run delta bit-exactly),
-//   2. series and merged reports are bit-identical for any worker count,
+//   2. series and reports are bit-identical for any worker count,
 //      and telemetry fingerprints do not move when tracing is armed,
 //   3. recording is bounded (full rings count drops, never grow).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -249,7 +248,7 @@ void expect_same_series(const ShardSeries& a, const ShardSeries& b, const char* 
   }
 }
 
-TEST(SweepSeriesTest, SeriesAndMergedReportIdenticalAcrossWorkerCounts) {
+TEST(SweepSeriesTest, SeriesAndReportIdenticalAcrossWorkerCounts) {
   const auto shards = series_shards();
   const auto serial = scenario::SweepRunner(1).run(shards);
   const auto parallel = scenario::SweepRunner(4).run(shards);
@@ -261,8 +260,6 @@ TEST(SweepSeriesTest, SeriesAndMergedReportIdenticalAcrossWorkerCounts) {
     expect_same_series(serial[i].series, parallel[i].series,
                        ("shard " + std::to_string(i)).c_str());
   }
-  expect_same_series(scenario::merge_timeseries(serial),
-                     scenario::merge_timeseries(parallel), "merged");
   EXPECT_EQ(scenario::report_json(shards, serial, false),
             scenario::report_json(shards, parallel, false))
       << "timeseries blocks must not break report byte-identity";
@@ -292,30 +289,6 @@ TEST(SweepSeriesTest, WindowsSumToTheShardsMeasurementTotals) {
     EXPECT_EQ(lat, r.latency_count) << "shard " << i;
     EXPECT_GT(wakeups, 0u) << "shard " << i << ": Metronome wake-ups sampled";
   }
-}
-
-TEST(SweepSeriesTest, MergeSumsWindowIndexWiseAndSkipsFailedShards) {
-  const auto shards = series_shards();
-  const auto results = scenario::SweepRunner(2).run(shards);
-  const ShardSeries merged = scenario::merge_timeseries(results);
-  ASSERT_EQ(merged.interval, results[0].series.interval);
-  ASSERT_EQ(merged.windows.size(), results[0].series.windows.size());
-  for (std::size_t k = 0; k < merged.windows.size(); ++k) {
-    std::uint64_t rx = 0;
-    sim::Time t_end = 0;
-    for (const ShardResult& r : results) {
-      rx += r.series.windows[k].rx;
-      t_end = std::max(t_end, r.series.windows[k].t_end);
-    }
-    EXPECT_EQ(merged.windows[k].rx, rx) << "window " << k;
-    EXPECT_EQ(merged.windows[k].t_end, t_end) << "window " << k;
-  }
-  // A failed shard contributes nothing (its series is empty).
-  std::vector<ShardResult> with_failure = results;
-  with_failure[1].failed = true;
-  with_failure[1].series = ShardSeries{};
-  const ShardSeries partial = scenario::merge_timeseries(with_failure);
-  EXPECT_EQ(partial.windows[0].rx, results[0].series.windows[0].rx);
 }
 
 TEST(SweepSeriesTest, TracingIsAPureObserver) {
