@@ -351,7 +351,7 @@ inline bool jobs_identical(const std::vector<scenario::Shard>& shards,
     out << "determinism check: --jobs=" << jobs << " and --jobs=1 reports are byte-identical\n";
     return true;
   }
-  err << "SWEEP NONDETERMINISM: merged report differs between --jobs=" << jobs
+  err << "SWEEP NONDETERMINISM: report differs between --jobs=" << jobs
       << " and --jobs=1\n";
   return false;
 }
@@ -405,7 +405,7 @@ inline int run_sweep(const std::vector<scenario::Shard>& shards, const Args& arg
   if (!args.trace_out.empty()) write_sweep_trace(args.trace_out, shards, results, runner);
   if (!nondeterministic && n_failed == 0) return 0;
   std::cerr << "\nFAIL:";
-  if (nondeterministic) std::cerr << " nondeterministic sweep merge";
+  if (nondeterministic) std::cerr << " nondeterministic sweep report";
   if (n_failed > 0) std::cerr << " " << n_failed << " failed shard(s)";
   std::cerr << "\n";
   return 1;

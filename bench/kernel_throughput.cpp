@@ -8,23 +8,15 @@
 //
 // Two measurements no other report carries:
 //
-//   * kernel scenarios, legacy vs heap vs wheel — a faithful copy of the
-//     pre-refactor kernel (std::function events in a std::priority_queue,
-//     shared_ptr-token Signal) is embedded below under `legacy::` and runs
-//     the *same* scenarios as both event stores
-//     (src/sim/event_queue.hpp), so the JSON records the speedup of the
-//     allocation-free kernel over its predecessor on the same machine,
-//     same build, same run. Those ratios are what make cross-host gating
-//     work. The scenarios:
+//   * kernel scenarios on both event stores (src/sim/event_queue.hpp):
 //       - timer_churn      — callback events rescheduling themselves,
 //       - coroutine_sleep  — many processes looping over sleep_for,
 //       - signal_timeout   — timed waits raced by notifications (the
 //                            polling-driver idle pattern: every wait arms
-//                            a timer that notify makes stale/cancelled),
-//       - fig13_multiqueue_kernel — the fig13 multiqueue event population
-//                            at kernel level: >10k concurrently pending
-//                            flow timers plus metronome-style timed waits,
-//                            where a binary heap pays log n per operation;
+//                            a timer that notify cancels).
+//     The workloads have fixed iteration counts, so heap and wheel must
+//     process the same number of events on each (exit 1 otherwise), and
+//     their wall times compare like with like;
 //   * fig13_fullstack_1m/4m/16m — the registered full-stack scale ladder
 //     (2^20, 2^22 and 2^24 per-flow sources) at its registry windows,
 //     repeated over several trials per store; the JSON records median/
@@ -47,13 +39,8 @@
 // for cache and memory bandwidth.
 #include <array>
 #include <chrono>
-#include <cmath>
-#include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <iostream>
-#include <memory>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -67,151 +54,10 @@
 #include "sim/task.hpp"
 #include "stats/json_writer.hpp"
 
-namespace legacy {
-
-using metro::sim::Task;
-using metro::sim::Time;
-
-// Faithful copy of the pre-refactor kernel (see git history of
-// src/sim/simulation.hpp): type-erased std::function events, stale timers
-// fired-and-ignored via armed flags, one shared_ptr token per Signal wait.
-class Simulation {
- public:
-  explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
-  Simulation(const Simulation&) = delete;
-  Simulation& operator=(const Simulation&) = delete;
-
-  ~Simulation() {
-    events_ = {};
-    for (auto h : processes_) {
-      if (h) h.destroy();
-    }
-  }
-
-  Time now() const noexcept { return now_; }
-  metro::sim::Rng& rng() noexcept { return rng_; }
-
-  void schedule_at(Time t, std::function<void()> fn) {
-    events_.push(Event{t < now_ ? now_ : t, next_seq_++, std::move(fn)});
-  }
-  void schedule_after(Time delay, std::function<void()> fn) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-
-  void spawn(Task task) {
-    auto handle = task.release();
-    processes_.push_back(handle);
-    schedule_after(0, [handle] {
-      if (!handle.done()) handle.resume();
-    });
-  }
-
-  Time run() {
-    while (!events_.empty()) {
-      Event ev = std::move(const_cast<Event&>(events_.top()));
-      events_.pop();
-      now_ = ev.at;
-      ++processed_;
-      ev.fn();
-    }
-    return now_;
-  }
-
-  std::uint64_t events_processed() const noexcept { return processed_; }
-
-  auto sleep_for(Time d) {
-    struct Awaiter {
-      Simulation& sim;
-      Time delay;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim.schedule_after(delay, [h] {
-          if (!h.done()) h.resume();
-        });
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, d};
-  }
-
- private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Event& other) const noexcept {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
-  };
-
-  Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::vector<std::coroutine_handle<Task::promise_type>> processes_;
-  metro::sim::Rng rng_;
-};
-
-class Signal {
- public:
-  explicit Signal(Simulation& sim) : sim_(sim) {}
-
-  auto wait_for(Time timeout) { return WaitAwaiter{*this, timeout, nullptr}; }
-
-  void notify_all() {
-    if (waiters_.empty()) return;
-    auto woken = std::move(waiters_);
-    waiters_.clear();
-    for (auto& t : woken) {
-      if (!t->armed) continue;
-      t->armed = false;
-      t->notified = true;
-      auto h = t->handle;
-      sim_.schedule_after(0, [h] {
-        if (!h.done()) h.resume();
-      });
-    }
-  }
-
- private:
-  struct Token {
-    std::coroutine_handle<> handle;
-    bool armed = true;
-    bool notified = false;
-  };
-
-  struct WaitAwaiter {
-    Signal& sig;
-    Time timeout;
-    std::shared_ptr<Token> token;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      token = std::make_shared<Token>();
-      token->handle = h;
-      sig.waiters_.push_back(token);
-      if (timeout >= 0) {
-        auto t = token;
-        sig.sim_.schedule_after(timeout, [t] {
-          if (!t->armed) return;
-          t->armed = false;
-          t->notified = false;
-          if (!t->handle.done()) t->handle.resume();
-        });
-      }
-    }
-    bool await_resume() const noexcept { return token && token->notified; }
-  };
-
-  Simulation& sim_;
-  std::vector<std::shared_ptr<Token>> waiters_;
-};
-
-}  // namespace legacy
-
 namespace {
 
+using metro::sim::Signal;
+using metro::sim::Simulation;
 using metro::sim::Task;
 using metro::sim::Time;
 
@@ -219,13 +65,12 @@ double wall_seconds(std::chrono::steady_clock::time_point from) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - from).count();
 }
 
-// --- scenario bodies, templated over the kernel implementation -------------
+// --- scenario bodies (either store: WheelSimulation is a Simulation) -------
 
-template <typename Sim>
-void timer_churn(Sim& sim, std::uint64_t chains, std::uint64_t events_per_chain) {
+void timer_churn(Simulation& sim, std::uint64_t chains, std::uint64_t events_per_chain) {
   // `chains` self-rescheduling callbacks, offset so timestamps interleave.
   struct Reschedule {
-    Sim* sim;
+    Simulation* sim;
     std::uint64_t left;
     Time period;
     void operator()() {
@@ -239,147 +84,75 @@ void timer_churn(Sim& sim, std::uint64_t chains, std::uint64_t events_per_chain)
   sim.run();
 }
 
-template <typename Sim>
-Task sleeper_proc(Sim& sim, std::uint64_t iters, Time period) {
+Task sleeper_proc(Simulation& sim, std::uint64_t iters, Time period) {
   for (std::uint64_t i = 0; i < iters; ++i) co_await sim.sleep_for(period);
 }
 
-template <typename Sim>
-void coroutine_sleep(Sim& sim, std::uint64_t procs, std::uint64_t iters) {
+void coroutine_sleep(Simulation& sim, std::uint64_t procs, std::uint64_t iters) {
   for (std::uint64_t p = 0; p < procs; ++p) {
     sim.spawn(sleeper_proc(sim, iters, 50 + static_cast<Time>(p % 13)));
   }
   sim.run();
 }
 
-template <typename Sim, typename Sig>
-Task signal_waiter(Sim& sim, Sig& sig, std::uint64_t iters, Time timeout) {
+Task signal_waiter(Signal& sig, std::uint64_t iters, Time timeout) {
   for (std::uint64_t i = 0; i < iters; ++i) {
     (void)co_await sig.wait_for(timeout);
   }
-  (void)sim;
 }
 
-template <typename Sim, typename Sig>
-Task signal_notifier(Sim& sim, Sig& sig, std::uint64_t iters, Time period) {
+Task signal_notifier(Simulation& sim, Signal& sig, std::uint64_t iters, Time period) {
   for (std::uint64_t i = 0; i < iters; ++i) {
     co_await sim.sleep_for(period);
     sig.notify_all();
   }
 }
 
-template <typename Sim, typename Sig>
-void signal_timeout(Sim& sim, Sig& sig, std::uint64_t waiters, std::uint64_t iters) {
-  // Notify every 1 us; each wait arms a 10 us timeout that the notify makes
-  // stale (legacy) or cancels (new) — the polling-driver idle pattern.
+void signal_timeout(Simulation& sim, std::uint64_t waiters, std::uint64_t iters) {
+  // Notify every 1 us; each wait arms a 10 us timeout that the notify
+  // cancels — the polling-driver idle pattern.
+  Signal sig(sim);
   for (std::uint64_t w = 0; w < waiters; ++w) {
-    sim.spawn(signal_waiter(sim, sig, iters, 10'000));
+    sim.spawn(signal_waiter(sig, iters, 10'000));
   }
   sim.spawn(signal_notifier(sim, sig, iters + 1, 1'000));
   sim.run();
 }
 
-// The fig13 multiqueue event population at kernel level: kFlows
-// concurrently pending per-flow timers (the >10k regime where a binary
-// heap pays ~14 levels per op), 2 queue signals, 4 metronome-style threads
-// on 15 us timed waits, notifies at burst cadence. Workload is identical
-// on every kernel (pure kernel objects, fixed iteration counts).
-constexpr std::uint64_t kFig13Flows = 12288;
-
-template <typename Sim, typename Sig>
-void fig13_multiqueue_kernel(Sim& sim, Sig& q0, Sig& q1, std::uint64_t scale) {
-  struct FlowTimer {
-    Sim* sim;
-    std::uint64_t left;
-    Time period;
-    void operator()() {
-      if (left == 0) return;
-      sim->schedule_after(period, FlowTimer{sim, left - 1, period});
-    }
-  };
-  const std::uint64_t per_flow = scale * 50;
-  for (std::uint64_t f = 0; f < kFig13Flows; ++f) {
-    // Periods spread 50..150 us so the pending population stays dense and
-    // timestamps interleave across the full horizon.
-    const Time period = 50'000 + static_cast<Time>((f * 8'191) % 100'000);
-    sim.schedule_after(static_cast<Time>(f), FlowTimer{&sim, per_flow, period});
-  }
-  const std::uint64_t met_iters = scale * 40'000;
-  sim.spawn(signal_waiter(sim, q0, met_iters, 15'000));
-  sim.spawn(signal_waiter(sim, q0, met_iters, 15'000));
-  sim.spawn(signal_waiter(sim, q1, met_iters, 15'000));
-  sim.spawn(signal_waiter(sim, q1, met_iters, 15'000));
-  sim.spawn(signal_notifier(sim, q0, met_iters, 27'000));
-  sim.spawn(signal_notifier(sim, q1, met_iters, 31'000));
-  sim.run();
-}
-
+/// One store's run of one kernel scenario: wall seconds for the fixed
+/// workload and the events the kernel processed to do it.
 struct Run {
-  double wall = 0.0;           // seconds for the fixed workload
-  std::uint64_t events = 0;    // events the kernel processed to do it
+  double wall = 0.0;
+  std::uint64_t events = 0;
+  double eps() const { return wall > 0 ? static_cast<double>(events) / wall : 0.0; }
 };
 
-template <typename Fn>
-Run measure(Fn&& run_kernel) {
-  Run r;
-  const auto t0 = std::chrono::steady_clock::now();
-  r.events = run_kernel();
-  r.wall = wall_seconds(t0);
-  return r;
+constexpr std::array<const char*, 3> kScenarioNames = {"timer_churn", "coroutine_sleep",
+                                                       "signal_timeout"};
+
+/// The kernel scenarios on a fresh `Sim` each (sim::Simulation, the heap,
+/// or sim::WheelSimulation), in kScenarioNames order.
+template <typename Sim>
+std::array<Run, 3> run_scenarios(std::uint64_t scale) {
+  // Timed from the kernel's construction to its destruction.
+  const auto measure = [](auto&& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Run r;
+    {
+      Sim sim;
+      body(sim);
+      r.events = sim.events_processed();
+    }
+    r.wall = wall_seconds(t0);
+    return r;
+  };
+  return {measure([&](Sim& sim) { timer_churn(sim, 64, scale * 20'000); }),
+          measure([&](Sim& sim) { coroutine_sleep(sim, 256, scale * 5'000); }),
+          measure([&](Sim& sim) { signal_timeout(sim, 64, scale * 10'000); })};
 }
 
-constexpr std::array<const char*, 4> kScenarioNames = {
-    "timer_churn", "coroutine_sleep", "signal_timeout", "fig13_multiqueue_kernel"};
-
-// The four kernel scenarios on one kernel implementation: `Sim` is
-// legacy::Simulation, sim::Simulation (heap) or sim::WheelSimulation,
-// `Sig` its signal type.
-// Workloads are identical for every kernel (fixed iteration counts).
-template <typename Sim, typename Sig>
-std::array<Run, 4> run_scenarios(std::uint64_t scale) {
-  return {measure([&] {
-            Sim sim;
-            timer_churn(sim, 64, scale * 20'000);
-            return sim.events_processed();
-          }),
-          measure([&] {
-            Sim sim;
-            coroutine_sleep(sim, 256, scale * 5'000);
-            return sim.events_processed();
-          }),
-          measure([&] {
-            Sim sim;
-            Sig sig(sim);
-            signal_timeout(sim, sig, 64, scale * 10'000);
-            return sim.events_processed();
-          }),
-          measure([&] {
-            Sim sim;
-            Sig q0(sim), q1(sim);
-            fig13_multiqueue_kernel(sim, q0, q1, scale);
-            return sim.events_processed();
-          })};
-}
-
-// All kernels simulate the *identical* workload, so the honest comparison
-// is wall time for equal work. Note the legacy kernel also executes stale
-// timeout events as no-ops (they count towards its raw event number but do
-// no useful work); events/sec is therefore normalised to the useful-event
-// count (the new kernel's, which fires no stale events) on every side.
 /// The two event stores, in report order; `store` arrays index by it.
 constexpr std::array<const char*, 2> kStores = {"heap", "wheel"};
-
-struct ScenarioResult {
-  Run base;                  // legacy kernel (baseline)
-  std::array<Run, 2> store;  // heap, wheel (kStores order)
-  // Useful-event count: both stores process the same useful events.
-  double useful() const { return static_cast<double>(store[0].events); }
-  double eps(const Run& run) const { return run.wall > 0 ? useful() / run.wall : 0.0; }
-  double speedup(const Run& run) const { return run.wall > 0 ? base.wall / run.wall : 0.0; }
-  double baseline_raw_eps() const {
-    return base.wall > 0 ? static_cast<double>(base.events) / base.wall : 0.0;
-  }
-};
 
 // One store's samples on one scale-ladder population.
 struct ScaleSamples {
@@ -419,27 +192,22 @@ int main(int argc, char** argv) {
   using metro::bench::sample_of;
 
   metro::bench::header(
-      "Kernel throughput — events/sec: legacy baseline vs heap vs wheel",
-      "allocation-free POD-event kernel should clear 2x the legacy kernel; the "
+      "Kernel throughput — events/sec on the heap and the wheel",
+      "both stores process the same events on every kernel scenario; the "
       "per-flow arena keeps its arrivals out of the event store, so heap and "
       "wheel should run the scale ladder at about the same wall time");
 
-  // --- kernel scenarios: legacy baseline, then both stores -------------
-  std::array<ScenarioResult, 4> scen;
-  const auto base = run_scenarios<legacy::Simulation, legacy::Signal>(scale);
-  const auto heap = run_scenarios<metro::sim::Simulation, metro::sim::Signal>(scale);
-  const auto wheel = run_scenarios<metro::sim::WheelSimulation, metro::sim::Signal>(scale);
-  for (std::size_t i = 0; i < scen.size(); ++i) scen[i] = {base[i], {heap[i], wheel[i]}};
-  // Overall: geometric mean across the three classic scenarios
-  // (fig13_multiqueue_kernel is reported separately as the
-  // large-population scenario).
-  const auto geomean3 = [&](auto&& eps_of) {
-    return std::cbrt(eps_of(scen[0]) * eps_of(scen[1]) * eps_of(scen[2]));
-  };
-  const double overall_base = geomean3([](const ScenarioResult& r) { return r.eps(r.base); });
-  std::array<double, 2> overall{};
-  for (std::size_t k = 0; k < kStores.size(); ++k) {
-    overall[k] = geomean3([k](const ScenarioResult& r) { return r.eps(r.store[k]); });
+  // --- kernel scenarios on both stores ----------------------------------
+  const std::array<std::array<Run, 3>, 2> scen = {
+      run_scenarios<metro::sim::Simulation>(scale),
+      run_scenarios<metro::sim::WheelSimulation>(scale)};
+  bool events_diverged = false;
+  for (std::size_t i = 0; i < kScenarioNames.size(); ++i) {
+    if (scen[0][i].events != scen[1][i].events) {
+      std::cerr << "EVENT-COUNT DIVERGENCE at " << kScenarioNames[i] << ": heap "
+                << scen[0][i].events << " vs wheel " << scen[1][i].events << " events\n";
+      events_diverged = true;
+    }
   }
 
   // --- full-stack scale ladder ------------------------------------------
@@ -495,27 +263,13 @@ int main(int argc, char** argv) {
   }
 
   // --- console report ---------------------------------------------------
-  for (std::size_t i = 0; i < scen.size(); ++i) {
-    const auto& r = scen[i];
-    std::cout << "  " << kScenarioNames[i] << ": legacy " << num(r.eps(r.base) / 1e6)
-              << " M useful events/s (raw " << num(r.baseline_raw_eps() / 1e6)
-              << " incl. stale no-ops)";
+  for (std::size_t i = 0; i < kScenarioNames.size(); ++i) {
+    std::cout << "  " << kScenarioNames[i] << " (" << scen[0][i].events << " events):";
     for (std::size_t k = 0; k < kStores.size(); ++k) {
-      std::cout << " | " << kStores[k] << " " << num(r.eps(r.store[k]) / 1e6) << " M/s (x"
-                << num(r.speedup(r.store[k])) << ")";
+      std::cout << " " << kStores[k] << " " << num(scen[k][i].eps() / 1e6) << " M/s |";
     }
-    std::cout << "\n";
+    std::cout << " wheel vs heap: x" << num(scen[0][i].wall / scen[1][i].wall) << "\n";
   }
-  std::cout << "  overall (geomean of first three): legacy " << num(overall_base / 1e6) << " M/s";
-  for (std::size_t k = 0; k < kStores.size(); ++k) {
-    std::cout << " | " << kStores[k] << " " << num(overall[k] / 1e6) << " M/s (x"
-              << num(overall[k] / overall_base) << ")";
-  }
-  std::cout << "\n";
-  const auto& fig13k = scen[3];
-  const double fig13k_wheel_vs_heap = fig13k.store[0].wall / fig13k.store[1].wall;
-  std::cout << "  fig13 kernel scenario, wheel vs heap: x" << num(fig13k_wheel_vs_heap)
-            << " wall (" << kFig13Flows << "+ pending events)\n";
   for (const auto& pr : pops) {
     std::cout << "\n  " << pr.name << " (" << pr.cfg.workload.n_flows << " per-flow sources, "
               << pr.trials << " trials per store):\n";
@@ -536,36 +290,18 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.kv("bench", "kernel_throughput");
   w.kv("fast_mode", fast);
-  w.key("backends").begin_array();
-  for (const char* store : kStores) w.value(store);
-  w.end_array();
   w.key("scenarios").begin_object();
-  for (std::size_t i = 0; i < scen.size(); ++i) {
-    const auto& r = scen[i];
+  for (std::size_t i = 0; i < kScenarioNames.size(); ++i) {
     w.key(kScenarioNames[i]).begin_object();
-    w.kv("baseline_events_per_sec", r.eps(r.base));
-    w.kv("baseline_raw_events_per_sec", r.baseline_raw_eps());
-    w.kv("baseline_wall_seconds", r.base.wall);
     for (std::size_t k = 0; k < kStores.size(); ++k) {
-      const auto& run = r.store[k];
       w.key(kStores[k]).begin_object();
-      w.kv("events_per_sec", r.eps(run));
-      w.kv("wall_seconds", run.wall);
-      w.kv("speedup_vs_legacy", r.speedup(run));
+      w.kv("events_per_sec", scen[k][i].eps());
+      w.kv("wall_seconds", scen[k][i].wall);
       w.end_object();
     }
     w.end_object();
   }
   w.end_object();
-  w.key("overall").begin_object();
-  w.kv("baseline_events_per_sec", overall_base);
-  for (std::size_t k = 0; k < kStores.size(); ++k) {
-    const std::string name = kStores[k];
-    w.kv((name + "_events_per_sec").c_str(), overall[k]);
-    w.kv((name + "_speedup").c_str(), overall[k] / overall_base);
-  }
-  w.end_object();
-  w.kv("fig13_kernel_wheel_vs_heap_speedup", fig13k_wheel_vs_heap);
   w.key("fig13_fullstack_scale").begin_object();
   w.key("populations").begin_object();
   for (const auto& pr : pops) {
@@ -595,8 +331,10 @@ int main(int argc, char** argv) {
   w.end_object();
   w.finish();
   metro::bench::write_report("BENCH_kernel.json", json.str());
-  if (scale_diverged) {
-    std::cout << "\nwrote BENCH_kernel.json (SCALE-LADDER DIVERGENCE — failing)\n";
+  if (scale_diverged || events_diverged) {
+    std::cout << "\nwrote BENCH_kernel.json ("
+              << (events_diverged ? "EVENT-COUNT DIVERGENCE" : "SCALE-LADDER DIVERGENCE")
+              << " — failing)\n";
     return 1;
   }
   std::cout << "\nwrote BENCH_kernel.json\n";

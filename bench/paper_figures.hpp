@@ -1,8 +1,8 @@
 // The paper's evaluation grid as data: one Figure per regenerated figure
 // or table of §V (plus Appendix II and the design ablations). bench_paper
-// (bench/paper.cpp) owns the rest: parsing, sharding across backends, the
-// SweepRunner, printing and the identity gate. Header-only so the tests
-// can check the table's shape without running a simulation.
+// (bench/paper.cpp) owns the rest: parsing, sharding, the SweepRunner,
+// printing and the identity gate. Header-only so the tests can check the
+// table's shape without running a simulation.
 #pragma once
 
 #include <string>

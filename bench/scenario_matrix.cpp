@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   }
 
   bench::header("Scenario matrix - all registered scenarios",
-                "every workload shape runs end to end, and the sweep must merge "
-                "identically for any worker count");
+                "every workload shape runs end to end, and the sweep report must be "
+                "identical for any worker count");
 
   scenario::SweepMatrix matrix;
   if (args.only.empty()) {

@@ -48,9 +48,7 @@ struct PlannerOutput {
 
   /// Attach every predicted observable as a gauge under `prefix`, so a
   /// plan can be snapshotted, fingerprinted and reported through the same
-  /// telemetry path as the measured sets it predicts. (Don't *merge*
-  /// plan snapshots: gauges add under merge, and predictions like rho or
-  /// cpu_percent are intensive — sum is meaningless for them.)
+  /// telemetry path as the measured sets it predicts.
   void register_metrics(stats::MetricSet& set, const std::string& prefix) {
     set.attach_gauge(prefix + ".rho", rho);
     set.attach_gauge(prefix + ".ts_us", ts_us);

@@ -23,11 +23,6 @@ constexpr int kMaxAttempts = 2;
 
 ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_point t0,
                           double deadline_s, std::size_t trace_capacity) {
-  std::shared_ptr<trace::Tracer> tracer;
-  if (trace_capacity > 0) {
-    tracer = std::make_shared<trace::Tracer>(trace_capacity);
-    bed.set_tracer(tracer.get());
-  }
   // Cooperative watchdog: with a deadline set, each virtual-time phase is
   // sliced and the host clock checked between slices. run_until(t) runs
   // every event at <= t and then advances the clock to exactly t, so the
@@ -54,6 +49,13 @@ ShardResult measure_shard(apps::Testbed& bed, const Shard& shard, Clock::time_po
   bed.start();
   run_to(0, shard.config.warmup);
   bed.begin_measurement();
+  // The trace ring covers the measurement window only: attached at
+  // construction, warm-up would fill a small ring before the window opens.
+  std::shared_ptr<trace::Tracer> tracer;
+  if (trace_capacity > 0) {
+    tracer = std::make_shared<trace::Tracer>(trace_capacity);
+    bed.set_tracer(tracer.get());
+  }
   ShardResult out;
   out.pending_at_measure = bed.sim().pending_events();
   run_to(shard.config.warmup, shard.config.warmup + shard.config.measure);

@@ -134,8 +134,9 @@ struct SweepMatrix {
 /// times one configuration on a testbed it builds itself (the kernel
 /// bench's scale ladder, on either event store). `deadline_s` > 0 arms the
 /// cooperative watchdog (SweepRunner::set_shard_deadline; throws
-/// std::runtime_error past it) and `trace_capacity` > 0 traces the bed
-/// into a ring of that many events (SweepRunner::set_tracing).
+/// std::runtime_error past it) and `trace_capacity` > 0 traces the bed's
+/// measurement window into a ring of that many events
+/// (SweepRunner::set_tracing).
 ShardResult measure_shard(apps::Testbed& bed, const Shard& shard,
                           std::chrono::steady_clock::time_point t0, double deadline_s = 0.0,
                           std::size_t trace_capacity = 0);
@@ -173,9 +174,10 @@ class SweepRunner {
   void set_shard_deadline(double seconds) noexcept { deadline_s_ = seconds; }
 
   /// Enable per-shard tracing: every shard gets its own trace::Tracer of
-  /// `capacity` events (attached through Testbed::set_tracer and kept
-  /// in ShardResult::trace), and each worker thread records a wall-clock
-  /// sweep/shard span per shard it runs. 0 turns tracing back off.
+  /// `capacity` events (attached through Testbed::set_tracer when the
+  /// measurement window opens, and kept in ShardResult::trace), and each
+  /// worker thread records a wall-clock sweep/shard span per shard it
+  /// runs. 0 turns tracing back off.
   /// Tracing is a pure observer; shard results stay bit-identical.
   void set_tracing(std::size_t capacity) noexcept { trace_capacity_ = capacity; }
 

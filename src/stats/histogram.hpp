@@ -136,25 +136,6 @@ class Histogram {
     return d;
   }
 
-  /// Bin-wise merge of another histogram filled at the *same* geometry:
-  /// bins and overflow add, the side Summary merges its shifted sums
-  /// (Summary::merge). Merging shard histograms of split sub-streams yields
-  /// bin counts identical to a single-pass fill of the combined stream.
-  /// Throws std::invalid_argument on a bin-width or bin-count mismatch —
-  /// silently resampling mismatched geometries would fabricate data.
-  void merge(const Histogram& other) {
-    if (other.bin_width_ != bin_width_ || other.bins_.size() != bins_.size()) {
-      throw std::invalid_argument(
-          "Histogram::merge: geometry mismatch (bin_width " + std::to_string(bin_width_) +
-          "/" + std::to_string(other.bin_width_) + ", bins " + std::to_string(bins_.size()) +
-          "/" + std::to_string(other.bins_.size()) + ")");
-    }
-    for (std::size_t i = 0; i < other.hi_; ++i) bins_[i] += other.bins_[i];
-    hi_ = std::max(hi_, other.hi_);
-    overflow_ += other.overflow_;
-    summary_.merge(other.summary_);
-  }
-
   /// Write `this - earlier` into `out`, where `earlier` is a previous
   /// snapshot of this same histogram (bins are monotonic between resets,
   /// so the bin-wise subtraction is exact; the side Summary subtracts by

@@ -328,7 +328,7 @@ TEST(JobsGateTest, OneShardsFingerprintMismatchIsReported) {
   std::ostringstream out, err;
   EXPECT_FALSE(jobs_identical(three_shards(), parallel, serial, 4, out, err));
   EXPECT_TRUE(out.str().empty()) << out.str();
-  EXPECT_NE(err.str().find("SWEEP NONDETERMINISM: merged report differs between --jobs=4"),
+  EXPECT_NE(err.str().find("SWEEP NONDETERMINISM: report differs between --jobs=4"),
             std::string::npos)
       << err.str();
 }

@@ -244,7 +244,7 @@ TEST(SweepRunnerTest, ExpandRejectsUnknownScenario) {
   EXPECT_THROW(scenario::SweepRunner::expand(m), std::invalid_argument);
 }
 
-TEST(SweepRunnerTest, MergedResultsIdenticalForAnyWorkerCount) {
+TEST(SweepRunnerTest, ResultsIdenticalForAnyWorkerCount) {
   const auto shards = scenario::SweepRunner::expand(small_matrix());
   const auto serial = scenario::SweepRunner(1).run(shards);
   const auto parallel = scenario::SweepRunner(4).run(shards);

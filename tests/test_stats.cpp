@@ -241,56 +241,25 @@ TEST(SummaryAccuracyTest, MergeOfShardsWithDifferentShifts) {
   expect_matches(merged, two_pass(24, 0, kAccuracyN, draw));
 }
 
-// Property: filling N shards with disjoint sub-streams and merging them
-// must reproduce the single-pass fill bin for bin — the guarantee the
-// sweep runner's shard merge rests on. (Pairs with
-// SummaryTest.MergeEqualsCombinedStream: the embedded Summary merges by
-// re-shifting the other side's sums onto its own shift and adding, exact
-// for count/min/max/sum, near-exact for mean/variance.)
-TEST(HistogramTest, MergeOfSplitShardsBitIdenticalToSinglePass) {
-  sim::Rng rng(17);
-  stats::Histogram all(0.5, 50.0);
-  constexpr int kShards = 4;
-  std::vector<stats::Histogram> shards(kShards, stats::Histogram(0.5, 50.0));
-  for (int i = 0; i < 40000; ++i) {
-    // Mixture with mass beyond max_value so the overflow bin is exercised.
-    const double x = (i % 5 == 0) ? rng.uniform(45.0, 80.0) : rng.normal(20.0, 8.0);
-    all.add(x);
-    shards[static_cast<std::size_t>(i % kShards)].add(x);
-  }
-  stats::Histogram merged = shards[0];
-  for (int s = 1; s < kShards; ++s) merged.merge(shards[static_cast<std::size_t>(s)]);
-
-  ASSERT_EQ(merged.n_bins(), all.n_bins());
-  for (std::size_t b = 0; b < all.n_bins(); ++b) {
-    ASSERT_EQ(merged.bin_count(b), all.bin_count(b)) << "bin " << b;
-  }
-  EXPECT_EQ(merged.overflow(), all.overflow());
-  EXPECT_EQ(merged.count(), all.count());
-  // Exact side-summary fields (order-independent ones are bit-identical).
-  EXPECT_DOUBLE_EQ(merged.summary().min(), all.summary().min());
-  EXPECT_DOUBLE_EQ(merged.summary().max(), all.summary().max());
-  // Moments via the shifted-sum merge: equal to tight tolerance.
-  EXPECT_NEAR(merged.summary().mean(), all.summary().mean(), 1e-9);
-  EXPECT_NEAR(merged.summary().variance(), all.summary().variance(), 1e-6);
-}
-
-TEST(HistogramTest, MergeEmptyAndSelfConsistency) {
-  stats::Histogram a(1.0, 10.0), empty(1.0, 10.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.bin_count(3), 1u);
-}
-
-TEST(HistogramTest, MergeRejectsGeometryMismatch) {
-  stats::Histogram a(1.0, 10.0);
-  EXPECT_THROW(a.merge(stats::Histogram(2.0, 10.0)), std::invalid_argument);  // width
-  EXPECT_THROW(a.merge(stats::Histogram(1.0, 20.0)), std::invalid_argument);  // bin count
-  stats::Histogram same(1.0, 10.0);
-  a.merge(same);  // identical geometry is fine
+// since_into is the geometry policy's shipping path (the time-series
+// sampler): a bin-width, bin-count or `out` mismatch throws rather than
+// resampling, and matching geometry writes the exact delta.
+TEST(HistogramTest, SinceIntoRejectsGeometryMismatch) {
+  stats::Histogram now(1.0, 10.0), out(1.0, 10.0);
+  now.add(3.0);
+  const stats::Histogram earlier = now;
+  // Only the bin width differs, then only the bin count.
+  stats::Histogram wide(2.0, 20.0), longer(1.0, 20.0);
+  ASSERT_EQ(wide.n_bins(), now.n_bins());
+  EXPECT_THROW(now.since_into(wide, out), std::invalid_argument);  // as `earlier`
+  EXPECT_THROW(now.since_into(longer, out), std::invalid_argument);
+  EXPECT_THROW(now.since_into(earlier, wide), std::invalid_argument);  // as `out`
+  EXPECT_THROW(now.since_into(earlier, longer), std::invalid_argument);
+  now.add(5.0);
+  now.since_into(earlier, out);  // identical geometry is fine
+  EXPECT_EQ(out.count(), 1u);
+  EXPECT_EQ(out.bin_count(3), 0u);
+  EXPECT_EQ(out.bin_count(5), 1u);
 }
 
 TEST(HistogramTest, ConstructorRejectsBadGeometry) {

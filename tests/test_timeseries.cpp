@@ -307,6 +307,9 @@ TEST(SweepSeriesTest, TracingIsAPureObserver) {
     EXPECT_EQ(off[i].trace, nullptr);
     ASSERT_NE(on[i].trace, nullptr);
     EXPECT_GT(on[i].trace->size(), 0u) << "shard " << i << " recorded events";
+    // The ring opens with the measurement window: attached any earlier,
+    // warm-up would fill a small ring before the window it is read for.
+    EXPECT_GE(on[i].trace->event(0).ts, shards[i].config.warmup) << "shard " << i;
     // The Metronome instrumentation fired: sleep spans exist in every shard.
     EXPECT_GT(on[i].trace->count(trace::id::kMetSleep), 0u) << "shard " << i;
     EXPECT_GT(on[i].trace->count(trace::id::kRxBurst), 0u) << "shard " << i;
