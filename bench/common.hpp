@@ -23,7 +23,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -42,20 +41,11 @@ namespace metro::bench {
 /// wall-clock simulated-packets/s measures it end to end.
 enum class CryptoMode { kCalibrated, kLive };
 
-/// Default worker count for benches whose sweeps run through
-/// scenario::SweepRunner: half the hardware threads (each shard is a
-/// single-threaded simulation; leaving headroom keeps the host usable),
-/// at least 1, at most 8.
-inline int default_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::clamp(hw / 2, 1u, 8u));
-}
-
 /// The shared flag set, parsed once per bench (the one place --fast /
 /// --jobs / --trace / --list / --only / --deadline spellings live).
 struct Args {
   bool fast = false;
-  int jobs = 1;
+  int jobs = 1;  ///< sweep workers; > 1 also runs run_sweep's one-worker rerun
   std::string trace;  ///< external pcap for kTrace scenarios; empty = synthesise
   bool list = false;  ///< print the selectable names and exit
   std::vector<std::string> only;  ///< scenario or figure filter; empty = all
@@ -91,9 +81,8 @@ inline const char* usage_text() {
 /// defaults, which is how a misconfigured overnight sweep produces
 /// wrong-but-plausible numbers. Split from parse_args so tests can
 /// exercise the policy without exiting.
-inline bool try_parse_args(int argc, char** argv, int def_jobs, Args& out, std::string& error) {
+inline bool try_parse_args(int argc, char** argv, Args& out, std::string& error) {
   out = Args{};
-  out.jobs = def_jobs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fast") {
@@ -181,10 +170,10 @@ inline bool try_parse_args(int argc, char** argv, int def_jobs, Args& out, std::
   return true;
 }
 
-inline Args parse_args(int argc, char** argv, int def_jobs) {
+inline Args parse_args(int argc, char** argv) {
   Args a;
   std::string error;
-  if (!try_parse_args(argc, argv, def_jobs, a, error)) {
+  if (!try_parse_args(argc, argv, a, error)) {
     std::cerr << error << "\n" << usage_text();
     std::exit(2);
   }

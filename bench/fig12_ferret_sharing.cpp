@@ -1,18 +1,15 @@
-// Figure 12 + Table II: CPU sharing with a CPU-intensive competitor
-// (PARSEC ferret stand-in).
-//
-// Part A (Fig. 12): ferret execution time — alone vs co-scheduled with a
+// Figure 12: CPU sharing with a CPU-intensive competitor (PARSEC ferret
+// stand-in). Ferret execution time — alone vs co-scheduled with a
 // static-polling l3fwd on one core, and alone vs co-scheduled with the
 // three Metronome threads on three cores (Metronome at nice -20, the
 // competitor at nice 19, both SCHED_OTHER, as in the paper).
 //
-// Part B (Table II): forwarding throughput at 14.88 Mpps offered, alone vs
-// with the competitor running.
+// Each run stops when ferret finishes, not after a measurement window, so
+// this stays its own binary. Table II (forwarding throughput next to the
+// competitor) is a windowed testbed run: bench_paper's `table2` figure.
 #include "apps/experiment.hpp"
 #include "apps/ferret.hpp"
 #include "common.hpp"
-#include "dpdk/static_polling.hpp"
-#include "tgen/feeder.hpp"
 
 using namespace metro;
 
@@ -49,21 +46,6 @@ double ferret_seconds(int mode, sim::Time work, bool fast) {
   return worst;
 }
 
-double throughput_mpps(apps::DriverKind kind, bool with_competitor, bool fast) {
-  apps::ExperimentConfig cfg;
-  cfg.driver = kind;
-  cfg.n_cores = kind == apps::DriverKind::kStaticPolling ? 1 : 3;
-  cfg.workload.rate_mpps = 14.88;
-  if (with_competitor) {
-    cfg.competitor.n_workers = cfg.n_cores;
-    cfg.competitor.nice = kind == apps::DriverKind::kStaticPolling ? 0 : 19;
-  }
-  const auto w = bench::windows(fast);
-  cfg.warmup = w.warmup;
-  cfg.measure = w.measure;
-  return apps::run_experiment(cfg).throughput_mpps;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,18 +69,5 @@ int main(int argc, char** argv) {
   fig12.add_row({"w/ Metronome", "3", bench::num(with_metronome),
                  bench::num(with_metronome / alone_1core) + "x"});
   fig12.print();
-
-  std::cout << "\n";
-  bench::header("Table II - throughput (Mpps) alone vs with ferret",
-                "static DPDK collapses (14.88 -> 7.34 in the paper); Metronome "
-                "holds 14.88 in both cases");
-  stats::Table t2({"driver", "alone", "w/ ferret"});
-  t2.add_row({"static DPDK",
-              bench::num(throughput_mpps(apps::DriverKind::kStaticPolling, false, fast)),
-              bench::num(throughput_mpps(apps::DriverKind::kStaticPolling, true, fast))});
-  t2.add_row({"Metronome",
-              bench::num(throughput_mpps(apps::DriverKind::kMetronome, false, fast)),
-              bench::num(throughput_mpps(apps::DriverKind::kMetronome, true, fast))});
-  t2.print();
   return 0;
 }

@@ -22,7 +22,7 @@
 using namespace metro;
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv, 1);
+  const auto args = bench::parse_args(argc, argv);
   const bool fast = args.fast;
   const sim::Time total = fast ? 6 * sim::kSecond : 12 * sim::kSecond;
   const sim::Time step = total / 30;  // 30 rate steps, as in a 60 s / 2 s ramp

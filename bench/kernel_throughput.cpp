@@ -185,7 +185,7 @@ metro::scenario::ShardResult ladder_trial(const metro::scenario::Shard& shard) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = metro::bench::parse_args(argc, argv, 1);
+  const auto args = metro::bench::parse_args(argc, argv);
   const bool fast = args.fast;
   const std::uint64_t scale = fast ? 1 : 4;
   using metro::bench::num;

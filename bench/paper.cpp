@@ -112,7 +112,7 @@ int run_live_crypto(const Figure& fig16, const bench::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv, bench::default_jobs());
+  const auto args = bench::parse_args(argc, argv);
   std::vector<const Figure*> chosen;
   for (const Figure& f : bench::paper_figures()) {
     if (args.list) std::cout << f.name << "\n";

@@ -35,7 +35,7 @@
 using namespace metro;
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv, bench::default_jobs());
+  const auto args = bench::parse_args(argc, argv);
   if (args.list) {
     // Greppable registry listing for scripts/CI: names only, one per line.
     for (const auto& s : scenario::all_scenarios()) std::cout << s.name << "\n";

@@ -55,6 +55,17 @@ Testbed::Testbed(const ExperimentConfig& cfg, bool wheel) : cfg_(cfg) {
   if (cfg.driver == DriverKind::kXdp && cfg.n_cores < cfg.n_queues) {
     throw std::invalid_argument("XDP requires one core per Rx queue");
   }
+  // The frequency-scaling poller drives its core's P-state through the
+  // userspace governor: any other governor ignores its requests, and two
+  // pollers on one core would fight over that core's frequency.
+  if (cfg.driver == DriverKind::kFreqScaling && cfg.governor != sim::Governor::kUserspace) {
+    throw std::invalid_argument(
+        "ExperimentConfig::governor must be Governor::kUserspace for frequency scaling");
+  }
+  if (cfg.driver == DriverKind::kFreqScaling && cfg.n_cores < cfg.n_queues) {
+    throw std::invalid_argument(
+        "ExperimentConfig::n_cores must be >= n_queues for frequency scaling");
+  }
 
   sim_ = wheel ? std::make_unique<sim::Simulation>(cfg.seed, sim::TimingWheelBackend{})
                : std::make_unique<sim::Simulation>(cfg.seed);
@@ -193,6 +204,16 @@ void Testbed::start() {
       }
       break;
     }
+    case DriverKind::kFreqScaling: {
+      for (int q = 0; q < port_->n_rx_queues(); ++q) {
+        auto stats = std::make_unique<dpdk::FreqScalingStats>();
+        Core& core = machine_->core(q);
+        const auto ent = dpdk::spawn_freq_scaling_lcore(*sim_, *port_, q, core, *stats);
+        driver_entities_.push_back(EntitySnapshot{&core, ent, 0});
+        freq_stats_.push_back(std::move(stats));
+      }
+      break;
+    }
   }
 
   for (int i = 0; i < cfg_.competitor.n_workers && i < cfg_.n_cores; ++i) {
@@ -216,6 +237,9 @@ void Testbed::start() {
   }
   for (std::size_t q = 0; q < xdp_stats_.size(); ++q) {
     xdp_stats_[q]->register_metrics(metrics_, "xdp.q" + std::to_string(q));
+  }
+  for (std::size_t q = 0; q < freq_stats_.size(); ++q) {
+    freq_stats_[q]->register_metrics(metrics_, "freq.q" + std::to_string(q));
   }
   for (std::size_t i = 0; i < competitors_.size(); ++i) {
     competitors_[i]->register_metrics(metrics_, "competitor." + std::to_string(i));
@@ -336,6 +360,7 @@ std::uint64_t Testbed::packets_processed() const {
   std::uint64_t total = 0;
   for (const auto& s : polling_stats_) total += s->packets_processed;
   for (const auto& s : xdp_stats_) total += s->packets_processed;
+  for (const auto& s : freq_stats_) total += s->packets_processed;
   return total;
 }
 

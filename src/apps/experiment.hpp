@@ -2,10 +2,11 @@
 //
 // Every table/figure bench assembles the same testbed: a Machine (cores +
 // governor + power model), a Port (X520 or XL710), a workload generator,
-// one of the three drivers (Metronome / static-polling DPDK / XDP), an
-// optional co-scheduled CPU-bound competitor, a warm-up phase and a
-// measurement window. This header packages that wiring once, so each bench
-// is just a parameter sweep + a table printer.
+// one of the four drivers (Metronome / static-polling DPDK / XDP /
+// l3fwd-power-style frequency scaling), an optional co-scheduled CPU-bound
+// competitor, a warm-up phase and a measurement window. This header
+// packages that wiring once, so each bench is just a parameter sweep + a
+// table printer.
 //
 // The testbed runs its kernel on the binary-heap event store; the
 // BasicTestbed<sim::WheelSimulation> shim runs the same stack on the
@@ -24,6 +25,7 @@
 
 #include "apps/ferret.hpp"
 #include "core/metronome.hpp"
+#include "dpdk/freq_scaling.hpp"
 #include "dpdk/static_polling.hpp"
 #include "dpdk/xdp_model.hpp"
 #include "fault/fault.hpp"
@@ -41,7 +43,9 @@
 
 namespace metro::apps {
 
-enum class DriverKind { kMetronome, kStaticPolling, kXdp };
+/// kFreqScaling is the §II related-work baseline: one frequency-scaling
+/// poller per Rx queue, queue q on core q, under Governor::kUserspace.
+enum class DriverKind { kMetronome, kStaticPolling, kXdp, kFreqScaling };
 
 /// Which arrival process drives the testbed (see tgen/). All models honour
 /// rate_mpps (the headline long-run rate), n_flows, wire_size and seed;
@@ -274,6 +278,7 @@ class Testbed {
   std::unique_ptr<core::Metronome> metronome_;
   std::vector<std::unique_ptr<dpdk::DriverStats>> polling_stats_;
   std::vector<std::unique_ptr<dpdk::XdpStats>> xdp_stats_;
+  std::vector<std::unique_ptr<dpdk::FreqScalingStats>> freq_stats_;
   std::vector<EntitySnapshot> driver_entities_;
   std::vector<std::shared_ptr<FerretResult>> competitors_;
 

@@ -27,22 +27,22 @@ struct Parsed {
   std::string error;
 };
 
-Parsed parse(std::vector<std::string> flags, int def_jobs = 2) {
+Parsed parse(std::vector<std::string> flags) {
   std::vector<char*> argv;
   std::string argv0 = "bench_test";
   argv.push_back(argv0.data());
   for (auto& f : flags) argv.push_back(f.data());
   Parsed p;
-  p.ok = try_parse_args(static_cast<int>(argv.size()), argv.data(), def_jobs, p.args, p.error);
+  p.ok = try_parse_args(static_cast<int>(argv.size()), argv.data(), p.args, p.error);
   return p;
 }
 
 TEST(BenchArgsTest, NoFlagsKeepsDefaults) {
-  const auto p = parse({}, 3);
+  const auto p = parse({});
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_FALSE(p.args.fast);
   EXPECT_FALSE(p.args.list);
-  EXPECT_EQ(p.args.jobs, 3);
+  EXPECT_EQ(p.args.jobs, 1) << "one worker by default: no one-worker rerun to pay for";
   EXPECT_TRUE(p.args.trace.empty());
   EXPECT_TRUE(p.args.only.empty());
   EXPECT_EQ(p.args.deadline_s, 0.0);
@@ -84,7 +84,7 @@ TEST(BenchArgsTest, RetiredBackendSpellingsExitTwo) {
   for (const char* value : {"=heap", "=wheel", "=all", "=ladder", "=both", ""}) {
     std::string argv0 = "bench_test", f = kRetiredFlag + value;
     std::array<char*, 2> argv{argv0.data(), f.data()};
-    EXPECT_EXIT(parse_args(2, argv.data(), 1), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_args(2, argv.data()), ::testing::ExitedWithCode(2),
                 "unknown flag '" + kRetiredFlag)
         << f;
   }

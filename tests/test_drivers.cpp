@@ -1,5 +1,6 @@
-// Baseline drivers: static-polling DPDK and the XDP model, plus the
-// ferret competitor and the experiment harness glue.
+// Baseline drivers: static-polling DPDK, the XDP model and the
+// frequency-scaling poller's config checks, plus the ferret competitor and
+// the experiment harness glue.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -90,6 +91,37 @@ TEST(XdpTest, RequiresCorePerQueue) {
   cfg.n_queues = 4;
   cfg.n_cores = 2;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+/// `cfg` must fail Testbed construction with a message naming `field`.
+void expect_rejected(const ExperimentConfig& cfg, const std::string& field) {
+  try {
+    apps::Testbed bed(cfg);
+    FAIL() << "configuration must be rejected for " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(FreqScalingTest, RequiresUserspaceGovernor) {
+  // Under any other governor Core::request_freq is a no-op: the run
+  // would silently stay at nominal frequency.
+  for (const auto governor : {sim::Governor::kPerformance, sim::Governor::kOndemand}) {
+    auto cfg = config_for(DriverKind::kFreqScaling, 1.0);
+    cfg.governor = governor;
+    expect_rejected(cfg, "governor");
+  }
+}
+
+TEST(FreqScalingTest, RequiresCorePerQueue) {
+  // Two pollers on one core would fight over its P-state.
+  auto cfg = config_for(DriverKind::kFreqScaling, 1.0);
+  cfg.governor = sim::Governor::kUserspace;
+  cfg.n_queues = 4;
+  cfg.n_cores = 2;
+  expect_rejected(cfg, "n_cores");
+  cfg.n_cores = 4;
+  EXPECT_NO_THROW(apps::Testbed{cfg});
 }
 
 TEST(ExperimentConfigTest, RejectsZeroQueues) {

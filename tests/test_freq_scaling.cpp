@@ -1,6 +1,7 @@
 // The frequency-scaling poller baseline and the userspace governor.
 #include <gtest/gtest.h>
 
+#include "apps/experiment.hpp"
 #include "dpdk/freq_scaling.hpp"
 #include "dpdk/static_polling.hpp"
 #include "nic/port.hpp"
@@ -130,6 +131,79 @@ TEST(FreqScalingTest, BurstTriggersJumpToMax) {
   bed.sim.run_until(bed.sim.now() + 200 * sim::kMicrosecond);
   EXPECT_DOUBLE_EQ(bed.core->freq_ratio(), 1.0);
   EXPECT_GT(bed.stats.freq_jumps_up, 0u);
+}
+
+/// The measurement-window observables of one frequency-scaling run.
+struct WindowRow {
+  double cpu = 0.0;
+  double watts = 0.0;
+  double throughput = 0.0;
+};
+
+/// Reference rig: one frequency-scaling lcore on a userspace-governed
+/// core, wired by hand from the kernel, machine, port and stream feeder,
+/// measured with its own window arithmetic. apps::Testbed's kFreqScaling
+/// driver must reproduce it exactly.
+WindowRow hand_wired_freq_scaling(double mpps, Time warmup, Time measure) {
+  sim::Simulation sim(1);
+  sim::CoreConfig core_cfg;
+  core_cfg.governor = sim::Governor::kUserspace;
+  sim::Machine machine(sim, 1, core_cfg);
+  nic::Port port(sim, nic::x520_config(1));
+  tgen::FlowSet flows(256, 42);
+  tgen::StreamConfig stream;
+  stream.rate_pps = mpps * 1e6;
+  stream.duration = warmup + measure + 50 * sim::kMillisecond;
+  tgen::StreamGenerator gen(stream, flows, tgen::FlowPicker(256));
+  dpdk::FreqScalingStats stats;
+  const auto ent = dpdk::spawn_freq_scaling_lcore(sim, port, 0, machine.core(0), stats);
+  if (mpps > 0) tgen::attach(sim, port, gen);
+
+  sim.run_until(warmup);
+  const auto start = machine.snapshot_all();
+  const auto cpu0 = machine.core(0).on_cpu_time(ent);
+  const auto tx0 = port.tx().total_transmitted();
+  sim.run_until(warmup + measure);
+  const auto end = machine.snapshot_all();
+
+  WindowRow r;
+  r.cpu = 100.0 * static_cast<double>(machine.core(0).on_cpu_time(ent) - cpu0) /
+          static_cast<double>(measure);
+  r.watts = machine.window_stats(start, end).avg_package_watts;
+  r.throughput = static_cast<double>(port.tx().total_transmitted() - tx0) /
+                 sim::to_seconds(measure) / 1e6;
+  return r;
+}
+
+TEST(FreqScalingTest, TestbedMatchesHandWiredLcore) {
+  // 5.0 Mpps keeps the core at nominal frequency; at 0.1 Mpps it steps
+  // down between packets and each arrival cancels the 1 ms idle timeout.
+  const Time warmup = 50 * sim::kMillisecond;
+  const Time measure = 100 * sim::kMillisecond;
+  for (const double mpps : {5.0, 0.1}) {
+    apps::ExperimentConfig cfg;
+    cfg.driver = apps::DriverKind::kFreqScaling;
+    cfg.governor = sim::Governor::kUserspace;
+    cfg.n_cores = 1;
+    cfg.workload.rate_mpps = mpps;
+    cfg.warmup = warmup;
+    cfg.measure = measure;
+    apps::Testbed bed(cfg);
+    bed.start();
+    bed.run_until(warmup);
+    bed.begin_measurement();
+    bed.run_until(warmup + measure);
+    const apps::ExperimentResult got = bed.finish_measurement();
+
+    const WindowRow want = hand_wired_freq_scaling(mpps, warmup, measure);
+    EXPECT_EQ(got.cpu_percent, want.cpu) << mpps << " Mpps";
+    EXPECT_EQ(got.package_watts, want.watts) << mpps << " Mpps";
+    EXPECT_EQ(got.throughput_mpps, want.throughput) << mpps << " Mpps";
+    EXPECT_GT(got.throughput_mpps, 0.0) << mpps << " Mpps";
+    EXPECT_EQ(bed.telemetry().snapshot().counter("freq.q0.packets"), bed.packets_processed())
+        << mpps << " Mpps";
+    EXPECT_GT(bed.packets_processed(), 0u) << mpps << " Mpps";
+  }
 }
 
 }  // namespace

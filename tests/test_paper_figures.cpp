@@ -17,7 +17,7 @@ TEST(PaperFiguresTest, NamesAreUnique) {
   for (const Figure& f : paper_figures()) {
     EXPECT_TRUE(names.insert(f.name).second) << "duplicate figure name " << f.name;
   }
-  EXPECT_EQ(names.size(), 13u);
+  EXPECT_EQ(names.size(), 15u);
 }
 
 TEST(PaperFiguresTest, EveryGridIsNonEmptyInFastAndFullWindows) {
